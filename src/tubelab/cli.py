@@ -19,21 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from typing import Any, Sequence
 
-from .additive import (
-    QuasiProduct,
-    best_slice_pair,
-    bsg_refine,
-    plunnecke_corollary_check,
-    tripod_residual,
-    tube_slice_pairs,
-)
 from .core_grid import Scale, fit_exponent
-from .delta_sets import DeltaSetParams, validate, validate_1d
 from .errors import (
     DomainError,
     HypothesisViolation,
@@ -41,25 +31,23 @@ from .errors import (
     ScaleError,
     TubelabError,
 )
-from .generators import _KIND_PARAMS, GeneratorSpec, TripodInstance, quasi_product_tubes
-from .incidence import (
-    Configuration,
-    cauchy_schwarz_bound,
-    dichotomy_check,
-    incidence_report,
-    validate_configuration,
-)
+from .generators import _KIND_PARAMS, GeneratorSpec
 from .manifest import (
+    _KIND_SHAPE,
     EXIT_FAIL,
     EXIT_HYPOTHESIS,
     EXIT_INTERNAL,
     EXIT_PARSE,
     EXIT_PASS,
-    TRIPOD_RESIDUAL_CAP,
     ExperimentManifest,
+    _check_applies,
+    _error_witness,
+    _kinds_for,
     _load_input,
+    _point_count,
     _point_set_of,
     _shape_of,
+    _Subject,
     canonical_json,
     run as run_manifest,
 )
@@ -113,24 +101,27 @@ def _build_object(args: argparse.Namespace) -> Any:
     return GeneratorSpec(args.kind, _generator_params(args, args.kind)).build()
 
 
-def _add_source_flags(p: argparse.ArgumentParser, kinds: Sequence[str]) -> None:
-    p.add_argument("--input", help="JSON file holding the object to analyze")
-    p.add_argument("--kind", choices=list(kinds), help="generator to build instead of --input")
-    p.add_argument("--k", type=int, help="working scale exponent (delta = 2^-k)")
+def _add_generator_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s", type=float, help="dimension parameter for generators that take one")
     p.add_argument("--tau", type=float, help="level-set dimension for quasi_product")
     p.add_argument("--seed", type=int, help="generator seed")
     p.add_argument("--epsilon", type=float, help="epsilon for furstenberg_product")
 
 
-_ALL_KINDS = (
-    "grid",
-    "cantor_grid",
-    "slope_net",
-    "furstenberg_product",
-    "quasi_product",
-    "collinear_tripod",
-)
+def _add_source_flags(p: argparse.ArgumentParser, analysis: str) -> None:
+    p.add_argument("--input", help="JSON file holding the object to analyze")
+    p.add_argument(
+        "--kind", choices=_kinds_for(analysis), help="generator to build instead of --input"
+    )
+    p.add_argument("--k", type=int, help="working scale exponent (delta = 2^-k)")
+    _add_generator_flags(p)
+
+
+def _thread_count(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {count}")
+    return count
 
 
 def _object_json(obj: Any) -> dict:
@@ -145,76 +136,19 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_analysis(args: argparse.Namespace) -> int:
     obj = _build_object(args)
-    shape = _shape_of(obj)
-    if shape == "configuration":
-        violations = validate_configuration(obj)
-        if violations:
-            raise violations[0]
-        _emit({"shape": shape, "verdict": "pass"}, args.out)
-        return EXIT_PASS
-    if shape == "quasi_product":
-        tubes = quasi_product_tubes(obj)
-        lo, hi = best_slice_pair(obj, tubes)
-        graph = tube_slice_pairs(obj, tubes, lo, hi)
-        _emit(
-            {"shape": shape, "verdict": "pass", "levels": [lo, hi],
-             "slice_pairs": len(graph.edges)},
-            args.out,
-        )
-        return EXIT_PASS
-    if shape == "tripod":
-        b1, b2, b3 = obj.levels()
-        k = obj.tube.scale.k
-        residual = tripod_residual(obj.points, b1, b2, b3) * (1 << k)
-        ok = residual <= TRIPOD_RESIDUAL_CAP
-        _emit(
-            {
-                "shape": shape,
-                "residual_over_delta": residual,
-                "cap": TRIPOD_RESIDUAL_CAP,
-                "verdict": "pass" if ok else "fail",
-            },
-            args.out,
-        )
-        return EXIT_PASS if ok else EXIT_FAIL
-    s = args.s if args.s is not None else 1.0
-    constant = args.constant
-    if shape == "values":
-        report = validate_1d(obj, DeltaSetParams(Scale(args.k), s, constant))
-    else:
-        report = validate(obj, DeltaSetParams(obj.scale, s, constant))
-    _emit(report.to_json(), args.out)
-    return EXIT_PASS if report.valid else EXIT_FAIL
-
-
-def _require_configuration(obj: Any) -> Configuration:
-    if not isinstance(obj, Configuration):
-        raise ParseError(f"this analysis needs a tube configuration, got {_shape_of(obj)}")
-    return obj
-
-
-def _cmd_incidence(args: argparse.Namespace) -> int:
-    cfg = _require_configuration(_build_object(args))
-    inc = incidence_report(cfg)
-    cs = cauchy_schwarz_bound(cfg)
-    _emit({"report": inc.to_json(), "cauchy_schwarz": cs.to_json()}, args.out)
-    return EXIT_PASS if inc.identity_ok and cs.inequality_ok else EXIT_FAIL
-
-
-def _cmd_dichotomy(args: argparse.Namespace) -> int:
-    cfg = _require_configuration(_build_object(args))
-    rep = dichotomy_check(cfg, args.slack)
-    _emit(rep.to_json(), args.out)
-    return EXIT_PASS if rep.passed else EXIT_FAIL
+    profile = (args.s if args.s is not None else 1.0, getattr(args, "constant", None))
+    subject = _Subject(obj, (args.analysis,), args.k, profile, getattr(args, "slack", None))
+    [(_, outcome)] = subject.outcomes()
+    _emit(outcome.printed, args.out)
+    return EXIT_PASS if outcome.ok else EXIT_FAIL
 
 
 def _cmd_project(args: argparse.Namespace) -> int:
     obj = _build_object(args)
-    points = _point_set_of(obj) if _shape_of(obj) != "values" else None
-    if points is None:
-        raise ParseError("projection needs a point-bearing source")
+    _check_applies("sweep", _shape_of(obj))
+    points = _point_set_of(obj)
     k = args.target_k if args.target_k is not None else points.scale.k
     net = DirectionNet.uniform(Scale(k))
     sw = sweep(points, net, Scale(k), threads=args.threads, audit=args.audit)
@@ -235,28 +169,6 @@ def _cmd_project(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def _cmd_additive(args: argparse.Namespace) -> int:
-    obj = _build_object(args)
-    if not isinstance(obj, QuasiProduct):
-        raise ParseError(f"additive analysis needs a quasi-product, got {_shape_of(obj)}")
-    tubes = quasi_product_tubes(obj)
-    lo, hi = best_slice_pair(obj, tubes)
-    graph = tube_slice_pairs(obj, tubes, lo, hi)
-    bsg = bsg_refine(graph)
-    plun = plunnecke_corollary_check(graph.a_values, graph.b_values, obj.scale)
-    _emit(
-        {
-            "levels": [lo, hi],
-            "slice_pairs": len(graph.edges),
-            "tube_count": len(tubes.keys),
-            "bsg": bsg.to_json(),
-            "plunnecke": plun.to_json(),
-        },
-        args.out,
-    )
-    return EXIT_PASS if plun.ok and math.isfinite(bsg.c_exponent) else EXIT_FAIL
-
-
 def _cmd_dim(args: argparse.Namespace) -> int:
     ks = sorted(set(args.k_list))
     if len(ks) < 2:
@@ -265,13 +177,9 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     for k in ks:
         params = _generator_params(args, args.kind)
         params["k"] = k
-        obj = GeneratorSpec(args.kind, params).build()
-        if isinstance(obj, list):
-            count = len(obj)
-        elif isinstance(obj, TripodInstance):
+        count = _point_count(GeneratorSpec(args.kind, params).build())
+        if count is None:
             raise ParseError("collinear_tripod has fixed size; nothing to fit")
-        else:
-            count = len(_point_set_of(obj).points)
         samples.append((k, count))
     fit = fit_exponent(samples)
     _emit(fit.to_json(), args.out)
@@ -303,60 +211,54 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="build a generator instance and print its JSON")
-    p.add_argument("--kind", choices=list(_ALL_KINDS), required=True)
+    p.add_argument("--kind", choices=list(_KIND_SHAPE), required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epsilon", type=float)
+    _add_generator_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("validate", help="check separation and ball-count conditions")
-    _add_source_flags(p, _ALL_KINDS)
+    _add_source_flags(p, "validate")
     p.add_argument("--constant", type=float, default=8.0, help="Frostman constant C")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_analysis, analysis="validate")
 
     p = sub.add_parser("incidence", help="two-scale incidence statistics of a configuration")
-    _add_source_flags(p, ("furstenberg_product",))
+    _add_source_flags(p, "incidence")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_incidence)
+    p.set_defaults(func=_cmd_analysis, analysis="incidence")
 
     p = sub.add_parser("dichotomy", help="many-tubes-or-spread-tubes check")
-    _add_source_flags(p, ("furstenberg_product",))
+    _add_source_flags(p, "dichotomy")
     p.add_argument("--slack", type=float, default=0.25)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_dichotomy)
+    p.set_defaults(func=_cmd_analysis, analysis="dichotomy")
 
     p = sub.add_parser("project", help="directional covering sweep, CSV output")
-    _add_source_flags(p, ("grid", "cantor_grid", "furstenberg_product", "quasi_product"))
+    _add_source_flags(p, "sweep")
     p.add_argument("--target-k", type=int, help="counting scale (defaults to the set's scale)")
     p.add_argument("--energy-s", type=float, help="also evaluate the truncated s-energy")
     p.add_argument("--audit", action="store_true", help="recount with jittered cell offsets")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("additive", help="restricted sumset growth diagnostics")
-    _add_source_flags(p, ("quasi_product",))
+    _add_source_flags(p, "additive")
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_additive)
+    p.set_defaults(func=_cmd_analysis, analysis="additive")
 
     p = sub.add_parser("dim", help="box-counting exponent fit across scales")
-    p.add_argument("--kind", choices=list(_ALL_KINDS), required=True)
+    p.add_argument("--kind", choices=list(_KIND_SHAPE), required=True)
     p.add_argument("--k", dest="k_list", type=int, action="append", required=True,
                    help="repeat for each scale, at least twice")
-    p.add_argument("--s", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epsilon", type=float)
+    _add_generator_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_dim)
 
     p = sub.add_parser("run", help="execute an experiment manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", help="override the manifest's output directory")
     p.set_defaults(func=_cmd_run)
 
@@ -377,6 +279,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
     except TubelabError as exc:
+        sys.stdout.write(canonical_json(_error_witness(exc)))
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
 

@@ -194,16 +194,33 @@ class TripodInstance:
     tube: DyadicTube
     points: tuple[DyadicPoint, DyadicPoint, DyadicPoint]
 
+    @property
+    def scale(self) -> Scale:
+        return self.tube.scale
+
     def levels(self) -> tuple[DyadicRational, DyadicRational, DyadicRational]:
         return (self.points[0].y, self.points[1].y, self.points[2].y)
 
     def to_json(self) -> dict:
-        k = self.tube.scale.k
         return {
-            "k": k,
+            "k": self.scale.k,
             "tube": [self.tube.a.num, self.tube.a.exp, self.tube.b.num, self.tube.b.exp],
             "points": [[p.x.num, p.x.exp, p.y.num, p.y.exp] for p in self.points],
         }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "TripodInstance":
+        try:
+            scale = Scale(int(obj["k"]))
+            an, ae, bn, be = obj["tube"]
+            rows = [tuple(row) for row in obj["points"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"tripod JSON needs integer 'k', 'tube' and 'points': {exc}") from exc
+        if len(rows) != 3 or any(len(row) != 4 for row in rows):
+            raise ParseError(f"tripod needs three point rows [xn, xe, yn, ye], got {rows!r}")
+        tube = DyadicTube(scale, DyadicRational(an, ae), DyadicRational(bn, be))
+        a, b, c = (DyadicPoint.of(*row) for row in rows)
+        return cls(tube, (a, b, c))
 
 
 def collinear_tripod(k: int, seed: int = 0) -> TripodInstance:

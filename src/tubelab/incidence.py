@@ -254,7 +254,6 @@ class CauchySchwarzReport:
     pair_sum: int
     implied_lower_bound: float
     inequality_ok: bool
-    lower_bound_ok: bool
 
     def to_json(self) -> dict:
         return {
@@ -264,7 +263,8 @@ class CauchySchwarzReport:
             "pair_sum": self.pair_sum,
             "implied_lower_bound": self.implied_lower_bound,
             "inequality_ok": self.inequality_ok,
-            "lower_bound_ok": self.lower_bound_ok,
+            # the same inequality, read as a tube-count lower bound
+            "lower_bound_ok": self.inequality_ok,
         }
 
 
@@ -275,15 +275,8 @@ def cauchy_schwarz_bound(cfg: Configuration) -> CauchySchwarzReport:
     tubes = len(counts)
     # |I|^2 <= |T| * S2, all integers
     ineq_ok = s1 * s1 <= tubes * s2
-    lower_ok = tubes * s2 >= s1 * s1  # same inequality, read as a tube-count lower bound
     implied = (s1 * s1 / s2) if s2 else 0.0
-    return CauchySchwarzReport(s1, tubes, s2, s2 - s1, implied, ineq_ok, lower_ok)
-
-
-def pairwise_intersection_sum(cfg: Configuration) -> int:
-    """sum over ordered pairs p != q of |T_p cap T_q|, via the N_T identity."""
-    counts = incidence_counts(cfg)
-    return sum(v * v for v in counts.values()) - sum(counts.values())
+    return CauchySchwarzReport(s1, tubes, s2, s2 - s1, implied, ineq_ok)
 
 
 @dataclass(frozen=True)

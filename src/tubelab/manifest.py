@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -38,7 +37,7 @@ from .additive import (
 from .core_grid import PointSet, Scale, fit_exponent
 from .delta_sets import DeltaSetParams, validate, validate_1d
 from .errors import HypothesisViolation, ParseError, ScaleError, TubelabError
-from .generators import _KIND_PARAMS, GeneratorSpec, TripodInstance, quasi_product_tubes
+from .generators import GeneratorSpec, TripodInstance, quasi_product_tubes
 from .incidence import (
     Configuration,
     cauchy_schwarz_bound,
@@ -69,7 +68,8 @@ CSV_COLUMNS = (
 
 ANALYSES = ("validate", "incidence", "dichotomy", "sweep", "additive")
 
-# what each generator kind builds, for analysis applicability checks
+# what each generator kind builds; with _ANALYSIS_SHAPES it decides which
+# kinds a manifest or a subcommand accepts for each analysis
 _KIND_SHAPE = {
     "grid": "points",
     "cantor_grid": "points",
@@ -93,18 +93,33 @@ _NEEDS_EVEN_K = frozenset({"incidence", "dichotomy"})
 # residual allowance for collinear tripods, in units of delta
 TRIPOD_RESIDUAL_CAP = 16.0
 
+_VERDICT = {True: "pass", False: "fail"}
 
-def _natural_params(kind: str | None, params: dict, scale: Scale) -> DeltaSetParams:
-    """Frostman profile a generator's point output is expected to meet.
+
+def _kinds_for(analysis: str) -> list[str]:
+    """Generator kinds whose output the analysis applies to, in table order."""
+    return [kind for kind, shape in _KIND_SHAPE.items() if shape in _ANALYSIS_SHAPES[analysis]]
+
+
+def _check_applies(analysis: str, shape: str) -> None:
+    needs = _ANALYSIS_SHAPES[analysis]
+    if shape not in needs:
+        raise ParseError(f"analysis {analysis!r} needs a {' or '.join(sorted(needs))}, got {shape}")
+
+
+def _natural_profile(kind: str | None, params: dict) -> tuple[float, float]:
+    """Frostman (s, C) a generator's point or value output is expected to meet.
 
     Constants carry margin over measured worst cases: the full grid needs
     about pi at exponent 2, cantor products stay under 7 at exponent 2s.
     """
     if kind == "grid":
-        return DeltaSetParams(scale, 2.0, 4.0)
+        return 2.0, 4.0
     if kind == "cantor_grid":
-        return DeltaSetParams(scale, 2.0 * float(params["s"]), 8.0)
-    return DeltaSetParams(scale, 1.0, 8.0)
+        return 2.0 * float(params["s"]), 8.0
+    if kind == "slope_net":
+        return float(params["s"]), 4.0
+    return 1.0, 8.0
 
 
 def canonical_json(obj: Any) -> str:
@@ -131,22 +146,6 @@ class ExperimentManifest:
     def __post_init__(self) -> None:
         if (self.generator_kind is None) == (self.input_path is None):
             raise ParseError("exactly one of 'generator' and 'input' is required")
-        if self.generator_kind is not None:
-            if self.generator_kind not in _KIND_SHAPE:
-                raise ParseError(
-                    f"unknown generator kind {self.generator_kind!r}; "
-                    f"known: {sorted(_KIND_SHAPE)}"
-                )
-            required, optional = _KIND_PARAMS[self.generator_kind]
-            given = set(self.generator_params)
-            if "k" in given:
-                raise ParseError("the manifest's k_range supplies k; drop it from params")
-            missing = (required - {"k"}) - given
-            unknown = given - required - optional
-            if missing:
-                raise ParseError(f"{self.generator_kind}: missing parameters {sorted(missing)}")
-            if unknown:
-                raise ParseError(f"{self.generator_kind}: unknown parameters {sorted(unknown)}")
         if not self.k_range:
             raise ParseError("k_range must be nonempty")
         if list(self.k_range) != sorted(set(self.k_range)):
@@ -156,6 +155,11 @@ class ExperimentManifest:
                 Scale(k)
             except ScaleError as exc:
                 raise ParseError(str(exc)) from exc
+        if self.generator_kind is not None:
+            if "k" in self.generator_params:
+                raise ParseError("the manifest's k_range supplies k; drop it from params")
+            # the spec of the first scale checks the kind and its parameters
+            GeneratorSpec(self.generator_kind, {**self.generator_params, "k": self.k_range[0]})
         if not self.analyses:
             raise ParseError("at least one analysis is required")
         for name in self.analyses:
@@ -170,13 +174,8 @@ class ExperimentManifest:
                 f"k_range {list(self.k_range)} contains odd values"
             )
         if self.generator_kind is not None:
-            shape = _KIND_SHAPE[self.generator_kind]
             for name in self.analyses:
-                if shape not in _ANALYSIS_SHAPES[name]:
-                    raise ParseError(
-                        f"analysis {name!r} does not apply to a "
-                        f"{self.generator_kind!r} source (builds {shape})"
-                    )
+                _check_applies(name, _KIND_SHAPE[self.generator_kind])
 
     def to_json(self) -> dict:
         obj: dict = {
@@ -244,13 +243,16 @@ def _load_input(path: str) -> Any:
         raise ParseError(f"input {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"input {path!r} must hold a JSON object")
+    # a tripod also carries "points": recognise its "tube" first
+    if "tube" in obj:
+        return TripodInstance.from_json(obj)
     if "families" in obj:
         return Configuration.from_json(obj)
     if "levels" in obj:
         return QuasiProduct.from_json(obj)
     if "points" in obj:
         return PointSet.from_json(obj)
-    raise ParseError(f"input {path!r} is not a point set, configuration, or quasi-product")
+    raise ParseError(f"input {path!r} is not a point set, configuration, quasi-product, or tripod")
 
 
 def _shape_of(obj: Any) -> str:
@@ -273,43 +275,137 @@ def _point_set_of(obj: Any) -> PointSet:
     return obj
 
 
-def _run_validate(obj: Any, manifest: ExperimentManifest, k: int, section: dict) -> bool:
+def _point_count(obj: Any) -> int | None:
+    """Points (or slope values) an object holds; None for a tripod, whose size is fixed."""
     shape = _shape_of(obj)
-    if shape == "configuration":
-        violations = validate_configuration(obj)
-        if violations:
-            raise violations[0]
-        section["hypotheses"] = "ok"
-        return True
-    if shape == "quasi_product":
-        # the defining property: no tube of the natural family meets one
-        # slice twice; tube_slice_pairs re-checks it and raises on failure
-        tubes = quasi_product_tubes(obj)
-        lo, hi = best_slice_pair(obj, tubes)
-        graph = tube_slice_pairs(obj, tubes, lo, hi)
-        section["levels"] = [lo, hi]
-        section["slice_pairs"] = len(graph.edges)
-        section["tube_count"] = len(tubes.keys)
-        return True
     if shape == "tripod":
-        b1, b2, b3 = obj.levels()
-        residual = tripod_residual(obj.points, b1, b2, b3) * (1 << k)
-        section["residual_over_delta"] = residual
-        section["cap"] = TRIPOD_RESIDUAL_CAP
-        return residual <= TRIPOD_RESIDUAL_CAP
-    if shape == "values":
-        s = float(manifest.generator_params.get("s", 1.0))
-        report = validate_1d(obj, DeltaSetParams(Scale(k), s, 4.0))
-        section["report"] = report.to_json()
-        return report.valid
-    report = validate(
-        obj, _natural_params(manifest.generator_kind, manifest.generator_params, Scale(k))
-    )
-    section["report"] = report.to_json()
-    return report.valid
+        return None
+    return len(obj) if shape == "values" else len(_point_set_of(obj).points)
 
 
-def _analyze_one(manifest: ExperimentManifest, k: int) -> tuple[dict, dict[str, Any], str | None]:
+def _error_witness(exc: TubelabError) -> dict:
+    """The witness of an internal error (exit 4)."""
+    return {"error": type(exc).__name__, "message": str(exc)}
+
+
+@dataclass(frozen=True)
+class _Outcome:
+    """One analysis of one object: its verdict, its section of
+    report_k{K}.json (the run adds the verdict), what the subcommand of the
+    same name prints, the aggregate.csv cells it fills, and a sweep's CSV."""
+
+    ok: bool
+    section: dict
+    printed: dict | None = None
+    row: dict[str, Any] = field(default_factory=dict)
+    csv: str | None = None
+
+
+@dataclass
+class _Subject:
+    """An object and the analyses asked of it: the one dispatch behind both
+    `tubelab run` and the analysis subcommands.
+
+    Every analysis is checked against the object's shape before any runs,
+    so a misapplied analysis fails before a hypothesis can. The
+    quasi-product slice graph is built at most once per object.
+    """
+
+    obj: Any
+    analyses: tuple[str, ...]
+    k: int | None  # scale of slope values, which carry none of their own
+    profile: tuple[float, float]  # (s, C) checked on points and slope values
+    slack: float | None = None
+    threads: int = 1
+
+    def __post_init__(self) -> None:
+        self.shape = _shape_of(self.obj)
+        for name in self.analyses:
+            _check_applies(name, self.shape)
+        self._graph: tuple | None = None
+
+    def outcomes(self) -> list[tuple[str, _Outcome]]:
+        """Run the analyses in ANALYSES order; HypothesisViolation stops the run."""
+        return [(name, getattr(self, f"_{name}")()) for name in ANALYSES if name in self.analyses]
+
+    def _slice_graph(self) -> tuple:
+        if self._graph is None:
+            tubes = quasi_product_tubes(self.obj)
+            lo, hi = best_slice_pair(self.obj, tubes)
+            self._graph = (tubes, lo, hi, tube_slice_pairs(self.obj, tubes, lo, hi))
+        return self._graph
+
+    def _validate(self) -> _Outcome:
+        obj, shape = self.obj, self.shape
+        if shape == "configuration":
+            violations = validate_configuration(obj)
+            if violations:
+                raise violations[0]
+            return _Outcome(True, {"hypotheses": "ok"}, {"shape": shape, "verdict": "pass"})
+        if shape == "quasi_product":
+            # the defining property: no tube of the natural family meets one
+            # slice twice; tube_slice_pairs re-checks it and raises on failure
+            tubes, lo, hi, graph = self._slice_graph()
+            pairs = {"levels": [lo, hi], "slice_pairs": len(graph.edges)}
+            section = {**pairs, "tube_count": len(tubes.keys)}
+            return _Outcome(True, section, {"shape": shape, "verdict": "pass", **pairs})
+        if shape == "tripod":
+            b1, b2, b3 = obj.levels()
+            residual = tripod_residual(obj.points, b1, b2, b3) * (1 << obj.scale.k)
+            ok = residual <= TRIPOD_RESIDUAL_CAP
+            section = {"residual_over_delta": residual, "cap": TRIPOD_RESIDUAL_CAP}
+            return _Outcome(ok, section, {"shape": shape, **section, "verdict": _VERDICT[ok]})
+        s, constant = self.profile
+        if shape == "values":
+            report = validate_1d(obj, DeltaSetParams(Scale(self.k), s, constant))
+        else:
+            report = validate(obj, DeltaSetParams(obj.scale, s, constant))
+        printed = report.to_json()
+        return _Outcome(report.valid, {"report": printed}, printed)
+
+    def _incidence(self) -> _Outcome:
+        inc = incidence_report(self.obj)
+        cs = cauchy_schwarz_bound(self.obj)
+        section = {"report": inc.to_json(), "cauchy_schwarz": cs.to_json()}
+        row = {
+            "n_tubes": inc.tube_count,
+            "coarse_tube_count": inc.coarse_tube_count,
+            "incidence_count": inc.incidence_count,
+            "e_tubes": repr(inc.e_tubes),
+            "e_coarse": repr(inc.e_coarse),
+        }
+        return _Outcome(inc.identity_ok and cs.inequality_ok, section, section, row)
+
+    def _dichotomy(self) -> _Outcome:
+        rep = dichotomy_check(self.obj, self.slack)
+        printed = rep.to_json()
+        row = {"e_tubes": repr(rep.e_tubes), "e_coarse": repr(rep.e_coarse)}
+        return _Outcome(rep.passed, {"report": printed}, printed, row)
+
+    def _sweep(self) -> _Outcome:
+        points = _point_set_of(self.obj)
+        net = DirectionNet.uniform(points.scale)
+        sw = sweep(points, net, points.scale, threads=self.threads, audit=True)
+        summary = {
+            "n_directions": len(net),
+            "quantiles": sw.quantiles(),
+            "exceptional": {str(t): sw.exceptional_count(t) for t in (0.25, 0.5, 0.75)},
+            "max_boundary_sensitivity": sw.max_sensitivity(),
+        }
+        return _Outcome(True, {"summary": summary}, csv=sweep_to_csv(sw))
+
+    def _additive(self) -> _Outcome:
+        tubes, lo, hi, graph = self._slice_graph()
+        bsg = bsg_refine(graph)
+        plun = plunnecke_corollary_check(graph.a_values, graph.b_values, self.obj.scale)
+        section = {"levels": [lo, hi], "bsg": bsg.to_json(), "plunnecke": plun.to_json()}
+        printed = {**section, "slice_pairs": len(graph.edges), "tube_count": len(tubes.keys)}
+        return _Outcome(plun.ok and math.isfinite(bsg.c_exponent), section, printed)
+
+
+def _analyze_one(
+    manifest: ExperimentManifest, k: int, threads: int
+) -> tuple[dict, dict[str, Any], str | None]:
     """Run all requested analyses at one scale.
 
     Returns (report json, csv row fields, sweep csv text or None). Raises
@@ -331,71 +427,25 @@ def _analyze_one(manifest: ExperimentManifest, k: int) -> tuple[dict, dict[str, 
                 "set k_range to the file's scale"
             )
         source = {"input": manifest.input_path}
-    shape = _shape_of(obj)
-    for name in manifest.analyses:
-        if shape not in _ANALYSIS_SHAPES[name]:
-            raise ParseError(f"analysis {name!r} does not apply to this input (shape {shape})")
+    profile = _natural_profile(manifest.generator_kind, manifest.generator_params)
+    subject = _Subject(obj, manifest.analyses, k, profile, manifest.slack, threads)
 
     report: dict = {"k": k, "source": source, "analyses": {}}
     row: dict[str, Any] = {c: "" for c in CSV_COLUMNS}
     row["schema_version"] = CSV_SCHEMA
     row["k"] = k
-    if shape in ("points", "configuration", "quasi_product"):
-        row["n_points"] = len(_point_set_of(obj).points)
-    elif shape == "values":
-        row["n_points"] = len(obj)
+    n_points = _point_count(obj)
+    if n_points is not None:
+        row["n_points"] = n_points
     verdicts: list[str] = []
     sweep_csv: str | None = None
-
-    for name in ANALYSES:
-        if name not in manifest.analyses:
-            continue
-        section: dict = {}
-        if name == "validate":
-            ok = _run_validate(obj, manifest, k, section)
-        elif name == "incidence":
-            inc = incidence_report(obj)
-            cs = cauchy_schwarz_bound(obj)
-            section["report"] = inc.to_json()
-            section["cauchy_schwarz"] = cs.to_json()
-            ok = inc.identity_ok and cs.inequality_ok
-            row["n_tubes"] = inc.tube_count
-            row["coarse_tube_count"] = inc.coarse_tube_count
-            row["incidence_count"] = inc.incidence_count
-            row["e_tubes"] = repr(inc.e_tubes)
-            row["e_coarse"] = repr(inc.e_coarse)
-        elif name == "dichotomy":
-            rep = dichotomy_check(obj, manifest.slack)
-            section["report"] = rep.to_json()
-            ok = rep.passed
-            if row["e_tubes"] == "":
-                row["e_tubes"] = repr(rep.e_tubes)
-                row["e_coarse"] = repr(rep.e_coarse)
-        elif name == "sweep":
-            points = _point_set_of(obj)
-            net = DirectionNet.uniform(Scale(k))
-            sw = sweep(points, net, Scale(k), audit=True)
-            section["summary"] = {
-                "n_directions": len(net),
-                "quantiles": sw.quantiles(),
-                "exceptional": {str(t): sw.exceptional_count(t) for t in (0.25, 0.5, 0.75)},
-                "max_boundary_sensitivity": sw.max_sensitivity(),
-            }
-            sweep_csv = sweep_to_csv(sw)
-            ok = True
-        else:  # additive
-            tubes = quasi_product_tubes(obj)
-            lo, hi = best_slice_pair(obj, tubes)
-            graph = tube_slice_pairs(obj, tubes, lo, hi)
-            section["levels"] = [lo, hi]
-            bsg = bsg_refine(graph)
-            plun = plunnecke_corollary_check(graph.a_values, graph.b_values, Scale(k))
-            section["bsg"] = bsg.to_json()
-            section["plunnecke"] = plun.to_json()
-            ok = plun.ok and math.isfinite(bsg.c_exponent)
-        section["verdict"] = "pass" if ok else "fail"
-        report["analyses"][name] = section
-        verdicts.append(f"{name}:{'pass' if ok else 'fail'}")
+    for name, outcome in subject.outcomes():
+        report["analyses"][name] = {**outcome.section, "verdict": _VERDICT[outcome.ok]}
+        verdicts.append(f"{name}:{_VERDICT[outcome.ok]}")
+        for column, value in outcome.row.items():
+            if row[column] == "":  # first writer wins: incidence runs before dichotomy
+                row[column] = value
+        sweep_csv = outcome.csv or sweep_csv
 
     row["verdicts"] = ";".join(verdicts)
     return report, row, sweep_csv
@@ -411,8 +461,9 @@ def _csv_text(rows: list[dict[str, Any]]) -> str:
 def run(manifest: ExperimentManifest, threads: int = 1) -> int:
     """Execute the manifest, write artifacts, and return the exit code.
 
-    Thread count never changes output bytes: per-scale work is pure and
-    results are collected in k order before anything is written.
+    Scales run one after another, and every scale finishes before anything
+    is written. `threads` reaches only the sweep's numpy regions and never
+    changes output bytes.
     """
     out = Path(manifest.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -425,13 +476,8 @@ def run(manifest: ExperimentManifest, threads: int = 1) -> int:
     rows: list[dict[str, Any]] = []
     sweeps: list[tuple[int, str]] = []
     try:
-        ks = list(manifest.k_range)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda k: _analyze_one(manifest, k), ks))
-        else:
-            results = [_analyze_one(manifest, k) for k in ks]
-        for k, (report, row, sweep_csv) in zip(ks, results):
+        results = [_analyze_one(manifest, k, threads) for k in manifest.k_range]
+        for k, (report, row, sweep_csv) in zip(manifest.k_range, results):
             report["manifest_sha256"] = digest
             reports.append((k, report))
             rows.append(row)
@@ -446,7 +492,7 @@ def run(manifest: ExperimentManifest, threads: int = 1) -> int:
         raise
     except TubelabError as exc:
         code = EXIT_INTERNAL
-        witness = {"error": type(exc).__name__, "message": str(exc)}
+        witness = _error_witness(exc)
 
     (out / "manifest.json").write_text(canonical_json(manifest.to_json()))
     for k, report in reports:

@@ -1,16 +1,24 @@
 """End-to-end command line behavior: outputs, files, and exit codes."""
 from __future__ import annotations
 
+import argparse
 import json
 import logging
 
 import pytest
 
-from tubelab.cli import _LOG_LEVELS, _setup_logging, main
+from tubelab.cli import _LOG_LEVELS, _build_parser, _setup_logging, main
 from tubelab.core_grid import PointSet, Scale
 from tubelab.generators import grid
 from tubelab.incidence import Configuration
-from tubelab.manifest import ExperimentManifest
+from tubelab.manifest import (
+    _ANALYSIS_SHAPES,
+    _KIND_SHAPE,
+    ANALYSES,
+    ExperimentManifest,
+    _natural_profile,
+    run,
+)
 from tubelab.tubes import tubes_through
 
 
@@ -106,9 +114,22 @@ def test_validate_duplicate_points_is_internal(capsys, tmp_path):
     obj = grid(3).to_json()
     obj["points"].append(obj["points"][0])
     src.write_text(json.dumps(obj))
-    code, _, err = _call(capsys, ["validate", "--input", str(src)])
+    code, out, err = _call(capsys, ["validate", "--input", str(src)])
     assert code == 4
     assert "internal error" in err
+    witness = json.loads(out)
+    assert set(witness) == {"error", "message"}
+    assert witness["error"] == "ValidationError"
+
+
+def test_validate_tripod_input_matches_kind(capsys, tmp_path):
+    src = tmp_path / "trip.json"
+    source = ["--kind", "collinear_tripod", "--k", "8", "--seed", "1"]
+    assert main(["gen", *source, "--out", str(src)]) == 0
+    from_kind = _call(capsys, ["validate", *source])
+    from_file = _call(capsys, ["validate", "--input", str(src)])
+    assert from_file == from_kind
+    assert json.loads(from_file[1])["shape"] == "tripod"
 
 
 def test_incidence_and_dichotomy(capsys):
@@ -167,6 +188,15 @@ def test_project_thread_stability(capsys, tmp_path):
     _, single, _ = _call(capsys, argv + ["--threads", "1"])
     _, multi, _ = _call(capsys, argv + ["--threads", "3"])
     assert single == multi
+
+
+@pytest.mark.parametrize("command", ["project", "run"])
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_is_usage_error(command, threads):
+    source = ["--kind", "grid", "--k", "3"] if command == "project" else ["--manifest", "m.json"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, "--threads", threads])
+    assert exc.value.code == 2
 
 
 def test_additive_quasi_product(capsys):
@@ -250,3 +280,72 @@ def test_log_level_env(monkeypatch):
     finally:
         root.handlers[:] = saved_handlers
         root.setLevel(saved_level)
+
+
+# --- one dispatch: subcommands agree with manifest runs ---
+
+_GEN_PARAMS = {
+    "grid": {},
+    "cantor_grid": {"s": 0.5},
+    "slope_net": {"s": 0.5},
+    "furstenberg_product": {"s": 0.5},
+    "quasi_product": {"s": 0.5, "tau": 0.5},
+    "collinear_tripod": {},
+}
+_COMMAND = {
+    "validate": "validate",
+    "incidence": "incidence",
+    "dichotomy": "dichotomy",
+    "sweep": "project",
+    "additive": "additive",
+}
+
+
+def _applicable_kinds(analysis):
+    return [kind for kind, shape in _KIND_SHAPE.items() if shape in _ANALYSIS_SHAPES[analysis]]
+
+
+@pytest.mark.parametrize(
+    "kind, analysis", [(kind, a) for a in ANALYSES for kind in _applicable_kinds(a)]
+)
+def test_subcommand_exit_code_matches_manifest_verdict(capsys, tmp_path, kind, analysis):
+    k = 6
+    m = ExperimentManifest(
+        generator_kind=kind,
+        generator_params=_GEN_PARAMS[kind],
+        k_range=(k,),
+        analyses=(analysis,),
+        out=str(tmp_path / "run"),
+    )
+    expected = run(m)
+    # the same object, checked against the profile the manifest uses for its kind
+    if kind == "slope_net":  # slope values have no input file format
+        source = ["--kind", kind, "--k", str(k)]
+    else:
+        src = tmp_path / "obj.json"
+        gen_flags = [f"--{name}={value}" for name, value in _GEN_PARAMS[kind].items()]
+        assert main(["gen", "--kind", kind, "--k", str(k), *gen_flags, "--out", str(src)]) == 0
+        source = ["--input", str(src)]
+    s, constant = _natural_profile(kind, _GEN_PARAMS[kind])
+    profile = ["--s", str(s), "--constant", str(constant)] if analysis == "validate" else []
+    code, _, _ = _call(capsys, [_COMMAND[analysis], *source, *profile])
+    assert code == expected
+    if expected in (0, 1):
+        report = json.loads((tmp_path / "run" / f"report_k{k}.json").read_text())
+        assert report["analyses"][analysis]["verdict"] == ("pass" if code == 0 else "fail")
+
+
+def _kind_choices(command):
+    commands = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    return next(a for a in commands[command]._actions if a.dest == "kind").choices
+
+
+@pytest.mark.parametrize("analysis", ANALYSES)
+def test_kind_choices_follow_shape_tables(analysis):
+    assert _kind_choices(_COMMAND[analysis]) == _applicable_kinds(analysis)
+
+
+def test_gen_and_dim_accept_every_kind():
+    assert _kind_choices("gen") == _kind_choices("dim") == list(_KIND_SHAPE)

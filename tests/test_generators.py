@@ -11,6 +11,7 @@ from tubelab.errors import GeneratorError, ParseError
 from tubelab.generators import (
     GeneratorSpec,
     Lcg,
+    TripodInstance,
     cantor_grid,
     cantor_line,
     cantor_line_indices,
@@ -153,6 +154,29 @@ def test_collinear_tripod_seeding():
     c = collinear_tripod(8, seed=2)
     assert a == b
     assert a != c
+
+
+def test_collinear_tripod_json_roundtrip():
+    inst = collinear_tripod(8, seed=1)
+    assert TripodInstance.from_json(inst.to_json()) == inst
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"k": "eight"},
+        {"tube": [1, 0, 0]},
+        {"tube": 7},
+        {"points": 5},
+        {"points": [[0, 0, 0, 0]] * 2},
+        {"points": [[0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
+        {"points": [["a", 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
+    ],
+)
+def test_collinear_tripod_from_json_rejects_malformed(change):
+    obj = {**collinear_tripod(8, seed=1).to_json(), **change}
+    with pytest.raises(ParseError):
+        TripodInstance.from_json(obj)
 
 
 def test_generator_spec_build_and_validation():

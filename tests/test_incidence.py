@@ -147,7 +147,7 @@ def test_cauchy_schwarz_disjoint_families():
     rep = cauchy_schwarz_bound(cfg)
     assert rep.pair_sum == 0
     assert rep.implied_lower_bound == pytest.approx(rep.incidence_count)
-    assert rep.inequality_ok and rep.lower_bound_ok
+    assert rep.inequality_ok and rep.to_json()["lower_bound_ok"]
 
 
 def test_cauchy_schwarz_identical_families():

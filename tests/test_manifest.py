@@ -8,7 +8,7 @@ import pytest
 
 from tubelab.core_grid import Scale
 from tubelab.errors import ParseError
-from tubelab.generators import furstenberg_product, grid
+from tubelab.generators import collinear_tripod, furstenberg_product, grid
 from tubelab.manifest import (
     ANALYSES,
     CSV_COLUMNS,
@@ -228,6 +228,9 @@ def test_run_input_scale_mismatch(tmp_path):
     src = tmp_path / "points.json"
     src.write_text(json.dumps(grid(4).to_json()))
     m = _manifest(tmp_path, generator_kind=None, input_path=str(src), k_range=(6,))
+    with pytest.raises(ParseError):
+        run(m)
+    src.write_text(json.dumps(collinear_tripod(8, seed=1).to_json()))
     with pytest.raises(ParseError):
         run(m)
 
