@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .core_grid import DyadicPoint, DyadicRational, Scale, check_value_bound
+from .core_grid import DyadicPoint, DyadicRational, Scale, _int_field, check_value_bound
 from .errors import HypothesisViolation, ParseError, ValidationError
 from .tubes import DyadicTube, TubeFamily, tube_contains
 
@@ -69,15 +69,21 @@ class QuasiProduct:
             level_rows = obj["levels"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"quasi product JSON needs k, s, tau, levels: {exc}") from exc
+        entries = obj.get("slices", [])
+        if not (isinstance(level_rows, list) and isinstance(entries, list)):
+            raise ParseError("quasi product 'levels' and 'slices' must be lists")
         levels = tuple(DyadicRational.from_pair(row) for row in level_rows)
         slots: list[tuple[DyadicRational, ...] | None] = [None] * len(levels)
-        for entry in obj.get("slices", []):
-            idx = int(entry.get("level_index", -1))
+        for entry in entries:
+            idx = _int_field(entry, "level_index")
             if not (0 <= idx < len(levels)):
                 raise ParseError(f"slice references missing level index {idx}")
             if slots[idx] is not None:
                 raise ParseError(f"two slices for level index {idx}")
-            slots[idx] = tuple(DyadicRational.from_pair(r) for r in entry.get("values", []))
+            values = entry.get("values", [])
+            if not isinstance(values, list):
+                raise ParseError(f"slice {idx} 'values' must be a list, got {values!r}")
+            slots[idx] = tuple(DyadicRational.from_pair(r) for r in values)
         for i, sl in enumerate(slots):
             if sl is None:
                 raise ParseError(f"no slice for level index {i}")

@@ -17,6 +17,28 @@ SCALE_CAP = 20
 _NUM_CAP = 1 << 127
 
 
+def _int_row(row: object, width: int, what: str) -> tuple[int, ...]:
+    """A JSON row of exactly `width` integers; ParseError on anything else.
+
+    Booleans are refused too, although Python counts them as ints.
+    """
+    if not (
+        isinstance(row, (list, tuple))
+        and len(row) == width
+        and all(type(v) is int for v in row)
+    ):
+        raise ParseError(f"{what} must be {width} integers, got {row!r}")
+    return tuple(row)
+
+
+def _int_field(entry: object, key: str) -> int:
+    """entry[key] of a JSON object, which must be an integer; ParseError otherwise."""
+    value = entry.get(key) if isinstance(entry, dict) else None
+    if type(value) is not int:
+        raise ParseError(f"{key!r} must be an integer, got {value!r} in {entry!r}")
+    return value
+
+
 @dataclass(frozen=True, order=True)
 class Scale:
     """Dyadic scale delta = 2^-k. Working scales use k >= 1; k = 0 is allowed
@@ -118,9 +140,7 @@ class DyadicRational:
 
     @classmethod
     def from_pair(cls, pair: Sequence[int]) -> "DyadicRational":
-        if len(pair) != 2:
-            raise ParseError(f"dyadic pair must have 2 entries, got {pair!r}")
-        return cls(int(pair[0]), int(pair[1]))
+        return cls(*_int_row(pair, 2, "dyadic pair [num, exp]"))
 
     def pair(self) -> list[int]:
         return [self.num, self.exp]
@@ -304,11 +324,9 @@ class PointSet:
             rows = obj["points"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"point set JSON needs integer 'k' and 'points': {exc}") from exc
-        pts = []
-        for row in rows:
-            if len(row) != 4:
-                raise ParseError(f"point row must be [xn, xe, yn, ye], got {row!r}")
-            pts.append(DyadicPoint.of(int(row[0]), int(row[1]), int(row[2]), int(row[3])))
+        if not isinstance(rows, list):
+            raise ParseError(f"point set 'points' must be a list, got {rows!r}")
+        pts = [DyadicPoint.of(*_int_row(row, 4, "point row [xn, xe, yn, ye]")) for row in rows]
         return cls(Scale(k), tuple(pts))
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .additive import QuasiProduct
-from .core_grid import DyadicPoint, DyadicRational, PointSet, Scale
+from .core_grid import DyadicPoint, DyadicRational, PointSet, Scale, _int_row
 from .errors import GeneratorError, ParseError
 from .incidence import Configuration
 from .tubes import DyadicTube, TubeFamily, pack_key
@@ -212,14 +212,17 @@ class TripodInstance:
     def from_json(cls, obj: dict) -> "TripodInstance":
         try:
             scale = Scale(int(obj["k"]))
-            an, ae, bn, be = obj["tube"]
-            rows = [tuple(row) for row in obj["points"]]
+            tube_row = obj["tube"]
+            rows = obj["points"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"tripod JSON needs integer 'k', 'tube' and 'points': {exc}") from exc
-        if len(rows) != 3 or any(len(row) != 4 for row in rows):
+        if not (isinstance(rows, list) and len(rows) == 3):
             raise ParseError(f"tripod needs three point rows [xn, xe, yn, ye], got {rows!r}")
+        an, ae, bn, be = _int_row(tube_row, 4, "tripod tube [a_num, a_exp, b_num, b_exp]")
         tube = DyadicTube(scale, DyadicRational(an, ae), DyadicRational(bn, be))
-        a, b, c = (DyadicPoint.of(*row) for row in rows)
+        a, b, c = (
+            DyadicPoint.of(*_int_row(row, 4, "tripod point row [xn, xe, yn, ye]")) for row in rows
+        )
         return cls(tube, (a, b, c))
 
 
@@ -268,6 +271,10 @@ _KIND_PARAMS: dict[str, tuple[set[str], set[str]]] = {
 }
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     kind: str
@@ -284,6 +291,21 @@ class GeneratorSpec:
             raise ParseError(f"{self.kind}: missing parameters {sorted(missing)}")
         if unknown:
             raise ParseError(f"{self.kind}: unknown parameters {sorted(unknown)}")
+        p = self.params
+        for name in ("s", "tau"):
+            if name in p and not (_is_number(p[name]) and 0.0 < p[name] <= 1.0):
+                raise ParseError(f"{self.kind}: {name}={p[name]!r} must be a number in (0, 1]")
+        if "epsilon" in p and not (
+            _is_number(p["epsilon"]) and 0.0 < p["epsilon"] < min(p["s"], 0.5)
+        ):
+            raise ParseError(f"{self.kind}: epsilon={p['epsilon']!r} must lie in (0, min(s, 1/2))")
+        if "seed" in p and type(p["seed"]) is not int:
+            raise ParseError(f"{self.kind}: seed={p['seed']!r} must be an integer")
+        if p.get("mask") is not None:
+            if not isinstance(p["mask"], list):
+                raise ParseError(f"{self.kind}: mask={p['mask']!r} must be a list of [dx, dy]")
+            for quadrant in p["mask"]:
+                _int_row(quadrant, 2, f"{self.kind}: mask quadrant [dx, dy]")
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": dict(sorted(self.params.items()))}
@@ -298,6 +320,15 @@ class GeneratorSpec:
         return cls(str(obj["kind"]), dict(params))
 
     def build(self) -> Any:
+        """The generator's output. A spec the generator cannot satisfy (a
+        scale it does not support, a size past its guard, a seed with no
+        tripod) is bad input, so its GeneratorError becomes a ParseError."""
+        try:
+            return self._build()
+        except GeneratorError as exc:
+            raise ParseError(f"{self.kind}: {exc}") from exc
+
+    def _build(self) -> Any:
         p = self.params
         k = int(p["k"])
         if self.kind == "grid":

@@ -14,7 +14,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core_grid import DyadicPoint, PointSet, Scale, covering_number, squared_distance
+from .core_grid import (
+    DyadicPoint,
+    PointSet,
+    Scale,
+    _int_field,
+    covering_number,
+    squared_distance,
+)
 from .delta_sets import DeltaSetParams, validate, validate_1d
 from .errors import HypothesisViolation, ParseError, ScaleError, ValidationError
 from .tubes import DyadicTube, TubeFamily, unpack_key
@@ -70,8 +77,11 @@ class Configuration:
         points = PointSet.from_json({"k": k, "points": obj.get("points", [])})
         n = len(points.points)
         slots: list[TubeFamily | None] = [None] * n
-        for entry in obj.get("families", []):
-            idx = int(entry.get("point_index", -1))
+        entries = obj.get("families", [])
+        if not isinstance(entries, list):
+            raise ParseError(f"configuration 'families' must be a list, got {entries!r}")
+        for entry in entries:
+            idx = _int_field(entry, "point_index")
             if not (0 <= idx < n):
                 raise ParseError(f"family references missing point index {idx}")
             if slots[idx] is not None:

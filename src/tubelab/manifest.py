@@ -34,9 +34,9 @@ from .additive import (
     tripod_residual,
     tube_slice_pairs,
 )
-from .core_grid import PointSet, Scale, fit_exponent
+from .core_grid import DyadicRational, PointSet, Scale, fit_exponent
 from .delta_sets import DeltaSetParams, validate, validate_1d
-from .errors import HypothesisViolation, ParseError, ScaleError, TubelabError
+from .errors import HypothesisViolation, ParseError, ScaleError, TubelabError, ValidationError
 from .generators import GeneratorSpec, TripodInstance, quasi_product_tubes
 from .incidence import (
     Configuration,
@@ -107,6 +107,11 @@ def _check_applies(analysis: str, shape: str) -> None:
         raise ParseError(f"analysis {analysis!r} needs a {' or '.join(sorted(needs))}, got {shape}")
 
 
+def _check_slack(slack: float) -> None:
+    if not 0.0 < slack <= 1.0:
+        raise ParseError(f"slack {slack} must lie in (0, 1]")
+
+
 def _natural_profile(kind: str | None, params: dict) -> tuple[float, float]:
     """Frostman (s, C) a generator's point or value output is expected to meet.
 
@@ -165,8 +170,7 @@ class ExperimentManifest:
         for name in self.analyses:
             if name not in ANALYSES:
                 raise ParseError(f"unknown analysis {name!r}; known: {list(ANALYSES)}")
-        if not 0.0 < self.slack <= 1.0:
-            raise ParseError(f"slack {self.slack} must lie in (0, 1]")
+        _check_slack(self.slack)
         coarse = sorted(set(self.analyses) & _NEEDS_EVEN_K)
         if coarse and any(k % 2 for k in self.k_range):
             raise ParseError(
@@ -252,7 +256,14 @@ def _load_input(path: str) -> Any:
         return QuasiProduct.from_json(obj)
     if "points" in obj:
         return PointSet.from_json(obj)
-    raise ParseError(f"input {path!r} is not a point set, configuration, quasi-product, or tripod")
+    if "values" in obj:  # slope values, as `gen --kind slope_net` writes them
+        rows = obj["values"]
+        if not isinstance(rows, list):
+            raise ParseError(f"slope values must be a list of [num, exp] pairs, got {rows!r}")
+        return tuple(DyadicRational.from_pair(row) for row in rows)
+    raise ParseError(
+        f"input {path!r} is not a point set, configuration, quasi-product, tripod, or slope values"
+    )
 
 
 def _shape_of(obj: Any) -> str:
@@ -306,9 +317,11 @@ class _Subject:
     """An object and the analyses asked of it: the one dispatch behind both
     `tubelab run` and the analysis subcommands.
 
-    Every analysis is checked against the object's shape before any runs,
-    so a misapplied analysis fails before a hypothesis can. The
-    quasi-product slice graph is built at most once per object.
+    Every analysis is checked against the object's shape, and the slack
+    and the (s, C) profile against their ranges, before any runs: a
+    misapplied analysis or an out-of-range argument is a ParseError before
+    a hypothesis can fail. The quasi-product slice graph is built at most
+    once per object.
     """
 
     obj: Any
@@ -322,6 +335,17 @@ class _Subject:
         self.shape = _shape_of(self.obj)
         for name in self.analyses:
             _check_applies(name, self.shape)
+        if self.slack is not None:
+            _check_slack(self.slack)
+        self._params: DeltaSetParams | None = None
+        if "validate" in self.analyses and self.shape in ("points", "values"):
+            if self.shape == "values" and self.k is None:
+                raise ParseError("slope values carry no scale of their own; give --k")
+            scale = Scale(self.k) if self.shape == "values" else self.obj.scale
+            try:
+                self._params = DeltaSetParams(scale, *self.profile)
+            except ValidationError as exc:
+                raise ParseError(str(exc)) from exc
         self._graph: tuple | None = None
 
     def outcomes(self) -> list[tuple[str, _Outcome]]:
@@ -355,11 +379,10 @@ class _Subject:
             ok = residual <= TRIPOD_RESIDUAL_CAP
             section = {"residual_over_delta": residual, "cap": TRIPOD_RESIDUAL_CAP}
             return _Outcome(ok, section, {"shape": shape, **section, "verdict": _VERDICT[ok]})
-        s, constant = self.profile
         if shape == "values":
-            report = validate_1d(obj, DeltaSetParams(Scale(self.k), s, constant))
+            report = validate_1d(obj, self._params)
         else:
-            report = validate(obj, DeltaSetParams(obj.scale, s, constant))
+            report = validate(obj, self._params)
         printed = report.to_json()
         return _Outcome(report.valid, {"report": printed}, printed)
 

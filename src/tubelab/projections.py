@@ -370,6 +370,81 @@ class ProjectionEnergy:
         }
 
 
+# difference vectors that _difference_histogram buffers between folds
+_PAIR_BUFFER = 1 << 19
+# (vector, direction) terms per energy kernel call. The 1 MB block stays in
+# cache, and its K=2 matmul (M*N*K = 2^18) stays at OpenBLAS's threshold for
+# running single-threaded, so BLAS threads do not compete with the workers
+_ENERGY_BLOCK = 1 << 17
+# chunks summed in order by one worker task
+_CHUNKS_PER_TASK = 32
+
+
+def _difference_histogram(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct difference vectors q - p over pairs p < q, with multiplicities.
+
+    Points are sorted lexicographically first, so every q - p with p < q has
+    dx > 0, or dx == 0 and dy > 0: v and -v, which project to the same
+    distance, share one entry. Vectors are complex dx + i*dy, exact float
+    differences of the point coordinates, in sorted order. Rows of
+    differences fill a fixed buffer that is folded into the running
+    histogram whenever it is full, so memory is bounded by the buffer plus
+    the histogram, never by n^2.
+    """
+    xs, ys = _coords(points)
+    order = np.lexsort((ys, xs))
+    z = xs[order] + 1j * ys[order]
+    n = z.size
+    buf = np.empty(min(_PAIR_BUFFER, n * (n - 1) // 2), dtype=np.complex128)
+    vectors = np.empty(0, dtype=np.complex128)
+    counts = np.empty(0, dtype=np.int64)
+
+    def fold(chunk: np.ndarray) -> None:
+        nonlocal vectors, counts
+        # np.unique without its copy of the chunk: sort in place, then
+        # count the runs of equal vectors. Each row of differences arrives
+        # sorted, and the stable sort merges such runs instead of
+        # re-sorting them
+        chunk.sort(kind="stable")
+        first = np.ones(chunk.size, dtype=bool)
+        np.not_equal(chunk[1:], chunk[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        del first
+        vals = chunk[starts]
+        cnts = np.empty_like(starts)
+        np.subtract(starts[1:], starts[:-1], out=cnts[:-1])
+        cnts[-1:] = chunk.size - starts[-1:]
+        del starts
+        if vectors.size == 0:
+            vectors, counts = vals, cnts
+            return
+        # both sides are sorted and distinct: add the counts of vectors
+        # already present, insert the new ones in order
+        at = np.searchsorted(vectors, vals)
+        seen = at < vectors.size
+        seen[seen] = vectors[at[seen]] == vals[seen]
+        counts[at[seen]] += cnts[seen]
+        fresh = ~seen
+        vectors = np.insert(vectors, at[fresh], vals[fresh])
+        counts = np.insert(counts, at[fresh], cnts[fresh])
+
+    filled = 0
+    for i in range(n - 1):
+        row = z[i + 1 :] - z[i]
+        done = 0
+        while done < row.size:
+            take = min(row.size - done, buf.size - filled)
+            buf[filled : filled + take] = row[done : done + take]
+            filled += take
+            done += take
+            if filled == buf.size:
+                fold(buf)
+                filled = 0
+    if filled:
+        fold(buf[:filled])
+    return vectors, counts
+
+
 def projection_energy(
     points: PointSet,
     net: DirectionNet,
@@ -382,36 +457,62 @@ def projection_energy(
     The truncation at delta^-s (delta from the point set's scale) keeps every
     term finite, including coincident projections. Also reports the
     net-average (weighted when the net carries weights).
+
+    The sum depends on the points only through the multiset of difference
+    vectors p - q, so it runs over the distinct vectors once, against all
+    directions at a time: each unordered pair {v, -v} weighs twice its count.
+    Chunks of vectors, sized by the net alone, are summed in a fixed order,
+    which keeps the energies bit-identical for every thread count.
     """
     n = len(points.points)
     if n < 2:
         raise DomainError("projection energy needs at least two points")
     if len(net) == 0:
         raise DomainError("cannot evaluate energy over an empty direction net")
-    if s <= 0.0:
-        raise DomainError(f"energy exponent s={s} must be positive")
-    xs, ys = _coords(points)
-    cap = 2.0 ** (points.scale.k * s)
-    block = 1024
+    if not (math.isfinite(s) and s > 0.0):
+        raise DomainError(f"energy exponent s={s} must be finite and positive")
+    if points.scale.k * s >= 1024.0:
+        raise DomainError(f"truncation level delta^-s = 2^{points.scale.k * s:g} overflows a float")
+    vectors, counts = _difference_histogram(points)
+    xy = vectors.view(np.float64).reshape(-1, 2)  # rows (dx, dy)
+    weights = counts.astype(np.float64)
+    del counts
+    directions = np.array([net.cosines, net.sines])
+    delta = 2.0 ** -points.scale.k
+    chunk = max(1, _ENERGY_BLOCK // len(net))
+    span = chunk * _CHUNKS_PER_TASK
 
-    def one(i: int) -> float:
-        c, sn = net.cosines[i], net.sines[i]
-        vals = xs * c + ys * sn
-        # sum over the full matrix, then drop the n diagonal terms (each
-        # truncates to cap exactly)
-        total = 0.0
-        with np.errstate(divide="ignore"):
-            for lo in range(0, n, block):
-                d = np.abs(vals[lo : lo + block, None] - vals[None, :])
-                total += float(np.minimum(d**-s, cap).sum())
-        return (total - n * cap) / (n * n)
+    def task(lo: int) -> np.ndarray:
+        """Per-direction sum over the vectors in [lo, lo + span), chunk by chunk."""
+        buf = np.empty((chunk, len(net)))
+        total = np.zeros(len(net))
+        for start in range(lo, min(lo + span, len(xy)), chunk):
+            block = xy[start : start + chunk]
+            d = buf[: len(block)]
+            np.matmul(block, directions, out=d)
+            np.abs(d, out=d)
+            # clamping the distance at delta truncates the term at delta^-s
+            np.maximum(d, delta, out=d)
+            if s == 1.0:
+                np.reciprocal(d, out=d)
+            else:
+                np.power(d, -s, out=d)
+            total += np.einsum("i,ij->j", weights[start : start + len(block)], d)
+        return total
 
-    indices = range(len(net))
+    # task boundaries depend on the net alone, and task sums are added in
+    # order, so the association of the sum is the same for every thread count
+    starts = range(0, len(xy), span)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            energies = tuple(pool.map(one, indices))
+            sums = list(pool.map(task, starts))
     else:
-        energies = tuple(one(i) for i in indices)
+        sums = [task(lo) for lo in starts]
+    totals = np.zeros(len(net))
+    for part in sums:
+        totals += part
+    # each distinct vector stands for the ordered pairs (p, q) and (q, p)
+    energies = tuple(2.0 * float(t) / (n * n) for t in totals)
     if net.weights is None:
         average = math.fsum(energies) / len(energies)
     else:

@@ -25,6 +25,7 @@ from .core_grid import (
     Scale,
     ZERO,
     ONE,
+    _int_row,
     check_value_bound,
 )
 from .errors import DomainError, ParseError, ScaleError, ValidationError
@@ -279,11 +280,12 @@ class TubeFamily:
             raise ParseError(f"tube family JSON needs integer 'k' and 'tubes': {exc}") from exc
         scale = Scale(k)
         tubes = []
+        if not isinstance(rows, list):
+            raise ParseError(f"tube family 'tubes' must be a list, got {rows!r}")
         for i, row in enumerate(rows):
-            if len(row) != 4:
-                raise ParseError(f"tube row {i} must be [a_num, a_exp, b_num, b_exp], got {row!r}")
-            a = DyadicRational(int(row[0]), int(row[1]))
-            b = DyadicRational(int(row[2]), int(row[3]))
+            an, ae, bn, be = _int_row(row, 4, f"tube row {i} [a_num, a_exp, b_num, b_exp]")
+            a = DyadicRational(an, ae)
+            b = DyadicRational(bn, be)
             if not a.is_multiple_of(scale):
                 raise ParseError(f"tube row {i}: slope {a!r} is not a multiple of 2^-{k}")
             if not b.is_multiple_of(scale):

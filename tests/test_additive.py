@@ -15,7 +15,7 @@ import pytest
 
 from tubelab.core_grid import DyadicRational, Scale
 from tubelab.delta_sets import DeltaSetParams, validate_1d
-from tubelab.errors import HypothesisViolation, ValidationError
+from tubelab.errors import HypothesisViolation, ParseError, ValidationError
 from tubelab.additive import (
     PairGraph,
     bsg_refine,
@@ -289,6 +289,27 @@ def test_quasi_product_json_roundtrip():
 
     again = QuasiProduct.from_json(qp.to_json())
     assert again == qp
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda obj: obj.update(levels=7),
+        lambda obj: obj.update(slices=7),
+        lambda obj: obj["levels"].__setitem__(0, ["a", 0]),
+        lambda obj: obj["levels"].__setitem__(0, [1.5, 0]),
+        lambda obj: obj["slices"][0].update(level_index="0"),
+        lambda obj: obj["slices"][0].update(values=7),
+        lambda obj: obj["slices"].__setitem__(0, 7),
+    ],
+)
+def test_quasi_product_json_rejects_malformed(change):
+    from tubelab.additive import QuasiProduct
+
+    obj = quasi_product(8, 0.5, 0.5, seed=3).to_json()
+    change(obj)
+    with pytest.raises(ParseError):
+        QuasiProduct.from_json(obj)
 
 
 def test_slice_pair_graph_end_to_end():

@@ -5,6 +5,8 @@ import argparse
 import json
 import logging
 
+import hypothesis as hyp
+import hypothesis.strategies as hys
 import pytest
 
 from tubelab.cli import _LOG_LEVELS, _build_parser, _setup_logging, main
@@ -197,6 +199,94 @@ def test_threads_below_one_is_usage_error(command, threads):
     with pytest.raises(SystemExit) as exc:
         main([command, *source, "--threads", threads])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_project_rejects_non_finite_energy_exponent(capsys, tmp_path, value):
+    argv = ["project", "--kind", "furstenberg_product", "--k", "4", "--s", "0.5"]
+    dest = tmp_path / "sweep.csv"
+    code, out, err = _call(capsys, argv + ["--energy-s", value, "--out", str(dest)])
+    assert code == 2
+    assert out == ""
+    assert "energy exponent" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "project"])
+def test_non_integer_point_entry_is_parse_error(capsys, tmp_path, command):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"k": 4, "points": [["a", 0, 0, 0]]}))
+    code, out, err = _call(capsys, [command, "--input", str(src)])
+    assert code == 2
+    assert out == ""
+    assert "integers" in err
+
+
+_NON_INTEGER = hys.one_of(
+    hys.none(),
+    hys.booleans(),
+    hys.floats(allow_nan=True, allow_infinity=True),
+    hys.text(max_size=3),
+    hys.lists(hys.integers(-2, 2), max_size=2),
+    hys.dictionaries(hys.text(max_size=2), hys.integers(-2, 2), max_size=1),
+)
+
+
+@hys.composite
+def _mutated_point_rows(draw):
+    """The rows of grid(2) with up to three of them broken: an entry that is
+    not an integer, a row that is not a list, or a row of the wrong length."""
+    rows = grid(2).to_json()["points"]
+    for i in draw(hys.lists(hys.integers(0, len(rows) - 1), max_size=3, unique=True)):
+        how = draw(hys.sampled_from(["entry", "row", "short", "long"]))
+        if how == "entry":
+            rows[i][draw(hys.integers(0, 3))] = draw(_NON_INTEGER)
+        elif how == "row":
+            rows[i] = draw(hys.one_of(_NON_INTEGER, hys.integers(-2, 2)))
+        elif how == "short":
+            rows[i] = rows[i][: draw(hys.integers(0, 3))]
+        else:
+            rows[i] = rows[i] + [draw(hys.one_of(_NON_INTEGER, hys.integers(-2, 2)))]
+    return rows
+
+
+@hyp.settings(max_examples=60, deadline=None)
+@hyp.given(rows=_mutated_point_rows())
+def test_validate_mutated_point_rows_never_raise(tmp_path_factory, rows):
+    src = tmp_path_factory.mktemp("rows") / "points.json"
+    src.write_text(json.dumps({"k": 2, "points": rows}))
+    assert main(["validate", "--input", str(src)]) in {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dichotomy", "--kind", "furstenberg_product", "--k", "6", "--s", "0.5", "--slack", "0"],
+        ["dichotomy", "--kind", "furstenberg_product", "--k", "6", "--s", "0.5", "--slack", "nan"],
+        ["validate", "--kind", "furstenberg_product", "--k", "6", "--s", "0"],
+        ["validate", "--kind", "furstenberg_product", "--k", "5", "--s", "0.5"],
+        ["validate", "--kind", "grid", "--k", "4", "--s", "0"],
+        ["validate", "--kind", "grid", "--k", "4", "--constant", "-1"],
+    ],
+)
+def test_out_of_range_argument_is_parse_error(capsys, argv):
+    code, out, err = _call(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_slope_net_file_round_trip(capsys, tmp_path):
+    src = tmp_path / "sl.json"
+    source = ["--k", "6", "--s", "0.5"]
+    assert main(["gen", "--kind", "slope_net", *source, "--out", str(src)]) == 0
+    from_file = _call(capsys, ["validate", "--input", str(src), *source])
+    from_kind = _call(capsys, ["validate", "--kind", "slope_net", *source])
+    assert from_file == from_kind
+    assert from_file[0] == 0
+    # slope values carry no scale, so the file alone is not enough
+    code, _, err = _call(capsys, ["validate", "--input", str(src)])
+    assert code == 2
+    assert "--k" in err
 
 
 def test_additive_quasi_product(capsys):

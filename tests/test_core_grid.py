@@ -25,7 +25,7 @@ from tubelab.core_grid import (
     separation_witness,
     squared_distance,
 )
-from tubelab.errors import DomainError, ScaleError, ValidationError
+from tubelab.errors import DomainError, ParseError, ScaleError, ValidationError
 
 
 def frac(d: DyadicRational) -> Fraction:
@@ -126,6 +126,20 @@ def test_integer_roundtrip(n):
 @hyp.given(dyadics)
 def test_pair_roundtrip(a):
     assert DyadicRational.from_pair(a.pair()) == a
+
+
+@pytest.mark.parametrize("pair", [[1, "2"], [1.0, 2], [False, 0], [1], [1, 2, 3], 5, None])
+def test_pair_rejects_non_integers(pair):
+    with pytest.raises(ParseError):
+        DyadicRational.from_pair(pair)
+
+
+@pytest.mark.parametrize(
+    "points", [[["a", 0, 0, 0]], [[0, 0, 0.5, 0]], [[0, 0, 0, None]], [[0, 0, 0]], [3], {"0": 1}]
+)
+def test_point_set_json_rejects_non_integer_rows(points):
+    with pytest.raises(ParseError):
+        PointSet.from_json({"k": 4, "points": points})
 
 
 def test_scale_bounds():

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale, covering_number
-from tubelab.errors import HypothesisViolation, ValidationError
+from tubelab.errors import HypothesisViolation, ParseError, ValidationError
 from tubelab.generators import furstenberg_product, grid
 from tubelab.incidence import (
     Configuration,
@@ -275,3 +275,18 @@ def test_coarse_energy_generator():
     assert rep.cell_count == covering_number(cfg.points, Scale(4))
     assert rep.energy >= 0.0
     assert rep.normalized == pytest.approx(rep.energy / 2.0**8)
+
+
+@pytest.mark.parametrize("index", ["0", 0.0, None, True, [0]])
+def test_configuration_json_rejects_non_integer_point_index(index):
+    obj = furstenberg_product(4, 0.5).to_json()
+    assert Configuration.from_json(obj).to_json() == obj
+    obj["families"][0]["point_index"] = index
+    with pytest.raises(ParseError):
+        Configuration.from_json(obj)
+    obj["families"][0] = [0]  # an entry that is not an object
+    with pytest.raises(ParseError):
+        Configuration.from_json(obj)
+    obj["families"] = 7
+    with pytest.raises(ParseError):
+        Configuration.from_json(obj)

@@ -8,7 +8,7 @@ import pytest
 
 from tubelab.core_grid import Scale
 from tubelab.errors import ParseError
-from tubelab.generators import collinear_tripod, furstenberg_product, grid
+from tubelab.generators import collinear_tripod, furstenberg_product, grid, slope_net
 from tubelab.manifest import (
     ANALYSES,
     CSV_COLUMNS,
@@ -55,6 +55,56 @@ def test_manifest_rejects_bad_generator(tmp_path):
         _manifest(tmp_path, generator_kind="cantor_grid")  # missing s
     with pytest.raises(ParseError):
         _manifest(tmp_path, generator_params={"wat": 1})
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"s": 0},
+        {"s": 1.5},
+        {"s": float("nan")},
+        {"s": "0.5"},
+        {"s": 0.5, "epsilon": 0.9},
+        {"s": 0.5, "epsilon": 0.0},
+    ],
+)
+def test_manifest_rejects_generator_values_at_load(tmp_path, params):
+    with pytest.raises(ParseError):
+        _manifest(
+            tmp_path,
+            generator_kind="furstenberg_product",
+            generator_params=params,
+            k_range=(6,),
+            analyses=("validate",),
+        )
+
+
+@pytest.mark.parametrize("mask", [5, [[0, "1"]], [[0, 1, 1]], [None]])
+def test_manifest_rejects_malformed_mask_at_load(tmp_path, mask):
+    with pytest.raises(ParseError):
+        _manifest(tmp_path, generator_kind="cantor_grid", generator_params={"s": 0.5, "mask": mask})
+
+
+def test_run_unsatisfiable_generator_is_parse_error(tmp_path):
+    # furstenberg_product needs even k >= 4; the spec checks no k, the
+    # generator does, and that is bad input rather than an internal error
+    m = _manifest(
+        tmp_path,
+        generator_kind="furstenberg_product",
+        generator_params={"s": 0.5},
+        k_range=(2,),
+    )
+    with pytest.raises(ParseError):
+        run(m)
+
+
+def test_run_slope_values_input(tmp_path):
+    src = tmp_path / "sl.json"
+    src.write_text(json.dumps({"values": [v.pair() for v in slope_net(6, 0.5)]}))
+    m = _manifest(tmp_path, generator_kind=None, input_path=str(src), k_range=(6,))
+    assert run(m) == EXIT_PASS
+    report = json.loads((tmp_path / "out" / "report_k6.json").read_text())
+    assert report["analyses"]["validate"]["verdict"] == "pass"
 
 
 def test_manifest_rejects_bad_k_range(tmp_path):

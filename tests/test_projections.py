@@ -1,8 +1,10 @@
 """Directional projection sweeps, exceptional directions, and truncated
 energy sums.
 
-Counting oracles are pure-Python dedupes of floor cells; the energy oracle
-is a direct double loop.
+Counting oracles are pure-Python dedupes of floor cells. The energy has two
+oracles: a direct double loop, and the blocked per-direction formula that
+summed every ordered pair before energies ran over distinct difference
+vectors.
 """
 from __future__ import annotations
 
@@ -13,9 +15,14 @@ import pytest
 
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
 from tubelab.errors import DomainError, ValidationError
-from tubelab.generators import cantor_grid, grid
+from tubelab.generators import cantor_grid, furstenberg_product, grid
 from tubelab.projections import (
+    _CHUNKS_PER_TASK,
+    _ENERGY_BLOCK,
+    _PAIR_BUFFER,
     DirectionNet,
+    _coords,
+    _difference_histogram,
     exceptional_ratio,
     exceptional_set,
     project,
@@ -239,12 +246,118 @@ def test_energy_matches_brute_force():
 
 
 def test_energy_thread_determinism():
-    ps = cantor_grid(6, 0.5)
-    net = DirectionNet.uniform(Scale(3))
+    # 4,096 points: 8.4M pairs fold the difference buffer 16 times, and
+    # their 8,064 distinct vectors make several worker tasks against 3,217
+    # directions
+    ps = grid(6)
+    n = len(ps.points)
+    assert n * (n - 1) // 2 > 2 * _PAIR_BUFFER
+    net = DirectionNet.uniform(Scale(10))
+    vectors, _ = _difference_histogram(ps)
+    assert vectors.size > 4 * _CHUNKS_PER_TASK * (_ENERGY_BLOCK // len(net))
     one = projection_energy(ps, net, 1.0, threads=1)
-    many = projection_energy(ps, net, 1.0, threads=4)
-    assert one.energies == many.energies
-    assert one.average == many.average
+    for threads in (2, 4):
+        many = projection_energy(ps, net, 1.0, threads=threads)
+        assert one.energies == many.energies
+        assert one.average == many.average
+
+
+def _blocked_energy(points: PointSet, net: DirectionNet, s: float) -> list[float]:
+    """The per-direction formula: every ordered pair's min(d^-s, cap), summed
+    in row blocks over the full matrix, minus the n diagonal terms."""
+    n = len(points.points)
+    xs, ys = _coords(points)
+    cap = 2.0 ** (points.scale.k * s)
+    energies = []
+    for c, sn in zip(net.cosines, net.sines):
+        vals = xs * c + ys * sn
+        total = 0.0
+        with np.errstate(divide="ignore"):
+            for lo in range(0, n, 1024):
+                d = np.abs(vals[lo : lo + 1024, None] - vals[None, :])
+                total += float(np.minimum(d**-s, cap).sum())
+        energies.append((total - n * cap) / (n * n))
+    return energies
+
+
+def _random_grid_points(count: int, k: int, seed: int) -> PointSet:
+    rng = np.random.default_rng(seed)
+    side = 1 << k
+    cells = rng.choice(side * side, size=count, replace=False)
+    pts = tuple(DyadicPoint.of(int(c) // side, k, int(c) % side, k) for c in cells)
+    return PointSet(Scale(k), pts)
+
+
+def _signed_fine_points() -> PointSet:
+    # coordinates in [-4, 4) at exponents 5..9, above the set's scale k = 4,
+    # so many projected distances fall below delta and are truncated
+    rng = np.random.default_rng(11)
+    pts = {}
+    for _ in range(300):
+        xe, ye = (int(e) for e in rng.integers(5, 10, size=2))
+        xn = int(rng.integers(-(4 << xe), 4 << xe))
+        yn = int(rng.integers(-(4 << ye), 4 << ye))
+        p = DyadicPoint.of(xn, xe, yn, ye)
+        pts[p.key()] = p
+    return PointSet(Scale(4), tuple(pts.values()))
+
+
+def _sub_net(net: DirectionNet, stride: int) -> DirectionNet:
+    return DirectionNet.from_angles(net.scale, net.angles[::stride])
+
+
+_ORACLE_CASES = {
+    # criterion 10's corpus, with every direction at k = 8 and a strided
+    # sub-net at k = 10 (each direction's energy is independent of the rest)
+    "furstenberg_k8": lambda: (
+        furstenberg_product(8, 0.5).points, DirectionNet.uniform(Scale(8))
+    ),
+    "furstenberg_k10": lambda: (
+        furstenberg_product(10, 0.5).points, _sub_net(DirectionNet.uniform(Scale(10)), 64)
+    ),
+    "grid6": lambda: (grid(6), _sub_net(DirectionNet.uniform(Scale(4)), 17)),
+    "random_1024": lambda: (
+        _random_grid_points(1024, 10, 5), _sub_net(DirectionNet.uniform(Scale(8)), 16)
+    ),
+    "signed_fine": lambda: (_signed_fine_points(), DirectionNet.uniform(Scale(5))),
+    "weighted": lambda: (
+        cantor_grid(6, 0.5),
+        DirectionNet.from_angles(
+            Scale(4), [0.0, 0.3, 1.1, math.pi / 2, 2.9], weights=(3.0, 0.5, 1.0, 2.0, 0.25)
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 1.5])
+@pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+def test_energy_matches_blocked_formula(case, s):
+    ps, net = _ORACLE_CASES[case]()
+    rep = projection_energy(ps, net, s, threads=2)
+    expect = _blocked_energy(ps, net, s)
+    assert len(rep.energies) == len(expect)
+    for got, want in zip(rep.energies, expect):
+        assert math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+    if net.weights is None:
+        average = math.fsum(expect) / len(expect)
+    else:
+        average = math.fsum(w * e for w, e in zip(net.weights, expect)) / math.fsum(net.weights)
+    assert math.isclose(rep.average, average, rel_tol=1e-12, abs_tol=0.0)
+
+
+def test_difference_histogram_counts_unordered_pairs():
+    # the generator emits its points in lexicographic order; reversed, every
+    # pair difference comes out with the opposite sign first
+    ps = furstenberg_product(10, 0.5).points
+    ps = PointSet(ps.scale, ps.points[::-1])
+    n = len(ps.points)
+    vectors, counts = _difference_histogram(ps)
+    # D x D with D of 32 values has 3^10 distinct differences; dropping 0
+    # and identifying v with -v leaves half of the rest
+    assert vectors.size == (3**10 - 1) // 2
+    assert int(counts.sum()) == n * (n - 1) // 2
+    assert np.all(vectors[1:] > vectors[:-1])
+    assert np.all((vectors.real > 0) | ((vectors.real == 0) & (vectors.imag > 0)))
 
 
 def test_energy_weighted_average():
@@ -260,8 +373,12 @@ def test_energy_rejects_degenerate_inputs():
     one = PointSet(Scale(3), (DyadicPoint.of(0, 0, 0, 0),))
     with pytest.raises(DomainError):
         projection_energy(one, net, 0.5)
+    for s in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            projection_energy(grid(3), net, s)
+    # delta^-s = 2^(3 * 400) is past the largest float
     with pytest.raises(DomainError):
-        projection_energy(grid(3), net, 0.0)
+        projection_energy(grid(3), net, 400.0)
 
 
 def test_energy_anticorrelated_with_counts():

@@ -12,7 +12,7 @@ import hypothesis.strategies as hys
 import pytest
 
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
-from tubelab.errors import ScaleError, TubelabError, ValidationError
+from tubelab.errors import ParseError, ScaleError, TubelabError, ValidationError
 from tubelab.tubes import (
     UNIT_WINDOW,
     DyadicTube,
@@ -261,6 +261,15 @@ def test_family_json_roundtrip():
     fam = TubeFamily.from_index_pairs(Scale(6), [(3, 5), (0, 0), (-2, 9)])
     again = TubeFamily.from_json(fam.to_json())
     assert again == fam
+
+
+@pytest.mark.parametrize(
+    "tubes",
+    [[[3, 6, "5", 6]], [[3.0, 6, 5, 6]], [[True, 0, 0, 0]], [[3, 6, 5]], [7], [None], "abcd"],
+)
+def test_family_json_rejects_non_integer_rows(tubes):
+    with pytest.raises(ParseError):
+        TubeFamily.from_json({"k": 6, "tubes": tubes})
 
 
 def test_canonical_tube_through():
