@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .core_grid import DyadicPoint, DyadicRational, Scale, _int_field, check_value_bound
 from .errors import HypothesisViolation, ParseError, ValidationError
-from .tubes import DyadicTube, TubeFamily, tube_contains
+from .tubes import TubeFamily, keys_through, unpack_key
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,8 @@ class QuasiProduct:
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuasiProduct":
+        k = _int_field(obj, "k")
         try:
-            k = int(obj["k"])
             s = float(obj["s"])
             tau = float(obj["tau"])
             level_rows = obj["levels"]
@@ -332,81 +332,71 @@ def tripod_image_cover(
     return len(cells)
 
 
+def slice_incidences(qp: QuasiProduct, tubes: TubeFamily) -> dict[int, list[tuple[int, int]]]:
+    """Tube key -> the (level index, point index) of every slice point the
+    tube contains, in level-then-point order; tubes meeting no slice point
+    are absent.
+
+    The tubes through each point come from the intercept window at the
+    family's slope cells, so the cost is O(points * slopes), not
+    O(points * tubes).
+    """
+    k = qp.scale.k
+    family = set(tubes.keys)
+    slopes = tubes.slope_cells()
+    hits: dict[int, list[tuple[int, int]]] = {}
+    for li, (b, sl) in enumerate(zip(qp.levels, qp.slices)):
+        for pi, a in enumerate(sl):
+            for key in keys_through(DyadicPoint(a, b), k, slopes):
+                if key in family:
+                    hits.setdefault(key, []).append((li, pi))
+    return hits
+
+
+def _repeated_level(incidences: Sequence[tuple[int, int]]) -> int | None:
+    """The lowest level index met twice, if any (incidences in level order)."""
+    for (li, _), (lj, _) in zip(incidences, incidences[1:]):
+        if li == lj:
+            return li
+    return None
+
+
+def _multiplicity_violation(
+    tubes: TubeFamily, hits: dict[int, list[tuple[int, int]]]
+) -> HypothesisViolation | None:
+    """The first tube in key order that meets one slice twice, at its lowest such level."""
+    for key in tubes.keys:
+        li = _repeated_level(hits.get(key, ()))
+        if li is not None:
+            return HypothesisViolation(
+                "tube_slice_multiplicity",
+                "a tube meets two points of one slice",
+                {"tube_cell": list(unpack_key(key, tubes.scale.k)), "level_index": li},
+            )
+    return None
+
+
 def slice_multiplicity_violation(qp: QuasiProduct, tubes: TubeFamily) -> HypothesisViolation | None:
     """Steepness hypothesis: no tube may meet two points of one slice."""
-    for t in tubes:
-        for li, (b, sl) in enumerate(zip(qp.levels, qp.slices)):
-            hits = 0
-            for a in sl:
-                if tube_contains(t, DyadicPoint(a, b)):
-                    hits += 1
-                    if hits > 1:
-                        return HypothesisViolation(
-                            "tube_slice_multiplicity",
-                            "a tube meets two points of one slice",
-                            {"tube_cell": list(t.indices()), "level_index": li},
-                        )
-    return None
+    return _multiplicity_violation(tubes, slice_incidences(qp, tubes))
 
 
 def prune_to_slice_multiplicity(qp: QuasiProduct, tubes: TubeFamily) -> TubeFamily:
     """Drop every tube that meets a slice twice; the surviving family
     satisfies the steepness hypothesis by construction."""
-    keep = []
-    for t in tubes:
-        ok = True
-        for b, sl in zip(qp.levels, qp.slices):
-            hits = 0
-            for a in sl:
-                if tube_contains(t, DyadicPoint(a, b)):
-                    hits += 1
-                    if hits > 1:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            keep.append(t)
-    return TubeFamily.from_tubes(tubes.scale, keep)
+    hits = slice_incidences(qp, tubes)
+    keep = (key for key in tubes.keys if _repeated_level(hits.get(key, ())) is None)
+    return TubeFamily(tubes.scale, tuple(keep))
 
 
 def best_slice_pair(qp: QuasiProduct, tubes: TubeFamily) -> tuple[int, int]:
     """The level pair joined by the most tubes of the family.
 
     Ties prefer wider level separation, then lower indices; deterministic.
-    Candidate tubes per point come from the exact intercept window (at most
-    three intercepts per slope contain a given point), so the scan costs
-    O(points * slopes). Raises ValidationError when no tube joins two
-    distinct levels.
+    Raises ValidationError when no tube joins two distinct levels.
     """
-    k = qp.scale.k
-    off = 1 << (k + 3)
-    shift = k + 4
-    family = set(tubes.keys)
-    slope_idx = sorted({key >> shift for key in tubes.keys})
-    # key -> (level index, point index) incidences
-    hits: dict[int, list[tuple[int, int]]] = {}
-    for li, (b, sl) in enumerate(zip(qp.levels, qp.slices)):
-        for pi, a_val in enumerate(sl):
-            m = max(a_val.exp, b.exp, k)
-            x_num = a_val.num << (m - a_val.exp)
-            y_num = b.num << (m - b.exp)
-            yk = y_num << k
-            for packed_a in slope_idx:
-                a_idx = packed_a - off
-                u = yk - a_idx * x_num
-                if x_num >= 0:
-                    lo = ((u - x_num - (1 << m)) >> m) + 1
-                    hi = u >> m
-                else:
-                    lo = ((u - (1 << m)) >> m) + 1
-                    hi = (u - x_num - 1) >> m
-                for b_idx in range(lo, hi + 1):
-                    key = (packed_a << shift) | (b_idx + off)
-                    if key in family:
-                        hits.setdefault(key, []).append((li, pi))
     pair_edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for incidences in hits.values():
+    for incidences in slice_incidences(qp, tubes).values():
         for x in range(len(incidences)):
             for y in range(x + 1, len(incidences)):
                 (li, pi), (lj, pj) = incidences[x], incidences[y]
@@ -434,22 +424,18 @@ def tube_slice_pairs(
     n = len(qp.levels)
     if not (0 <= level_lo < n and 0 <= level_hi < n) or level_lo == level_hi:
         raise ValidationError(f"level indices ({level_lo}, {level_hi}) invalid for {n} levels")
-    bad = slice_multiplicity_violation(qp, tubes)
+    hits = slice_incidences(qp, tubes)
+    bad = _multiplicity_violation(tubes, hits)
     if bad is not None:
         raise bad
-    b_lo, slice_lo = qp.levels[level_lo], qp.slices[level_lo]
-    b_hi, slice_hi = qp.levels[level_hi], qp.slices[level_hi]
     edges = set()
-    for t in tubes:
-        i_lo = next((i for i, a in enumerate(slice_lo) if tube_contains(t, DyadicPoint(a, b_lo))), None)
-        if i_lo is None:
-            continue
-        i_hi = next((i for i, a in enumerate(slice_hi) if tube_contains(t, DyadicPoint(a, b_hi))), None)
-        if i_hi is None:
-            continue
-        edges.add((i_lo, i_hi))
+    for incidences in hits.values():
+        at_level = dict(incidences)  # one point per level, as just checked
+        if level_lo in at_level and level_hi in at_level:
+            edges.add((at_level[level_lo], at_level[level_hi]))
     if not edges:
         raise ValidationError("no tube joins the two slices")
+    slice_lo, slice_hi = qp.slices[level_lo], qp.slices[level_hi]
     k = measured_bsg_parameter(slice_lo, slice_hi, sorted(edges))
     return PairGraph(tuple(slice_lo), tuple(slice_hi), tuple(sorted(edges)), max(k, 1.0))
 

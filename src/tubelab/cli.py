@@ -21,15 +21,16 @@ import json
 import logging
 import os
 import sys
+import traceback
 from typing import Any, Sequence
 
 from .core_grid import Scale, fit_exponent
 from .errors import (
     DomainError,
+    DyadicOverflowError,
     HypothesisViolation,
     ParseError,
     ScaleError,
-    TubelabError,
 )
 from .generators import _KIND_PARAMS, GeneratorSpec
 from .manifest import (
@@ -192,7 +193,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             obj = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read manifest {args.manifest!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, bad UTF-8, an integer too long to read
         raise ParseError(f"manifest is not valid JSON: {exc}") from exc
     manifest = ExperimentManifest.from_json(obj)
     if args.out is not None:
@@ -275,11 +276,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.write(canonical_json(exc.payload()))
         sys.stderr.write(f"hypothesis failed: {exc}\n")
         return EXIT_HYPOTHESIS
-    except (ParseError, DomainError, ScaleError) as exc:
+    # an input too precise for the 128-bit exact arithmetic is bad input too
+    except (ParseError, DomainError, DyadicOverflowError, ScaleError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
-    except TubelabError as exc:
+    except Exception as exc:  # any other failure is a bug: exit 4, witness and traceback
         sys.stdout.write(canonical_json(_error_witness(exc)))
+        traceback.print_exc()
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL
 

@@ -319,11 +319,8 @@ class PointSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSet":
-        try:
-            k = int(obj["k"])
-            rows = obj["points"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"point set JSON needs integer 'k' and 'points': {exc}") from exc
+        k = _int_field(obj, "k")
+        rows = obj.get("points")
         if not isinstance(rows, list):
             raise ParseError(f"point set 'points' must be a list, got {rows!r}")
         pts = [DyadicPoint.of(*_int_row(row, 4, "point row [xn, xe, yn, ye]")) for row in rows]

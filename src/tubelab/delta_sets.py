@@ -22,7 +22,7 @@ from .core_grid import (
     check_value_bound,
     separation_witness,
 )
-from .errors import ValidationError
+from .errors import DyadicOverflowError, ValidationError
 
 Coord = tuple[DyadicRational, ...]
 
@@ -105,9 +105,14 @@ def _validate_coords(coords: Sequence[Coord], params: DeltaSetParams) -> Validat
         return ValidationReport(False, "separation", math.inf, witness, eff, params)
 
     # exact counting on int64: lift all coordinates to a shared exponent
-    # M >= k; values stay below 2^24, so squared distances stay below 2^50
-    # and every comparison d^2 < r^2 is exact in integer arithmetic
+    # M >= k. Coordinates differ by at most 16, so squared distances stay
+    # below 2^(8 + 2M) <= 2^62 for M <= 27 and every comparison d^2 < r^2 is
+    # exact in integer arithmetic; finer coordinates would wrap
     m_exp = max(k, max(v.exp for c in coords for v in c))
+    if m_exp > 27:
+        raise DyadicOverflowError(
+            f"ball counts need coordinates on the 2^-27 grid or coarser, got 2^-{m_exp}"
+        )
     axes = [
         np.array([c[d].num << (m_exp - c[d].exp) for c in coords], dtype=np.int64)
         for d in range(dim)

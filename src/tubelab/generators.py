@@ -12,10 +12,10 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .additive import QuasiProduct
-from .core_grid import DyadicPoint, DyadicRational, PointSet, Scale, _int_row
+from .core_grid import DyadicPoint, DyadicRational, PointSet, Scale, _int_field, _int_row
 from .errors import GeneratorError, ParseError
 from .incidence import Configuration
-from .tubes import DyadicTube, TubeFamily, pack_key
+from .tubes import DyadicTube, TubeFamily, canonical_keys
 
 _MASK64 = (1 << 64) - 1
 
@@ -130,19 +130,9 @@ def furstenberg_product(k: int, s: float, epsilon: float = 0.25) -> Configuratio
     scale = Scale(k)
     line = cantor_line_indices(k, 0.5)
     slopes = cantor_line_indices(k, s)
-    off = 1 << (k + 3)
-    shift = k + 4
-    points = []
-    families = []
-    for xi in line:
-        for yi in line:
-            points.append(DyadicPoint(DyadicRational(xi, k), DyadicRational(yi, k)))
-            yk = yi << k
-            keys = []
-            for a_idx in slopes:
-                b_idx = (yk - a_idx * xi) >> k
-                keys.append(((a_idx + off) << shift) | (b_idx + off))
-            families.append(TubeFamily(scale, tuple(keys)))
+    points = [DyadicPoint(DyadicRational(xi, k), DyadicRational(yi, k)) for xi in line for yi in line]
+    # increasing slope cells give increasing keys
+    families = [TubeFamily(scale, tuple(canonical_keys(p, k, slopes))) for p in points]
     return Configuration(PointSet(scale, tuple(points)), tuple(families), s, epsilon)
 
 
@@ -172,18 +162,9 @@ def quasi_product_tubes(qp: QuasiProduct, s_net: float | None = None) -> TubeFam
     k = qp.scale.k
     s_net = qp.s if s_net is None else s_net
     slope_idx = [(1 << k) + v for v in cantor_line_indices(k, s_net)]
-    off = 1 << (k + 3)
-    shift = k + 4
     keys = set()
-    for b, sl in zip(qp.levels, qp.slices):
-        for a_val in sl:
-            m = max(a_val.exp, b.exp)
-            x_num = a_val.num << (m - a_val.exp)
-            y_num = b.num << (m - b.exp)
-            yk = y_num << k
-            for a_idx in slope_idx:
-                b_idx = (yk - a_idx * x_num) >> m
-                keys.add(((a_idx + off) << shift) | (b_idx + off))
+    for p in qp.points():
+        keys.update(canonical_keys(p, k, slope_idx))
     return TubeFamily(qp.scale, tuple(sorted(keys)))
 
 
@@ -210,16 +191,13 @@ class TripodInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TripodInstance":
-        try:
-            scale = Scale(int(obj["k"]))
-            tube_row = obj["tube"]
-            rows = obj["points"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"tripod JSON needs integer 'k', 'tube' and 'points': {exc}") from exc
+        scale = Scale(_int_field(obj, "k"))
+        tube_row = obj.get("tube")
+        rows = obj.get("points")
         if not (isinstance(rows, list) and len(rows) == 3):
             raise ParseError(f"tripod needs three point rows [xn, xe, yn, ye], got {rows!r}")
         an, ae, bn, be = _int_row(tube_row, 4, "tripod tube [a_num, a_exp, b_num, b_exp]")
-        tube = DyadicTube(scale, DyadicRational(an, ae), DyadicRational(bn, be))
+        tube = DyadicTube.from_values(scale, DyadicRational(an, ae), DyadicRational(bn, be))
         a, b, c = (
             DyadicPoint.of(*_int_row(row, 4, "tripod point row [xn, xe, yn, ye]")) for row in rows
         )
@@ -240,7 +218,7 @@ def collinear_tripod(k: int, seed: int = 0) -> TripodInstance:
         lv = sorted(rng.below(n) for _ in range(3))
         if lv[1] - lv[0] < quarter or lv[2] - lv[1] < quarter:
             continue
-        tube = DyadicTube.from_indices(scale, a_idx, b_idx)
+        tube = DyadicTube(scale, a_idx, b_idx)
         pts = []
         for level in lv:
             y = DyadicRational(level, k)
@@ -299,8 +277,9 @@ class GeneratorSpec:
             _is_number(p["epsilon"]) and 0.0 < p["epsilon"] < min(p["s"], 0.5)
         ):
             raise ParseError(f"{self.kind}: epsilon={p['epsilon']!r} must lie in (0, min(s, 1/2))")
-        if "seed" in p and type(p["seed"]) is not int:
-            raise ParseError(f"{self.kind}: seed={p['seed']!r} must be an integer")
+        for name in ("k", "seed"):
+            if name in p and type(p[name]) is not int:
+                raise ParseError(f"{self.kind}: {name}={p[name]!r} must be an integer")
         if p.get("mask") is not None:
             if not isinstance(p["mask"], list):
                 raise ParseError(f"{self.kind}: mask={p['mask']!r} must be a list of [dx, dy]")
@@ -330,7 +309,7 @@ class GeneratorSpec:
 
     def _build(self) -> Any:
         p = self.params
-        k = int(p["k"])
+        k = p["k"]
         if self.kind == "grid":
             return grid(k)
         if self.kind == "cantor_grid":
@@ -340,7 +319,7 @@ class GeneratorSpec:
         if self.kind == "furstenberg_product":
             return furstenberg_product(k, float(p["s"]), float(p.get("epsilon", 0.25)))
         if self.kind == "quasi_product":
-            return quasi_product(k, float(p["s"]), float(p["tau"]), int(p.get("seed", 0)))
+            return quasi_product(k, float(p["s"]), float(p["tau"]), p.get("seed", 0))
         if self.kind == "collinear_tripod":
-            return collinear_tripod(k, int(p.get("seed", 0)))
+            return collinear_tripod(k, p.get("seed", 0))
         raise ParseError(f"unreachable kind {self.kind}")

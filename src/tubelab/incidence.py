@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .core_grid import (
     DyadicPoint,
+    DyadicRational,
     PointSet,
     Scale,
     _int_field,
@@ -24,7 +25,7 @@ from .core_grid import (
 )
 from .delta_sets import DeltaSetParams, validate, validate_1d
 from .errors import HypothesisViolation, ParseError, ScaleError, ValidationError
-from .tubes import DyadicTube, TubeFamily, unpack_key
+from .tubes import TubeFamily, keys_missing, unpack_key
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,8 @@ class Configuration:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Configuration":
+        k = _int_field(obj, "k")
         try:
-            k = int(obj["k"])
             s = float(obj["s"])
             eps = float(obj["epsilon"])
         except (KeyError, TypeError, ValueError) as exc:
@@ -101,31 +102,18 @@ def union_tubes(cfg: Configuration) -> TubeFamily:
 
 
 def _membership_violation(cfg: Configuration) -> HypothesisViolation | None:
-    """Exact check that every tube of T_p contains p (integer fast path)."""
+    """Exact check that every tube of T_p contains p; the witness is the
+    first point with a tube that misses it, and the first such tube in key
+    order."""
     k = cfg.scale.k
-    off = 1 << (k + 3)
-    shift = k + 4
-    mask = (1 << shift) - 1
     for i, (p, fam) in enumerate(zip(cfg.points.points, cfg.families)):
-        m = max(p.x.exp, p.y.exp)
-        x_num = p.x.num << (m - p.x.exp)
-        y_num = p.y.num << (m - p.y.exp)
-        yk = y_num << k
-        two_m = 1 << m
-        for key in fam.keys:
-            a_idx = (key >> shift) - off
-            b_idx = (key & mask) - off
-            w = yk - a_idx * x_num - (b_idx << m)
-            if x_num >= 0:
-                ok = 0 <= w < x_num + two_m
-            else:
-                ok = x_num < w < two_m
-            if not ok:
-                return HypothesisViolation(
-                    "tube_membership",
-                    "a family tube does not contain its point",
-                    {"point_index": i, "tube_cell": list(unpack_key(key, k))},
-                )
+        key = next(keys_missing(p, k, fam.keys), None)
+        if key is not None:
+            return HypothesisViolation(
+                "tube_membership",
+                "a family tube does not contain its point",
+                {"point_index": i, "tube_cell": list(unpack_key(key, k))},
+            )
     return None
 
 
@@ -152,11 +140,11 @@ def validate_configuration(cfg: Configuration) -> list[HypothesisViolation]:
     for i, fam in enumerate(cfg.families):
         if len(fam) == 0:
             continue
-        slopes = fam.slope_set()
-        sig = tuple(v.floor_to_int(k) for v in slopes)
-        if sig in seen_slopes:
+        cells = fam.slope_cells()
+        if cells in seen_slopes:
             continue
-        seen_slopes.add(sig)
+        seen_slopes.add(cells)
+        slopes = [DyadicRational(a_idx, k) for a_idx in cells]
         rep = validate_1d(slopes, DeltaSetParams(cfg.scale, cfg.s, c_eps))
         if not rep.valid:
             out.append(
@@ -215,29 +203,18 @@ def incidence_report(cfg: Configuration) -> IncidenceReport:
     incidences_by_point = sum(len(fam) for fam in cfg.families)
     identity_ok = incidences_by_point == incidences_by_tube
 
-    off = 1 << (k + 3)
-    shift = k + 4
-    mask = (1 << shift) - 1
-
-    coarse_tubes: set[tuple[int, int]] = set()
-    for key in counts:
-        a_idx = (key >> shift) - off
-        b_idx = (key & mask) - off
-        coarse_tubes.add((a_idx >> h, b_idx >> h))
-
-    # M_T: how many coarse point-cells each coarse tube's fine members meet
+    # M_T: how many coarse point-cells each coarse tube's fine members meet;
+    # its keys are the coarse parents of every tube
     met: dict[tuple[int, int], set[tuple[int, int]]] = {}
     for p, fam in zip(cfg.points.points, cfg.families):
         cell = (p.x.floor_to_int(h), p.y.floor_to_int(h))
-        for key in fam.keys:
-            a_idx = (key >> shift) - off
-            b_idx = (key & mask) - off
+        for a_idx, b_idx in fam.index_pairs():
             met.setdefault((a_idx >> h, b_idx >> h), set()).add(cell)
 
     nt_hist = Counter(counts.values())
     mt_hist = Counter(len(cells) for cells in met.values())
     tube_count = len(counts)
-    coarse_count = len(coarse_tubes)
+    coarse_count = len(met)
     return IncidenceReport(
         k=k,
         n_points=len(cfg.points.points),
@@ -438,9 +415,6 @@ def coarse_energy_check(cfg: Configuration) -> CoarseEnergyReport:
     lexicographically least point. Reported raw and normalized by delta^-1."""
     k = cfg.scale.k
     h = k // 2
-    off = 1 << (k + 3)
-    shift = k + 4
-    mask = (1 << shift) - 1
     groups: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(cfg.points.points):
         groups.setdefault((p.x.floor_to_int(h), p.y.floor_to_int(h)), []).append(i)
@@ -452,9 +426,7 @@ def coarse_energy_check(cfg: Configuration) -> CoarseEnergyReport:
         reps.append(min((cfg.points.points[i] for i in members), key=lambda p: (p.x, p.y)))
         parents: set[tuple[int, int]] = set()
         for i in members:
-            for key in cfg.families[i].keys:
-                a_idx = (key >> shift) - off
-                b_idx = (key & mask) - off
+            for a_idx, b_idx in cfg.families[i].index_pairs():
                 parents.add((a_idx >> h, b_idx >> h))
         parent_sets.append(frozenset(parents))
     exponent = 1.0 - cfg.s

@@ -34,9 +34,17 @@ from .additive import (
     tripod_residual,
     tube_slice_pairs,
 )
-from .core_grid import DyadicRational, PointSet, Scale, fit_exponent
+from .core_grid import DyadicRational, PointSet, Scale, _int_field, _int_row, fit_exponent
 from .delta_sets import DeltaSetParams, validate, validate_1d
-from .errors import HypothesisViolation, ParseError, ScaleError, TubelabError, ValidationError
+from .errors import (
+    DomainError,
+    DyadicOverflowError,
+    HypothesisViolation,
+    ParseError,
+    ScaleError,
+    TubelabError,
+    ValidationError,
+)
 from .generators import GeneratorSpec, TripodInstance, quasi_product_tubes
 from .incidence import (
     Configuration,
@@ -217,19 +225,21 @@ class ExperimentManifest:
             if not isinstance(params, dict):
                 raise ParseError("'generator.params' must be an object")
         path = obj.get("input")
+        k_range = obj.get("k_range")
+        if not isinstance(k_range, list):
+            raise ParseError(f"manifest 'k_range' must be a list of integers, got {k_range!r}")
         try:
-            k_range = tuple(int(k) for k in obj["k_range"])
             analyses = tuple(str(a) for a in obj["analyses"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"manifest needs 'k_range' and 'analyses': {exc}") from exc
+            raise ParseError(f"manifest needs 'analyses': {exc}") from exc
         return cls(
             generator_kind=kind,
             generator_params=dict(params),
             input_path=None if path is None else str(path),
-            k_range=k_range,
+            k_range=_int_row(k_range, len(k_range), "manifest 'k_range'"),
             analyses=analyses,
             slack=float(obj.get("slack", 0.25)),
-            seed=int(obj.get("seed", 0)),
+            seed=_int_field(obj, "seed") if "seed" in obj else 0,
             out=str(obj.get("out", "out")),
         )
 
@@ -238,29 +248,35 @@ class ExperimentManifest:
 
 
 def _load_input(path: str) -> Any:
+    """The object an input file holds. Anything wrong with the file, down to
+    a duplicate point or a numerator past the 128-bit envelope, is a
+    ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read input {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, bad UTF-8, an integer too long to read
         raise ParseError(f"input {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError(f"input {path!r} must hold a JSON object")
-    # a tripod also carries "points": recognise its "tube" first
-    if "tube" in obj:
-        return TripodInstance.from_json(obj)
-    if "families" in obj:
-        return Configuration.from_json(obj)
-    if "levels" in obj:
-        return QuasiProduct.from_json(obj)
-    if "points" in obj:
-        return PointSet.from_json(obj)
-    if "values" in obj:  # slope values, as `gen --kind slope_net` writes them
-        rows = obj["values"]
-        if not isinstance(rows, list):
-            raise ParseError(f"slope values must be a list of [num, exp] pairs, got {rows!r}")
-        return tuple(DyadicRational.from_pair(row) for row in rows)
+    try:
+        # a tripod also carries "points": recognise its "tube" first
+        if "tube" in obj:
+            return TripodInstance.from_json(obj)
+        if "families" in obj:
+            return Configuration.from_json(obj)
+        if "levels" in obj:
+            return QuasiProduct.from_json(obj)
+        if "points" in obj:
+            return PointSet.from_json(obj)
+        if "values" in obj:  # slope values, as `gen --kind slope_net` writes them
+            rows = obj["values"]
+            if not isinstance(rows, list):
+                raise ParseError(f"slope values must be a list of [num, exp] pairs, got {rows!r}")
+            return tuple(DyadicRational.from_pair(row) for row in rows)
+    except (DomainError, DyadicOverflowError, ScaleError, ValidationError) as exc:
+        raise ParseError(f"input {path!r}: {exc}") from exc
     raise ParseError(
         f"input {path!r} is not a point set, configuration, quasi-product, tripod, or slope values"
     )
@@ -294,7 +310,7 @@ def _point_count(obj: Any) -> int | None:
     return len(obj) if shape == "values" else len(_point_set_of(obj).points)
 
 
-def _error_witness(exc: TubelabError) -> dict:
+def _error_witness(exc: Exception) -> dict:
     """The witness of an internal error (exit 4)."""
     return {"error": type(exc).__name__, "message": str(exc)}
 

@@ -23,9 +23,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_grid import DyadicRational, PointSet, Scale
+from .core_grid import DyadicRational, PointSet, Scale, _int_field
 from .delta_sets import DeltaSetParams, ValidationReport, validate_1d
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 
 __all__ = [
     "DirectionNet",
@@ -190,13 +190,11 @@ class DirectionNet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DirectionNet":
-        from .errors import ParseError
-
+        scale = Scale(_int_field(obj, "k"))
         try:
-            scale = Scale(int(obj["k"]))
             angles = [float(a) for a in obj["angles"]]
         except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"direction net JSON needs 'k' and 'angles': {exc}") from exc
+            raise ParseError(f"direction net JSON needs 'angles': {exc}") from exc
         weights = obj.get("weights")
         return cls.from_angles(scale, angles, weights)
 

@@ -2,15 +2,21 @@
 
 A tube at scale delta = 2^-k is the union of the lines y = a'x + b' over a
 half-open parameter square [a, a+delta) x [b, b+delta) with a, b on the
-delta-grid. Writing p = (X/2^m, Y/2^m), a = A*delta, b = B*delta, membership
-reduces to integer window tests on W = Y*2^k - A*X - B*2^m:
+delta-grid. A tube is stored as its integer cell (A, B) = (a/delta, b/delta).
+Writing p = (X/2^m, Y/2^m), membership reduces to integer window tests on
+W = Y*2^k - A*X - B*2^m:
 
     x >= 0:  p in T  <=>  0 <= W < X + 2^m
     x <  0:  p in T  <=>  X < W < 2^m
 
-so every predicate here is exact. Families store tubes as packed integer keys
+so every predicate here is exact. Solved for B, the same inequalities give
+the intercept window: at each slope cell the tubes containing p form one
+contiguous run of intercept cells.
+
+Families store tubes as packed integer keys
 ((A + 8*2^k) << (k+4)) | (B + 8*2^k), keeping million-tube configurations
-cheap; unpacking materializes DyadicTube values on demand.
+cheap. pack_key, unpack_key and unpack_keys are the only code that knows this
+format; every other module goes through them.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ from .core_grid import (
     Scale,
     ZERO,
     ONE,
+    _int_field,
     _int_row,
     check_value_bound,
 )
@@ -38,16 +45,39 @@ def _param_index(v: DyadicRational, scale: Scale, what: str) -> int:
     return v.floor_to_int(scale.k)
 
 
+def _layout(k: int) -> tuple[int, int]:
+    """(offset, shift) of the packed key at scale 2^-k: cells are shifted by
+    8*2^k into [0, 2^(k+4)), and the slope cell sits above the intercept."""
+    return 1 << (k + 3), k + 4
+
+
 def pack_key(a_idx: int, b_idx: int, k: int) -> int:
-    off = 1 << (k + 3)
-    if not (-off <= a_idx < off) or not (-off <= b_idx < off):
+    """Packed key of the tube cell (a_idx, b_idx) at scale 2^-k.
+
+    The one validation of a tube cell: k >= 1, integer indices, and the cell
+    inside the [-8, 8)^2 parameter domain. Keys order cells lexicographically.
+    """
+    if k < 1:
+        raise ScaleError("tubes need a working scale with k >= 1")
+    if a_idx.__class__ is not int or b_idx.__class__ is not int:
+        raise ParseError(f"tube cell needs integer indices, got ({a_idx!r}, {b_idx!r})")
+    off, shift = _layout(k)
+    if not (-off <= a_idx < off and -off <= b_idx < off):
         raise DomainError(f"tube cell ({a_idx}, {b_idx}) at k={k} outside the [-8, 8) parameter domain")
-    return ((a_idx + off) << (k + 4)) | (b_idx + off)
+    return ((a_idx + off) << shift) | (b_idx + off)
 
 
 def unpack_key(key: int, k: int) -> tuple[int, int]:
-    off = 1 << (k + 3)
-    return (key >> (k + 4)) - off, (key & ((1 << (k + 4)) - 1)) - off
+    off, shift = _layout(k)
+    return (key >> shift) - off, (key & ((1 << shift) - 1)) - off
+
+
+def unpack_keys(keys: Iterable[int], k: int) -> Iterator[tuple[int, int]]:
+    """The cells of many keys, lazily, in order; equal to unpack_key applied
+    to each, without a call per key."""
+    off, shift = _layout(k)
+    mask = (1 << shift) - 1
+    return (((key >> shift) - off, (key & mask) - off) for key in keys)
 
 
 @dataclass(frozen=True)
@@ -70,51 +100,39 @@ def dual_line(p: DyadicPoint) -> Line:
 
 @dataclass(frozen=True)
 class DyadicTube:
-    """Dyadic delta-tube: dual image of one parameter cell."""
+    """Dyadic delta-tube: dual image of the parameter cell
+    [a_idx, a_idx+1) x [b_idx, b_idx+1) in delta units."""
 
     scale: Scale
-    a: DyadicRational
-    b: DyadicRational
+    a_idx: int
+    b_idx: int
 
     def __post_init__(self) -> None:
-        if self.scale.k < 1:
-            raise ScaleError("tubes need a working scale with k >= 1")
-        check_value_bound(self.a)
-        check_value_bound(self.b)
-        a_idx = _param_index(self.a, self.scale, "tube slope")
-        b_idx = _param_index(self.b, self.scale, "tube intercept")
-        # cell must fit inside [-8, 8): pack_key rejects the overflow
-        pack_key(a_idx, b_idx, self.scale.k)
+        pack_key(self.a_idx, self.b_idx, self.scale.k)
 
     @classmethod
     def from_indices(cls, scale: Scale, a_idx: int, b_idx: int) -> "DyadicTube":
-        """Tube of the cell [a_idx, a_idx+1) x [b_idx, b_idx+1) in delta units.
+        return cls(scale, a_idx, b_idx)
 
-        Index cells are on-grid by construction, so this skips the
-        multiple-of-delta revalidation and only range-checks the cell.
-        """
-        k = scale.k
-        if k < 1:
-            raise ScaleError("tubes need a working scale with k >= 1")
-        a = DyadicRational(a_idx, k)  # also rejects non-int indices
-        b = DyadicRational(b_idx, k)
-        pack_key(a_idx, b_idx, k)
-        tube = object.__new__(cls)
-        object.__setattr__(tube, "scale", scale)
-        object.__setattr__(tube, "a", a)
-        object.__setattr__(tube, "b", b)
-        return tube
+    @classmethod
+    def from_values(cls, scale: Scale, a: DyadicRational, b: DyadicRational) -> "DyadicTube":
+        """The tube with slope a and intercept b, both multiples of delta."""
+        a_idx = _param_index(a, scale, "tube slope")
+        return cls(scale, a_idx, _param_index(b, scale, "tube intercept"))
+
+    @property
+    def a(self) -> DyadicRational:
+        return DyadicRational(self.a_idx, self.scale.k)
+
+    @property
+    def b(self) -> DyadicRational:
+        return DyadicRational(self.b_idx, self.scale.k)
 
     def indices(self) -> tuple[int, int]:
-        k = self.scale.k
-        return self.a.floor_to_int(k), self.b.floor_to_int(k)
+        return self.a_idx, self.b_idx
 
     def key(self) -> int:
-        a_idx, b_idx = self.indices()
-        return pack_key(a_idx, b_idx, self.scale.k)
-
-    def slope(self) -> DyadicRational:
-        return self.a
+        return pack_key(self.a_idx, self.b_idx, self.scale.k)
 
     def contains(self, p: DyadicPoint) -> bool:
         return tube_contains(self, p)
@@ -127,24 +145,72 @@ def _point_ints(p: DyadicPoint) -> tuple[int, int, int]:
 
 
 def tube_contains(tube: DyadicTube, p: DyadicPoint) -> bool:
-    """Exact membership test; see the module docstring for the derivation."""
+    """Exact membership test; see the module docstring for the derivation.
+
+    The membership inequality itself, kept apart from the intercept window
+    so that tests can check one against the other."""
     k = tube.scale.k
-    a_idx, b_idx = tube.indices()
     x_num, y_num, m = _point_ints(p)
-    w = (y_num << k) - a_idx * x_num - (b_idx << m)
+    w = (y_num << k) - tube.a_idx * x_num - (tube.b_idx << m)
     if x_num >= 0:
         return 0 <= w < x_num + (1 << m)
     return x_num < w < (1 << m)
 
 
+def _intercept_window(x_num: int, y_num: int, m: int, k: int, a_idx: int) -> tuple[int, int]:
+    """Inclusive range [lo, hi] of the intercept cells whose tube at slope
+    cell a_idx contains (X/2^m, Y/2^m): the membership inequalities solved
+    for B."""
+    u = (y_num << k) - a_idx * x_num
+    if x_num >= 0:
+        return ((u - x_num - (1 << m)) >> m) + 1, u >> m
+    return ((u - (1 << m)) >> m) + 1, (u - x_num - 1) >> m
+
+
+def keys_through(
+    p: DyadicPoint, k: int, slope_cells: Iterable[int], intercepts: tuple[int, int] | None = None
+) -> list[int]:
+    """Keys of every tube through p at the given slope cells, inside the
+    [-8, 8) domain and, if given, with intercept cell in [lo, hi).
+
+    The keys come out in key order when the slope cells increase. The cost
+    is O(#slope cells + #keys), whatever the size of any family the caller
+    intersects them with.
+    """
+    x_num, y_num, m = _point_ints(p)
+    off, _ = _layout(k)
+    b_lo, b_hi = -off, off
+    if intercepts is not None:
+        b_lo, b_hi = max(b_lo, intercepts[0]), min(b_hi, intercepts[1])
+    keys: list[int] = []
+    for a_idx in slope_cells:
+        lo, hi = _intercept_window(x_num, y_num, m, k, a_idx)
+        keys.extend(pack_key(a_idx, b_idx, k) for b_idx in range(max(lo, b_lo), min(hi + 1, b_hi)))
+    return keys
+
+
+def keys_missing(p: DyadicPoint, k: int, keys: Sequence[int]) -> Iterator[int]:
+    """The keys, in the given order, whose tube does not contain p."""
+    x_num, y_num, m = _point_ints(p)
+    for key, (a_idx, b_idx) in zip(keys, unpack_keys(keys, k)):
+        lo, hi = _intercept_window(x_num, y_num, m, k, a_idx)
+        if not lo <= b_idx <= hi:
+            yield key
+
+
+def canonical_keys(p: DyadicPoint, k: int, slope_cells: Iterable[int]) -> list[int]:
+    """Key of the canonical tube through p at each slope cell: intercept cell
+    floor((p.y - a*p.x)/delta), the top of the intercept window for x >= 0."""
+    x_num, y_num, m = _point_ints(p)
+    yk = y_num << k
+    return [pack_key(a_idx, (yk - a_idx * x_num) >> m, k) for a_idx in slope_cells]
+
+
 def canonical_tube_through(p: DyadicPoint, slope: DyadicRational, scale: Scale) -> DyadicTube:
     """The tube at the given slope cell whose intercept cell is
     delta*floor((p.y - slope*p.x)/delta); always contains p."""
-    k = scale.k
-    a_idx = _param_index(slope, scale, "slope")
-    x_num, y_num, m = _point_ints(p)
-    b_idx = ((y_num << k) - a_idx * x_num) >> m
-    return DyadicTube.from_indices(scale, a_idx, b_idx)
+    [key] = canonical_keys(p, scale.k, (_param_index(slope, scale, "slope"),))
+    return DyadicTube(scale, *unpack_key(key, scale.k))
 
 
 @dataclass(frozen=True)
@@ -214,13 +280,11 @@ class TubeFamily:
         return len(self.keys)
 
     def __iter__(self) -> Iterator[DyadicTube]:
-        for key in self.keys:
-            a_idx, b_idx = unpack_key(key, self.scale.k)
-            yield DyadicTube.from_indices(self.scale, a_idx, b_idx)
+        for a_idx, b_idx in self.index_pairs():
+            yield DyadicTube(self.scale, a_idx, b_idx)
 
     def index_pairs(self) -> Iterator[tuple[int, int]]:
-        for key in self.keys:
-            yield unpack_key(key, self.scale.k)
+        return unpack_keys(self.keys, self.scale.k)
 
     def has(self, tube: DyadicTube) -> bool:
         if tube.scale != self.scale:
@@ -257,73 +321,46 @@ class TubeFamily:
                 j += 1
         return count
 
-    def slope_set(self) -> tuple[DyadicRational, ...]:
-        k = self.scale.k
-        seen = sorted({unpack_key(key, k)[0] for key in self.keys})
-        return tuple(DyadicRational(a, k) for a in seen)
+    def slope_cells(self) -> tuple[int, ...]:
+        """The distinct slope cells of the family, increasing."""
+        # keys sort by slope cell first, so equal slopes are adjacent
+        return tuple(dict.fromkeys(a for a, _ in self.index_pairs()))
 
     def to_json(self) -> dict:
+        k = self.scale.k
         rows = []
         for a_idx, b_idx in self.index_pairs():
-            k = self.scale.k
             a = DyadicRational(a_idx, k)
             b = DyadicRational(b_idx, k)
             rows.append([a.num, a.exp, b.num, b.exp])
-        return {"k": self.scale.k, "tubes": rows}
+        return {"k": k, "tubes": rows}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TubeFamily":
-        try:
-            k = int(obj["k"])
-            rows = obj["tubes"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"tube family JSON needs integer 'k' and 'tubes': {exc}") from exc
-        scale = Scale(k)
-        tubes = []
+        k = _int_field(obj, "k")
+        rows = obj.get("tubes")
         if not isinstance(rows, list):
             raise ParseError(f"tube family 'tubes' must be a list, got {rows!r}")
+        scale = Scale(k)
+        tubes = []
         for i, row in enumerate(rows):
             an, ae, bn, be = _int_row(row, 4, f"tube row {i} [a_num, a_exp, b_num, b_exp]")
-            a = DyadicRational(an, ae)
-            b = DyadicRational(bn, be)
-            if not a.is_multiple_of(scale):
-                raise ParseError(f"tube row {i}: slope {a!r} is not a multiple of 2^-{k}")
-            if not b.is_multiple_of(scale):
-                raise ParseError(f"tube row {i}: intercept {b!r} is not a multiple of 2^-{k}")
-            tubes.append(DyadicTube(scale, a, b))
+            tubes.append(DyadicTube.from_values(scale, DyadicRational(an, ae), DyadicRational(bn, be)))
         return cls.from_tubes(scale, tubes)
 
 
 def tubes_through(p: DyadicPoint, scale: Scale, window: Window = UNIT_WINDOW) -> TubeFamily:
     """Every tube cell inside the window whose tube contains p.
 
-    Per slope cell the admissible intercept cells form one contiguous integer
-    run, computed exactly from the membership inequalities, so the cost is
-    O(#slopes in window) regardless of how many tubes come back.
+    The intercept window gives the admissible intercept cells of each slope
+    cell directly, so the cost is O(#slopes in window) regardless of how many
+    tubes come back.
     """
-    k = scale.k
-    x_num, y_num, m = _point_ints(p)
     a_lo, a_hi = window.slope_index_range(scale)
-    wb_lo, wb_hi = window.intercept_index_range(scale)
     if a_lo >= a_hi:
         raise ValidationError("window contains no slope cells at this scale")
-    two_m = 1 << m
-    keys = []
-    off = 1 << (k + 3)
-    for a_idx in range(a_lo, a_hi):
-        u = (y_num << k) - a_idx * x_num
-        if x_num >= 0:
-            b_min = ((u - x_num - two_m) >> m) + 1
-            b_max = u >> m
-        else:
-            b_min = ((u - two_m) >> m) + 1
-            b_max = (u - x_num - 1) >> m
-        b_min = max(b_min, wb_lo, -off)
-        b_max = min(b_max, wb_hi - 1, off - 1)
-        base = (a_idx + off) << (k + 4)
-        for b_idx in range(b_min, b_max + 1):
-            keys.append(base | (b_idx + off))
-    return TubeFamily(scale, tuple(keys))
+    intercepts = window.intercept_index_range(scale)
+    return TubeFamily(scale, tuple(keys_through(p, scale.k, range(a_lo, a_hi), intercepts)))
 
 
 def parent(tube: DyadicTube, coarse: Scale) -> DyadicTube:
@@ -331,8 +368,7 @@ def parent(tube: DyadicTube, coarse: Scale) -> DyadicTube:
     if coarse.k > tube.scale.k:
         raise ScaleError(f"parent scale k={coarse.k} finer than tube scale k={tube.scale.k}")
     d = tube.scale.k - coarse.k
-    a_idx, b_idx = tube.indices()
-    return DyadicTube.from_indices(coarse, a_idx >> d, b_idx >> d)
+    return DyadicTube(coarse, tube.a_idx >> d, tube.b_idx >> d)
 
 
 def children(tube: DyadicTube, fine: Scale) -> TubeFamily:
@@ -340,12 +376,9 @@ def children(tube: DyadicTube, fine: Scale) -> TubeFamily:
     if fine.k < tube.scale.k:
         raise ScaleError(f"child scale k={fine.k} coarser than tube scale k={tube.scale.k}")
     d = fine.k - tube.scale.k
-    a_idx, b_idx = tube.indices()
-    pairs = []
-    for da in range(1 << d):
-        for db in range(1 << d):
-            pairs.append(((a_idx << d) + da, (b_idx << d) + db))
-    return TubeFamily.from_index_pairs(fine, pairs)
+    a0, b0 = tube.a_idx << d, tube.b_idx << d
+    cells = ((a0 + da, b0 + db) for da in range(1 << d) for db in range(1 << d))
+    return TubeFamily.from_index_pairs(fine, cells)
 
 
 def children_in_family(tube: DyadicTube, family: TubeFamily) -> TubeFamily:
@@ -353,12 +386,11 @@ def children_in_family(tube: DyadicTube, family: TubeFamily) -> TubeFamily:
     if family.scale.k < tube.scale.k:
         raise ScaleError("family is coarser than the prospective parent")
     d = family.scale.k - tube.scale.k
-    a_idx, b_idx = tube.indices()
-    picked = []
-    for key in family.keys:
-        fa, fb = unpack_key(key, family.scale.k)
-        if (fa >> d) == a_idx and (fb >> d) == b_idx:
-            picked.append(key)
+    picked = [
+        key
+        for key, (fa, fb) in zip(family.keys, family.index_pairs())
+        if (fa >> d) == tube.a_idx and (fb >> d) == tube.b_idx
+    ]
     return TubeFamily(family.scale, tuple(picked))
 
 
@@ -369,9 +401,8 @@ def slice_interval(tube: DyadicTube, x0: DyadicRational) -> tuple[DyadicRational
 
     Endpoints are min/max of (a + u*delta)*x0 + b + v*delta over u, v in
     {0, 1}, written over the common denominator 2^(k + x0.exp)."""
-    k = tube.scale.k
-    a_idx, b_idx = tube.indices()
-    x_num, shift = x0.num, k + x0.exp
+    a_idx, b_idx = tube.a_idx, tube.b_idx
+    x_num, shift = x0.num, tube.scale.k + x0.exp
     if x_num >= 0:
         lo = DyadicRational(a_idx * x_num + (b_idx << x0.exp), shift)
         hi = DyadicRational((a_idx + 1) * x_num + ((b_idx + 1) << x0.exp), shift)
@@ -429,21 +460,21 @@ def cover_by_coarse_tubes(
     if not coarse_slope.is_multiple_of(coarse):
         raise ValidationError(f"coarse slope {coarse_slope!r} not on the 2^-{k2} grid")
     a2_idx = coarse_slope.floor_to_int(k2)
-    for ca, _cb in point_cover.index_pairs():
-        if ca != a2_idx:
-            raise ValidationError("point cover contains a tube at a different slope cell")
-    d = fine_family.scale.k - k2
-    for fa, _fb in fine_family.index_pairs():
-        if (fa >> d) != a2_idx:
-            raise ValidationError("fine family contains a slope outside the coarse slope cell")
-    pts = list(points)
-    cover_tubes = list(point_cover)
-    for p in pts:
-        if not any(tube_contains(t, p) for t in cover_tubes):
+    if any(ca != a2_idx for ca in point_cover.slope_cells()):
+        raise ValidationError("point cover contains a tube at a different slope cell")
+    k1 = fine_family.scale.k
+    d = k1 - k2
+    fine_slopes = fine_family.slope_cells()
+    if any((fa >> d) != a2_idx for fa in fine_slopes):
+        raise ValidationError("fine family contains a slope outside the coarse slope cell")
+    cover_keys = set(point_cover.keys)
+    met: set[int] = set()  # tubes at the fine family's slopes through some point
+    for p in points:
+        if cover_keys.isdisjoint(keys_through(p, k2, (a2_idx,))):
             raise ValidationError(f"point {p} not covered by the coarse point cover")
-    for t in fine_family:
-        if not any(tube_contains(t, p) for p in pts):
-            raise ValidationError("fine family contains a tube missing the point set")
+        met.update(keys_through(p, k1, fine_slopes))
+    if not met.issuperset(fine_family.keys):
+        raise ValidationError("fine family contains a tube missing the point set")
     out_pairs = set()
     for _ca, cb in point_cover.index_pairs():
         for shift in range(-5, 6):

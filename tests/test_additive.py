@@ -13,7 +13,7 @@ import hypothesis as hyp
 import hypothesis.strategies as hys
 import pytest
 
-from tubelab.core_grid import DyadicRational, Scale
+from tubelab.core_grid import DyadicPoint, DyadicRational, Scale
 from tubelab.delta_sets import DeltaSetParams, validate_1d
 from tubelab.errors import HypothesisViolation, ParseError, ValidationError
 from tubelab.additive import (
@@ -26,6 +26,7 @@ from tubelab.additive import (
     plunnecke_corollary_check,
     prune_to_slice_multiplicity,
     restricted_sumset,
+    slice_incidences,
     slice_multiplicity_violation,
     sumset_cover,
     tripod_image_cover,
@@ -34,6 +35,7 @@ from tubelab.additive import (
     tube_slice_pairs,
 )
 from tubelab.generators import collinear_tripod, quasi_product, quasi_product_tubes
+from tubelab.tubes import TubeFamily, tube_contains
 
 D = DyadicRational
 
@@ -337,6 +339,49 @@ def test_prune_to_slice_multiplicity():
     pruned = prune_to_slice_multiplicity(qp, tubes)
     assert slice_multiplicity_violation(qp, pruned) is None
     assert len(pruned) <= len(tubes)
+
+
+def _gentle_tubes(qp):
+    """Steep tubes of the quasi product plus a grid of gentle ones, several
+    of which meet one slice twice."""
+    gentle = TubeFamily.from_index_pairs(
+        qp.scale, [(a, b) for a in range(8, 40, 3) for b in range(-60, 256, 5)]
+    )
+    return quasi_product_tubes(qp).union(gentle)
+
+
+@pytest.mark.parametrize("k, seed", [(8, 0), (8, 1), (8, 2), (10, 0), (10, 3)])
+def test_slice_incidences_match_brute_force(k, seed):
+    qp = quasi_product(k, 0.5, 0.4, seed=seed)
+    for tubes in (quasi_product_tubes(qp), _gentle_tubes(qp)):
+        points = [
+            (li, pi, DyadicPoint(a, b))
+            for li, (b, sl) in enumerate(zip(qp.levels, qp.slices))
+            for pi, a in enumerate(sl)
+        ]
+        oracle = {}
+        for key, t in zip(tubes.keys, tubes):
+            hits = [(li, pi) for li, pi, p in points if tube_contains(t, p)]
+            if hits:
+                oracle[key] = hits
+        assert slice_incidences(qp, tubes) == oracle
+
+
+def test_slice_multiplicity_witness_is_pinned():
+    # the first tube in key order that meets one slice twice, at its lowest
+    # such level; recorded from the scan over every (tube, point) pair
+    qp = quasi_product(8, 0.5, 0.5, seed=2)
+    tubes = _gentle_tubes(qp)
+    bad = slice_multiplicity_violation(qp, tubes)
+    assert bad is not None
+    assert bad.payload()["witness"] == {"tube_cell": [8, 15], "level_index": 4}
+    assert best_slice_pair(qp, tubes) == (4, 7)
+    with pytest.raises(HypothesisViolation) as exc:
+        tube_slice_pairs(qp, tubes, 4, 7)
+    assert exc.value.payload() == bad.payload()
+    pruned = prune_to_slice_multiplicity(qp, tubes)
+    assert len(tubes) == 1621 and len(pruned) == 1605
+    assert slice_multiplicity_violation(qp, pruned) is None
 
 
 def test_best_slice_pair_requires_a_join():

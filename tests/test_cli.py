@@ -11,7 +11,8 @@ import pytest
 
 from tubelab.cli import _LOG_LEVELS, _build_parser, _setup_logging, main
 from tubelab.core_grid import PointSet, Scale
-from tubelab.generators import grid
+from tubelab.errors import ParseError
+from tubelab.generators import collinear_tripod, furstenberg_product, grid, quasi_product
 from tubelab.incidence import Configuration
 from tubelab.manifest import (
     _ANALYSIS_SHAPES,
@@ -21,7 +22,8 @@ from tubelab.manifest import (
     _natural_profile,
     run,
 )
-from tubelab.tubes import tubes_through
+from tubelab.projections import DirectionNet
+from tubelab.tubes import TubeFamily, tubes_through
 
 
 def _call(capsys, argv):
@@ -112,16 +114,44 @@ def test_validate_requires_a_source(capsys):
 
 
 def test_validate_duplicate_points_is_internal(capsys, tmp_path):
+    # a duplicate point is bad input, not a bug: exit 2 (it was exit 4)
     src = tmp_path / "dup.json"
     obj = grid(3).to_json()
     obj["points"].append(obj["points"][0])
     src.write_text(json.dumps(obj))
     code, out, err = _call(capsys, ["validate", "--input", str(src)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "duplicate point" in err
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([(1 << 127) + 1, 127, 0, 0], "128-bit envelope"),  # refused at load
+        ([535826199, 127, (1 << 127) - 1, 127], "128-bit envelope"),  # its distances overflow
+        ([(1 << 29) + 1, 28, 2, 0], "2^-27 grid"),  # too fine for int64 ball counts
+    ],
+)
+def test_input_past_the_exact_envelope_is_parse_error(capsys, tmp_path, row, message):
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps({"k": 2, "points": grid(2).to_json()["points"][1:] + [row]}))
+    code, out, err = _call(capsys, ["validate", "--input", str(src)])
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_internal_error_prints_witness(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("tubelab.manifest.incidence_report", boom)
+    argv = ["incidence", "--kind", "furstenberg_product", "--k", "4", "--s", "0.5"]
+    code, out, err = _call(capsys, argv)
     assert code == 4
-    assert "internal error" in err
-    witness = json.loads(out)
-    assert set(witness) == {"error", "message"}
-    assert witness["error"] == "ValidationError"
+    assert "internal error: RuntimeError" in err
+    assert json.loads(out) == {"error": "RuntimeError", "message": "boom"}
 
 
 def test_validate_tripod_input_matches_kind(capsys, tmp_path):
@@ -231,14 +261,29 @@ _NON_INTEGER = hys.one_of(
 )
 
 
+# numerators around the 128-bit envelope, and small ones
+_NUMERATOR = hys.one_of(
+    hys.integers(-9, 9),
+    hys.integers(-(1 << 130), 1 << 130),
+    hys.sampled_from([(1 << 127) - 1, 1 << 127, -(1 << 127), 1 << 128]),
+)
+# exponents stay small: a huge one makes the domain check shift by that many bits
+_EXPONENT = hys.integers(-140, 140)
+
+
 @hys.composite
 def _mutated_point_rows(draw):
     """The rows of grid(2) with up to three of them broken: an entry that is
-    not an integer, a row that is not a list, or a row of the wrong length."""
+    not an integer, a row that is not a list, or a row of the wrong length;
+    or replaced by integers: a copy of another row, or any four integers."""
     rows = grid(2).to_json()["points"]
     for i in draw(hys.lists(hys.integers(0, len(rows) - 1), max_size=3, unique=True)):
-        how = draw(hys.sampled_from(["entry", "row", "short", "long"]))
-        if how == "entry":
+        how = draw(hys.sampled_from(["entry", "row", "short", "long", "duplicate", "integers"]))
+        if how == "duplicate":
+            rows[i] = grid(2).to_json()["points"][draw(hys.integers(0, len(rows) - 1))]
+        elif how == "integers":
+            rows[i] = [draw(_NUMERATOR), draw(_EXPONENT), draw(_NUMERATOR), draw(_EXPONENT)]
+        elif how == "entry":
             rows[i][draw(hys.integers(0, 3))] = draw(_NON_INTEGER)
         elif how == "row":
             rows[i] = draw(hys.one_of(_NON_INTEGER, hys.integers(-2, 2)))
@@ -249,12 +294,49 @@ def _mutated_point_rows(draw):
     return rows
 
 
-@hyp.settings(max_examples=60, deadline=None)
+@hyp.settings(max_examples=80, deadline=None)
 @hyp.given(rows=_mutated_point_rows())
 def test_validate_mutated_point_rows_never_raise(tmp_path_factory, rows):
     src = tmp_path_factory.mktemp("rows") / "points.json"
     src.write_text(json.dumps({"k": 2, "points": rows}))
     assert main(["validate", "--input", str(src)]) in {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("bad", [4.7, True, "4", None])
+@pytest.mark.parametrize(
+    "what",
+    ["points", "configuration", "quasi_product", "tripod", "tubes", "directions", "k_range", "seed"],
+)
+def test_integer_header_fields(capsys, tmp_path, what, bad):
+    # k of every input object, and a manifest's k_range entries and seed,
+    # must be JSON integers: 4.7 is not read as 4, nor true as 1
+    src = tmp_path / "in.json"
+    if what in ("tubes", "directions"):  # loaded by the library, not the command line
+        if what == "tubes":
+            obj = TubeFamily.from_index_pairs(Scale(4), [(1, 2)])
+        else:
+            obj = DirectionNet.uniform(Scale(2))
+        with pytest.raises(ParseError):
+            type(obj).from_json({**obj.to_json(), "k": bad})
+        return
+    if what in ("k_range", "seed"):
+        manifest = {"generator": {"kind": "grid", "params": {}}, "analyses": ["validate"]}
+        manifest.update({"k_range": [2, bad]} if what == "k_range" else {"k_range": [2], "seed": bad})
+        src.write_text(json.dumps({**manifest, "out": str(tmp_path / "out")}))
+        argv = ["run", "--manifest", str(src)]
+    else:
+        obj = {
+            "points": lambda: grid(2),
+            "configuration": lambda: furstenberg_product(4, 0.5),
+            "quasi_product": lambda: quasi_product(4, 0.5, 0.5),
+            "tripod": lambda: collinear_tripod(4),
+        }[what]().to_json()
+        src.write_text(json.dumps({**obj, "k": bad}))
+        argv = ["validate", "--input", str(src)]
+    code, out, err = _call(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize(

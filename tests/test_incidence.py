@@ -207,6 +207,18 @@ def test_validate_configuration_clean_and_dirty():
     assert {"hypothesis", "message", "witness"} <= set(payload)
 
 
+def test_membership_witness_is_pinned():
+    # point 37 keeps its own tubes and gains later tubes of point 40: the
+    # witness is the first of them in key order that misses point 37
+    cfg = furstenberg_product(8, 0.5)
+    fams = list(cfg.families)
+    fams[37] = fams[37].union(TubeFamily(cfg.scale, cfg.families[40].keys[5:]))
+    fams[90] = fams[91]
+    bad = Configuration(cfg.points, tuple(fams), cfg.s, cfg.epsilon)
+    [violation] = validate_configuration(bad)
+    assert violation.payload()["witness"] == {"point_index": 37, "tube_cell": [17, 63]}
+
+
 def test_dichotomy_passes_on_generator():
     cfg = furstenberg_product(10, 0.5)
     rep = dichotomy_check(cfg, 0.25)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from tubelab.core_grid import Scale
-from tubelab.errors import ParseError
+from tubelab.errors import ParseError, ValidationError
 from tubelab.generators import collinear_tripod, furstenberg_product, grid, slope_net
 from tubelab.manifest import (
     ANALYSES,
@@ -321,16 +321,18 @@ def test_run_hypothesis_violation_witness(tmp_path):
     assert meta["exit_code"] == EXIT_HYPOTHESIS
 
 
-def test_run_internal_error_witness(tmp_path):
-    src = tmp_path / "dup.json"
-    obj = grid(3).to_json()
-    obj["points"].append(obj["points"][0])  # duplicate point
-    src.write_text(json.dumps(obj))
+def test_run_internal_error_witness(tmp_path, monkeypatch):
+    # a failing analysis stands in for a bug
+    def boom(*args, **kwargs):
+        raise ValidationError("boom")
+
+    monkeypatch.setattr("tubelab.manifest.validate", boom)
     out = tmp_path / "out"
-    m = _manifest(tmp_path, generator_kind=None, input_path=str(src), k_range=(3,))
+    m = _manifest(tmp_path, generator_kind="grid", k_range=(3,), analyses=("validate",))
     assert run(m) == EXIT_INTERNAL
     witness = json.loads((out / "witness.json").read_text())
-    assert witness["error"] == "ValidationError"
+    assert witness == {"error": "ValidationError", "message": "boom"}
+    assert json.loads((out / "meta.json").read_text())["exit_code"] == EXIT_INTERNAL
 
 
 def _snapshot(out: Path) -> dict[str, bytes]:

@@ -12,7 +12,7 @@ import hypothesis.strategies as hys
 import pytest
 
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
-from tubelab.errors import ParseError, ScaleError, TubelabError, ValidationError
+from tubelab.errors import DomainError, ParseError, ScaleError, TubelabError, ValidationError
 from tubelab.tubes import (
     UNIT_WINDOW,
     DyadicTube,
@@ -31,6 +31,7 @@ from tubelab.tubes import (
     tube_contains,
     tubes_through,
     unpack_key,
+    unpack_keys,
 )
 
 ZERO = DyadicRational.integer(0)
@@ -87,7 +88,7 @@ def test_membership_cell_consistency(slope, intercept, x):
 
 
 def test_parent_worked_example():
-    t = DyadicTube(Scale(3), DyadicRational(3, 3), DyadicRational(5, 3))
+    t = DyadicTube.from_values(Scale(3), DyadicRational(3, 3), DyadicRational(5, 3))
     up = parent(t, Scale(1))
     assert up.a == ZERO and up.b == DyadicRational(1, 1)
     assert parent(t, t.scale) == t
@@ -229,6 +230,38 @@ def test_pack_key_roundtrip(args):
     assert unpack_key(pack_key(a_idx, b_idx, k), k) == (a_idx, b_idx)
 
 
+@pytest.mark.parametrize("k", [1, 20])
+def test_codec_round_trip_at_the_domain_edges(k):
+    edge = 1 << (k + 3)  # cells run over [-edge, edge): the [-8, 8) domain
+    cells = [(a, b) for a in (-edge, -1, 0, edge - 1) for b in (-edge, 0, 1, edge - 1)]
+    keys = [pack_key(a, b, k) for a, b in cells]
+    assert [unpack_key(key, k) for key in keys] == cells
+    assert list(unpack_keys(keys, k)) == cells
+    assert keys == sorted(keys)  # cells are listed in lexicographic order
+    assert min(keys) == 0 and max(keys) < 1 << (2 * k + 8)
+    for a, b in [(edge, 0), (0, edge), (-edge - 1, 0), (0, -edge - 1)]:
+        with pytest.raises(DomainError):
+            pack_key(a, b, k)
+        with pytest.raises(DomainError):
+            DyadicTube(Scale(k), a, b)
+    assert DyadicTube(Scale(k), edge - 1, -edge).key() == pack_key(edge - 1, -edge, k)
+
+
+def test_tube_cells_are_validated_once():
+    with pytest.raises(ScaleError):
+        DyadicTube(Scale(0), 0, 0)
+    for bad in (1.0, True, "1", None):
+        with pytest.raises(ParseError):
+            DyadicTube(Scale(4), bad, 0)
+        with pytest.raises(ParseError):
+            DyadicTube.from_indices(Scale(4), 0, bad)
+    with pytest.raises(ParseError):  # 1/8 is off the 2^-2 grid
+        DyadicTube.from_values(Scale(2), DyadicRational(1, 3), ZERO)
+    t = DyadicTube(Scale(3), -5, 7)
+    assert (t.a, t.b) == (DyadicRational(-5, 3), DyadicRational(7, 3))
+    assert DyadicTube.from_values(Scale(3), t.a, t.b) == t
+
+
 def test_pack_key_rejects_overflow():
     with pytest.raises(TubelabError):
         pack_key(8 << 4, 0, 4)
@@ -250,7 +283,7 @@ def test_family_basics():
     other = TubeFamily.from_tubes(scale, [t2])
     assert len(fam.union(other)) == 2
     assert fam.intersection_size(other) == 1
-    assert list(fam.slope_set()) == sorted({t1.a, t2.a}, key=lambda d: d.as_float())
+    assert fam.slope_cells() == (t1.a_idx, t2.a_idx)
     with pytest.raises(ScaleError):
         fam.union(TubeFamily.from_tubes(Scale(3), []))
     with pytest.raises(ScaleError):
