@@ -15,6 +15,8 @@ from .errors import DomainError, DyadicOverflowError, ParseError, ScaleError, Va
 
 SCALE_CAP = 20
 _NUM_CAP = 1 << 127
+# exponents a [num, exp] pair read from input may carry (see DyadicRational)
+EXP_BOUND = 128
 
 
 def _int_row(row: object, width: int, what: str) -> tuple[int, ...]:
@@ -29,6 +31,16 @@ def _int_row(row: object, width: int, what: str) -> tuple[int, ...]:
     ):
         raise ParseError(f"{what} must be {width} integers, got {row!r}")
     return tuple(row)
+
+
+def _dyadic_row(row: object, width: int, what: str) -> tuple[int, ...]:
+    """A JSON row of `width` integers read as [num, exp] pairs; ParseError
+    unless every exponent lies within +-EXP_BOUND."""
+    values = _int_row(row, width, what)
+    for exp in values[1::2]:
+        if not -EXP_BOUND <= exp <= EXP_BOUND:
+            raise ParseError(f"{what}: exponent {exp} outside [-{EXP_BOUND}, {EXP_BOUND}]")
+    return values
 
 
 def _int_field(entry: object, key: str) -> int:
@@ -70,7 +82,14 @@ class DyadicRational:
     """num / 2^exp in canonical form: exp >= 0, and num odd unless exp == 0.
 
     Numerators are capped at 128 bits; arithmetic that would exceed the cap
-    raises DyadicOverflowError instead of producing a wrong value.
+    raises DyadicOverflowError instead of producing a wrong value. Pairs
+    read from input (`from_pair` and the point, tube and tripod rows) must
+    also keep their exponent within +-EXP_BOUND = 128, or they are a
+    ParseError. The domain check and the canonical form shift a numerator
+    by as many bits as its exponent says, so an unbounded exponent costs
+    unbounded memory; 128 lies far past what any analysis resolves (working
+    scales stop at 2^-20, ball counts at 2^-27, and a nonzero value with a
+    negative exponent below -3 leaves the [-8, 8] domain).
 
     A hand-rolled immutable slots class: these are constructed in bulk inside
     every exact predicate, so construction stays on a no-copy fast path when
@@ -140,7 +159,7 @@ class DyadicRational:
 
     @classmethod
     def from_pair(cls, pair: Sequence[int]) -> "DyadicRational":
-        return cls(*_int_row(pair, 2, "dyadic pair [num, exp]"))
+        return cls(*_dyadic_row(pair, 2, "dyadic pair [num, exp]"))
 
     def pair(self) -> list[int]:
         return [self.num, self.exp]
@@ -323,7 +342,7 @@ class PointSet:
         rows = obj.get("points")
         if not isinstance(rows, list):
             raise ParseError(f"point set 'points' must be a list, got {rows!r}")
-        pts = [DyadicPoint.of(*_int_row(row, 4, "point row [xn, xe, yn, ye]")) for row in rows]
+        pts = [DyadicPoint.of(*_dyadic_row(row, 4, "point row [xn, xe, yn, ye]")) for row in rows]
         return cls(Scale(k), tuple(pts))
 
 

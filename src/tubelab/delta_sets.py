@@ -26,6 +26,10 @@ from .errors import DyadicOverflowError, ValidationError
 
 Coord = tuple[DyadicRational, ...]
 
+# ball counts take the squared distances of this many centers at a time:
+# a few 16 x n int64 rows, so a block stays small next to the point set
+_CENTER_BLOCK = 16
+
 
 @dataclass(frozen=True)
 class DeltaSetParams:
@@ -118,25 +122,34 @@ def _validate_coords(coords: Sequence[Coord], params: DeltaSetParams) -> Validat
         for d in range(dim)
     ]
     n = len(coords)
-    worst_ratio = 0.0
+    # row t of counts and thresholds is the radius 2^-(k-t): radii ascend
+    r2 = np.array([1 << 2 * (m_exp - k + t) for t in range(k + 1)], dtype=np.int64)
+    thresholds = np.array([params.C * (2.0 ** (t * params.s)) for t in range(k + 1)])
+    counts = np.empty((k + 1, n), dtype=np.int64)
+    for lo in range(0, n, _CENTER_BLOCK):
+        rows = min(_CENTER_BLOCK, n - lo)
+        d2 = (axes[0][lo : lo + rows, None] - axes[0]) ** 2
+        for d in range(1, dim):
+            d2 += (axes[d][lo : lo + rows, None] - axes[d]) ** 2
+        # the smallest radius whose open ball around the center holds the
+        # point (k + 1: none); each row's histogram of it, summed up, counts
+        # the points in every ball at once
+        first = np.searchsorted(r2, d2, side="right")
+        first += np.arange(0, rows * (k + 2), k + 2)[:, None]
+        hist = np.bincount(first.ravel(), minlength=rows * (k + 2)).reshape(rows, k + 2)
+        counts[:, lo : lo + rows] = np.cumsum(hist[:, : k + 1], axis=1).T
+    ratios = counts / thresholds[:, None]
+    # the first maximum in (radius, center) order, as a strict > scan finds it
+    t, i = divmod(int(np.argmax(ratios)), n)
+    worst_ratio = float(ratios[t, i])
     worst_witness: dict = {}
-    for j in range(k, -1, -1):
-        r2 = np.int64(1) << np.int64(2 * (m_exp - j))
-        threshold = params.C * (2.0 ** ((k - j) * params.s))
-        for i in range(n):
-            d2 = (axes[0] - axes[0][i]) ** 2
-            for d in range(1, dim):
-                d2 = d2 + (axes[d] - axes[d][i]) ** 2
-            count = int(np.count_nonzero(d2 < r2))
-            ratio = count / threshold
-            if ratio > worst_ratio:
-                worst_ratio = ratio
-                worst_witness = {
-                    "center": _coord_json(coords[i]),
-                    "radius_k": j,
-                    "count": count,
-                    "allowed": threshold,
-                }
+    if worst_ratio > 0.0:
+        worst_witness = {
+            "center": _coord_json(coords[i]),
+            "radius_k": k - t,
+            "count": int(counts[t, i]),
+            "allowed": float(thresholds[t]),
+        }
     valid = worst_ratio <= 1.0
     return ValidationReport(valid, "ok" if valid else "ball", worst_ratio, worst_witness, eff, params)
 

@@ -12,12 +12,22 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .additive import QuasiProduct
-from .core_grid import DyadicPoint, DyadicRational, PointSet, Scale, _int_field, _int_row
+from .core_grid import (
+    DyadicPoint,
+    DyadicRational,
+    PointSet,
+    Scale,
+    _dyadic_row,
+    _int_field,
+    _int_row,
+)
 from .errors import GeneratorError, ParseError
 from .incidence import Configuration
 from .tubes import DyadicTube, TubeFamily, canonical_keys
 
 _MASK64 = (1 << 64) - 1
+# furstenberg_product's epsilon when none is given; it needs s > 1/4
+DEFAULT_EPSILON = 0.25
 
 
 class Lcg:
@@ -118,7 +128,7 @@ def cantor_grid(k: int, s: float, mask: Sequence[Sequence[int]] | None = None) -
     return PointSet(Scale(k), tuple(pts))
 
 
-def furstenberg_product(k: int, s: float, epsilon: float = 0.25) -> Configuration:
+def furstenberg_product(k: int, s: float, epsilon: float = DEFAULT_EPSILON) -> Configuration:
     """Configuration meeting every dichotomy hypothesis by construction.
 
     Points: D x D with D the s=1/2 cantor line, so |P| = 2^k = delta^-1 and
@@ -196,10 +206,10 @@ class TripodInstance:
         rows = obj.get("points")
         if not (isinstance(rows, list) and len(rows) == 3):
             raise ParseError(f"tripod needs three point rows [xn, xe, yn, ye], got {rows!r}")
-        an, ae, bn, be = _int_row(tube_row, 4, "tripod tube [a_num, a_exp, b_num, b_exp]")
+        an, ae, bn, be = _dyadic_row(tube_row, 4, "tripod tube [a_num, a_exp, b_num, b_exp]")
         tube = DyadicTube.from_values(scale, DyadicRational(an, ae), DyadicRational(bn, be))
         a, b, c = (
-            DyadicPoint.of(*_int_row(row, 4, "tripod point row [xn, xe, yn, ye]")) for row in rows
+            DyadicPoint.of(*_dyadic_row(row, 4, "tripod point row [xn, xe, yn, ye]")) for row in rows
         )
         return cls(tube, (a, b, c))
 
@@ -273,10 +283,12 @@ class GeneratorSpec:
         for name in ("s", "tau"):
             if name in p and not (_is_number(p[name]) and 0.0 < p[name] <= 1.0):
                 raise ParseError(f"{self.kind}: {name}={p[name]!r} must be a number in (0, 1]")
-        if "epsilon" in p and not (
-            _is_number(p["epsilon"]) and 0.0 < p["epsilon"] < min(p["s"], 0.5)
-        ):
-            raise ParseError(f"{self.kind}: epsilon={p['epsilon']!r} must lie in (0, min(s, 1/2))")
+        if self.kind == "furstenberg_product":
+            # the default epsilon must fit s as well as a given one
+            eps = p.get("epsilon", DEFAULT_EPSILON)
+            if not (_is_number(eps) and 0.0 < eps < min(p["s"], 0.5)):
+                given = "" if "epsilon" in p else " (the default)"
+                raise ParseError(f"{self.kind}: epsilon={eps!r}{given} must lie in (0, min(s, 1/2))")
         for name in ("k", "seed"):
             if name in p and type(p[name]) is not int:
                 raise ParseError(f"{self.kind}: {name}={p[name]!r} must be an integer")
@@ -317,7 +329,7 @@ class GeneratorSpec:
         if self.kind == "slope_net":
             return slope_net(k, float(p["s"]))
         if self.kind == "furstenberg_product":
-            return furstenberg_product(k, float(p["s"]), float(p.get("epsilon", 0.25)))
+            return furstenberg_product(k, float(p["s"]), float(p.get("epsilon", DEFAULT_EPSILON)))
         if self.kind == "quasi_product":
             return quasi_product(k, float(p["s"]), float(p["tau"]), p.get("seed", 0))
         if self.kind == "collinear_tripod":

@@ -322,11 +322,16 @@ class DichotomyReport:
         }
 
 
-def dichotomy_hypotheses(cfg: Configuration) -> list[HypothesisViolation]:
-    """Cardinality and coarse-spread hypotheses on top of the structural ones."""
+def dichotomy_hypotheses(
+    cfg: Configuration, *, structural: list[HypothesisViolation] | None = None
+) -> list[HypothesisViolation]:
+    """Cardinality and coarse-spread hypotheses on top of the structural ones.
+
+    `structural` is `validate_configuration(cfg)` when the caller has it
+    already; it is copied, not extended."""
     k = cfg.scale.k
     eps = cfg.epsilon
-    out = validate_configuration(cfg)
+    out = list(validate_configuration(cfg) if structural is None else structural)
     n = len(cfg.points.points)
     need_points = 2.0 ** (k * (1.0 - eps))
     if n < need_points:
@@ -361,20 +366,30 @@ def dichotomy_hypotheses(cfg: Configuration) -> list[HypothesisViolation]:
     return out
 
 
-def dichotomy_check(cfg: Configuration, slack: float) -> DichotomyReport:
+def dichotomy_check(
+    cfg: Configuration,
+    slack: float,
+    *,
+    structural: list[HypothesisViolation] | None = None,
+    incidences: IncidenceReport | None = None,
+) -> DichotomyReport:
     """Verify that tube counts or coarse tube counts carry the expected
     exponent. Raises HypothesisViolation (first one, all payloads attached)
-    if the input fails any stated hypothesis."""
+    if the input fails any stated hypothesis.
+
+    A caller that has `validate_configuration(cfg)` or `incidence_report(cfg)`
+    already passes them as `structural` and `incidences`; the report is
+    the same either way."""
     if not (0.0 < slack <= 1.0):
         raise ValidationError(f"slack={slack} outside (0, 1]")
-    violations = dichotomy_hypotheses(cfg)
+    violations = dichotomy_hypotheses(cfg, structural=structural)
     if violations:
         first = violations[0]
         first.witness.setdefault(
             "all_violations", [v.payload() for v in violations]
         )
         raise first
-    rep = incidence_report(cfg)
+    rep = incidence_report(cfg) if incidences is None else incidences
     tube_target = 2.0 * cfg.s - slack
     coarse_target = cfg.s - slack
     tube_branch = rep.e_tubes >= tube_target

@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -48,6 +49,7 @@ from .errors import (
 from .generators import GeneratorSpec, TripodInstance, quasi_product_tubes
 from .incidence import (
     Configuration,
+    IncidenceReport,
     cauchy_schwarz_bound,
     dichotomy_check,
     incidence_report,
@@ -336,8 +338,9 @@ class _Subject:
     Every analysis is checked against the object's shape, and the slack
     and the (s, C) profile against their ranges, before any runs: a
     misapplied analysis or an out-of-range argument is a ParseError before
-    a hypothesis can fail. The quasi-product slice graph is built at most
-    once per object.
+    a hypothesis can fail. The quasi-product slice graph, a configuration's
+    structural check and its incidence report are each computed at most
+    once per object, by whichever analysis needs them first.
     """
 
     obj: Any
@@ -362,30 +365,35 @@ class _Subject:
                 self._params = DeltaSetParams(scale, *self.profile)
             except ValidationError as exc:
                 raise ParseError(str(exc)) from exc
-        self._graph: tuple | None = None
 
     def outcomes(self) -> list[tuple[str, _Outcome]]:
         """Run the analyses in ANALYSES order; HypothesisViolation stops the run."""
         return [(name, getattr(self, f"_{name}")()) for name in ANALYSES if name in self.analyses]
 
+    @cached_property
     def _slice_graph(self) -> tuple:
-        if self._graph is None:
-            tubes = quasi_product_tubes(self.obj)
-            lo, hi = best_slice_pair(self.obj, tubes)
-            self._graph = (tubes, lo, hi, tube_slice_pairs(self.obj, tubes, lo, hi))
-        return self._graph
+        tubes = quasi_product_tubes(self.obj)
+        lo, hi = best_slice_pair(self.obj, tubes)
+        return tubes, lo, hi, tube_slice_pairs(self.obj, tubes, lo, hi)
+
+    @cached_property
+    def _structural(self) -> list[HypothesisViolation]:
+        return validate_configuration(self.obj)
+
+    @cached_property
+    def _incidences(self) -> IncidenceReport:
+        return incidence_report(self.obj)
 
     def _validate(self) -> _Outcome:
         obj, shape = self.obj, self.shape
         if shape == "configuration":
-            violations = validate_configuration(obj)
-            if violations:
-                raise violations[0]
+            if self._structural:
+                raise self._structural[0]
             return _Outcome(True, {"hypotheses": "ok"}, {"shape": shape, "verdict": "pass"})
         if shape == "quasi_product":
             # the defining property: no tube of the natural family meets one
             # slice twice; tube_slice_pairs re-checks it and raises on failure
-            tubes, lo, hi, graph = self._slice_graph()
+            tubes, lo, hi, graph = self._slice_graph
             pairs = {"levels": [lo, hi], "slice_pairs": len(graph.edges)}
             section = {**pairs, "tube_count": len(tubes.keys)}
             return _Outcome(True, section, {"shape": shape, "verdict": "pass", **pairs})
@@ -403,7 +411,7 @@ class _Subject:
         return _Outcome(report.valid, {"report": printed}, printed)
 
     def _incidence(self) -> _Outcome:
-        inc = incidence_report(self.obj)
+        inc = self._incidences
         cs = cauchy_schwarz_bound(self.obj)
         section = {"report": inc.to_json(), "cauchy_schwarz": cs.to_json()}
         row = {
@@ -416,7 +424,9 @@ class _Subject:
         return _Outcome(inc.identity_ok and cs.inequality_ok, section, section, row)
 
     def _dichotomy(self) -> _Outcome:
-        rep = dichotomy_check(self.obj, self.slack)
+        rep = dichotomy_check(
+            self.obj, self.slack, structural=self._structural, incidences=self._incidences
+        )
         printed = rep.to_json()
         row = {"e_tubes": repr(rep.e_tubes), "e_coarse": repr(rep.e_coarse)}
         return _Outcome(rep.passed, {"report": printed}, printed, row)
@@ -434,7 +444,7 @@ class _Subject:
         return _Outcome(True, {"summary": summary}, csv=sweep_to_csv(sw))
 
     def _additive(self) -> _Outcome:
-        tubes, lo, hi, graph = self._slice_graph()
+        tubes, lo, hi, graph = self._slice_graph
         bsg = bsg_refine(graph)
         plun = plunnecke_corollary_check(graph.a_values, graph.b_values, self.obj.scale)
         section = {"levels": [lo, hi], "bsg": bsg.to_json(), "plunnecke": plun.to_json()}

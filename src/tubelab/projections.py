@@ -212,12 +212,16 @@ def _coords(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _cell_count(values: np.ndarray, k: int, jitter: float = 0.0) -> int:
+def _cell_count(ordered: np.ndarray, k: int, jitter: float = 0.0) -> int:
+    """Cells of side 2^-k that the values meet; `ordered` must be sorted.
+
+    The cell u = v * 2^k + jitter falls in is monotone in v, so distinct
+    cells are one more than the steps between neighbours."""
     # lower-cell convention: u within BOUNDARY_TOL above floor(u) drops a cell
-    u = values * float(1 << k) + jitter
+    u = ordered * float(1 << k) + jitter
     f = np.floor(u)
     f -= (u - f) < BOUNDARY_TOL
-    return int(np.unique(f.astype(np.int64)).size)
+    return 1 + int(np.count_nonzero(np.diff(f)))
 
 
 @dataclass(frozen=True)
@@ -301,7 +305,7 @@ def sweep(
 
     def one(i: int) -> tuple[int, int]:
         c, s = net.cosines[i], net.sines[i]
-        vals = xs * c + ys * s
+        vals = np.sort(xs * c + ys * s)
         count = _cell_count(vals, k)
         spread = 0
         if audit:

@@ -31,8 +31,8 @@ from .core_grid import (
     Scale,
     ZERO,
     ONE,
+    _dyadic_row,
     _int_field,
-    _int_row,
     check_value_bound,
 )
 from .errors import DomainError, ParseError, ScaleError, ValidationError
@@ -344,7 +344,7 @@ class TubeFamily:
         scale = Scale(k)
         tubes = []
         for i, row in enumerate(rows):
-            an, ae, bn, be = _int_row(row, 4, f"tube row {i} [a_num, a_exp, b_num, b_exp]")
+            an, ae, bn, be = _dyadic_row(row, 4, f"tube row {i} [a_num, a_exp, b_num, b_exp]")
             tubes.append(DyadicTube.from_values(scale, DyadicRational(an, ae), DyadicRational(bn, be)))
         return cls.from_tubes(scale, tubes)
 

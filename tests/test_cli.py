@@ -131,6 +131,8 @@ def test_validate_duplicate_points_is_internal(capsys, tmp_path):
         ([(1 << 127) + 1, 127, 0, 0], "128-bit envelope"),  # refused at load
         ([535826199, 127, (1 << 127) - 1, 127], "128-bit envelope"),  # its distances overflow
         ([(1 << 29) + 1, 28, 2, 0], "2^-27 grid"),  # too fine for int64 ball counts
+        ([1, 1 << 26, 0, 0], "exponent 67108864 outside [-128, 128]"),  # refused before any shift
+        ([0, 0, 1, -(1 << 33)], "exponent -8589934592 outside [-128, 128]"),
     ],
 )
 def test_input_past_the_exact_envelope_is_parse_error(capsys, tmp_path, row, message):
@@ -267,8 +269,7 @@ _NUMERATOR = hys.one_of(
     hys.integers(-(1 << 130), 1 << 130),
     hys.sampled_from([(1 << 127) - 1, 1 << 127, -(1 << 127), 1 << 128]),
 )
-# exponents stay small: a huge one makes the domain check shift by that many bits
-_EXPONENT = hys.integers(-140, 140)
+_EXPONENT = hys.one_of(hys.integers(-140, 140), hys.integers(-(1 << 40), 1 << 40))
 
 
 @hys.composite
@@ -348,6 +349,9 @@ def test_integer_header_fields(capsys, tmp_path, what, bad):
         ["validate", "--kind", "furstenberg_product", "--k", "5", "--s", "0.5"],
         ["validate", "--kind", "grid", "--k", "4", "--s", "0"],
         ["validate", "--kind", "grid", "--k", "4", "--constant", "-1"],
+        # the default epsilon 0.25 needs s > 1/4
+        ["dichotomy", "--kind", "furstenberg_product", "--k", "8", "--s", "0.25"],
+        ["gen", "--kind", "furstenberg_product", "--k", "8", "--s", "0.2"],
     ],
 )
 def test_out_of_range_argument_is_parse_error(capsys, argv):
@@ -434,6 +438,25 @@ def test_run_manifest_parse_errors(capsys, tmp_path):
     code, _, err = _call(capsys, ["run", "--manifest", str(bad)])
     assert code == 2
     assert "not valid JSON" in err
+
+
+def test_run_manifest_default_epsilon_is_checked(capsys, tmp_path):
+    mf = tmp_path / "m.json"
+    mf.write_text(
+        json.dumps(
+            {
+                "generator": {"kind": "furstenberg_product", "params": {"s": 0.25}},
+                "k_range": [8],
+                "analyses": ["dichotomy"],
+                "out": str(tmp_path / "out"),
+            }
+        )
+    )
+    code, out, err = _call(capsys, ["run", "--manifest", str(mf)])
+    assert code == 2
+    assert out == ""
+    assert "epsilon=0.25 (the default) must lie in (0, min(s, 1/2))" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_log_level_env(monkeypatch):

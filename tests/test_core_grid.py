@@ -12,6 +12,7 @@ import hypothesis.strategies as hys
 import pytest
 
 from tubelab.core_grid import (
+    EXP_BOUND,
     DyadicPoint,
     DyadicRational,
     PointSet,
@@ -132,6 +133,20 @@ def test_pair_roundtrip(a):
 def test_pair_rejects_non_integers(pair):
     with pytest.raises(ParseError):
         DyadicRational.from_pair(pair)
+
+
+def test_pair_exponent_envelope():
+    # every exponent within +-EXP_BOUND loads; one past it is a ParseError
+    assert EXP_BOUND == 128
+    assert DyadicRational.from_pair([1, EXP_BOUND]) == DyadicRational(1, 128)
+    assert DyadicRational.from_pair([0, -EXP_BOUND]) == DyadicRational.integer(0)
+    for exp in (EXP_BOUND + 1, -EXP_BOUND - 1, 1 << 26, -(1 << 40)):
+        with pytest.raises(ParseError, match="exponent"):
+            DyadicRational.from_pair([1, exp])
+    with pytest.raises(ParseError, match="exponent"):
+        PointSet.from_json({"k": 2, "points": [[1, 1 << 26, 0, 0]]})
+    with pytest.raises(ParseError, match="exponent"):
+        PointSet.from_json({"k": 2, "points": [[1, 2, 0, -(1 << 26)]]})
 
 
 @pytest.mark.parametrize(

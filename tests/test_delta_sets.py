@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import hypothesis as hyp
 import hypothesis.strategies as hys
+import numpy as np
 import pytest
 
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
@@ -145,6 +146,112 @@ def test_validate_1d_cantor_line():
     values = cantor_line(8, 0.5)
     rep = validate_1d(values, DeltaSetParams(Scale(8), 0.5, 4.0))
     assert rep.valid
+
+
+def _per_radius_oracle(coords, params: DeltaSetParams) -> tuple[float, str, dict]:
+    """The ball counter as one numpy pass per radius and center, scanned in
+    (radius ascending, center) order with a strict >: (worst_ratio, kind,
+    witness) as validation reported them before centers were blocked."""
+    k = params.scale.k
+    m_exp = max(k, max(v.exp for c in coords for v in c))
+    axes = [
+        np.array([c[d].num << (m_exp - c[d].exp) for c in coords], dtype=np.int64)
+        for d in range(len(coords[0]))
+    ]
+    worst_ratio, witness = 0.0, {}
+    for j in range(k, -1, -1):
+        r2 = 1 << 2 * (m_exp - j)
+        threshold = params.C * (2.0 ** ((k - j) * params.s))
+        for i in range(len(coords)):
+            d2 = sum((ax - ax[i]) ** 2 for ax in axes)
+            count = int(np.count_nonzero(d2 < r2))
+            if count / threshold > worst_ratio:
+                worst_ratio = count / threshold
+                witness = {
+                    "center": [v.pair() for v in coords[i]],
+                    "radius_k": j,
+                    "count": count,
+                    "allowed": threshold,
+                }
+    return worst_ratio, "ok" if worst_ratio <= 1.0 else "ball", witness
+
+
+def _assert_matches_oracle(rep, coords, params: DeltaSetParams) -> None:
+    assert (rep.worst_ratio, rep.kind, rep.witness) == _per_radius_oracle(coords, params)
+
+
+# the worst ratio 3/2 is reached both at radius 2^-(k-1) around a later
+# center and at radius 2^-(k-2) around an earlier one; only a scan in
+# (radius, center) order picks the former
+_ORDER_TIE_2D = _grid_set(4, {(4, 12), (9, 12), (9, 13), (9, 14), (11, 9), (11, 14), (12, 14), (15, 4)})
+_ORDER_TIE_1D = [DyadicRational(c, 5) for c in (0, 10, 11, 13, 14, 15, 16, 21)]
+
+
+@pytest.mark.parametrize(
+    "points, s, C, kind",
+    [
+        (cantor_grid(6, 0.5), 1.0, 8.0, "ok"),  # passes, 64 centers in four blocks
+        (grid(4), 1.0, 1.0, "ball"),  # fails
+        (grid(3), 2.0, 4.0, "ok"),  # counts grow like the threshold
+        (_grid_set(4, {(0, 0), (15, 15)}), 1.0, 1.0, "ok"),  # two centers tie at delta
+        (_grid_set(4, {(0, 0), (15, 15)}), 1.0, 0.5, "ball"),  # the same tie, failing
+        (_grid_set(5, {(i, 3) for i in range(0, 32, 2)}), 1.0, 0.5, "ball"),  # ties across radii
+        (_ORDER_TIE_2D, 1.0, 1.0, "ball"),
+    ],
+)
+def test_validate_blocked_counts_match_per_radius_oracle(points, s, C, kind):
+    params = DeltaSetParams(points.scale, s, C)
+    coords = [(p.x, p.y) for p in points.points]
+    rep = validate(points, params)
+    assert rep.kind == kind
+    _assert_matches_oracle(rep, coords, params)
+
+
+def test_validate_tie_break_is_radius_then_center():
+    rep = validate(_ORDER_TIE_2D, DeltaSetParams(Scale(4), 1.0, 1.0))
+    assert rep.witness == {"center": [[9, 4], [13, 4]], "radius_k": 3, "count": 3, "allowed": 2.0}
+    rep = validate_1d(_ORDER_TIE_1D, DeltaSetParams(Scale(5), 1.0, 1.0))
+    assert rep.witness == {"center": [[7, 4]], "radius_k": 4, "count": 3, "allowed": 2.0}
+
+
+@pytest.mark.parametrize(
+    "values, k, s, C, kind",
+    [
+        (cantor_line(8, 0.5), 8, 0.5, 4.0, "ok"),
+        (cantor_line(8, 0.5), 8, 0.5, 1.0, "ball"),
+        ([DyadicRational(i, 6) for i in range(40)], 6, 1.0, 1.0, "ball"),  # ties
+        ([DyadicRational(-7, 0), DyadicRational(7, 0), DyadicRational(-1, 3)], 8, 0.5, 1.0, "ok"),
+        (_ORDER_TIE_1D, 5, 1.0, 1.0, "ball"),
+    ],
+)
+def test_validate_1d_blocked_counts_match_per_radius_oracle(values, k, s, C, kind):
+    params = DeltaSetParams(Scale(k), s, C)
+    rep = validate_1d(values, params)
+    assert rep.kind == kind
+    _assert_matches_oracle(rep, [(v,) for v in values], params)
+
+
+@hyp.given(
+    grid_cells,
+    hys.sampled_from([0.5, 1.0, 2.0]),
+    hys.sampled_from([0.5, 1.0, 2.0, math.inf]),
+)
+def test_validate_blocked_counts_match_oracle_on_random_sets(cells, s, C):
+    # integer counts against thresholds C * 2^(t s) tie often at s = 1, 2
+    ps = _grid_set(4, cells)
+    params = DeltaSetParams(Scale(4), s, C)
+    _assert_matches_oracle(validate(ps, params), [(p.x, p.y) for p in ps.points], params)
+
+
+@hyp.given(
+    hys.sets(hys.integers(-40, 40), min_size=1, max_size=45),
+    hys.integers(5, 7),
+    hys.sampled_from([0.25, 0.5, 1.0]),
+)
+def test_validate_1d_blocked_counts_match_oracle_on_random_sets(cells, k, s):
+    values = [DyadicRational(i, k) for i in sorted(cells)]
+    params = DeltaSetParams(Scale(k), s, 1.0)
+    _assert_matches_oracle(validate_1d(values, params), [(v,) for v in values], params)
 
 
 # --- discrete_content ---

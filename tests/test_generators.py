@@ -171,6 +171,8 @@ def test_collinear_tripod_json_roundtrip():
         {"points": [[0, 0, 0, 0]] * 2},
         {"points": [[0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
         {"points": [["a", 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]},
+        {"tube": [3, 1 << 26, 0, 0]},  # exponents past the +-128 envelope
+        {"points": [[0, 0, 1, -(1 << 26)], [0, 0, 0, 0], [0, 0, 0, 0]]},
     ],
 )
 def test_collinear_tripod_from_json_rejects_malformed(change):

@@ -219,6 +219,67 @@ def test_membership_witness_is_pinned():
     assert violation.payload()["witness"] == {"point_index": 37, "tube_cell": [17, 63]}
 
 
+def test_frostman_witnesses_are_pinned():
+    # recorded before ball counts were blocked: the first maximum in
+    # (radius, center) order, for the point set and for family 0's slopes
+    cfg = furstenberg_product(8, 0.5, 0.05)
+    points, slopes = (v.payload() for v in validate_configuration(cfg))
+    c_eps = 1.3195079107728942
+    assert points == {
+        "hypothesis": "point_set_frostman",
+        "message": "points fail the (delta,1,delta^-eps) condition: ball",
+        "witness": {
+            "valid": False,
+            "kind": "ball",
+            "worst_ratio": 2.0604272076000725,
+            "witness": {
+                "center": [[21, 8], [21, 8]],
+                "radius_k": 2,
+                "count": 174,
+                "allowed": 84.44850628946523,
+            },
+            "effective_constant": 2.6390158215457884,
+            "k": 8,
+            "s": 1.0,
+            "C": c_eps,
+        },
+    }
+    assert slopes == {
+        "hypothesis": "slope_set_frostman",
+        "message": "slope set of family 0 fails the (delta,s,delta^-eps) condition: ball",
+        "witness": {
+            "point_index": 0,
+            "valid": False,
+            "kind": "ball",
+            "worst_ratio": 1.4209842811034983,
+            "witness": {"center": [[21, 8]], "radius_k": 2, "count": 15, "allowed": 10.556063286183154},
+            "effective_constant": 1.8660659830736148,
+            "k": 8,
+            "s": 0.5,
+            "C": c_eps,
+        },
+    }
+
+
+def test_dichotomy_reuses_given_checks():
+    cfg = furstenberg_product(8, 0.5)
+    structural, incidences = validate_configuration(cfg), incidence_report(cfg)
+    given = dichotomy_check(cfg, 0.25, structural=structural, incidences=incidences)
+    assert given == dichotomy_check(cfg, 0.25)
+    # failing hypotheses: the given list is copied before more are appended
+    k = 4
+    p = _point(3, 5, k)
+    small = _config_for([p], [tubes_through(p, Scale(k))], k)
+    structural = validate_configuration(small)
+    names = [v.name for v in dichotomy_hypotheses(small, structural=structural)]
+    assert names == [v.name for v in dichotomy_hypotheses(small)]
+    assert "point_count" in names
+    assert all(v.name != "point_count" for v in structural)
+    with pytest.raises(HypothesisViolation) as err:
+        dichotomy_check(small, 0.25, structural=structural)
+    assert err.value.name == names[0]
+
+
 def test_dichotomy_passes_on_generator():
     cfg = furstenberg_product(10, 0.5)
     rep = dichotomy_check(cfg, 0.25)

@@ -1,11 +1,15 @@
 """Manifest validation, artifact layout, exit codes, and rerun determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import tubelab.incidence as incidence_module
+import tubelab.manifest as manifest_module
 from tubelab.core_grid import Scale
 from tubelab.errors import ParseError, ValidationError
 from tubelab.generators import collinear_tripod, furstenberg_product, grid, slope_net
@@ -66,6 +70,7 @@ def test_manifest_rejects_bad_generator(tmp_path):
         {"s": "0.5"},
         {"s": 0.5, "epsilon": 0.9},
         {"s": 0.5, "epsilon": 0.0},
+        {"s": 0.25},  # the default epsilon 0.25 is not below s
     ],
 )
 def test_manifest_rejects_generator_values_at_load(tmp_path, params):
@@ -333,6 +338,79 @@ def test_run_internal_error_witness(tmp_path, monkeypatch):
     witness = json.loads((out / "witness.json").read_text())
     assert witness == {"error": "ValidationError", "message": "boom"}
     assert json.loads((out / "meta.json").read_text())["exit_code"] == EXIT_INTERNAL
+
+
+def _count_structural_checks(monkeypatch) -> Counter:
+    """Count validate_configuration and incidence_report calls, wherever the
+    package binds them."""
+    calls: Counter = Counter()
+    for module in (manifest_module, incidence_module):
+        for name in ("validate_configuration", "incidence_report"):
+
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_checks_each_configuration_once(tmp_path, monkeypatch):
+    calls = _count_structural_checks(monkeypatch)
+    m = _manifest(
+        tmp_path,
+        generator_kind="furstenberg_product",
+        generator_params={"s": 0.5},
+        k_range=(6, 8),
+        analyses=("validate", "incidence", "dichotomy"),
+    )
+    assert run(m) == EXIT_PASS
+    assert calls == {"validate_configuration": 2, "incidence_report": 2}
+
+
+def test_run_dichotomy_alone_is_unchanged(tmp_path, monkeypatch):
+    # recorded before the analyses shared one check per configuration
+    calls = _count_structural_checks(monkeypatch)
+    out = tmp_path / "out"
+    m = _manifest(
+        tmp_path,
+        generator_kind="furstenberg_product",
+        generator_params={"s": 0.5},
+        k_range=(6, 8),
+        analyses=("dichotomy",),
+    )
+    assert run(m) == EXIT_PASS
+    assert calls == {"validate_configuration": 2, "incidence_report": 2}
+    assert json.loads((out / "report_k8.json").read_text())["analyses"] == {
+        "dichotomy": {
+            "report": {
+                "coarse_branch": True,
+                "e_coarse": 0.6009193652572005,
+                "e_tubes": 1.2255163776479148,
+                "k": 8,
+                "margins": [0.47551637764791477, 0.35091936525720047],
+                "passed": True,
+                "s": 0.5,
+                "slack": 0.25,
+                "tube_branch": True,
+            },
+            "verdict": "pass",
+        }
+    }
+    failing = _manifest(
+        tmp_path,
+        generator_kind="furstenberg_product",
+        generator_params={"s": 0.5, "epsilon": 0.05},
+        k_range=(6, 8),
+        analyses=("dichotomy",),
+    )
+    assert run(failing) == EXIT_HYPOTHESIS
+    witness = (out / "witness.json").read_bytes()
+    assert hashlib.sha256(witness).hexdigest() == (
+        "9094894978c0ab2816b681a36b382d294da573a132af064f63744df14dc688b5"
+    )
+    names = [v["hypothesis"] for v in json.loads(witness)["witness"]["all_violations"]]
+    assert names == ["point_set_frostman", "slope_set_frostman"]
 
 
 def _snapshot(out: Path) -> dict[str, bytes]:

@@ -17,10 +17,12 @@ from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
 from tubelab.errors import DomainError, ValidationError
 from tubelab.generators import cantor_grid, furstenberg_product, grid
 from tubelab.projections import (
+    _AUDIT_JITTERS,
     _CHUNKS_PER_TASK,
     _ENERGY_BLOCK,
     _PAIR_BUFFER,
     DirectionNet,
+    _cell_count,
     _coords,
     _difference_histogram,
     exceptional_ratio,
@@ -92,6 +94,29 @@ def test_sweep_counts_match_projection_dedupe():
             for p in ps.points
         ]
         assert sw.counts[i] == _cells(vals, 6)
+
+
+def test_sorted_cell_count_matches_dedupe_of_cells():
+    # the sweep sorts once per direction and counts cell steps; that must
+    # equal deduplicating the lower-convention cells, plain and jittered,
+    # also for values on, just above and just below cell boundaries
+    k = 6
+    edges = np.arange(-40, 40) / 2**k
+    values = np.concatenate(
+        [
+            np.random.default_rng(0).uniform(-4.0, 4.0, 300),
+            edges,
+            edges + BOUNDARY_TOL / 2 ** (k + 1),
+            edges + 2.0 ** -(k + 21),
+            edges - 2.0 ** -(k + 21),
+            edges - 2.0**-60,
+        ]
+    )
+    for jitter in (0.0, *_AUDIT_JITTERS):
+        u = values * 2**k + jitter
+        cells = np.floor(u)
+        cells -= (u - cells) < BOUNDARY_TOL
+        assert _cell_count(np.sort(values), k, jitter) == np.unique(cells).size
 
 
 def test_sweep_bounded_by_three_source_cells():

@@ -305,6 +305,12 @@ def test_family_json_rejects_non_integer_rows(tubes):
         TubeFamily.from_json({"k": 6, "tubes": tubes})
 
 
+@pytest.mark.parametrize("row", [[3, 129, 5, 6], [3, 6, 5, -129], [1, 1 << 26, 0, 0]])
+def test_family_json_rejects_exponents_past_the_envelope(row):
+    with pytest.raises(ParseError, match=r"outside \[-128, 128\]"):
+        TubeFamily.from_json({"k": 6, "tubes": [row]})
+
+
 def test_canonical_tube_through():
     rng = random.Random(3)
     scale = Scale(6)
