@@ -393,7 +393,8 @@ def best_slice_pair(qp: QuasiProduct, tubes: TubeFamily) -> tuple[int, int]:
     """The level pair joined by the most tubes of the family.
 
     Ties prefer wider level separation, then lower indices; deterministic.
-    Raises ValidationError when no tube joins two distinct levels.
+    Raises HypothesisViolation("joined_levels"), witnessed by the level and
+    tube counts, when no tube joins two distinct levels: nothing to measure.
     """
     pair_edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
     for incidences in slice_incidences(qp, tubes).values():
@@ -403,7 +404,8 @@ def best_slice_pair(qp: QuasiProduct, tubes: TubeFamily) -> tuple[int, int]:
                 if li != lj:
                     pair_edges.setdefault((li, lj), set()).add((pi, pj))
     if not pair_edges:
-        raise ValidationError("no tube joins two distinct levels")
+        witness = {"level_count": len(qp.levels), "tube_count": len(tubes)}
+        raise HypothesisViolation("joined_levels", "no tube joins two distinct levels", witness)
 
     def rank(item: tuple[tuple[int, int], set]) -> tuple:
         (lo, hi), edges = item

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
+import numpy as np
+
 from .additive import QuasiProduct
 from .core_grid import (
     DyadicPoint,
@@ -23,7 +25,7 @@ from .core_grid import (
 )
 from .errors import GeneratorError, ParseError
 from .incidence import Configuration
-from .tubes import DyadicTube, TubeFamily, canonical_keys
+from .tubes import DyadicTube, TubeFamily, canonical_keys, pack_key_array
 
 _MASK64 = (1 << 64) - 1
 # furstenberg_product's epsilon when none is given; it needs s > 1/4
@@ -139,10 +141,15 @@ def furstenberg_product(k: int, s: float, epsilon: float = DEFAULT_EPSILON) -> C
         raise GeneratorError(f"k={k} must be even and >= 4")
     scale = Scale(k)
     line = cantor_line_indices(k, 0.5)
-    slopes = cantor_line_indices(k, s)
+    slopes = np.array(cantor_line_indices(k, s), dtype=np.int64)
+    ys = np.array(line, dtype=np.int64)[:, None]
     points = [DyadicPoint(DyadicRational(xi, k), DyadicRational(yi, k)) for xi in line for yi in line]
-    # increasing slope cells give increasing keys
-    families = [TubeFamily(scale, tuple(canonical_keys(p, k, slopes))) for p in points]
+    families = []
+    for xi in line:
+        # canonical_keys of the column x = xi*delta, one row per point, in
+        # key order: intercept cells floor(yi - a*xi*delta) at slope cells a
+        column = pack_key_array(slopes, ((ys << k) - slopes * xi) >> k, k)
+        families.extend(TubeFamily(scale, tuple(row)) for row in column.tolist())
     return Configuration(PointSet(scale, tuple(points)), tuple(families), s, epsilon)
 
 

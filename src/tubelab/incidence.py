@@ -6,26 +6,29 @@ of incidence counts N_T = #{p : T in T_p}: the double-counting identity
 sum_p |T_p| = sum_T N_T is checked exactly, and the pairwise-intersection sum
 sum_{p != q} |T_p cap T_q| equals sum_T N_T^2 - sum_T N_T, so the
 Cauchy-Schwarz chain is verified with integer arithmetic only.
+
+Per-key work runs as numpy kernels over columns of the families' keys in
+point order: membership and slope sets over blocks of whole families, N_T
+and M_T as run lengths of sorted whole-configuration columns, one at a time.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from itertools import chain
+from typing import Iterator, Sequence
 
-from .core_grid import (
-    DyadicPoint,
-    DyadicRational,
-    PointSet,
-    Scale,
-    _int_field,
-    covering_number,
-    squared_distance,
-)
+import numpy as np
+
+from .core_grid import DyadicRational, PointSet, Scale, _int_field, covering_number
 from .delta_sets import DeltaSetParams, validate, validate_1d
 from .errors import HypothesisViolation, ParseError, ScaleError, ValidationError
-from .tubes import TubeFamily, keys_missing, unpack_key
+from .tubes import TubeFamily, intercept_window_array, key_bits, parent_key_array, point_columns
+from .tubes import unpack_key, unpack_key_array
+
+# the membership and slope-set kernels take whole families, at most this many
+# keys at a time unless one family alone holds more
+_BLOCK_KEYS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -94,40 +97,97 @@ class Configuration:
         return cls(points, tuple(slots), s, eps)  # type: ignore[arg-type]
 
 
-def union_tubes(cfg: Configuration) -> TubeFamily:
-    keys: set[int] = set()
-    for fam in cfg.families:
-        keys.update(fam.keys)
-    return TubeFamily(cfg.scale, tuple(sorted(keys)))
+def _key_column(families: Sequence[TubeFamily], n_keys: int, dtype: np.dtype | type = np.int64) -> np.ndarray:
+    """The families' keys, concatenated in order, as one column."""
+    return np.fromiter(chain.from_iterable(f.keys for f in families), dtype=dtype, count=n_keys)
 
 
-def _membership_violation(cfg: Configuration) -> HypothesisViolation | None:
-    """Exact check that every tube of T_p contains p; the witness is the
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values of a column."""
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
+def _run_lengths(first: np.ndarray) -> np.ndarray:
+    """Lengths of the runs that a _run_starts mask marks."""
+    return np.diff(np.flatnonzero(first), append=first.size)
+
+
+def _histogram(run_lengths: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """(value, multiplicity) of each value of the column, increasing."""
+    counts = np.bincount(run_lengths)
+    values = np.flatnonzero(counts)
+    return tuple(zip(values.tolist(), counts[values].tolist()))
+
+
+def _family_blocks(families: Sequence[TubeFamily]) -> Iterator[tuple[int, int]]:
+    """Consecutive [lo, hi) runs of whole families, each holding at most
+    _BLOCK_KEYS keys or a single family."""
+    lo = held = 0
+    for i, fam in enumerate(families):
+        if held and held + len(fam) > _BLOCK_KEYS:
+            yield lo, i
+            lo, held = i, 0
+        held += len(fam)
+    if lo < len(families):
+        yield lo, len(families)
+
+
+def _scan_families(cfg: Configuration) -> tuple[HypothesisViolation | None, dict[bytes, int]]:
+    """One pass over blocks of whole families: the membership violation (the
     first point with a tube that misses it, and the first such tube in key
-    order."""
+    order), and the first nonempty family with each slope set, keyed by the
+    bytes of its increasing int64 slope cells."""
     k = cfg.scale.k
-    for i, (p, fam) in enumerate(zip(cfg.points.points, cfg.families)):
-        key = next(keys_missing(p, k, fam.keys), None)
-        if key is not None:
-            return HypothesisViolation(
-                "tube_membership",
-                "a family tube does not contain its point",
-                {"point_index": i, "tube_cell": list(unpack_key(key, k))},
-            )
-    return None
+    families = cfg.families
+    x_num, y_num, m = point_columns(cfg.points.points, k)
+    missing: HypothesisViolation | None = None
+    slope_sets: dict[bytes, int] = {}
+    for lo, hi in _family_blocks(families):
+        lengths = np.fromiter(map(len, families[lo:hi]), dtype=np.int64, count=hi - lo)
+        ends = np.cumsum(lengths)
+        keys = _key_column(families[lo:hi], int(ends[-1]))
+        if keys.size == 0:
+            continue
+        a_idx, b_idx = unpack_key_array(keys, k)
+        if missing is None:
+            owner = np.repeat(np.arange(lo, hi), lengths)
+            w_lo, w_hi = intercept_window_array(x_num[owner], y_num[owner], m[owner], k, a_idx)
+            bad = np.flatnonzero((b_idx < w_lo) | (b_idx > w_hi))
+            if bad.size:
+                missing = HypothesisViolation(
+                    "tube_membership",
+                    "a family tube does not contain its point",
+                    {"point_index": int(owner[bad[0]]), "tube_cell": list(unpack_key(int(keys[bad[0]]), k))},
+                )
+        # keys sort by slope cell first, so a family's distinct slope cells
+        # are the firsts of its runs of equal slope cell
+        starts = ends - lengths
+        first = _run_starts(a_idx)
+        first[starts[lengths > 0]] = True
+        cells = a_idx[first]
+        bounds = np.concatenate(([0], np.cumsum(first)))
+        for i, c_lo, c_hi in zip(range(lo, hi), bounds[starts].tolist(), bounds[ends].tolist()):
+            if c_hi > c_lo:
+                slope_sets.setdefault(cells[c_lo:c_hi].tobytes(), i)
+    return missing, slope_sets
 
 
 def validate_configuration(cfg: Configuration) -> list[HypothesisViolation]:
     """Structural hypotheses: membership, point-set Frostman condition at
     dimension 1, slope-set Frostman condition at dimension s, both with
-    constant delta^-epsilon. Returns all violations found (empty if clean)."""
+    constant delta^-epsilon. Returns all violations found (empty if clean).
+    The ball counts run first: they refuse points finer than 2^-27 with
+    DyadicOverflowError, inside the envelope of the membership kernel."""
     out: list[HypothesisViolation] = []
     k = cfg.scale.k
-    bad = _membership_violation(cfg)
-    if bad is not None:
-        out.append(bad)
     c_eps = 2.0 ** (k * cfg.epsilon)
     point_report = validate(cfg.points, DeltaSetParams(cfg.scale, 1.0, c_eps))
+    missing, slope_sets = _scan_families(cfg)
+    if missing is not None:
+        out.append(missing)
     if not point_report.valid:
         out.append(
             HypothesisViolation(
@@ -136,15 +196,8 @@ def validate_configuration(cfg: Configuration) -> list[HypothesisViolation]:
                 point_report.to_json(),
             )
         )
-    seen_slopes: set[tuple[int, ...]] = set()
-    for i, fam in enumerate(cfg.families):
-        if len(fam) == 0:
-            continue
-        cells = fam.slope_cells()
-        if cells in seen_slopes:
-            continue
-        seen_slopes.add(cells)
-        slopes = [DyadicRational(a_idx, k) for a_idx in cells]
+    for cells, i in slope_sets.items():
+        slopes = [DyadicRational(a_idx, k) for a_idx in np.frombuffer(cells, dtype=np.int64).tolist()]
         rep = validate_1d(slopes, DeltaSetParams(cfg.scale, cfg.s, c_eps))
         if not rep.valid:
             out.append(
@@ -172,61 +225,60 @@ class IncidenceReport:
     identity_ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "n_points": self.n_points,
-            "incidence_count": self.incidence_count,
-            "tube_count": self.tube_count,
-            "coarse_tube_count": self.coarse_tube_count,
-            "coarse_ball_count": self.coarse_ball_count,
-            "e_tubes": self.e_tubes,
-            "e_coarse": self.e_coarse,
-            "nt_histogram": [list(row) for row in self.nt_histogram],
-            "mt_histogram": [list(row) for row in self.mt_histogram],
-            "identity_ok": self.identity_ok,
-        }
-
-
-def incidence_counts(cfg: Configuration) -> Counter:
-    """N_T keyed by packed tube key."""
-    counts: Counter = Counter()
-    for fam in cfg.families:
-        counts.update(fam.keys)
-    return counts
+        nt, mt = ([list(row) for row in hist] for hist in (self.nt_histogram, self.mt_histogram))
+        return {**asdict(self), "nt_histogram": nt, "mt_histogram": mt}
 
 
 def incidence_report(cfg: Configuration) -> IncidenceReport:
     k = cfg.scale.k
     h = k // 2
-    counts = incidence_counts(cfg)
-    incidences_by_tube = sum(counts.values())
-    incidences_by_point = sum(len(fam) for fam in cfg.families)
-    identity_ok = incidences_by_point == incidences_by_tube
+    families = cfg.families
+    incidences_by_point = sum(map(len, families))
 
-    # M_T: how many coarse point-cells each coarse tube's fine members meet;
-    # its keys are the coarse parents of every tube
-    met: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for p, fam in zip(cfg.points.points, cfg.families):
-        cell = (p.x.floor_to_int(h), p.y.floor_to_int(h))
-        for a_idx, b_idx in fam.index_pairs():
-            met.setdefault((a_idx >> h, b_idx >> h), set()).add(cell)
+    # N_T: the run lengths of the sorted keys. The whole-configuration
+    # columns only sort and compare, so they take the narrowest unsigned type
+    keys = _key_column(families, incidences_by_point, np.min_scalar_type((1 << key_bits(k)) - 1))
+    keys.sort()
+    first = _run_starts(keys)
+    del keys
+    n_t = _run_lengths(first)
+    incidences_by_tube = int(n_t.sum())
+    tube_count = n_t.size
 
-    nt_hist = Counter(counts.values())
-    mt_hist = Counter(len(cells) for cells in met.values())
-    tube_count = len(counts)
-    coarse_count = len(met)
+    # M_T: run lengths of the sorted distinct (parent key, coarse point cell)
+    # pairs, packed as parent << cell_bits | cell number, below 2^(2k+15)
+    cell_number: dict[tuple[int, int], int] = {}
+    point_cells = np.array(
+        [cell_number.setdefault((p.x.floor_to_int(h), p.y.floor_to_int(h)), len(cell_number)) for p in cfg.points],
+        dtype=np.int64,
+    )
+    cell_bits = max(len(cell_number) - 1, 1).bit_length()
+    pairs = np.empty(incidences_by_point, dtype=np.min_scalar_type((1 << (key_bits(h) + cell_bits)) - 1))
+    at = 0
+    for lo, hi in _family_blocks(families):
+        lengths = np.fromiter(map(len, families[lo:hi]), dtype=np.int64, count=hi - lo)
+        block = parent_key_array(_key_column(families[lo:hi], int(lengths.sum())), k, h)
+        block <<= cell_bits
+        block |= np.repeat(point_cells[lo:hi], lengths)
+        pairs[at : at + block.size] = block
+        at += block.size
+    pairs.sort()
+    parents = pairs[_run_starts(pairs)] >> cell_bits
+    del pairs
+    m_t = _run_lengths(_run_starts(parents))
+    coarse_count = m_t.size
     return IncidenceReport(
         k=k,
         n_points=len(cfg.points.points),
         incidence_count=incidences_by_tube,
         tube_count=tube_count,
         coarse_tube_count=coarse_count,
-        coarse_ball_count=covering_number(cfg.points, Scale(h)),
+        coarse_ball_count=len(cell_number),
         e_tubes=math.log2(tube_count) / k if tube_count else 0.0,
         e_coarse=math.log2(coarse_count) / k if coarse_count else 0.0,
-        nt_histogram=tuple(sorted(nt_hist.items())),
-        mt_histogram=tuple(sorted(mt_hist.items())),
-        identity_ok=identity_ok,
+        nt_histogram=_histogram(n_t),
+        mt_histogram=_histogram(m_t),
+        identity_ok=incidences_by_point == incidences_by_tube,
     )
 
 
@@ -243,57 +295,21 @@ class CauchySchwarzReport:
     inequality_ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "incidence_count": self.incidence_count,
-            "tube_count": self.tube_count,
-            "square_sum": self.square_sum,
-            "pair_sum": self.pair_sum,
-            "implied_lower_bound": self.implied_lower_bound,
-            "inequality_ok": self.inequality_ok,
-            # the same inequality, read as a tube-count lower bound
-            "lower_bound_ok": self.inequality_ok,
-        }
+        # lower_bound_ok: the same inequality, read as a tube-count lower bound
+        return {**asdict(self), "lower_bound_ok": self.inequality_ok}
 
 
-def cauchy_schwarz_bound(cfg: Configuration) -> CauchySchwarzReport:
-    counts = incidence_counts(cfg)
-    s1 = sum(counts.values())
-    s2 = sum(v * v for v in counts.values())
-    tubes = len(counts)
+def cauchy_schwarz_bound(cfg: Configuration, *, incidences: IncidenceReport | None = None) -> CauchySchwarzReport:
+    """|I|, sum_T N_T^2 and |T|, exactly, from the N_T histogram of
+    `incidences` (computed when the caller does not pass it)."""
+    hist = (incidence_report(cfg) if incidences is None else incidences).nt_histogram
+    s1 = sum(v * n for v, n in hist)
+    s2 = sum(v * v * n for v, n in hist)
+    tubes = sum(n for _, n in hist)
     # |I|^2 <= |T| * S2, all integers
     ineq_ok = s1 * s1 <= tubes * s2
     implied = (s1 * s1 / s2) if s2 else 0.0
     return CauchySchwarzReport(s1, tubes, s2, s2 - s1, implied, ineq_ok)
-
-
-@dataclass(frozen=True)
-class PairwiseBoundReport:
-    """Largest A with some pair realizing |T_p cap T_q| = A/|p-q| + A."""
-
-    a_observed: float
-    witness: dict
-
-    def to_json(self) -> dict:
-        return {"a_observed": self.a_observed, "witness": self.witness}
-
-
-def pairwise_intersection_bound_check(cfg: Configuration) -> PairwiseBoundReport:
-    """O(n^2) scan; meant for moderate configurations (n up to ~1000)."""
-    pts = cfg.points.points
-    fams = cfg.families
-    a_best = 0.0
-    witness: dict = {}
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            c = fams[i].intersection_size(fams[j])
-            if c == 0:
-                continue
-            d = math.sqrt(squared_distance(pts[i], pts[j]).as_float())
-            a_pair = c * d / (1.0 + d)
-            if a_pair > a_best:
-                a_best = a_pair
-                witness = {"i": i, "j": j, "count": c, "distance": d}
-    return PairwiseBoundReport(a_best, witness)
 
 
 @dataclass(frozen=True)
@@ -309,17 +325,7 @@ class DichotomyReport:
     margins: tuple[float, float]
 
     def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "s": self.s,
-            "slack": self.slack,
-            "e_tubes": self.e_tubes,
-            "e_coarse": self.e_coarse,
-            "tube_branch": self.tube_branch,
-            "coarse_branch": self.coarse_branch,
-            "passed": self.passed,
-            "margins": list(self.margins),
-        }
+        return {**asdict(self), "margins": list(self.margins)}
 
 
 def dichotomy_hypotheses(
@@ -407,64 +413,8 @@ def dichotomy_check(
     )
 
 
-@dataclass(frozen=True)
-class CoarseEnergyReport:
-    energy: float
-    normalized: float  # energy * delta
-    cell_count: int
-    max_shared: int
-
-    def to_json(self) -> dict:
-        return {
-            "energy": self.energy,
-            "normalized": self.normalized,
-            "cell_count": self.cell_count,
-            "max_shared": self.max_shared,
-        }
-
-
-def coarse_energy_check(cfg: Configuration) -> CoarseEnergyReport:
-    """Interaction energy between coarse cells of P: for cells B != B', sum
-    |T_B cap T_B'| / |p_B - p_B'|^(1-s), where T_B collects the coarse
-    parents of all tubes through points in B and p_B is the cell's
-    lexicographically least point. Reported raw and normalized by delta^-1."""
-    k = cfg.scale.k
-    h = k // 2
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(cfg.points.points):
-        groups.setdefault((p.x.floor_to_int(h), p.y.floor_to_int(h)), []).append(i)
-    cells = sorted(groups)
-    reps: list[DyadicPoint] = []
-    parent_sets: list[frozenset[tuple[int, int]]] = []
-    for cell in cells:
-        members = groups[cell]
-        reps.append(min((cfg.points.points[i] for i in members), key=lambda p: (p.x, p.y)))
-        parents: set[tuple[int, int]] = set()
-        for i in members:
-            for a_idx, b_idx in cfg.families[i].index_pairs():
-                parents.add((a_idx >> h, b_idx >> h))
-        parent_sets.append(frozenset(parents))
-    exponent = 1.0 - cfg.s
-    terms: list[float] = []
-    max_shared = 0
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            shared = len(parent_sets[i] & parent_sets[j])
-            if shared == 0:
-                continue
-            max_shared = max(max_shared, shared)
-            d = math.sqrt(squared_distance(reps[i], reps[j]).as_float())
-            terms.append(shared / (d ** exponent))
-    energy = 2.0 * math.fsum(terms)
-    return CoarseEnergyReport(energy, energy * 2.0 ** (-k), len(cells), max_shared)
-
-
 def good_tube_count(report: IncidenceReport, min_incidences: int) -> int:
     """Number of tubes meeting at least min_incidences points (threshold
     query over the N_T histogram)."""
     return sum(n for value, n in report.nt_histogram if value >= min_incidences)
 
-
-def good_tube_count_at_exponent(report: IncidenceReport, exponent: float) -> int:
-    """Tubes with N_T >= (1/delta)^exponent."""
-    return good_tube_count(report, math.ceil(2.0 ** (report.k * exponent)))

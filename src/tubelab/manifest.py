@@ -412,7 +412,7 @@ class _Subject:
 
     def _incidence(self) -> _Outcome:
         inc = self._incidences
-        cs = cauchy_schwarz_bound(self.obj)
+        cs = cauchy_schwarz_bound(self.obj, incidences=inc)
         section = {"report": inc.to_json(), "cauchy_schwarz": cs.to_json()}
         row = {
             "n_tubes": inc.tube_count,

@@ -15,14 +15,19 @@ contiguous run of intercept cells.
 
 Families store tubes as packed integer keys
 ((A + 8*2^k) << (k+4)) | (B + 8*2^k), keeping million-tube configurations
-cheap. pack_key, unpack_key and unpack_keys are the only code that knows this
-format; every other module goes through them.
+cheap. pack_key, unpack_key and unpack_keys, their array forms
+pack_key_array, unpack_key_array and parent_key_array, and key_bits are the
+only code that knows this format; every other module goes through them, the
+incidence module's columnar kernels included.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .core_grid import (
     DyadicPoint,
@@ -35,7 +40,7 @@ from .core_grid import (
     _int_field,
     check_value_bound,
 )
-from .errors import DomainError, ParseError, ScaleError, ValidationError
+from .errors import DomainError, DyadicOverflowError, ParseError, ScaleError, ValidationError
 
 
 def _param_index(v: DyadicRational, scale: Scale, what: str) -> int:
@@ -67,6 +72,18 @@ def pack_key(a_idx: int, b_idx: int, k: int) -> int:
     return ((a_idx + off) << shift) | (b_idx + off)
 
 
+def pack_key_array(a_idx: np.ndarray, b_idx: np.ndarray, k: int) -> np.ndarray:
+    """pack_key over int64 arrays of cells at k >= 1, broadcast together,
+    with one domain check; its error names the first bad cell in C order."""
+    off, shift = _layout(k)
+    a, b = np.broadcast_arrays(a_idx, b_idx)
+    outside = (a < -off) | (a >= off) | (b < -off) | (b >= off)
+    if outside.any():
+        i = int(np.argmax(outside))
+        pack_key(int(a.flat[i]), int(b.flat[i]), k)  # raises its DomainError
+    return ((a + off) << shift) | (b + off)
+
+
 def unpack_key(key: int, k: int) -> tuple[int, int]:
     off, shift = _layout(k)
     return (key >> shift) - off, (key & ((1 << shift) - 1)) - off
@@ -78,6 +95,26 @@ def unpack_keys(keys: Iterable[int], k: int) -> Iterator[tuple[int, int]]:
     off, shift = _layout(k)
     mask = (1 << shift) - 1
     return (((key >> shift) - off, (key & mask) - off) for key in keys)
+
+
+def key_bits(k: int) -> int:
+    """Every key at scale 2^-k lies below 2^key_bits(k)."""
+    return 2 * _layout(k)[1]
+
+
+def unpack_key_array(keys: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """unpack_key over an int64 array of keys: the slope and intercept cells."""
+    off, shift = _layout(k)
+    return (keys >> shift) - off, (keys & ((1 << shift) - 1)) - off
+
+
+def parent_key_array(keys: np.ndarray, k: int, coarse_k: int) -> np.ndarray:
+    """Keys at scale 2^-coarse_k of the parents (see parent) of an int64
+    array of keys at scale 2^-k."""
+    shift, coarse_shift, d = _layout(k)[1], _layout(coarse_k)[1], k - coarse_k
+    # the offset 8*2^k is a multiple of 2^d, and shifted right by d it is the
+    # coarse offset, so each offset cell shifts straight to its parent's
+    return ((keys >> (shift + d)) << coarse_shift) | ((keys & ((1 << shift) - 1)) >> d)
 
 
 @dataclass(frozen=True)
@@ -167,6 +204,29 @@ def _intercept_window(x_num: int, y_num: int, m: int, k: int, a_idx: int) -> tup
     return ((u - (1 << m)) >> m) + 1, (u - x_num - 1) >> m
 
 
+def point_columns(points: Sequence[DyadicPoint], k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (X, Y, m) of _point_ints for many points, as int64 columns; past
+    m + k = 56, intercept_window_array would leave int64, so it refuses."""
+    rows = [_point_ints(p) for p in points]
+    m_max = max((m for _, _, m in rows), default=0)
+    if m_max + k > 56:
+        raise DyadicOverflowError(
+            f"tube membership at k={k} needs coordinates on the 2^-{56 - k} grid or coarser, got 2^-{m_max}"
+        )
+    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
+
+
+def intercept_window_array(
+    x_num: np.ndarray, y_num: np.ndarray, m: np.ndarray, k: int, a_idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_intercept_window elementwise over int64 arrays. Exact while
+    m + k <= 56: then |u| < 2^(m+k+6) and every term stays below 2^63."""
+    u = (y_num << k) - a_idx * x_num
+    lo = ((u - np.left_shift(1, m) - np.maximum(x_num, 0)) >> m) + 1
+    hi = (u - np.minimum(x_num + 1, 0)) >> m
+    return lo, hi
+
+
 def keys_through(
     p: DyadicPoint, k: int, slope_cells: Iterable[int], intercepts: tuple[int, int] | None = None
 ) -> list[int]:
@@ -187,15 +247,6 @@ def keys_through(
         lo, hi = _intercept_window(x_num, y_num, m, k, a_idx)
         keys.extend(pack_key(a_idx, b_idx, k) for b_idx in range(max(lo, b_lo), min(hi + 1, b_hi)))
     return keys
-
-
-def keys_missing(p: DyadicPoint, k: int, keys: Sequence[int]) -> Iterator[int]:
-    """The keys, in the given order, whose tube does not contain p."""
-    x_num, y_num, m = _point_ints(p)
-    for key, (a_idx, b_idx) in zip(keys, unpack_keys(keys, k)):
-        lo, hi = _intercept_window(x_num, y_num, m, k, a_idx)
-        if not lo <= b_idx <= hi:
-            yield key
 
 
 def canonical_keys(p: DyadicPoint, k: int, slope_cells: Iterable[int]) -> list[int]:
@@ -290,14 +341,8 @@ class TubeFamily:
         if tube.scale != self.scale:
             return False
         key = tube.key()
-        lo, hi = 0, len(self.keys)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.keys[mid] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.keys) and self.keys[lo] == key
+        i = bisect_left(self.keys, key)
+        return i < len(self.keys) and self.keys[i] == key
 
     def union(self, other: "TubeFamily") -> "TubeFamily":
         if other.scale != self.scale:
@@ -305,21 +350,9 @@ class TubeFamily:
         return TubeFamily(self.scale, tuple(sorted(set(self.keys) | set(other.keys))))
 
     def intersection_size(self, other: "TubeFamily") -> int:
-        """Merge walk over the two sorted key tuples."""
         if other.scale != self.scale:
             raise ScaleError("intersection across scales")
-        i = j = count = 0
-        a, b = self.keys, other.keys
-        while i < len(a) and j < len(b):
-            if a[i] == b[j]:
-                count += 1
-                i += 1
-                j += 1
-            elif a[i] < b[j]:
-                i += 1
-            else:
-                j += 1
-        return count
+        return len(set(self.keys).intersection(other.keys))
 
     def slope_cells(self) -> tuple[int, ...]:
         """The distinct slope cells of the family, increasing."""

@@ -389,5 +389,10 @@ def test_best_slice_pair_requires_a_join():
     from tubelab.tubes import TubeFamily
 
     empty = TubeFamily.from_tubes(qp.scale, [])
-    with pytest.raises(ValidationError):
+    with pytest.raises(HypothesisViolation) as exc:
         best_slice_pair(qp, empty)
+    assert exc.value.payload() == {
+        "hypothesis": "joined_levels",
+        "message": "no tube joins two distinct levels",
+        "witness": {"level_count": len(qp.levels), "tube_count": 0},
+    }

@@ -386,6 +386,37 @@ def test_additive_quasi_product(capsys):
     assert obj["plunnecke"]["ok"] is True
 
 
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k", [4, 6])
+def test_small_quasi_products_never_exit_internal(capsys, tmp_path, k, seed):
+    # a quasi-product with no tube joining two levels fails a hypothesis
+    # (exit 3), generated or read from a file, and is never an internal error
+    params = ["--k", str(k), "--s", "0.5", "--tau", "0.4", "--seed", str(seed)]
+    src = tmp_path / "qp.json"
+    assert _call(capsys, ["gen", "--kind", "quasi_product", *params, "--out", str(src)])[0] == 0
+    for command in ("validate", "additive"):
+        generated = _call(capsys, [command, "--kind", "quasi_product", *params])
+        from_file = _call(capsys, [command, "--input", str(src)])
+        assert generated[0] == from_file[0] in (0, 3)
+        if generated[0] == 3:
+            witness = json.loads(generated[1])
+            assert witness["hypothesis"] == "joined_levels"
+            assert witness["witness"]["level_count"] == 2 ** int(k * 0.4)
+            assert json.loads(from_file[1]) == witness
+
+
+def test_quasi_product_without_joined_levels_is_a_hypothesis_failure(capsys):
+    code, out, _ = _call(
+        capsys, ["validate", "--kind", "quasi_product", "--k", "4", "--s", "0.5", "--tau", "0.4"]
+    )
+    assert code == 3
+    assert json.loads(out) == {
+        "hypothesis": "joined_levels",
+        "message": "no tube joins two distinct levels",
+        "witness": {"level_count": 2, "tube_count": 8},
+    }
+
+
 def test_dim_fit(capsys):
     code, out, _ = _call(capsys, ["dim", "--kind", "grid", "--k", "4", "--k", "6"])
     assert code == 0

@@ -24,7 +24,7 @@ from tubelab.generators import (
 )
 from tubelab.incidence import validate_configuration
 from tubelab.additive import slice_multiplicity_violation
-from tubelab.tubes import tube_contains
+from tubelab.tubes import canonical_keys, tube_contains
 
 
 def test_cantor_line_counts():
@@ -101,6 +101,21 @@ def test_furstenberg_family_sizes():
     base = 1 << math.floor(k * s)
     for fam in cfg.families:
         assert base <= len(fam) <= 3 * base
+
+
+# the same cases as the incidence kernels' oracle test: past 2^18
+# incidences a configuration holds millions of Python ints
+@pytest.mark.parametrize(
+    "k, s",
+    [(k, s) for k in (4, 6, 8, 10, 12) for s in (0.3, 0.5, 0.75, 1.0) if k + math.floor(k * s) <= 18],
+)
+def test_furstenberg_keys_are_the_canonical_keys(k, s):
+    # one array per point column against one canonical_keys call per point
+    cfg = furstenberg_product(k, s)
+    slopes = cantor_line_indices(k, s)
+    assert [fam.keys for fam in cfg.families] == [
+        tuple(canonical_keys(p, k, slopes)) for p in cfg.points.points
+    ]
 
 
 def test_furstenberg_deterministic():

@@ -2,31 +2,171 @@
 exponent verdict.
 
 Small configurations are rebuilt by hand; the generator-backed ones are
-cross-checked against naive per-pair counting.
+cross-checked against naive per-pair counting. The per-key loops that the
+columnar kernels replaced are kept below as exact oracles.
 """
 from __future__ import annotations
 
+import math
 from collections import Counter
+from typing import Iterator, Sequence
+from unittest import mock
 
+import hypothesis as hyp
+import hypothesis.strategies as hys
 import pytest
 
+from tubelab import incidence
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale, covering_number
-from tubelab.errors import HypothesisViolation, ParseError, ValidationError
+from tubelab.delta_sets import DeltaSetParams, validate, validate_1d
+from tubelab.errors import DyadicOverflowError, HypothesisViolation, ParseError, ValidationError
 from tubelab.generators import furstenberg_product, grid
 from tubelab.incidence import (
+    CauchySchwarzReport,
     Configuration,
+    IncidenceReport,
     cauchy_schwarz_bound,
-    coarse_energy_check,
     dichotomy_check,
     dichotomy_hypotheses,
     good_tube_count,
-    good_tube_count_at_exponent,
     incidence_report,
-    pairwise_intersection_bound_check,
-    union_tubes,
     validate_configuration,
 )
-from tubelab.tubes import TubeFamily, canonical_tube_through, parent, tubes_through
+from tubelab.tubes import (
+    TubeFamily,
+    _intercept_window,
+    _point_ints,
+    canonical_tube_through,
+    keys_through,
+    pack_key,
+    parent,
+    tubes_through,
+    unpack_key,
+    unpack_keys,
+)
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def keys_missing(p: DyadicPoint, k: int, keys: Sequence[int]) -> Iterator[int]:
+    """The keys, in the given order, whose tube does not contain p."""
+    x_num, y_num, m = _point_ints(p)
+    for key, (a_idx, b_idx) in zip(keys, unpack_keys(keys, k)):
+        lo, hi = _intercept_window(x_num, y_num, m, k, a_idx)
+        if not lo <= b_idx <= hi:
+            yield key
+
+
+def incidence_counts(cfg: Configuration) -> Counter:
+    """N_T keyed by packed tube key."""
+    counts: Counter = Counter()
+    for fam in cfg.families:
+        counts.update(fam.keys)
+    return counts
+
+
+def validate_configuration_oracle(cfg: Configuration, check_1d=validate_1d) -> list[HypothesisViolation]:
+    """Membership point by point and key by key, then the ball counts, then
+    one check_1d per distinct tuple of slope cells."""
+    out: list[HypothesisViolation] = []
+    k = cfg.scale.k
+    for i, (p, fam) in enumerate(zip(cfg.points.points, cfg.families)):
+        key = next(keys_missing(p, k, fam.keys), None)
+        if key is not None:
+            out.append(
+                HypothesisViolation(
+                    "tube_membership",
+                    "a family tube does not contain its point",
+                    {"point_index": i, "tube_cell": list(unpack_key(key, k))},
+                )
+            )
+            break
+    c_eps = 2.0 ** (k * cfg.epsilon)
+    point_report = validate(cfg.points, DeltaSetParams(cfg.scale, 1.0, c_eps))
+    if not point_report.valid:
+        out.append(
+            HypothesisViolation(
+                "point_set_frostman",
+                f"points fail the (delta,1,delta^-eps) condition: {point_report.kind}",
+                point_report.to_json(),
+            )
+        )
+    seen: set[tuple[int, ...]] = set()
+    for i, fam in enumerate(cfg.families):
+        cells = fam.slope_cells()
+        if not cells or cells in seen:
+            continue
+        seen.add(cells)
+        rep = check_1d([DyadicRational(a, k) for a in cells], DeltaSetParams(cfg.scale, cfg.s, c_eps))
+        if not rep.valid:
+            out.append(
+                HypothesisViolation(
+                    "slope_set_frostman",
+                    f"slope set of family {i} fails the (delta,s,delta^-eps) condition: {rep.kind}",
+                    {"point_index": i, **rep.to_json()},
+                )
+            )
+    return out
+
+
+def incidence_report_oracle(cfg: Configuration) -> IncidenceReport:
+    """N_T from a Counter over every key, M_T from a dict of coarse cell sets."""
+    k = cfg.scale.k
+    h = k // 2
+    counts = incidence_counts(cfg)
+    met: dict[tuple[int, int], set[tuple[int, int]]] = {}
+    for p, fam in zip(cfg.points.points, cfg.families):
+        cell = (p.x.floor_to_int(h), p.y.floor_to_int(h))
+        for a_idx, b_idx in fam.index_pairs():
+            met.setdefault((a_idx >> h, b_idx >> h), set()).add(cell)
+    return IncidenceReport(
+        k=k,
+        n_points=len(cfg.points.points),
+        incidence_count=sum(counts.values()),
+        tube_count=len(counts),
+        coarse_tube_count=len(met),
+        coarse_ball_count=covering_number(cfg.points, Scale(h)),
+        e_tubes=math.log2(len(counts)) / k if counts else 0.0,
+        e_coarse=math.log2(len(met)) / k if met else 0.0,
+        nt_histogram=tuple(sorted(Counter(counts.values()).items())),
+        mt_histogram=tuple(sorted(Counter(len(c) for c in met.values()).items())),
+        identity_ok=sum(len(fam) for fam in cfg.families) == sum(counts.values()),
+    )
+
+
+def cauchy_schwarz_oracle(cfg: Configuration) -> CauchySchwarzReport:
+    counts = incidence_counts(cfg)
+    s1 = sum(counts.values())
+    s2 = sum(v * v for v in counts.values())
+    implied = (s1 * s1 / s2) if s2 else 0.0
+    return CauchySchwarzReport(s1, len(counts), s2, s2 - s1, implied, s1 * s1 <= len(counts) * s2)
+
+
+def recording(checked: list):
+    """validate_1d, appending the values of each call to `checked`."""
+
+    def check_1d(values, params):
+        checked.append(values)
+        return validate_1d(values, params)
+
+    return check_1d
+
+
+def assert_matches_oracles(cfg: Configuration) -> None:
+    # the same violations, and the same slope sets checked in the same order
+    kernel_checked, oracle_checked = [], []
+    with mock.patch.object(incidence, "validate_1d", recording(kernel_checked)):
+        got = [v.payload() for v in validate_configuration(cfg)]
+    assert got == [v.payload() for v in validate_configuration_oracle(cfg, recording(oracle_checked))]
+    assert kernel_checked == oracle_checked
+    report = incidence_report(cfg)
+    assert report == incidence_report_oracle(cfg)
+    assert cauchy_schwarz_bound(cfg) == cauchy_schwarz_oracle(cfg)
+    assert cauchy_schwarz_bound(cfg, incidences=report) == cauchy_schwarz_oracle(cfg)
+
+
+# ------------------------------------------------------------------ tests
 
 
 def _config_for(points: list[DyadicPoint], fams: list[TubeFamily], k: int) -> Configuration:
@@ -35,32 +175,6 @@ def _config_for(points: list[DyadicPoint], fams: list[TubeFamily], k: int) -> Co
 
 def _point(i: int, j: int, k: int) -> DyadicPoint:
     return DyadicPoint(DyadicRational(i, k), DyadicRational(j, k))
-
-
-def test_union_tubes_single_point():
-    k = 4
-    p = _point(3, 5, k)
-    t = canonical_tube_through(p, DyadicRational(2, k), Scale(k))
-    cfg = _config_for([p], [TubeFamily.from_tubes(Scale(k), [t])], k)
-    assert len(union_tubes(cfg)) == 1
-
-
-def test_union_tubes_shared_families():
-    k = 4
-    p, q = _point(2, 3, k), _point(2, 4, k)
-    fam = tubes_through(p, Scale(k))
-    shared = TubeFamily.from_tubes(Scale(k), [t for t in fam if t.contains(q)])
-    assert len(shared) > 1
-    cfg = _config_for([p, q], [shared, shared], k)
-    assert len(union_tubes(cfg)) == len(shared)
-
-
-def test_union_tubes_matches_dedupe_oracle():
-    cfg = furstenberg_product(8, 0.5)
-    seen = set()
-    for fam in cfg.families:
-        seen.update(fam.keys)
-    assert len(union_tubes(cfg)) == len(seen)
 
 
 def test_incidence_single_point():
@@ -110,7 +224,7 @@ def test_incidence_coarse_count_matches_parent_dedupe():
     cfg = furstenberg_product(8, 0.5)
     rep = incidence_report(cfg)
     coarse = Scale(4)
-    keys = {parent(t, coarse).key() for t in union_tubes(cfg)}
+    keys = {parent(t, coarse).key() for fam in cfg.families for t in fam}
     assert rep.coarse_tube_count == len(keys)
 
 
@@ -179,12 +293,6 @@ def test_cauchy_schwarz_pair_sum_brute_force():
     assert rep.implied_lower_bound <= rep.tube_count + 1e-9
 
 
-def test_pairwise_intersection_bound():
-    cfg = furstenberg_product(8, 0.5)
-    rep = pairwise_intersection_bound_check(cfg)
-    assert rep.a_observed <= 16.0
-
-
 def test_validate_configuration_clean_and_dirty():
     cfg = furstenberg_product(8, 0.5)
     assert validate_configuration(cfg) == []
@@ -217,6 +325,12 @@ def test_membership_witness_is_pinned():
     bad = Configuration(cfg.points, tuple(fams), cfg.s, cfg.epsilon)
     [violation] = validate_configuration(bad)
     assert violation.payload()["witness"] == {"point_index": 37, "tube_cell": [17, 63]}
+    assert_matches_oracles(bad)
+    # the same witness when every block of the kernel holds one family, or
+    # when blocks cut the configuration at arbitrary family boundaries
+    for block in (1, 100, 1000):
+        with mock.patch.object(incidence, "_BLOCK_KEYS", block):
+            assert_matches_oracles(bad)
 
 
 def test_frostman_witnesses_are_pinned():
@@ -326,28 +440,6 @@ def test_good_tube_count_thresholds():
     assert good_tube_count(rep, 10**9) == 0
     max_nt = max(v for v, _n in rep.nt_histogram)
     assert good_tube_count(rep, max_nt) >= 1
-    # exponent form: threshold ceil(delta^-e)
-    assert good_tube_count_at_exponent(rep, 0.0) == good_tube_count(rep, 1)
-
-
-def test_coarse_energy_single_cell():
-    k = 4
-    p = _point(1, 1, k)
-    q = _point(1, 2, k)  # same coarse cell at scale 2
-    fam_p = tubes_through(p, Scale(k))
-    fam_q = tubes_through(q, Scale(k))
-    cfg = _config_for([p, q], [fam_p, fam_q], k)
-    rep = coarse_energy_check(cfg)
-    assert rep.cell_count == 1
-    assert rep.energy == 0.0
-
-
-def test_coarse_energy_generator():
-    cfg = furstenberg_product(8, 0.5)
-    rep = coarse_energy_check(cfg)
-    assert rep.cell_count == covering_number(cfg.points, Scale(4))
-    assert rep.energy >= 0.0
-    assert rep.normalized == pytest.approx(rep.energy / 2.0**8)
 
 
 @pytest.mark.parametrize("index", ["0", 0.0, None, True, [0]])
@@ -363,3 +455,116 @@ def test_configuration_json_rejects_non_integer_point_index(index):
     obj["families"] = 7
     with pytest.raises(ParseError):
         Configuration.from_json(obj)
+
+
+# furstenberg_product(k, s) has 2^(k + floor(k*s)) incidences; the cases past
+# 2^18 (k=10 at s=1, k=12 at s=0.75 and s=1) hold millions of Python ints
+# and are left out to keep the suite's memory small
+_FURSTENBERG_CASES = [
+    (k, s)
+    for k in (4, 6, 8, 10, 12)
+    for s in (0.3, 0.5, 0.75, 1.0)
+    if k + math.floor(k * s) <= 18
+]
+
+
+@pytest.mark.parametrize("k, s", _FURSTENBERG_CASES)
+def test_kernels_match_oracles_on_furstenberg(k, s):
+    assert_matches_oracles(furstenberg_product(k, s))
+
+
+def test_kernels_match_oracles_with_a_family_swapped():
+    # every point's family replaced by its neighbour's: membership fails at
+    # point 0, and many slope sets are checked once each
+    cfg = furstenberg_product(8, 0.5)
+    fams = cfg.families[1:] + cfg.families[:1]
+    assert_matches_oracles(Configuration(cfg.points, fams, cfg.s, cfg.epsilon))
+
+
+def test_slope_sets_of_neighbouring_families_sharing_a_slope_cell():
+    # the last slope cell of one family is the first of the next: each
+    # family's slope set keeps it
+    k = 4
+    p, q = _point(3, 5, k), _point(9, 2, k)
+    fam_p = TubeFamily(Scale(k), tuple(keys_through(p, k, [0, 5])))
+    fam_q = TubeFamily(Scale(k), tuple(keys_through(q, k, [5, 9])))
+    cfg = _config_for([p, q], [fam_p, fam_q], k)
+    assert_matches_oracles(cfg)
+    checked = []
+    with mock.patch.object(incidence, "validate_1d", recording(checked)):
+        validate_configuration(cfg)
+    assert [[v.floor_to_int(k) for v in values] for values in checked] == [[0, 5], [5, 9]]
+
+
+def _finer_point(cfg: Configuration, exp: int) -> Configuration:
+    # the last point moved by 2^-exp, far from every other point; its family
+    # keeps the tubes through the moved point
+    k = cfg.scale.k
+    p = cfg.points.points[-1]
+    q = DyadicPoint(p.x + DyadicRational(1, exp), p.y)
+    fam = TubeFamily(cfg.scale, tuple(keys_through(q, k, range(0, 1 << k, 3))))
+    points = PointSet(cfg.scale, cfg.points.points[:-1] + (q,))
+    return Configuration(points, cfg.families[:-1] + (fam,), cfg.s, cfg.epsilon)
+
+
+@pytest.mark.parametrize("exp", [30, 50])
+def test_points_finer_than_ball_counts_allow(exp):
+    # past 2^-27 the int64 ball counts refuse a point, and
+    # validate_configuration raises their error before the membership kernel
+    # runs, also past that kernel's own 2^-(56-k) envelope; the incidence
+    # report reads only coarse point cells and is exact
+    cfg = _finer_point(furstenberg_product(8, 0.5), exp)
+    message = rf"2\^-27 grid or coarser, got 2\^-{exp}"
+    with pytest.raises(DyadicOverflowError, match=message):
+        validate_configuration(cfg)
+    with pytest.raises(DyadicOverflowError, match=message):
+        validate_configuration_oracle(cfg)
+    assert incidence_report(cfg) == incidence_report_oracle(cfg)
+    assert cauchy_schwarz_bound(cfg) == cauchy_schwarz_oracle(cfg)
+
+
+@hys.composite
+def _configurations(draw) -> tuple[Configuration, int]:
+    """Small configurations at k in {2, 4}: signed coordinates on mixed
+    exponents up to 2^-(k+3), families of tubes through their points that
+    may be empty, and at most one key planted in a family it misses. Also
+    draws the kernel's block size, so that blocks end inside and between
+    families."""
+    k = draw(hys.sampled_from([2, 4]))
+    scale = Scale(k)
+    coords = hys.integers(min_value=0, max_value=k + 3).flatmap(
+        lambda e: hys.builds(DyadicRational, hys.integers(min_value=-(3 << e), max_value=3 << e), hys.just(e))
+    )
+    raw = draw(hys.lists(hys.tuples(coords, coords), min_size=1, max_size=12))
+    points = tuple({(x, y): DyadicPoint(x, y) for x, y in raw}.values())
+    edge = 1 << (k + 3)
+    families = []
+    for p in points:
+        # slopes from a narrow range too, so that neighbouring families often
+        # share slope cells, the last of one with the first of the next
+        slope = hys.integers(min_value=-edge, max_value=edge - 1) | hys.integers(min_value=-2, max_value=2)
+        slopes = draw(hys.lists(slope, max_size=6, unique=True))
+        keys = keys_through(p, k, sorted(slopes))
+        families.append(sorted(draw(hys.lists(hys.sampled_from(keys), unique=True)) if keys else []))
+    if draw(hys.booleans()):
+        i = draw(hys.integers(min_value=0, max_value=len(points) - 1))
+        a_idx = draw(hys.integers(min_value=-edge, max_value=edge - 1))
+        b_idx = draw(hys.integers(min_value=-edge, max_value=edge - 1))
+        key = pack_key(a_idx, b_idx, k)
+        if key not in families[i]:
+            families[i] = sorted(families[i] + [key])
+    cfg = Configuration(
+        PointSet(scale, points),
+        tuple(TubeFamily(scale, tuple(f)) for f in families),
+        draw(hys.sampled_from([0.5, 1.0])),
+        0.1,
+    )
+    return cfg, draw(hys.sampled_from([1, 2, 3, 5, 8, 1 << 13]))
+
+
+@hyp.settings(max_examples=150, deadline=None)
+@hyp.given(_configurations())
+def test_kernels_match_oracles_on_drawn_configurations(drawn):
+    cfg, block = drawn
+    with mock.patch.object(incidence, "_BLOCK_KEYS", block):
+        assert_matches_oracles(cfg)

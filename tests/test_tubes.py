@@ -9,28 +9,44 @@ import random
 
 import hypothesis as hyp
 import hypothesis.strategies as hys
+import numpy as np
 import pytest
 
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
-from tubelab.errors import DomainError, ParseError, ScaleError, TubelabError, ValidationError
+from tubelab.errors import (
+    DomainError,
+    DyadicOverflowError,
+    ParseError,
+    ScaleError,
+    TubelabError,
+    ValidationError,
+)
 from tubelab.tubes import (
     UNIT_WINDOW,
     DyadicTube,
     TubeFamily,
     Window,
+    _intercept_window,
+    _point_ints,
     canonical_tube_through,
     children,
     children_in_family,
     cover_by_coarse_tubes,
     dual_line,
+    intercept_window_array,
+    key_bits,
     pack_key,
+    pack_key_array,
     parent,
+    parent_key_array,
+    point_columns,
     separating_point,
     slice_interval,
     to_ordinary,
     tube_contains,
     tubes_through,
     unpack_key,
+    unpack_key_array,
     unpack_keys,
 )
 
@@ -245,6 +261,74 @@ def test_codec_round_trip_at_the_domain_edges(k):
         with pytest.raises(DomainError):
             DyadicTube(Scale(k), a, b)
     assert DyadicTube(Scale(k), edge - 1, -edge).key() == pack_key(edge - 1, -edge, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 12, 20])
+def test_array_codec_matches_the_scalar_codec(k):
+    edge = 1 << (k + 3)
+    side = np.array([-edge, -edge + 1, -3, -1, 0, 1, 5, edge - 2, edge - 1], dtype=np.int64)
+    a, b = np.meshgrid(side, side, indexing="ij")
+    keys = pack_key_array(a, b, k)
+    assert keys.tolist() == [[pack_key(int(x), int(y), k) for y in side] for x in side]
+    assert 0 <= keys.min() and keys.max() < 1 << key_bits(k)
+    got_a, got_b = unpack_key_array(keys, k)
+    assert np.array_equal(got_a, a) and np.array_equal(got_b, b)
+    # broadcasting: one slope row against an intercept column
+    assert np.array_equal(pack_key_array(side, side[:, None], k), keys.T)
+    for coarse_k in range(1, k + 1):
+        expected = [
+            parent(DyadicTube(Scale(k), int(x), int(y)), Scale(coarse_k)).key()
+            for x, y in zip(a.ravel(), b.ravel())
+        ]
+        assert parent_key_array(keys.ravel(), k, coarse_k).tolist() == expected
+
+
+def test_pack_key_array_checks_the_domain_once():
+    k = 3
+    edge = 1 << (k + 3)
+    a = np.array([0, 1, edge, -edge - 1], dtype=np.int64)
+    b = np.array([0, 1, 0, 0], dtype=np.int64)
+    with pytest.raises(DomainError, match=rf"tube cell \({edge}, 0\) at k=3"):
+        pack_key_array(a, b, k)
+    assert pack_key_array(a[:0], b[:0], k).size == 0
+
+
+@hyp.given(
+    hys.integers(min_value=1, max_value=20).flatmap(
+        lambda k: hys.integers(min_value=0, max_value=56 - k).flatmap(
+            lambda m: hys.tuples(
+                hys.just(k),
+                hys.just(m),
+                hys.integers(min_value=-(4 << m), max_value=4 << m),
+                hys.integers(min_value=-(4 << m), max_value=4 << m),
+                hys.lists(hys.integers(min_value=-(8 << k), max_value=(8 << k) - 1), min_size=1, max_size=8),
+            )
+        )
+    )
+)
+def test_intercept_window_array_matches_the_scalar_window(args):
+    # exact up to the envelope m + k = 56, for either sign of x
+    k, m, x_num, y_num, slopes = args
+    n = len(slopes)
+    lo, hi = intercept_window_array(
+        np.full(n, x_num), np.full(n, y_num), np.full(n, m), k, np.array(slopes, dtype=np.int64)
+    )
+    assert list(zip(lo.tolist(), hi.tolist())) == [
+        _intercept_window(x_num, y_num, m, k, a_idx) for a_idx in slopes
+    ]
+
+
+def test_point_columns_refuse_points_past_the_int64_window():
+    k = 8
+    fine = DyadicPoint(DyadicRational(1, 56 - k), DyadicRational(-3, 5))
+    x_num, y_num, m = point_columns([fine, DyadicPoint.of(1, 1, 0, 0)], k)
+    assert list(zip(x_num.tolist(), y_num.tolist(), m.tolist())) == [
+        _point_ints(fine),
+        _point_ints(DyadicPoint.of(1, 1, 0, 0)),
+    ]
+    with pytest.raises(DyadicOverflowError, match=r"2\^-48 grid or coarser, got 2\^-49"):
+        point_columns([DyadicPoint(DyadicRational(1, 57 - k), DyadicRational(0, 0))], k)
+    assert [c.size for c in point_columns([], k)] == [0, 0, 0]
 
 
 def test_tube_cells_are_validated_once():
