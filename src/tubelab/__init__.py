@@ -8,8 +8,6 @@ from .core_grid import (
     PointSet,
     Scale,
     covering_number,
-    covering_number_1d,
-    energy_sum,
     fit_exponent,
 )
 from .errors import (
@@ -24,28 +22,20 @@ from .errors import (
 )
 from .tubes import (
     DyadicTube,
-    Line,
-    OrdinaryTube,
     TubeFamily,
     Window,
     canonical_tube_through,
     cover_by_coarse_tubes,
     children,
-    children_in_family,
-    dual_line,
     parent,
     separating_point,
-    to_ordinary,
     tube_contains,
     tubes_through,
 )
 from .delta_sets import (
     DeltaSetParams,
-    DiscreteContent,
     ExtractReport,
     ValidationReport,
-    discrete_content,
-    discrete_content_1d,
     extract,
     validate,
     validate_1d,
@@ -57,7 +47,6 @@ from .incidence import (
     IncidenceReport,
     cauchy_schwarz_bound,
     dichotomy_check,
-    good_tube_count,
     incidence_report,
     validate_configuration,
 )
@@ -65,8 +54,6 @@ from .projections import (
     DirectionNet,
     ProjectionEnergy,
     ProjectionSweep,
-    exceptional_set,
-    project,
     projection_energy,
     sweep,
 )

@@ -440,20 +440,3 @@ def tube_slice_pairs(
     slice_lo, slice_hi = qp.slices[level_lo], qp.slices[level_hi]
     k = measured_bsg_parameter(slice_lo, slice_hi, sorted(edges))
     return PairGraph(tuple(slice_lo), tuple(slice_hi), tuple(sorted(edges)), max(k, 1.0))
-
-
-def dilate_sumset_sweep(
-    values: Sequence[DyadicRational], ratios: Sequence[Fraction], target: Scale
-) -> list[tuple[Fraction, int]]:
-    """Cell counts of {d1 + r * d2} per dilation ratio r; exact via Fraction."""
-    k = target.k
-    out = []
-    for r in ratios:
-        cells = set()
-        for d1 in values:
-            f1 = _fraction(d1)
-            for d2 in values:
-                v = (f1 + r * _fraction(d2)) * (1 << k)
-                cells.add(v.numerator // v.denominator)
-        out.append((r, len(cells)))
-    return out

@@ -48,6 +48,7 @@ from .manifest import (
     _point_count,
     _point_set_of,
     _shape_of,
+    _stage,
     _Subject,
     canonical_json,
     run as run_manifest,
@@ -94,12 +95,14 @@ def _generator_params(args: argparse.Namespace, kind: str) -> dict:
 
 def _build_object(args: argparse.Namespace) -> Any:
     if getattr(args, "input", None):
-        return _load_input(args.input)
+        with _stage("load"):
+            return _load_input(args.input)
     if getattr(args, "kind", None) is None:
         raise ParseError("either --input FILE or --kind KIND is required")
     if args.k is None:
         raise ParseError("--k is required with --kind")
-    return GeneratorSpec(args.kind, _generator_params(args, args.kind)).build()
+    with _stage("generate"):
+        return GeneratorSpec(args.kind, _generator_params(args, args.kind)).build()
 
 
 def _add_generator_flags(p: argparse.ArgumentParser) -> None:
@@ -132,8 +135,7 @@ def _object_json(obj: Any) -> dict:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    obj = GeneratorSpec(args.kind, _generator_params(args, args.kind)).build()
-    _emit(_object_json(obj), args.out)
+    _emit(_object_json(_build_object(args)), args.out)
     return EXIT_PASS
 
 
@@ -152,10 +154,12 @@ def _cmd_project(args: argparse.Namespace) -> int:
     points = _point_set_of(obj)
     k = args.target_k if args.target_k is not None else points.scale.k
     net = DirectionNet.uniform(Scale(k))
-    sw = sweep(points, net, Scale(k), threads=args.threads, audit=args.audit)
+    with _stage("sweep"):
+        sw = sweep(points, net, Scale(k), threads=args.threads, audit=args.audit)
     energy = None
     if args.energy_s is not None:
-        energy = projection_energy(points, net, args.energy_s, threads=args.threads)
+        with _stage("energy"):
+            energy = projection_energy(points, net, args.energy_s, threads=args.threads)
     csv_text = sweep_to_csv(sw, energy)
     summary = sw.to_json(thresholds=(0.25, 0.5, 0.75))
     del summary["counts"], summary["angles"]
@@ -178,7 +182,9 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     for k in ks:
         params = _generator_params(args, args.kind)
         params["k"] = k
-        count = _point_count(GeneratorSpec(args.kind, params).build())
+        with _stage("generate"):
+            obj = GeneratorSpec(args.kind, params).build()
+        count = _point_count(obj)
         if count is None:
             raise ParseError("collinear_tripod has fixed size; nothing to fit")
         samples.append((k, count))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainError, DyadicOverflowError, ParseError, ScaleError, ValidationError
 
@@ -198,19 +198,11 @@ class DyadicRational:
     def __ge__(self, other: "DyadicRational") -> bool:
         return self._cmp(other) >= 0
 
-    def mul_pow2(self, j: int) -> "DyadicRational":
-        """Exact value * 2^j."""
-        return DyadicRational(self.num, self.exp - j)
-
     def floor_to_int(self, k: int) -> int:
         """floor(value * 2^k), exact (Python >> floors toward -inf)."""
         if k >= self.exp:
             return self.num << (k - self.exp)
         return self.num >> (self.exp - k)
-
-    def floor_to_scale(self, scale: Scale) -> "DyadicRational":
-        """Largest multiple of 2^-k that is <= value."""
-        return DyadicRational(self.floor_to_int(scale.k), scale.k)
 
     def is_multiple_of(self, scale: Scale) -> bool:
         return self.exp <= scale.k
@@ -292,10 +284,6 @@ class DyadicPoint:
     def of(cls, xn: int, xe: int, yn: int, ye: int) -> "DyadicPoint":
         return cls(DyadicRational(xn, xe), DyadicRational(yn, ye))
 
-    def quarter_turn(self) -> "DyadicPoint":
-        """Exact rotation by +90 degrees about the origin: (x, y) -> (-y, x)."""
-        return DyadicPoint(-self.y, self.x)
-
     def key(self) -> tuple[int, int, int, int]:
         return (self.x.num, self.x.exp, self.y.num, self.y.exp)
 
@@ -326,9 +314,6 @@ class PointSet:
 
     def __iter__(self):
         return iter(self.points)
-
-    def quarter_turn(self) -> "PointSet":
-        return PointSet(self.scale, tuple(p.quarter_turn() for p in self.points))
 
     def to_json(self) -> dict:
         return {
@@ -391,16 +376,6 @@ def covering_number(ps: PointSet, target: Scale) -> int:
     return len({(p.x.floor_to_int(k), p.y.floor_to_int(k)) for p in ps.points})
 
 
-def covering_number_1d(values: Iterable[DyadicRational], target: Scale) -> int:
-    """1-d analogue over half-open cells [a*d, (a+1)*d); values in [-8, 8]."""
-    k = target.k
-    cells = set()
-    for v in values:
-        check_value_bound(v)
-        cells.add(v.floor_to_int(k))
-    return len(cells)
-
-
 @dataclass(frozen=True)
 class ExponentFit:
     """Least-squares fit of log2(count) against k = log2(1/delta)."""
@@ -443,33 +418,3 @@ def fit_exponent(samples: Sequence[tuple[Scale | int, int]]) -> ExponentFit:
     intercept = mean_y - slope * mean_k
     max_res = max(abs(y - (slope * k + intercept)) for k, y in zip(ks, ys))
     return ExponentFit(tuple(rows), slope, intercept, max_res)
-
-
-def samples_to_csv(samples: Sequence[tuple[Scale | int, int]]) -> str:
-    lines = ["k,count"]
-    for sc, count in samples:
-        k = sc.k if isinstance(sc, Scale) else int(sc)
-        lines.append(f"{k},{int(count)}")
-    return "\n".join(lines) + "\n"
-
-
-def energy_sum(ps: PointSet, t: float) -> float:
-    """sum over ordered pairs p != q of |p-q|^-t, for 0 < t < 2.
-
-    Squared distances are exact dyadics; each term is formed from one float
-    power, so the relative error per term is a few ulps (far below 2^-40).
-    math.fsum makes the total independent of iteration order.
-    """
-    if not (0.0 < t < 2.0):
-        raise ValidationError(f"energy exponent t={t} outside (0, 2)")
-    pts = ps.points
-    if len(pts) < 2:
-        raise ValidationError("energy needs at least two points")
-    terms = []
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            d2 = squared_distance(pts[i], pts[j])
-            if d2.num == 0:
-                raise ValidationError(f"coincident points {pts[i]} and {pts[j]}")
-            terms.append(d2.as_float() ** (-t / 2.0))
-    return 2.0 * math.fsum(terms)

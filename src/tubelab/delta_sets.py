@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -170,21 +170,6 @@ def validate_1d(values: Sequence[DyadicRational], params: DeltaSetParams) -> Val
     return _validate_coords(coords, params)
 
 
-@dataclass(frozen=True)
-class DiscreteContent:
-    """Minimal weighted cut of the occupied dyadic cells.
-
-    kappa = min over quadtree cuts (cells with side between delta and 1)
-    of the sum of side^s. `cut` is one optimal antichain, as (level, cell
-    index tuple) rows; coarser cells win ties so the cut is canonical.
-    """
-
-    kappa: float
-    s: float
-    k: int
-    cut: tuple[tuple[int, tuple[int, ...]], ...]
-
-
 def _occupied_levels(coords: Sequence[Coord], k: int) -> list[dict[tuple[int, ...], list[int]]]:
     levels: list[dict[tuple[int, ...], list[int]]] = []
     for j in range(k + 1):
@@ -210,55 +195,21 @@ def _content_dp(levels: list[dict[tuple[int, ...], list[int]]], s: float, k: int
 
 
 def _child_cells(cell: tuple[int, ...], next_level: dict) -> list[tuple[int, ...]]:
-    dim = len(cell)
     out = []
-    if dim == 1:
-        for dx in (0, 1):
-            c = (2 * cell[0] + dx,)
+    for dx in (0, 1):
+        for dy in (0, 1):
+            c = (2 * cell[0] + dx, 2 * cell[1] + dy)
             if c in next_level:
                 out.append(c)
-    else:
-        for dx in (0, 1):
-            for dy in (0, 1):
-                c = (2 * cell[0] + dx, 2 * cell[1] + dy)
-                if c in next_level:
-                    out.append(c)
     return out
 
 
-def _content_of_coords(coords: Sequence[Coord], s: float, k: int) -> DiscreteContent:
+def _content(coords: Sequence[Coord], s: float, k: int) -> float:
+    """Discrete content: the minimum over quadtree cuts of the occupied
+    cells (sides between delta and 1) of the sum of side^s."""
     levels = _occupied_levels(coords, k)
     m = _content_dp(levels, s, k)
-    cut: list[tuple[int, tuple[int, ...]]] = []
-
-    def descend(j: int, cell: tuple[int, ...]) -> None:
-        side_pow = 2.0 ** (-j * s)
-        if j == k or side_pow <= sum(m[j + 1][c] for c in _child_cells(cell, levels[j + 1])):
-            cut.append((j, cell))
-            return
-        for c in _child_cells(cell, levels[j + 1]):
-            descend(j + 1, c)
-
-    kappa = 0.0
-    for cell in sorted(levels[0]):
-        kappa += m[0][cell]
-        descend(0, cell)
-    return DiscreteContent(kappa, s, k, tuple(sorted(cut)))
-
-
-def discrete_content(ps: PointSet, s: float) -> DiscreteContent:
-    if not (0.0 < s <= 2.0):
-        raise ValidationError(f"content exponent s={s} outside (0, 2]")
-    coords = [(p.x, p.y) for p in ps.points]
-    return _content_of_coords(coords, s, ps.scale.k)
-
-
-def discrete_content_1d(values: Sequence[DyadicRational], s: float, scale: Scale) -> DiscreteContent:
-    if not (0.0 < s <= 1.0):
-        raise ValidationError(f"content exponent s={s} outside (0, 1]")
-    for v in values:
-        check_value_bound(v)
-    return _content_of_coords([(v,) for v in values], s, scale.k)
+    return sum(m[0][cell] for cell in sorted(levels[0]))
 
 
 # Absolute ball-condition constants achieved by extract: any dyadic cell of
@@ -276,10 +227,6 @@ class ExtractReport:
     parity: tuple[int, ...]
     params: DeltaSetParams
 
-    def guarantee(self) -> float:
-        """Certified lower bound 0.25 * kappa * delta^-s on the output size."""
-        return 0.25 * self.kappa * 2.0 ** (self.params.scale.k * self.params.s)
-
 
 def extract(ps: PointSet, s: float) -> ExtractReport:
     """Pull a large (delta, s, 18)-subset out of an arbitrary point set.
@@ -296,7 +243,7 @@ def extract(ps: PointSet, s: float) -> ExtractReport:
     if not (0.0 < s <= 2.0):
         raise ValidationError(f"extraction exponent s={s} outside (0, 2]")
     k = ps.scale.k
-    full = _content_of_coords([(p.x, p.y) for p in ps.points], s, k)
+    kappa = _content([(p.x, p.y) for p in ps.points], s, k)
 
     best: tuple[float, tuple[int, ...], list[DyadicPoint]] | None = None
     for parity in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -307,7 +254,7 @@ def extract(ps: PointSet, s: float) -> ExtractReport:
         ]
         if not members:
             continue
-        kap = _content_of_coords([(p.x, p.y) for p in members], s, k).kappa
+        kap = _content([(p.x, p.y) for p in members], s, k)
         if best is None or kap > best[0]:
             best = (kap, parity, members)
     if best is None:
@@ -354,4 +301,4 @@ def extract(ps: PointSet, s: float) -> ExtractReport:
     picked.sort(key=lambda p: (p.x, p.y))
     out = PointSet(ps.scale, tuple(picked))
     params = DeltaSetParams(ps.scale, s, EXTRACT_CONSTANT_2D)
-    return ExtractReport(out, full.kappa, kappa_sel, parity, params)
+    return ExtractReport(out, kappa, kappa_sel, parity, params)

@@ -411,10 +411,3 @@ def dichotomy_check(
         passed=tube_branch or coarse_branch,
         margins=(rep.e_tubes - tube_target, rep.e_coarse - coarse_target),
     )
-
-
-def good_tube_count(report: IncidenceReport, min_incidences: int) -> int:
-    """Number of tubes meeting at least min_incidences points (threshold
-    query over the N_T histogram)."""
-    return sum(n for value, n in report.nt_histogram if value >= min_incidences)
-

@@ -12,7 +12,8 @@ Artifacts per run directory:
   aggregate.csv    one row per scale, fixed versioned columns
   fit.json         exponent fit of log2(count) against k (needs >= 2 scales)
   sweep_k{K}.csv   per-direction counts, when the sweep analysis runs
-  witness.json     machine-readable witness, when a hypothesis fails
+  witness.json     machine-readable witness, when a hypothesis fails or an
+                   internal error stops the run
   meta.json        timestamp and exit code (the only non-reproducible file)
 """
 
@@ -21,11 +22,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .additive import (
     QuasiProduct,
@@ -312,9 +314,23 @@ def _point_count(obj: Any) -> int | None:
     return len(obj) if shape == "values" else len(_point_set_of(obj).points)
 
 
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """Tag an exception that leaves the block with the stage it left, for
+    the witness of an internal error."""
+    try:
+        yield
+    except Exception as exc:
+        exc.stage = name
+        raise
+
+
 def _error_witness(exc: Exception) -> dict:
-    """The witness of an internal error (exit 4)."""
-    return {"error": type(exc).__name__, "message": str(exc)}
+    """The witness of an internal error (exit 4). Its stage is the analysis
+    that raised ("energy" for the energy of `tubelab project`), or
+    "generate" or "load" while the object was being built; None when the
+    error arose outside every stage."""
+    return {"error": type(exc).__name__, "message": str(exc), "stage": getattr(exc, "stage", None)}
 
 
 @dataclass(frozen=True)
@@ -367,8 +383,14 @@ class _Subject:
                 raise ParseError(str(exc)) from exc
 
     def outcomes(self) -> list[tuple[str, _Outcome]]:
-        """Run the analyses in ANALYSES order; HypothesisViolation stops the run."""
-        return [(name, getattr(self, f"_{name}")()) for name in ANALYSES if name in self.analyses]
+        """Run the analyses in ANALYSES order; HypothesisViolation stops the run,
+        and any exception leaves tagged with the analysis that raised it."""
+        done = []
+        for name in ANALYSES:
+            if name in self.analyses:
+                with _stage(name):
+                    done.append((name, getattr(self, f"_{name}")()))
+        return done
 
     @cached_property
     def _slice_graph(self) -> tuple:
@@ -466,10 +488,12 @@ def _analyze_one(
         if manifest.generator_kind in ("quasi_product", "collinear_tripod"):
             params.setdefault("seed", manifest.seed)
         spec = GeneratorSpec(manifest.generator_kind, params)
-        obj = spec.build()
+        with _stage("generate"):
+            obj = spec.build()
         source: dict = spec.to_json()
     else:
-        obj = _load_input(manifest.input_path)
+        with _stage("load"):
+            obj = _load_input(manifest.input_path)
         if hasattr(obj, "scale") and obj.scale.k != k:
             raise ParseError(
                 f"input file is at scale k={obj.scale.k} but the manifest asks for k={k}; "
@@ -511,8 +535,8 @@ def run(manifest: ExperimentManifest, threads: int = 1) -> int:
     """Execute the manifest, write artifacts, and return the exit code.
 
     Scales run one after another, and every scale finishes before anything
-    is written. `threads` reaches only the sweep's numpy regions and never
-    changes output bytes.
+    is written. `threads` caps the worker threads of the sweep's direction
+    blocks (at the CPU count, too) and never changes output bytes.
     """
     out = Path(manifest.out)
     out.mkdir(parents=True, exist_ok=True)

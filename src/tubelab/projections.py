@@ -6,34 +6,27 @@ covering counts use a shifted half-open cell convention (a value within 2^-40
 of a cell boundary belongs to the lower cell), which keeps counts stable under
 the rounding of the projection itself. An audit mode recounts with jittered
 cell offsets to bound boundary sensitivity.
-
-Quarter-turn rotations are exact: a rotated net reuses the stored unit
-vectors as (c, s) -> (-s, c), so rotating the point set and the net together
-reproduces bit-identical projection values.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core_grid import DyadicRational, PointSet, Scale, _int_field
-from .delta_sets import DeltaSetParams, ValidationReport, validate_1d
+from .core_grid import PointSet, Scale, _int_field
 from .errors import DomainError, ParseError, ValidationError
 
 __all__ = [
     "DirectionNet",
     "ProjectionSweep",
     "ProjectionEnergy",
-    "project",
     "sweep",
-    "exceptional_set",
     "exceptional_ratio",
     "projection_energy",
     "sweep_to_csv",
@@ -41,6 +34,9 @@ __all__ = [
 
 # values within this distance of a cell boundary count in the lower cell
 BOUNDARY_TOL = 2.0**-40
+# (direction, point) terms per sweep task: each of its few float64 arrays is
+# 128 kB, so a task stays in cache and adds little to peak memory
+_SWEEP_BLOCK = 1 << 14
 # audit jitter: far above the boundary tolerance, far below one cell
 _AUDIT_JITTERS = (2.0**-20, -(2.0**-20))
 # points live in [-4,4]^2, so projected values span less than 12
@@ -61,9 +57,9 @@ def _unit_vector(angle: float) -> tuple[float, float]:
 class DirectionNet:
     """Ordered finite set of directions in [0, pi) with stored unit vectors.
 
-    Vectors are kept alongside the angles so that right-angle rotations can
-    be performed exactly (no repeated trig round-off). Order is preserved by
-    all derived nets, which keeps per-direction outputs comparable.
+    Vectors are computed once, when the net is built, and every sweep and
+    energy projects with the stored values, so all of them see the same
+    floats for a direction.
     """
 
     scale: Scale
@@ -122,66 +118,6 @@ class DirectionNet:
             angles.pop()
         return cls.from_angles(scale, angles)
 
-    @classmethod
-    def from_slopes(cls, scale: Scale, slopes: Iterable[DyadicRational]) -> "DirectionNet":
-        """Directions normal to lines y = a*x + b, i.e. angle atan(a) per slope a.
-
-        Slopes map bi-Lipschitz to angles on any bounded slope range, so a
-        separated slope family yields a separated (coarser by the Lipschitz
-        factor) angle family.
-        """
-        return cls.from_angles(scale, (math.atan(a.as_float()) for a in slopes))
-
-    def direction(self, i: int) -> tuple[float, float, float]:
-        return (self.angles[i], self.cosines[i], self.sines[i])
-
-    def rotated_quarter(self) -> "DirectionNet":
-        """Add pi/2 to every direction (mod pi), rotating vectors exactly.
-
-        (c, s) -> (-s, c), negated back into the upper half plane when the
-        angle wraps. Stored angles are float bookkeeping; the vectors carry
-        the exact rotation.
-        """
-        half = math.pi / 2
-        angles: list[float] = []
-        cos2: list[float] = []
-        sin2: list[float] = []
-        for a, c, s in zip(self.angles, self.cosines, self.sines):
-            if a < half:
-                a2, c2, s2 = a + half, -s, c
-            else:
-                a2, c2, s2 = a - half, s, -c
-            if a2 >= math.pi:
-                a2 = math.nextafter(math.pi, 0.0)
-            angles.append(a2)
-            cos2.append(c2)
-            sin2.append(s2)
-        return DirectionNet(self.scale, tuple(angles), tuple(cos2), tuple(sin2), self.weights)
-
-    def min_separation(self) -> float:
-        if len(self.angles) < 2:
-            return math.inf
-        ordered = sorted(self.angles)
-        return min(b - a for a, b in zip(ordered, ordered[1:]))
-
-    def covering_number(self, target: Scale) -> int:
-        """Distinct target-scale cells met by the angle set, exact via rationals."""
-        step = 1 << target.k
-        return len({math.floor(Fraction(a) * step) for a in self.angles})
-
-    def frostman_report(self, t: float, constant: float) -> ValidationReport:
-        """Validate the angles, floored to the scale grid, as a (delta,t,C)-set.
-
-        Flooring moves each angle by less than delta, so constants inflate by
-        at most 3^t relative to the raw angles; nets built on exact grid
-        angles are unaffected.
-        """
-        step = 1 << self.scale.k
-        values = [
-            DyadicRational(math.floor(Fraction(a) * step), self.scale.k) for a in self.angles
-        ]
-        return validate_1d(values, DeltaSetParams(self.scale, t, constant))
-
     def to_json(self) -> dict:
         obj: dict = {"k": self.scale.k, "angles": list(self.angles)}
         if self.weights is not None:
@@ -199,12 +135,6 @@ class DirectionNet:
         return cls.from_angles(scale, angles, weights)
 
 
-def project(points: PointSet, angle: float) -> tuple[float, ...]:
-    """The projected values {x*cos(angle) + y*sin(angle)}, sorted, deduplicated."""
-    c, s = _unit_vector(angle)
-    return tuple(sorted({p.x.as_float() * c + p.y.as_float() * s for p in points}))
-
-
 def _coords(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
     n = len(points.points)
     xs = np.fromiter((p.x.as_float() for p in points), dtype=np.float64, count=n)
@@ -212,16 +142,28 @@ def _coords(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
-def _cell_count(ordered: np.ndarray, k: int, jitter: float = 0.0) -> int:
-    """Cells of side 2^-k that the values meet; `ordered` must be sorted.
+def _cell_counts(ordered: np.ndarray, k: int, jitter: float = 0.0) -> np.ndarray:
+    """Cells of side 2^-k that each row of values meets; rows must be sorted.
 
     The cell u = v * 2^k + jitter falls in is monotone in v, so distinct
-    cells are one more than the steps between neighbours."""
+    cells in a row are one more than the steps between neighbours."""
     # lower-cell convention: u within BOUNDARY_TOL above floor(u) drops a cell
     u = ordered * float(1 << k) + jitter
     f = np.floor(u)
     f -= (u - f) < BOUNDARY_TOL
-    return 1 + int(np.count_nonzero(np.diff(f)))
+    return 1 + np.count_nonzero(np.diff(f, axis=1), axis=1)
+
+
+def _in_order(task: Callable[[int], Any], starts: range, threads: int) -> list[Any]:
+    """[task(lo) for lo in starts], on at most `threads` worker threads, no
+    more than there are CPUs or tasks. Results keep the order of `starts`,
+    so a caller that fixes its task boundaries without looking at `threads`
+    gets the same results for every thread count."""
+    workers = min(threads, os.cpu_count() or 1, len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(task, starts))
+    return [task(lo) for lo in starts]
 
 
 @dataclass(frozen=True)
@@ -295,53 +237,38 @@ def sweep(
 
     With audit=True each direction is recounted under jittered cell offsets
     and the worst absolute count deviation is recorded per direction.
+    Directions are counted in blocks of about _SWEEP_BLOCK (direction,
+    point) terms, one sort per block; `threads` spreads the blocks over
+    worker threads and never changes the result.
     """
     if not points.points:
         raise DomainError("cannot sweep an empty point set")
     if len(net) == 0:
         raise DomainError("cannot sweep an empty direction net")
     xs, ys = _coords(points)
+    cosines, sines = np.array(net.cosines), np.array(net.sines)
     k = target.k
+    rows = max(1, _SWEEP_BLOCK // xs.size)
 
-    def one(i: int) -> tuple[int, int]:
-        c, s = net.cosines[i], net.sines[i]
-        vals = np.sort(xs * c + ys * s)
-        count = _cell_count(vals, k)
-        spread = 0
+    def task(lo: int) -> tuple[np.ndarray, np.ndarray]:
+        """Counts and spreads of the directions in [lo, lo + rows)."""
+        # row i is xs * c + ys * s for one direction, the same float
+        # operations as projecting that direction alone
+        vals = np.multiply.outer(cosines[lo : lo + rows], xs)
+        vals += np.multiply.outer(sines[lo : lo + rows], ys)
+        vals.sort(axis=1)
+        count = _cell_counts(vals, k)
+        spread = np.zeros_like(count)
         if audit:
             for jit in _AUDIT_JITTERS:
-                spread = max(spread, abs(_cell_count(vals, k, jit) - count))
+                np.maximum(spread, np.abs(_cell_counts(vals, k, jit) - count), out=spread)
         return count, spread
 
-    indices = range(len(net))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, indices))
-    else:
-        results = [one(i) for i in indices]
-    counts = tuple(r[0] for r in results)
-    sens = tuple(r[1] for r in results) if audit else None
+    # task boundaries depend on the net and the point count alone
+    parts = _in_order(task, range(0, len(net), rows), threads)
+    counts = tuple(np.concatenate([c for c, _ in parts]).tolist())
+    sens = tuple(np.concatenate([d for _, d in parts]).tolist()) if audit else None
     return ProjectionSweep(net, target, points, counts, sens)
-
-
-def exceptional_set(sw: ProjectionSweep, t: float) -> DirectionNet:
-    """The sub-net of directions with N(pi_e(K), delta) <= delta^-t.
-
-    Antitone in -t: smaller t admits fewer directions. May be empty. Stored
-    unit vectors are carried over unchanged.
-    """
-    if not 0.0 < t < 1.0:
-        raise DomainError(f"threshold exponent t={t} must lie in (0, 1)")
-    threshold = 2.0 ** (sw.target.k * t)
-    keep = [i for i, c in enumerate(sw.counts) if c <= threshold]
-    net = sw.net
-    return DirectionNet(
-        net.scale,
-        tuple(net.angles[i] for i in keep),
-        tuple(net.cosines[i] for i in keep),
-        tuple(net.sines[i] for i in keep),
-        None if net.weights is None else tuple(net.weights[i] for i in keep),
-    )
 
 
 def exceptional_ratio(sw: ProjectionSweep, t: float) -> float:
@@ -504,14 +431,8 @@ def projection_energy(
 
     # task boundaries depend on the net alone, and task sums are added in
     # order, so the association of the sum is the same for every thread count
-    starts = range(0, len(xy), span)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sums = list(pool.map(task, starts))
-    else:
-        sums = [task(lo) for lo in starts]
     totals = np.zeros(len(net))
-    for part in sums:
+    for part in _in_order(task, range(0, len(xy), span), threads):
         totals += part
     # each distinct vector stands for the ordered pairs (p, q) and (q, p)
     energies = tuple(2.0 * float(t) / (n * n) for t in totals)

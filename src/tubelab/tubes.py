@@ -22,8 +22,6 @@ incidence module's columnar kernels included.
 """
 from __future__ import annotations
 
-import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -118,24 +116,6 @@ def parent_key_array(keys: np.ndarray, k: int, coarse_k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Line:
-    """Dual line of a point: (a, b) -> {y = a x + b}."""
-
-    slope: DyadicRational
-    intercept: DyadicRational
-
-    def y_at(self, x: DyadicRational) -> DyadicRational:
-        return self.slope * x + self.intercept
-
-    def contains(self, p: DyadicPoint) -> bool:
-        return p.y == self.y_at(p.x)
-
-
-def dual_line(p: DyadicPoint) -> Line:
-    return Line(p.x, p.y)
-
-
-@dataclass(frozen=True)
 class DyadicTube:
     """Dyadic delta-tube: dual image of the parameter cell
     [a_idx, a_idx+1) x [b_idx, b_idx+1) in delta units."""
@@ -164,9 +144,6 @@ class DyadicTube:
     @property
     def b(self) -> DyadicRational:
         return DyadicRational(self.b_idx, self.scale.k)
-
-    def indices(self) -> tuple[int, int]:
-        return self.a_idx, self.b_idx
 
     def key(self) -> int:
         return pack_key(self.a_idx, self.b_idx, self.scale.k)
@@ -337,13 +314,6 @@ class TubeFamily:
     def index_pairs(self) -> Iterator[tuple[int, int]]:
         return unpack_keys(self.keys, self.scale.k)
 
-    def has(self, tube: DyadicTube) -> bool:
-        if tube.scale != self.scale:
-            return False
-        key = tube.key()
-        i = bisect_left(self.keys, key)
-        return i < len(self.keys) and self.keys[i] == key
-
     def union(self, other: "TubeFamily") -> "TubeFamily":
         if other.scale != self.scale:
             raise ScaleError("union across scales")
@@ -412,19 +382,6 @@ def children(tube: DyadicTube, fine: Scale) -> TubeFamily:
     a0, b0 = tube.a_idx << d, tube.b_idx << d
     cells = ((a0 + da, b0 + db) for da in range(1 << d) for db in range(1 << d))
     return TubeFamily.from_index_pairs(fine, cells)
-
-
-def children_in_family(tube: DyadicTube, family: TubeFamily) -> TubeFamily:
-    """Members of the family whose parameter square sits inside this tube's."""
-    if family.scale.k < tube.scale.k:
-        raise ScaleError("family is coarser than the prospective parent")
-    d = family.scale.k - tube.scale.k
-    picked = [
-        key
-        for key, (fa, fb) in zip(family.keys, family.index_pairs())
-        if (fa >> d) == tube.a_idx and (fb >> d) == tube.b_idx
-    ]
-    return TubeFamily(family.scale, tuple(picked))
 
 
 def slice_interval(tube: DyadicTube, x0: DyadicRational) -> tuple[DyadicRational, DyadicRational, bool]:
@@ -519,31 +476,3 @@ def cover_by_coarse_tubes(
         if key not in result_keys:
             raise AssertionError("coarse cover missed a fine tube; shift bound violated")
     return result
-
-
-@dataclass(frozen=True)
-class OrdinaryTube:
-    """Euclidean tube (angle, signed offset, width) for comparisons against
-    the dyadic model; diagnostic, so floats are fine here."""
-
-    angle: float
-    offset: float
-    width: float
-
-    def distance(self, px: float, py: float) -> float:
-        return abs(-px * math.sin(self.angle) + py * math.cos(self.angle) - self.offset)
-
-    def contains(self, px: float, py: float) -> bool:
-        return self.distance(px, py) <= self.width / 2.0
-
-
-def to_ordinary(tube: DyadicTube, radius: float) -> OrdinaryTube:
-    """Containing Euclidean tube on the ball B(0, radius): width (radius+2)*delta
-    around the parameter-square center line."""
-    if radius <= 0:
-        raise ValidationError("radius must be positive")
-    delta = tube.scale.delta.as_float()
-    a_c = tube.a.as_float() + delta / 2.0
-    b_c = tube.b.as_float() + delta / 2.0
-    angle = math.atan(a_c)
-    return OrdinaryTube(angle, b_c * math.cos(angle), (radius + 2.0) * delta)

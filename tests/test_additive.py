@@ -20,7 +20,6 @@ from tubelab.additive import (
     PairGraph,
     bsg_refine,
     best_slice_pair,
-    dilate_sumset_sweep,
     exact_sumset_size,
     measured_bsg_parameter,
     plunnecke_corollary_check,
@@ -255,22 +254,6 @@ def test_tripod_image_cover_matches_enumeration(raw):
     q = (_frac(b2) - _frac(b1)) / (_frac(b3) - _frac(b2))
     oracle = _cover_oracle([_frac(x) + q * _frac(y) for x, y in pairs], k)
     assert got == oracle
-
-
-# --- dilations ---
-
-
-def test_dilate_sumset_sweep():
-    k = 8
-    values = [D(0, 0), D(1, k)]
-    out = dilate_sumset_sweep(values, [Fraction(1, 2), Fraction(2)], Scale(k))
-    assert out == [(Fraction(1, 2), 2), (Fraction(2), 4)]
-
-
-@hyp.given(value_lists)
-def test_dilate_identity_ratio(values):
-    out = dilate_sumset_sweep(values, [Fraction(1)], Scale(10))
-    assert out[0][1] == sumset_cover(values, values, Scale(10))
 
 
 # --- quasi-product plumbing ---

@@ -153,7 +153,29 @@ def test_internal_error_prints_witness(capsys, monkeypatch):
     code, out, err = _call(capsys, argv)
     assert code == 4
     assert "internal error: RuntimeError" in err
-    assert json.loads(out) == {"error": "RuntimeError", "message": "boom"}
+    assert json.loads(out) == {"error": "RuntimeError", "message": "boom", "stage": "incidence"}
+
+
+@pytest.mark.parametrize(
+    "target, argv, stage",
+    [
+        ("tubelab.cli._load_input", ["validate", "--input", "p.json"], "load"),
+        ("tubelab.generators.GeneratorSpec.build", ["gen", "--kind", "grid", "--k", "3"], "generate"),
+        ("tubelab.generators.GeneratorSpec.build", ["dim", "--kind", "grid", "--k", "3", "--k", "4"],
+         "generate"),
+        ("tubelab.cli.sweep", ["project", "--kind", "grid", "--k", "3"], "sweep"),
+        ("tubelab.cli.projection_energy", ["project", "--kind", "grid", "--k", "3", "--energy-s", "1"],
+         "energy"),
+    ],
+)
+def test_internal_error_witness_names_stage(capsys, monkeypatch, target, argv, stage):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(target, boom)
+    code, out, _ = _call(capsys, argv)
+    assert code == 4
+    assert json.loads(out) == {"error": "RuntimeError", "message": "boom", "stage": stage}
 
 
 def test_validate_tripod_input_matches_kind(capsys, tmp_path):

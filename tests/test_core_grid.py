@@ -19,10 +19,7 @@ from tubelab.core_grid import (
     Scale,
     check_value_bound,
     covering_number,
-    covering_number_1d,
-    energy_sum,
     fit_exponent,
-    samples_to_csv,
     separation_witness,
     squared_distance,
 )
@@ -93,22 +90,9 @@ def test_equal_values_equal_hash(a, b):
         assert hash(a) == hash(b)
 
 
-@hyp.given(dyadics, hys.integers(min_value=-10, max_value=10))
-def test_mul_pow2(a, j):
-    assert frac(a.mul_pow2(j)) == frac(a) * Fraction(2) ** j
-
-
 @hyp.given(dyadics, hys.integers(min_value=0, max_value=20))
 def test_floor_to_int(a, k):
     assert a.floor_to_int(k) == math.floor(frac(a) * (1 << k))
-
-
-@hyp.given(dyadics, hys.integers(min_value=0, max_value=20))
-def test_floor_to_scale(a, k):
-    scale = Scale(k)
-    f = a.floor_to_scale(scale)
-    assert f.is_multiple_of(scale)
-    assert frac(f) <= frac(a) < frac(f) + Fraction(1, 1 << k)
 
 
 @hyp.given(dyadics)
@@ -184,20 +168,6 @@ def test_value_bound():
         check_value_bound(DyadicRational.integer(-9))
 
 
-@hyp.given(points)
-def test_quarter_turn_formula(p):
-    q = p.quarter_turn()
-    assert frac(q.x) == -frac(p.y)
-    assert frac(q.y) == frac(p.x)
-    r = q.quarter_turn().quarter_turn().quarter_turn()
-    assert r == p
-
-
-@hyp.given(points, points)
-def test_quarter_turn_isometry(p, q):
-    assert squared_distance(p.quarter_turn(), q.quarter_turn()) == squared_distance(p, q)
-
-
 @hyp.given(points, points)
 def test_squared_distance_oracle(p, q):
     expect = (frac(p.x) - frac(q.x)) ** 2 + (frac(p.y) - frac(q.y)) ** 2
@@ -232,12 +202,6 @@ def test_covering_number_half_open_boundary():
     assert covering_number(ps, Scale(0)) == 1
 
 
-def test_covering_number_1d_oracle():
-    values = [DyadicRational(i, 3) for i in range(8)]
-    for j in range(4):
-        assert covering_number_1d(values, Scale(j)) == 1 << j
-
-
 @hyp.given(hys.lists(points, min_size=1, max_size=40, unique_by=lambda p: p.key()))
 def test_covering_monotone_in_scale(pts):
     ps = PointSet(Scale(12), tuple(pts))
@@ -246,41 +210,6 @@ def test_covering_monotone_in_scale(pts):
         assert lo <= hi  # refining never merges cells
         assert hi <= 4 * lo  # one cell splits into at most 4 children
     assert counts[12] <= len(pts)
-
-
-def test_energy_sum_two_points():
-    ps = PointSet(Scale(1), (DyadicPoint.of(0, 0, 0, 0), DyadicPoint.of(1, 1, 0, 0)))
-    # distance 1/2, t = 1: two ordered pairs, each contributing 2
-    assert energy_sum(ps, 1.0) == pytest.approx(4.0)
-
-
-def test_energy_sum_brute_force():
-    ps = _full_grid(2)
-    t = 0.7
-    pts = ps.points
-    expect = 0.0
-    for p in pts:
-        for q in pts:
-            if p != q:
-                d2 = squared_distance(p, q).as_float()
-                expect += d2 ** (-t / 2.0)
-    assert energy_sum(ps, t) == pytest.approx(expect, rel=1e-12)
-
-
-def test_energy_sum_rotation_invariant():
-    ps = _full_grid(2)
-    assert energy_sum(ps.quarter_turn(), 0.9) == pytest.approx(energy_sum(ps, 0.9))
-
-
-def test_energy_sum_rejects_bad_input():
-    ps = _full_grid(1)
-    with pytest.raises(ValidationError):
-        energy_sum(ps, 0.0)
-    with pytest.raises(ValidationError):
-        energy_sum(ps, 2.0)
-    one = PointSet(Scale(1), (DyadicPoint.of(0, 0, 0, 0),))
-    with pytest.raises(ValidationError):
-        energy_sum(one, 1.0)
 
 
 @hyp.given(
@@ -334,8 +263,3 @@ def test_fit_to_json_keys():
     fit = fit_exponent([(2, 4), (3, 8)])
     payload = fit.to_json()
     assert set(payload) >= {"samples", "slope", "intercept", "max_residual"}
-
-
-def test_samples_to_csv_format():
-    text = samples_to_csv([(Scale(2), 4), (3, 9)])
-    assert text == "k,count\n2,4\n3,9\n"

@@ -16,8 +16,6 @@ import pytest
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
 from tubelab.delta_sets import (
     DeltaSetParams,
-    discrete_content,
-    discrete_content_1d,
     extract,
     validate,
     validate_1d,
@@ -254,7 +252,7 @@ def test_validate_1d_blocked_counts_match_oracle_on_random_sets(cells, k, s):
     _assert_matches_oracle(validate_1d(values, params), [(v,) for v in values], params)
 
 
-# --- discrete_content ---
+# --- discrete content, as extract reports it ---
 
 
 def _content_oracle(ps: PointSet, s: float) -> float:
@@ -284,60 +282,35 @@ def _content_oracle(ps: PointSet, s: float) -> float:
 def test_content_single_point():
     ps = PointSet(Scale(6), (DyadicPoint.of(3, 6, 5, 6),))
     for s in (0.5, 1.0, 2.0):
-        assert discrete_content(ps, s).kappa == pytest.approx(2.0 ** (-6 * s))
+        assert extract(ps, s).kappa == pytest.approx(2.0 ** (-6 * s))
 
 
 def test_content_full_grid():
     ps = grid(3)
-    assert discrete_content(ps, 1.0).kappa == pytest.approx(1.0)
-    assert discrete_content(ps, 2.0).kappa == pytest.approx(1.0)
+    assert extract(ps, 1.0).kappa == pytest.approx(1.0)
+    assert extract(ps, 2.0).kappa == pytest.approx(1.0)
 
 
 def test_content_two_far_cells():
     ps = PointSet(Scale(4), (DyadicPoint.of(0, 0, 0, 0), DyadicPoint.of(1, 1, 0, 0)))
-    assert discrete_content(ps, 1.0).kappa == pytest.approx(2.0 / 16.0)
+    assert extract(ps, 1.0).kappa == pytest.approx(2.0 / 16.0)
 
 
 @hyp.given(grid_cells, hys.sampled_from([0.5, 0.75, 1.0, 1.5, 2.0]))
+@hyp.settings(deadline=None)
 def test_content_matches_cut_oracle(cells, s):
     ps = _grid_set(4, cells)
-    assert discrete_content(ps, s).kappa == pytest.approx(_content_oracle(ps, s))
+    assert extract(ps, s).kappa == pytest.approx(_content_oracle(ps, s))
 
 
 @hyp.given(grid_cells, grid_cells, hys.sampled_from([0.5, 1.0, 2.0]))
+@hyp.settings(deadline=None)
 def test_content_monotone_subadditive(cells_a, cells_b, s):
-    ka = discrete_content(_grid_set(4, cells_a), s).kappa
-    kb = discrete_content(_grid_set(4, cells_b), s).kappa
-    ku = discrete_content(_grid_set(4, cells_a | cells_b), s).kappa
+    ka = extract(_grid_set(4, cells_a), s).kappa
+    kb = extract(_grid_set(4, cells_b), s).kappa
+    ku = extract(_grid_set(4, cells_a | cells_b), s).kappa
     assert ku + 1e-12 >= ka  # monotone under inclusion
     assert ku <= ka + kb + 1e-12  # subadditive under union
-
-
-def test_content_cut_is_a_cover():
-    ps = cantor_grid(6, 0.5)
-    content = discrete_content(ps, 0.5)
-    k = ps.scale.k
-    total = 0.0
-    for level, cell in content.cut:
-        total += 2.0 ** (-level * content.s)
-        assert 0 <= level <= k
-    assert total == pytest.approx(content.kappa)
-    # every point lies in exactly one cut cell
-    cut_set = set(content.cut)
-    for p in ps.points:
-        homes = [
-            (level, cell)
-            for level, cell in cut_set
-            if cell == (p.x.floor_to_int(level), p.y.floor_to_int(level))
-        ]
-        assert len(homes) == 1
-
-
-def test_content_1d():
-    values = [DyadicRational(i, 4) for i in range(16)]
-    assert discrete_content_1d(values, 1.0, Scale(4)).kappa == pytest.approx(1.0)
-    one = [DyadicRational(3, 4)]
-    assert discrete_content_1d(one, 0.5, Scale(4)).kappa == pytest.approx(2.0 ** -2)
 
 
 # --- extract ---
@@ -347,7 +320,8 @@ def test_extract_full_grid():
     ps = grid(5)
     rep = extract(ps, 1.0)
     assert validate(rep.points, rep.params).valid
-    assert len(rep.points.points) >= rep.guarantee() > 0
+    # extract's certified size: 0.25 * kappa * delta^-s
+    assert len(rep.points.points) >= 0.25 * rep.kappa * 2.0 ** 5 > 0
     assert rep.params.C == 18.0
 
 
@@ -372,7 +346,7 @@ def test_extract_self_consistent(cells, s):
     assert rep.points.points  # nonempty
     assert set(rep.points.points) <= set(ps.points)
     assert validate(rep.points, rep.params).valid
-    assert len(rep.points.points) >= rep.guarantee() - 1e-9
+    assert len(rep.points.points) >= 0.25 * rep.kappa * 2.0 ** (4 * s) - 1e-9
 
 
 def test_extract_rejects_bad_exponent():

@@ -28,7 +28,6 @@ from tubelab.incidence import (
     cauchy_schwarz_bound,
     dichotomy_check,
     dichotomy_hypotheses,
-    good_tube_count,
     incidence_report,
     validate_configuration,
 )
@@ -430,16 +429,6 @@ def test_dichotomy_hypothesis_coarse_spread():
     cfg = Configuration(ps, fams, 0.5, 0.1)
     names = [v.name for v in dichotomy_hypotheses(cfg)]
     assert "coarse_point_cover" in names
-
-
-def test_good_tube_count_thresholds():
-    cfg = furstenberg_product(8, 0.5)
-    rep = incidence_report(cfg)
-    total = sum(n for _v, n in rep.nt_histogram)
-    assert good_tube_count(rep, 1) == total == rep.tube_count
-    assert good_tube_count(rep, 10**9) == 0
-    max_nt = max(v for v, _n in rep.nt_histogram)
-    assert good_tube_count(rep, max_nt) >= 1
 
 
 @pytest.mark.parametrize("index", ["0", 0.0, None, True, [0]])

@@ -336,8 +336,28 @@ def test_run_internal_error_witness(tmp_path, monkeypatch):
     m = _manifest(tmp_path, generator_kind="grid", k_range=(3,), analyses=("validate",))
     assert run(m) == EXIT_INTERNAL
     witness = json.loads((out / "witness.json").read_text())
-    assert witness == {"error": "ValidationError", "message": "boom"}
+    assert witness == {"error": "ValidationError", "message": "boom", "stage": "validate"}
     assert json.loads((out / "meta.json").read_text())["exit_code"] == EXIT_INTERNAL
+
+
+@pytest.mark.parametrize(
+    "target, source, stage",
+    [
+        ("tubelab.manifest.GeneratorSpec.build", {}, "generate"),
+        ("tubelab.manifest._load_input", {"generator_kind": None, "input_path": "p.json"}, "load"),
+        ("tubelab.manifest.sweep", {"analyses": ("validate", "sweep")}, "sweep"),
+    ],
+)
+def test_run_internal_error_witness_names_stage(tmp_path, monkeypatch, target, source, stage):
+    def boom(*args, **kwargs):
+        raise ValidationError("boom")
+
+    monkeypatch.setattr(target, boom)
+    out = tmp_path / "out"
+    m = _manifest(tmp_path, k_range=(3,), **source)
+    assert run(m) == EXIT_INTERNAL
+    witness = json.loads((out / "witness.json").read_text())
+    assert witness == {"error": "ValidationError", "message": "boom", "stage": stage}
 
 
 def _count_structural_checks(monkeypatch) -> Counter:
@@ -435,6 +455,24 @@ def test_run_thread_determinism(tmp_path):
     assert run(m, threads=8) == EXIT_PASS
     second = _snapshot(out)
     assert first == second
+
+
+def test_run_caps_sweep_threads_at_cpu_count(tmp_path, monkeypatch, inline_pool):
+    out = tmp_path / "out"
+    m = _manifest(
+        tmp_path,
+        generator_kind="cantor_grid",
+        generator_params={"s": 0.5},
+        k_range=(6, 8),
+        analyses=("sweep",),
+    )
+    assert run(m, threads=1) == EXIT_PASS
+    first = _snapshot(out)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert run(m, threads=10_000) == EXIT_PASS
+    # k=6 sweeps its 202 directions in one task, inline; k=8 has 13 tasks
+    assert inline_pool == [4]
+    assert _snapshot(out) == first
 
 
 def test_analyses_constant_is_ordered():

@@ -1,10 +1,11 @@
 """Directional projection sweeps, exceptional directions, and truncated
 energy sums.
 
-Counting oracles are pure-Python dedupes of floor cells. The energy has two
-oracles: a direct double loop, and the blocked per-direction formula that
-summed every ordered pair before energies ran over distinct difference
-vectors.
+Counting oracles are pure-Python dedupes of floor cells, the per-direction
+loop that the blocked sweep replaced, and exact integer cell counts for
+dyadic slopes. The energy has two oracles: a direct double loop, and the
+blocked per-direction formula that summed every ordered pair before energies
+ran over distinct difference vectors.
 """
 from __future__ import annotations
 
@@ -13,25 +14,25 @@ import math
 import numpy as np
 import pytest
 
-from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
+from tubelab.core_grid import DyadicPoint, PointSet, Scale
 from tubelab.errors import DomainError, ValidationError
-from tubelab.generators import cantor_grid, furstenberg_product, grid
+from tubelab.generators import cantor_grid, furstenberg_product, grid, quasi_product
 from tubelab.projections import (
     _AUDIT_JITTERS,
     _CHUNKS_PER_TASK,
     _ENERGY_BLOCK,
     _PAIR_BUFFER,
+    _SWEEP_BLOCK,
     DirectionNet,
-    _cell_count,
+    _cell_counts,
     _coords,
     _difference_histogram,
     exceptional_ratio,
-    exceptional_set,
-    project,
     projection_energy,
     sweep,
     sweep_to_csv,
 )
+from tubelab.tubes import point_columns
 
 BOUNDARY_TOL = 2.0**-40
 
@@ -43,24 +44,6 @@ def _segment(k: int) -> PointSet:
 
 def _cells(values, k: int) -> int:
     return len({math.floor(v * (1 << k) - BOUNDARY_TOL) for v in values})
-
-
-# --- project ---
-
-
-def test_project_axis_directions():
-    ps = _segment(4)
-    xs = sorted(p.x.as_float() for p in ps.points)
-    assert list(project(ps, 0.0)) == xs
-    assert project(ps, math.pi / 2) == (0.0,)
-
-
-def test_project_diagonal_grid():
-    ps = grid(3)
-    vals = project(ps, math.pi / 4)
-    assert min(vals) >= 0.0 and max(vals) <= math.sqrt(2.0)
-    oracle = sorted({p.x.as_float() * math.cos(math.pi / 4) + p.y.as_float() * math.sin(math.pi / 4) for p in ps.points})
-    assert list(vals) == oracle
 
 
 # --- sweep ---
@@ -97,9 +80,10 @@ def test_sweep_counts_match_projection_dedupe():
 
 
 def test_sorted_cell_count_matches_dedupe_of_cells():
-    # the sweep sorts once per direction and counts cell steps; that must
-    # equal deduplicating the lower-convention cells, plain and jittered,
-    # also for values on, just above and just below cell boundaries
+    # the sweep sorts each row of a block of directions and counts cell
+    # steps along the rows; per row, that must equal deduplicating the
+    # lower-convention cells, plain and jittered, also for values on, just
+    # above and just below cell boundaries
     k = 6
     edges = np.arange(-40, 40) / 2**k
     values = np.concatenate(
@@ -112,11 +96,16 @@ def test_sorted_cell_count_matches_dedupe_of_cells():
             edges - 2.0**-60,
         ]
     )
+    # the last row holds every half cell: there the lower-cell convention
+    # moves each value on a boundary into the cell below
+    halves = np.arange(values.size) / 2.0 ** (k + 1)
+    rows = np.sort(np.stack([values, -values, values + 2.0**-k, halves]), axis=1)
     for jitter in (0.0, *_AUDIT_JITTERS):
-        u = values * 2**k + jitter
+        u = rows * 2**k + jitter
         cells = np.floor(u)
         cells -= (u - cells) < BOUNDARY_TOL
-        assert _cell_count(np.sort(values), k, jitter) == np.unique(cells).size
+        expect = [np.unique(row).size for row in cells]
+        assert _cell_counts(rows, k, jitter).tolist() == expect
 
 
 def test_sweep_bounded_by_three_source_cells():
@@ -129,24 +118,171 @@ def test_sweep_bounded_by_three_source_cells():
     assert all(c <= 3 * n_cells for c in sw.counts)
 
 
+def _sweep_oracle(points: PointSet, net: DirectionNet, target: Scale) -> tuple[tuple, tuple]:
+    """Counts and audit spreads by the per-direction loop the blocked sweep
+    replaced: one projection, one sort and one scalar cell count per
+    direction."""
+    xs, ys = _coords(points)
+    k = target.k
+
+    def cell_count(ordered: np.ndarray, jitter: float = 0.0) -> int:
+        u = ordered * float(1 << k) + jitter
+        f = np.floor(u)
+        f -= (u - f) < BOUNDARY_TOL
+        return 1 + int(np.count_nonzero(np.diff(f)))
+
+    counts, spreads = [], []
+    for c, s in zip(net.cosines, net.sines):
+        vals = np.sort(xs * c + ys * s)
+        count = cell_count(vals)
+        counts.append(count)
+        spreads.append(max(abs(cell_count(vals, jit) - count) for jit in _AUDIT_JITTERS))
+    return tuple(counts), tuple(spreads)
+
+
+def _signed_random_points(count: int, seed: int) -> PointSet:
+    # both signs, exponents 3..9, at working scale k = 6
+    rng = np.random.default_rng(seed)
+    pts = {}
+    while len(pts) < count:
+        xe, ye = (int(e) for e in rng.integers(3, 10, size=2))
+        p = DyadicPoint.of(
+            int(rng.integers(-(4 << xe), 4 << xe)), xe, int(rng.integers(-(4 << ye), 4 << ye)), ye
+        )
+        pts[p.key()] = p
+    return PointSet(Scale(6), tuple(pts.values()))
+
+
+def _quasi_product_points(k: int, s: float, tau: float, seed: int) -> PointSet:
+    qp = quasi_product(k, s, tau, seed)
+    return PointSet(qp.scale, tuple(qp.points()))
+
+
+_SWEEP_CASES = {
+    # (points, net, target scale); the first two are the energy workloads'
+    # sweep and the manifest's sweep at k = 10
+    "furstenberg_805": lambda: (
+        furstenberg_product(10, 0.5).points, DirectionNet.uniform(Scale(8)), Scale(8)
+    ),
+    "furstenberg_3217": lambda: (
+        furstenberg_product(10, 0.5).points, DirectionNet.uniform(Scale(10)), Scale(10)
+    ),
+    "grid5": lambda: (grid(5), DirectionNet.uniform(Scale(5)), Scale(5)),
+    "cantor8": lambda: (cantor_grid(8, 0.5), DirectionNet.uniform(Scale(8)), Scale(8)),
+    "quasi_product": lambda: (
+        _quasi_product_points(10, 0.5, 0.5, 0), DirectionNet.uniform(Scale(10)), Scale(10)
+    ),
+    "signed_500": lambda: (_signed_random_points(500, 3), DirectionNet.uniform(Scale(6)), Scale(6)),
+    # block edges: the net's length is no multiple of the rows per block
+    "ragged_last_block": lambda: (
+        _random_grid_points(1000, 10, 1), DirectionNet.uniform(Scale(5)), Scale(7)
+    ),
+    "one_direction": lambda: (
+        cantor_grid(8, 0.5), DirectionNet.from_angles(Scale(4), [0.7]), Scale(8)
+    ),
+    "one_point": lambda: (
+        PointSet(Scale(4), (DyadicPoint.of(-3, 4, 5, 4),)), DirectionNet.uniform(Scale(6)), Scale(4)
+    ),
+    # more points than one block holds: one direction per block
+    "one_direction_per_block": lambda: (
+        _random_grid_points(20_000, 10, 2), DirectionNet.uniform(Scale(2)), Scale(9)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+def test_blocked_sweep_matches_per_direction_loop(case):
+    ps, net, target = _SWEEP_CASES[case]()
+    counts, spreads = _sweep_oracle(ps, net, target)
+    audited = sweep(ps, net, target, audit=True)
+    assert audited.counts == counts
+    assert audited.sensitivities == spreads
+    assert sweep(ps, net, target).counts == counts
+    rows = max(1, _SWEEP_BLOCK // len(ps.points))
+    if case == "ragged_last_block":
+        assert len(net) % rows != 0 and len(net) > rows
+    if case == "one_direction_per_block":
+        assert rows == 1
+
+
+def test_sweep_thread_determinism(monkeypatch):
+    # 256 points make 64 directions per block, so 805 directions are 13
+    # tasks; the CPU count is raised so that 4 threads start 4 workers
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    ps = cantor_grid(8, 0.5)
+    net = DirectionNet.uniform(Scale(8))
+    one = sweep(ps, net, Scale(8), threads=1, audit=True)
+    for threads in (2, 4):
+        many = sweep(ps, net, Scale(8), threads=threads, audit=True)
+        assert one.counts == many.counts
+        assert one.sensitivities == many.sensitivities
+
+
+@pytest.mark.parametrize("cpus", [2, None, 64])
+def test_threads_capped_at_cpus_and_tasks(monkeypatch, inline_pool, cpus):
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    # 805 directions of 256 points are 13 sweep tasks, and 3,280 distinct
+    # difference vectors against 3,217 directions are 3 energy tasks
+    ps = cantor_grid(8, 0.5)
+    net = DirectionNet.uniform(Scale(8))
+    energy_net = DirectionNet.uniform(Scale(10))
+    plain = sweep(ps, net, Scale(8), audit=True)
+    energy = projection_energy(ps, energy_net, 1.0)
+    inline_pool.clear()
+    capped = sweep(ps, net, Scale(8), threads=10_000, audit=True)
+    capped_energy = projection_energy(ps, energy_net, 1.0, threads=10_000)
+    # an unknown CPU count counts as one CPU: the tasks run inline
+    expect = {2: [2, 2], None: [], 64: [13, 3]}[cpus]
+    assert inline_pool == expect
+    assert (capped.counts, capped.sensitivities) == (plain.counts, plain.sensitivities)
+    assert capped_energy.energies == energy.energies
+
+
+def _exact_dyadic_counts(points: PointSet, target_k: int) -> list[int]:
+    """Cells of side 2^-target_k met by x + a*y for a = j/2^8, j = 0..256,
+    in exact integer arithmetic on the points' (X, Y, m) columns."""
+    x, y, m = point_columns(points.points, 0)
+    return [np.unique((x * 256 + j * y) >> (m + 8 - target_k)).size for j in range(257)]
+
+
+@pytest.mark.parametrize("target_k", [4, 6, 8])
+@pytest.mark.parametrize(
+    "points",
+    [
+        lambda: furstenberg_product(10, 0.5).points,
+        lambda: grid(5),
+        lambda: cantor_grid(8, 0.5),
+        lambda: _quasi_product_points(10, 0.5, 0.4, 0),
+    ],
+    ids=["furstenberg10", "grid5", "cantor8", "quasi_product10"],
+)
+def test_sweep_brackets_exact_dyadic_counts(points, target_k):
+    # pi_a(p) = x + a*y is sqrt(1 + a^2) * pi_e(p) at e = atan(a), a factor
+    # in [1, sqrt 2] for a in [0, 1]: pulled back, a cell of side delta of
+    # pi_a meets at most 2 cells of pi_e, and pushed forward one cell of
+    # pi_e meets at most 3 cells of pi_a
+    ps = points()
+    net = DirectionNet.from_angles(Scale(8), [math.atan(j / 256) for j in range(257)])
+    floats = sweep(ps, net, Scale(target_k)).counts
+    exact = _exact_dyadic_counts(ps, target_k)
+    for n_float, n_exact in zip(floats, exact):
+        assert n_float <= 2 * n_exact
+        assert n_exact <= 3 * n_float
+
+
 def test_sweep_rotation_covariance():
     ps = cantor_grid(6, 0.5)
-    # keep angles below pi/2: the rotated projection then reuses the exact
-    # same float products, so counts agree bit for bit
+    # turn the points and the net a quarter turn together, the vectors
+    # exactly as (c, s) -> (-s, c). Below pi/2 the turned projection
+    # (-y)(-s) + x*c is made of the same float products, so counts agree
+    # bit for bit
     angles = [j * 2.0**-4 for j in range(20)]
     net = DirectionNet.from_angles(Scale(6), angles)
-    sw = sweep(ps, net, Scale(6))
-    sw_rot = sweep(ps.quarter_turn(), net.rotated_quarter(), Scale(6))
-    assert sw.counts == sw_rot.counts
-
-
-def test_sweep_thread_determinism():
-    ps = cantor_grid(8, 0.5)
-    net = DirectionNet.uniform(Scale(5))
-    one = sweep(ps, net, Scale(8), threads=1, audit=True)
-    many = sweep(ps, net, Scale(8), threads=4, audit=True)
-    assert one.counts == many.counts
-    assert one.sensitivities == many.sensitivities
+    turned = PointSet(ps.scale, tuple(DyadicPoint(-p.y, p.x) for p in ps.points))
+    turned_net = DirectionNet(
+        net.scale, tuple(a + math.pi / 2 for a in angles), tuple(-s for s in net.sines), net.cosines
+    )
+    assert sweep(ps, net, Scale(6)).counts == sweep(turned, turned_net, Scale(6)).counts
 
 
 def test_sweep_audit_mode():
@@ -185,16 +321,13 @@ def test_sweep_quantiles_and_json():
 
 
 def test_exceptional_antitone():
+    # a larger threshold exponent t admits more directions, never fewer
     ps = cantor_grid(8, 0.5)
     net = DirectionNet.uniform(Scale(5))
     sw = sweep(ps, net, Scale(8))
-    prev: set[float] = set()
-    for t in (0.2, 0.4, 0.6, 0.8):
-        sub = exceptional_set(sw, t)
-        cur = set(sub.angles)
-        assert prev <= cur
-        assert len(sub) == sw.exceptional_count(t)
-        prev = cur
+    counts = [sw.exceptional_count(t) for t in (0.2, 0.4, 0.6, 0.8)]
+    assert counts == sorted(counts)
+    assert counts[-1] > counts[0]
 
 
 def test_exceptional_segment_small_t():
@@ -204,8 +337,7 @@ def test_exceptional_segment_small_t():
     angles = [j * 2.0**-k for j in range(100)] + [math.pi / 2]
     net = DirectionNet.from_angles(Scale(k), sorted(angles))
     sw = sweep(ps, net, Scale(k))
-    sub = exceptional_set(sw, 0.1)
-    assert 1 <= len(sub) <= 3  # only near-normal directions collapse
+    assert 1 <= sw.exceptional_count(0.1) <= 3  # only near-normal directions collapse
 
 
 def test_exceptional_empty_for_spread_set():
@@ -213,7 +345,6 @@ def test_exceptional_empty_for_spread_set():
     net = DirectionNet.uniform(Scale(4))
     sw = sweep(ps, net, Scale(4))
     assert sw.exceptional_count(0.05) == 0
-    assert len(exceptional_set(sw, 0.05)) == 0
 
 
 def test_exceptional_rejects_bad_threshold():
@@ -428,14 +559,7 @@ def test_uniform_net_shape():
     assert len(net) == int(math.pi * 16) + 1
     assert net.angles[0] == 0.0
     assert all(0.0 <= a < math.pi for a in net.angles)
-    assert net.min_separation() == pytest.approx(2.0**-4)
-
-
-def test_net_from_slopes():
-    slopes = [DyadicRational(i, 3) for i in range(8)]
-    net = DirectionNet.from_slopes(Scale(3), slopes)
-    assert len(net) == 8
-    assert list(net.angles) == sorted(math.atan(v.as_float()) for v in slopes)
+    assert np.diff(net.angles) == pytest.approx(2.0**-4)
 
 
 def test_net_validation_errors():
@@ -449,36 +573,6 @@ def test_net_validation_errors():
         DirectionNet.from_angles(Scale(3), [0.1, 0.2], weights=(1.0,))
     with pytest.raises(ValidationError):
         DirectionNet.from_angles(Scale(3), [0.1], weights=(0.0,))
-
-
-def test_net_rotated_quarter_vectors():
-    net = DirectionNet.from_angles(Scale(4), [0.0, 0.4, 1.0, 2.0, 3.0])
-    rot = net.rotated_quarter()
-    for i in range(len(net)):
-        c, s = net.cosines[i], net.sines[i]
-        c2, s2 = rot.cosines[i], rot.sines[i]
-        # exact rotation by a quarter turn, possibly reflected back into
-        # the upper half plane
-        assert (c2, s2) in ((-s, c), (s, -c))
-        assert abs(c2 * c + s2 * s) < 1e-12  # orthogonal
-    twice = rot.rotated_quarter()
-    assert all(
-        (c2, s2) in ((c, s), (-c, -s))
-        for c, s, c2, s2 in zip(net.cosines, net.sines, twice.cosines, twice.sines)
-    )
-
-
-def test_net_covering_number():
-    net = DirectionNet.uniform(Scale(6))
-    assert net.covering_number(Scale(6)) == len(net)
-    coarse = net.covering_number(Scale(3))
-    assert abs(coarse - int(math.pi * 8) - 1) <= 1
-
-
-def test_net_frostman_report():
-    net = DirectionNet.uniform(Scale(5))
-    rep = net.frostman_report(1.0, 4.0)
-    assert rep.valid
 
 
 def test_net_json_roundtrip():
