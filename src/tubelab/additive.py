@@ -29,6 +29,9 @@ class QuasiProduct:
     slices: tuple[tuple[DyadicRational, ...], ...]
 
     def __post_init__(self) -> None:
+        # s is the dimension of the slope net of quasi_product_tubes
+        if not 0.0 < self.s <= 1.0:
+            raise ValidationError(f"quasi product s={self.s} must lie in (0, 1]")
         if len(self.levels) != len(self.slices):
             raise ValidationError("one slice per level required")
         if any(len(sl) == 0 for sl in self.slices):

@@ -25,33 +25,27 @@ import traceback
 from typing import Any, Sequence
 
 from .core_grid import Scale, fit_exponent
-from .errors import (
-    DomainError,
-    DyadicOverflowError,
-    HypothesisViolation,
-    ParseError,
-    ScaleError,
-)
+from .errors import ParseError
 from .generators import _KIND_PARAMS, GeneratorSpec
 from .manifest import (
     _KIND_SHAPE,
     EXIT_FAIL,
     EXIT_HYPOTHESIS,
-    EXIT_INTERNAL,
     EXIT_PARSE,
     EXIT_PASS,
     ExperimentManifest,
     _check_applies,
-    _error_witness,
+    _exit_of,
     _kinds_for,
     _load_input,
     _point_count,
     _point_set_of,
+    _run,
     _shape_of,
     _stage,
     _Subject,
+    _write_text,
     canonical_json,
-    run as run_manifest,
 )
 from .projections import DirectionNet, projection_energy, sweep, sweep_to_csv
 
@@ -76,8 +70,7 @@ def _emit(obj: Any, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out, text)
         log.info("wrote %s", out)
 
 
@@ -168,8 +161,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
     if args.out is None:
         sys.stdout.write(csv_text)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        _write_text(args.out, csv_text)
         sys.stdout.write(canonical_json(summary))
     return EXIT_PASS
 
@@ -207,7 +199,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         data["out"] = args.out
         manifest = ExperimentManifest.from_json(data)
     log.info("running manifest %s", manifest.sha256()[:12])
-    return run_manifest(manifest, threads=args.threads)
+    return _run(manifest, args.threads)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -278,19 +270,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except HypothesisViolation as exc:
-        sys.stdout.write(canonical_json(exc.payload()))
-        sys.stderr.write(f"hypothesis failed: {exc}\n")
-        return EXIT_HYPOTHESIS
-    # an input too precise for the 128-bit exact arithmetic is bad input too
-    except (ParseError, DomainError, DyadicOverflowError, ScaleError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
-    except Exception as exc:  # any other failure is a bug: exit 4, witness and traceback
-        sys.stdout.write(canonical_json(_error_witness(exc)))
-        traceback.print_exc()
-        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
-        return EXIT_INTERNAL
+    except Exception as exc:
+        code, witness = _exit_of(exc)
+        if witness is not None:
+            sys.stdout.write(canonical_json(witness))
+        if code == EXIT_HYPOTHESIS:
+            sys.stderr.write(f"hypothesis failed: {exc}\n")
+        elif code == EXIT_PARSE:
+            sys.stderr.write(f"error: {exc}\n")
+        else:  # a bug: the witness above, then the traceback
+            traceback.print_exc()
+            sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return code
 
 
 if __name__ == "__main__":

@@ -288,12 +288,6 @@ class DyadicPoint:
         return (self.x.num, self.x.exp, self.y.num, self.y.exp)
 
 
-def squared_distance(p: DyadicPoint, q: DyadicPoint) -> DyadicRational:
-    dx = p.x - q.x
-    dy = p.y - q.y
-    return dx * dx + dy * dy
-
-
 @dataclass(frozen=True)
 class PointSet:
     """Finite set of pairwise distinct dyadic points at a working scale."""
@@ -329,42 +323,6 @@ class PointSet:
             raise ParseError(f"point set 'points' must be a list, got {rows!r}")
         pts = [DyadicPoint.of(*_dyadic_row(row, 4, "point row [xn, xe, yn, ye]")) for row in rows]
         return cls(Scale(k), tuple(pts))
-
-
-def separation_witness(
-    points: Sequence[DyadicPoint], dist: DyadicRational
-) -> tuple[DyadicPoint, DyadicPoint] | None:
-    """Return a pair at distance < dist, or None if all pairs are >= dist apart.
-
-    Grid-bucketed: any pair closer than dist lands in the same or adjacent
-    cells of a grid with side >= dist, so only neighbor buckets are compared.
-    Distance comparisons are exact (d^2 < dist^2 on dyadic rationals).
-    """
-    if dist.num <= 0:
-        raise ValidationError("separation distance must be positive")
-    n = dist.num
-    # largest j with 2^-j >= dist, i.e. side = 2^-j is the smallest power of
-    # two cell not below dist
-    ceil_log2 = (n - 1).bit_length()
-    j = dist.exp - ceil_log2
-    d2 = dist * dist
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(points):
-        cell = (p.x.floor_to_int(j), p.y.floor_to_int(j))
-        buckets.setdefault(cell, []).append(i)
-    for (cx, cy), members in buckets.items():
-        for dx_ in (-1, 0, 1):
-            for dy_ in (-1, 0, 1):
-                other = buckets.get((cx + dx_, cy + dy_))
-                if other is None:
-                    continue
-                for i in members:
-                    for jdx in other:
-                        if jdx <= i:
-                            continue
-                        if squared_distance(points[i], points[jdx]) < d2:
-                            return (points[i], points[jdx])
-    return None
 
 
 def covering_number(ps: PointSet, target: Scale) -> int:

@@ -3,8 +3,15 @@
 The ball condition is checked at data-point centers and dyadic radii only;
 against arbitrary centers this costs at most a factor 2^s in the constant,
 which the report surfaces as `effective_constant`. Counts are exact: open
-Euclidean balls, integer comparisons d^2 < r^2, vectorized over int64 (the
-coordinate envelope keeps squared distances below 2^50, so nothing rounds).
+Euclidean balls, integer comparisons d^2 < r^2, vectorized over int64 on
+coordinates lifted to one grid no finer than 2^-27 (a finer set is refused
+with DyadicOverflowError before anything is counted), so nothing wraps.
+
+delta-separation is the radius-delta case of the same counts: the open
+delta-ball around each point holds that point alone. A set that fails it is
+reported as kind "separation", and its witness is the first close pair in
+point order: the lowest index i of any two points less than delta apart,
+and the lowest j != i close to it.
 """
 from __future__ import annotations
 
@@ -20,7 +27,6 @@ from .core_grid import (
     PointSet,
     Scale,
     check_value_bound,
-    separation_witness,
 )
 from .errors import DyadicOverflowError, ValidationError
 
@@ -68,46 +74,16 @@ class ValidationReport:
         }
 
 
-def _sq_dist(p: Coord, q: Coord) -> DyadicRational:
-    total = (p[0] - q[0]) * (p[0] - q[0])
-    for i in range(1, len(p)):
-        d = p[i] - q[i]
-        total = total + d * d
-    return total
-
-
-def _sep_witness(coords: Sequence[Coord], dist: DyadicRational):
-    if len(coords[0]) == 2:
-        pts = [DyadicPoint(c[0], c[1]) for c in coords]
-        hit = separation_witness(pts, dist)
-        if hit is None:
-            return None
-        return ((hit[0].x, hit[0].y), (hit[1].x, hit[1].y))
-    # 1-d: sort and compare neighbors; exact comparisons
-    order = sorted(range(len(coords)), key=lambda i: coords[i][0])
-    d2 = dist * dist
-    for a, b in zip(order, order[1:]):
-        if _sq_dist(coords[a], coords[b]) < d2:
-            return (coords[a], coords[b])
-    return None
-
-
 def _coord_json(c: Coord) -> list[list[int]]:
     return [v.pair() for v in c]
 
 
 def _validate_coords(coords: Sequence[Coord], params: DeltaSetParams) -> ValidationReport:
     k = params.scale.k
-    delta = params.scale.delta
     eff = params.C * (2.0 ** params.s)
     if len(coords) == 0:
         raise ValidationError("empty set cannot be validated")
     dim = len(coords[0])
-    sep = _sep_witness(coords, delta)
-    if sep is not None:
-        witness = {"pair": [_coord_json(sep[0]), _coord_json(sep[1])]}
-        return ValidationReport(False, "separation", math.inf, witness, eff, params)
-
     # exact counting on int64: lift all coordinates to a shared exponent
     # M >= k. Coordinates differ by at most 16, so squared distances stay
     # below 2^(8 + 2M) <= 2^62 for M <= 27 and every comparison d^2 < r^2 is
@@ -138,6 +114,17 @@ def _validate_coords(coords: Sequence[Coord], params: DeltaSetParams) -> Validat
         first += np.arange(0, rows * (k + 2), k + 2)[:, None]
         hist = np.bincount(first.ravel(), minlength=rows * (k + 2)).reshape(rows, k + 2)
         counts[:, lo : lo + rows] = np.cumsum(hist[:, : k + 1], axis=1).T
+        # separation is the radius-delta ball: it holds its center alone.
+        # The first center that fails is the lowest index in any close
+        # pair, so its first close partner comes after it
+        close = np.flatnonzero(counts[0, lo : lo + rows] > 1)
+        if close.size:
+            row = int(close[0])
+            i = lo + row
+            partners = np.flatnonzero(d2[row] < r2[0])
+            j = int(partners[partners != i][0])
+            witness = {"pair": [_coord_json(coords[i]), _coord_json(coords[j])]}
+            return ValidationReport(False, "separation", math.inf, witness, eff, params)
     ratios = counts / thresholds[:, None]
     # the first maximum in (radius, center) order, as a strict > scan finds it
     t, i = divmod(int(np.argmax(ratios)), n)

@@ -218,6 +218,9 @@ class TripodInstance:
         a, b, c = (
             DyadicPoint.of(*_dyadic_row(row, 4, "tripod point row [xn, xe, yn, ye]")) for row in rows
         )
+        # the tripod projection divides by the gap between the last two levels
+        if len({a.y, b.y, c.y}) < 3:
+            raise ParseError(f"tripod points need three distinct levels, got {rows!r}")
         return cls(tube, (a, b, c))
 
 

@@ -45,7 +45,6 @@ from .errors import (
     HypothesisViolation,
     ParseError,
     ScaleError,
-    TubelabError,
     ValidationError,
 )
 from .generators import GeneratorSpec, TripodInstance, quasi_product_tubes
@@ -253,8 +252,8 @@ class ExperimentManifest:
 
 def _load_input(path: str) -> Any:
     """The object an input file holds. Anything wrong with the file, down to
-    a duplicate point or a numerator past the 128-bit envelope, is a
-    ParseError."""
+    a duplicate point, a numerator past the 128-bit envelope or no points
+    at all, is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -267,23 +266,29 @@ def _load_input(path: str) -> Any:
     try:
         # a tripod also carries "points": recognise its "tube" first
         if "tube" in obj:
-            return TripodInstance.from_json(obj)
-        if "families" in obj:
-            return Configuration.from_json(obj)
-        if "levels" in obj:
-            return QuasiProduct.from_json(obj)
-        if "points" in obj:
-            return PointSet.from_json(obj)
-        if "values" in obj:  # slope values, as `gen --kind slope_net` writes them
+            loaded = TripodInstance.from_json(obj)
+        elif "families" in obj:
+            loaded = Configuration.from_json(obj)
+        elif "levels" in obj:
+            loaded = QuasiProduct.from_json(obj)
+        elif "points" in obj:
+            loaded = PointSet.from_json(obj)
+        elif "values" in obj:  # slope values, as `gen --kind slope_net` writes them
             rows = obj["values"]
             if not isinstance(rows, list):
                 raise ParseError(f"slope values must be a list of [num, exp] pairs, got {rows!r}")
-            return tuple(DyadicRational.from_pair(row) for row in rows)
+            loaded = tuple(DyadicRational.from_pair(row) for row in rows)
+        else:
+            raise ParseError(
+                f"input {path!r} is not a point set, configuration, quasi-product, tripod, "
+                "or slope values"
+            )
     except (DomainError, DyadicOverflowError, ScaleError, ValidationError) as exc:
         raise ParseError(f"input {path!r}: {exc}") from exc
-    raise ParseError(
-        f"input {path!r} is not a point set, configuration, quasi-product, tripod, or slope values"
-    )
+    # an empty quasi-product fails its joined_levels hypothesis instead
+    if not isinstance(loaded, QuasiProduct) and _point_count(loaded) == 0:
+        raise ParseError(f"input {path!r} holds no points")
+    return loaded
 
 
 def _shape_of(obj: Any) -> str:
@@ -325,12 +330,30 @@ def _stage(name: str) -> Iterator[None]:
         raise
 
 
-def _error_witness(exc: Exception) -> dict:
-    """The witness of an internal error (exit 4). Its stage is the analysis
-    that raised ("energy" for the energy of `tubelab project`), or
-    "generate" or "load" while the object was being built; None when the
-    error arose outside every stage."""
-    return {"error": type(exc).__name__, "message": str(exc), "stage": getattr(exc, "stage", None)}
+def _exit_of(exc: Exception) -> tuple[int, dict | None]:
+    """The exit code an exception ends a command with, and the witness it
+    prints and `tubelab run` writes to witness.json (None at exit 2).
+
+    A failed hypothesis is exit 3 with its payload. Bad input is exit 2,
+    also input too precise for the exact arithmetic. Anything else is a bug,
+    exit 4; its witness names the stage that raised: the analysis ("energy"
+    for the energy of `tubelab project`), or "generate" or "load" while the
+    object was being built, and None outside every stage.
+    """
+    if isinstance(exc, HypothesisViolation):
+        return EXIT_HYPOTHESIS, exc.payload()
+    if isinstance(exc, (ParseError, DomainError, DyadicOverflowError, ScaleError)):
+        return EXIT_PARSE, None
+    witness = {"error": type(exc).__name__, "message": str(exc), "stage": getattr(exc, "stage", None)}
+    return EXIT_INTERNAL, witness
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    """Write an output file; a path that cannot be written is bad usage."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -531,19 +554,19 @@ def _csv_text(rows: list[dict[str, Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run(manifest: ExperimentManifest, threads: int = 1) -> int:
-    """Execute the manifest, write artifacts, and return the exit code.
-
-    Scales run one after another, and every scale finishes before anything
-    is written. `threads` caps the worker threads of the sweep's direction
-    blocks (at the CPU count, too) and never changes output bytes.
-    """
+def _run(manifest: ExperimentManifest, threads: int) -> int:
+    """`run`, for the command line: exit 0 or 1, or the exception that
+    stopped the run, raised once every artifact is written."""
     out = Path(manifest.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot write {manifest.out!r}: {exc}") from exc
     digest = manifest.sha256()
     started = datetime.now(timezone.utc).isoformat()
 
     code = EXIT_PASS
+    stop: Exception | None = None
     witness: dict | None = None
     reports: list[tuple[int, dict]] = []
     rows: list[dict[str, Any]] = []
@@ -558,24 +581,21 @@ def run(manifest: ExperimentManifest, threads: int = 1) -> int:
                 sweeps.append((k, sweep_csv))
         if any("fail" in row["verdicts"] for row in rows):
             code = EXIT_FAIL
-    except HypothesisViolation as exc:
-        code = EXIT_HYPOTHESIS
-        witness = exc.payload()
-    except ParseError:
-        raise
-    except TubelabError as exc:
-        code = EXIT_INTERNAL
-        witness = _error_witness(exc)
+    except Exception as exc:
+        code, witness = _exit_of(exc)
+        if code == EXIT_PARSE:
+            raise
+        stop = exc
 
-    (out / "manifest.json").write_text(canonical_json(manifest.to_json()))
+    _write_text(out / "manifest.json", canonical_json(manifest.to_json()))
     for k, report in reports:
-        (out / f"report_k{k}.json").write_text(canonical_json(report))
+        _write_text(out / f"report_k{k}.json", canonical_json(report))
     for k, text in sweeps:
-        (out / f"sweep_k{k}.csv").write_text(text)
+        _write_text(out / f"sweep_k{k}.csv", text)
     if rows:
-        (out / "aggregate.csv").write_text(_csv_text(rows))
+        _write_text(out / "aggregate.csv", _csv_text(rows))
     if witness is not None:
-        (out / "witness.json").write_text(canonical_json(witness))
+        _write_text(out / "witness.json", canonical_json(witness))
 
     fit_samples = [
         (row["k"], row["n_tubes"] if row["n_tubes"] != "" else row["n_points"])
@@ -587,9 +607,30 @@ def run(manifest: ExperimentManifest, threads: int = 1) -> int:
         quantity = "n_tubes" if any(r["n_tubes"] != "" for r in rows) else "n_points"
         payload = fit.to_json()
         payload["quantity"] = quantity
-        (out / "fit.json").write_text(canonical_json(payload))
+        _write_text(out / "fit.json", canonical_json(payload))
 
-    (out / "meta.json").write_text(
-        canonical_json({"started": started, "exit_code": code, "manifest_sha256": digest})
+    _write_text(
+        out / "meta.json",
+        canonical_json({"started": started, "exit_code": code, "manifest_sha256": digest}),
     )
+    if stop is not None:
+        raise stop
     return code
+
+
+def run(manifest: ExperimentManifest, threads: int = 1) -> int:
+    """Execute the manifest, write artifacts, and return the exit code.
+
+    Scales run one after another, and every scale finishes before anything
+    is written. `threads` caps the worker threads of the sweep's direction
+    blocks (at the CPU count, too) and never changes output bytes. What
+    maps to exit 2 is raised and writes no artifact; a run stopped at exit
+    3 or 4 writes its witness.json and meta.json.
+    """
+    try:
+        return _run(manifest, threads)
+    except Exception as exc:
+        code, _ = _exit_of(exc)
+        if code == EXIT_PARSE:
+            raise
+        return code

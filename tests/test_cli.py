@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import logging
 
@@ -10,10 +11,17 @@ import hypothesis.strategies as hys
 import pytest
 
 from tubelab.cli import _LOG_LEVELS, _build_parser, _setup_logging, main
-from tubelab.core_grid import PointSet, Scale
-from tubelab.errors import ParseError
-from tubelab.generators import collinear_tripod, furstenberg_product, grid, quasi_product
-from tubelab.incidence import Configuration
+from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
+from tubelab.errors import DyadicOverflowError, ParseError
+from tubelab.generators import (
+    _KIND_PARAMS,
+    collinear_tripod,
+    furstenberg_product,
+    grid,
+    quasi_product,
+    slope_net,
+)
+from tubelab.incidence import Configuration, validate_configuration
 from tubelab.manifest import (
     _ANALYSIS_SHAPES,
     _KIND_SHAPE,
@@ -23,7 +31,7 @@ from tubelab.manifest import (
     run,
 )
 from tubelab.projections import DirectionNet
-from tubelab.tubes import TubeFamily, tubes_through
+from tubelab.tubes import TubeFamily, keys_through, tubes_through
 
 
 def _call(capsys, argv):
@@ -129,7 +137,8 @@ def test_validate_duplicate_points_is_internal(capsys, tmp_path):
     "row, message",
     [
         ([(1 << 127) + 1, 127, 0, 0], "128-bit envelope"),  # refused at load
-        ([535826199, 127, (1 << 127) - 1, 127], "128-bit envelope"),  # its distances overflow
+        # its distances would overflow, but the ball counts refuse it first
+        ([535826199, 127, (1 << 127) - 1, 127], "2^-27 grid"),
         ([(1 << 29) + 1, 28, 2, 0], "2^-27 grid"),  # too fine for int64 ball counts
         ([1, 1 << 26, 0, 0], "exponent 67108864 outside [-128, 128]"),  # refused before any shift
         ([0, 0, 1, -(1 << 33)], "exponent -8589934592 outside [-128, 128]"),
@@ -325,6 +334,159 @@ def test_validate_mutated_point_rows_never_raise(tmp_path_factory, rows):
     assert main(["validate", "--input", str(src)]) in {0, 1, 2, 3}
 
 
+_JSON_VALUE = hys.one_of(_NON_INTEGER, _NUMERATOR, _EXPONENT)
+
+
+@hys.composite
+def _mutated_json(draw, obj):
+    """A deep copy of the JSON object with one to three mutations. Each walks
+    down from the root into nested objects and lists (three times in four
+    where it can), then at one entry
+    replaces the value with any JSON value, drops it, copies it over a
+    sibling entry, or moves an integer by at most 2."""
+    obj = copy.deepcopy(obj)
+    for _ in range(draw(hys.integers(1, 3))):
+        node = obj
+        while node:
+            keys = sorted(node) if isinstance(node, dict) else range(len(node))
+            key = draw(hys.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(hys.integers(0, 3)):
+                node = child
+                continue
+            how = draw(hys.sampled_from(["replace", "drop", "copy", "nudge"]))
+            if how == "replace":
+                node[key] = draw(_JSON_VALUE)
+            elif how == "drop":
+                del node[key]
+            elif how == "copy":
+                node[draw(hys.sampled_from(keys))] = copy.deepcopy(child)
+            elif type(child) is int:
+                node[key] = child + draw(hys.integers(-2, 2))
+            break
+    return obj
+
+
+# each input shape at k = 4, and the commands that read it
+_SHAPE_INPUTS = {
+    "configuration": (
+        lambda: furstenberg_product(4, 0.5).to_json(),
+        [["validate"], ["incidence"], ["dichotomy"], ["project"]],
+    ),
+    "quasi_product": (
+        lambda: quasi_product(4, 0.5, 0.5).to_json(),
+        [["validate"], ["additive"], ["project"]],
+    ),
+    "tripod": (lambda: collinear_tripod(4).to_json(), [["validate"]]),
+    "values": (
+        lambda: {"values": [v.pair() for v in slope_net(4, 0.5)]},
+        [["validate", "--k", "4", "--s", "0.5"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_SHAPE_INPUTS))
+def test_mutated_input_files_never_exit_internal(tmp_path_factory, shape):
+    build, commands = _SHAPE_INPUTS[shape]
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(obj=_mutated_json(build()))
+    def check(obj):
+        src = tmp_path_factory.mktemp(shape) / "in.json"
+        src.write_text(json.dumps(obj))
+        for command in commands:
+            assert main([command[0], "--input", str(src), *command[1:]]) in {0, 1, 2, 3}
+
+    check()
+
+
+_K_RANGE = hys.one_of(
+    hys.lists(hys.sampled_from([2, 4, 6]), min_size=1, max_size=2),
+    hys.lists(hys.integers(-1, 7), max_size=3),
+    hys.lists(hys.sampled_from([21, 4.0, "4", True, None]), min_size=1, max_size=2),
+)
+_ANALYSIS_LIST = hys.one_of(
+    hys.lists(hys.sampled_from(ANALYSES), min_size=1, max_size=3, unique=True),
+    hys.lists(hys.sampled_from([*ANALYSES, "mystery"]), max_size=3),
+)
+_GENERATOR_PARAM = {
+    "s": hys.sampled_from([0.25, 0.5, 1.0, 0.0, 2.0]),
+    "tau": hys.sampled_from([0.4, 0.5, 1.0, -1.0]),
+    "seed": hys.integers(-1, 3),
+    "epsilon": hys.sampled_from([0.1, 0.2, 0.5]),
+    "mask": hys.lists(hys.lists(hys.integers(0, 1), min_size=2, max_size=2), max_size=3),
+    "k": hys.just(4),
+}
+
+
+@hys.composite
+def _generators(draw):
+    """A generator of any kind (or none known) whose parameters are each
+    drawn near their range: a required one is there seven times in eight,
+    an optional one half the time, any other one time in eight."""
+    kind = draw(hys.sampled_from([*_KIND_SHAPE, "mystery"]))
+    required, optional = _KIND_PARAMS.get(kind, (set(), set()))
+    params = {}
+    for name, values in _GENERATOR_PARAM.items():
+        chance = 7 if name in required - {"k"} else 4 if name in optional else 1
+        if draw(hys.integers(0, 7)) < chance:
+            params[name] = draw(values)
+    return {"kind": kind, "params": params}
+
+
+@hys.composite
+def _mutated_manifests(draw, inputs: list[str]):
+    """A manifest of furstenberg_product at k = 4, or of one of the input
+    files, with some of k_range, analyses and its source (generator or
+    input) replaced by a near-valid value three times in four, by any JSON
+    value or dropped otherwise; one time in twenty it names both sources."""
+    fields = {
+        "k_range": _K_RANGE,
+        "analyses": _ANALYSIS_LIST,
+        "generator": _generators(),
+        "input": hys.sampled_from(inputs),
+    }
+    source = draw(hys.sampled_from(["generator", "input"]))
+    manifest = {
+        "k_range": [4],
+        "analyses": ["validate", "incidence"],
+        "generator": {"kind": "furstenberg_product", "params": {"s": 0.5}},
+        "input": draw(fields["input"]),
+    }
+    del manifest["input" if source == "generator" else "generator"]
+    names = draw(hys.lists(hys.sampled_from(["k_range", "analyses", source]), min_size=1, unique=True))
+    for name in names:
+        how = draw(hys.sampled_from(["near"] * 6 + ["any", "drop"]))
+        if how == "drop":
+            del manifest[name]
+        else:
+            manifest[name] = draw(fields[name] if how == "near" else _JSON_VALUE)
+    if draw(hys.integers(0, 19)) == 0:
+        other = "input" if source == "generator" else "generator"
+        manifest[other] = draw(fields[other])
+    return manifest
+
+
+def test_mutated_manifests_never_exit_internal(tmp_path_factory):
+    root = tmp_path_factory.mktemp("manifests")
+    inputs = [str(root / "missing.json"), str(root)]
+    for shape, (build, _) in _SHAPE_INPUTS.items():
+        path = root / f"{shape}.json"
+        path.write_text(json.dumps(build()))
+        inputs.append(str(path))
+    (root / "points.json").write_text(json.dumps(grid(2).to_json()))
+    inputs.append(str(root / "points.json"))
+
+    @hyp.settings(max_examples=40, deadline=None)
+    @hyp.given(manifest=_mutated_manifests(inputs))
+    def check(manifest):
+        work = tmp_path_factory.mktemp("run")
+        (work / "m.json").write_text(json.dumps({**manifest, "out": str(work / "out")}))
+        assert main(["run", "--manifest", str(work / "m.json")]) in {0, 1, 2, 3}
+
+    check()
+
+
 @pytest.mark.parametrize("bad", [4.7, True, "4", None])
 @pytest.mark.parametrize(
     "what",
@@ -510,6 +672,114 @@ def test_run_manifest_default_epsilon_is_checked(capsys, tmp_path):
     assert out == ""
     assert "epsilon=0.25 (the default) must lie in (0, min(s, 1/2))" in err
     assert not (tmp_path / "out").exists()
+
+
+# separated, but its last point lies on the 2^-30 grid
+_TOO_FINE_POINTS = {"k": 2, "points": [[0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [805306369, 30, 1, 0]]}
+
+
+def test_run_exits_as_validate_on_too_fine_input(capsys, tmp_path):
+    # the ball counts' DyadicOverflowError is bad input from a manifest too
+    # (it was exit 4 there, with a witness)
+    src = tmp_path / "fine.json"
+    src.write_text(json.dumps(_TOO_FINE_POINTS))
+    mf = tmp_path / "m.json"
+    out_dir = tmp_path / "out"
+    mf.write_text(
+        json.dumps({"input": str(src), "k_range": [2], "analyses": ["validate"], "out": str(out_dir)})
+    )
+    for argv in (["validate", "--input", str(src)], ["run", "--manifest", str(mf)]):
+        code, out, err = _call(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "2^-27 grid or coarser, got 2^-30" in err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_unseparated_input_finer_than_ball_counts_is_refused(capsys, tmp_path):
+    # the 2^-27 refusal comes before separation, so a set that fails
+    # separation and holds a 2^-30 point is refused (exit 2), not a
+    # "separation" verdict (exit 1, or exit 3 in a configuration)
+    cfg = furstenberg_product(8, 0.5)
+    p = cfg.points.points[-1]
+    q = DyadicPoint(p.x + DyadicRational(1, 30), p.y)
+    fam = TubeFamily(cfg.scale, tuple(keys_through(q, 8, range(0, 1 << 8, 3))))
+    points = PointSet(cfg.scale, cfg.points.points + (q,))
+    cfg = Configuration(points, cfg.families + (fam,), cfg.s, cfg.epsilon)
+    with pytest.raises(DyadicOverflowError, match=r"2\^-27 grid or coarser, got 2\^-30"):
+        validate_configuration(cfg)
+    src = tmp_path / "points.json"
+    src.write_text(json.dumps(points.to_json()))
+    code, out, err = _call(capsys, ["validate", "--input", str(src)])
+    assert (code, out) == (2, "")
+    assert "2^-27 grid or coarser, got 2^-30" in err
+
+
+@pytest.mark.parametrize("fault", ["hypothesis", "internal"])
+def test_run_prints_the_witness_it_writes(capsys, tmp_path, monkeypatch, fault):
+    out_dir = tmp_path / "out"
+    manifest = {"k_range": [4], "out": str(out_dir)}
+    if fault == "hypothesis":
+        manifest.update(input=str(_degenerate_config_file(tmp_path)), analyses=["dichotomy"])
+        expected = 3
+    else:
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("tubelab.manifest.validate", boom)
+        manifest.update(generator={"kind": "grid", "params": {}}, analyses=["validate"])
+        expected = 4
+    mf = tmp_path / "m.json"
+    mf.write_text(json.dumps(manifest))
+    code, out, err = _call(capsys, ["run", "--manifest", str(mf)])
+    assert code == expected
+    assert out == (out_dir / "witness.json").read_text()
+    assert json.loads((out_dir / "meta.json").read_text())["exit_code"] == expected
+    if fault == "internal":
+        assert json.loads(out) == {"error": "RuntimeError", "message": "boom", "stage": "validate"}
+        assert "internal error: RuntimeError: boom" in err
+    else:
+        assert json.loads(out)["hypothesis"] == "slope_set_frostman"
+
+
+@pytest.mark.parametrize("command", ["gen", "project", "run"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, command):
+    # a directory that does not exist; for run, whose directory is made, a
+    # path through a file
+    dest = tmp_path / "missing" / "x"
+    if command == "gen":
+        argv = ["gen", "--kind", "grid", "--k", "2"]
+    elif command == "project":
+        argv = ["project", "--kind", "grid", "--k", "3"]
+    else:
+        mf = tmp_path / "m.json"
+        mf.write_text(json.dumps({"generator": {"kind": "grid"}, "k_range": [2], "analyses": ["validate"]}))
+        argv, dest = ["run", "--manifest", str(mf)], mf / "out"
+    code, out, err = _call(capsys, [*argv, "--out", str(dest)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write")
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"k": 4, "points": []}, "holds no points"),
+        ({"values": []}, "holds no points"),
+        ({"k": 4, "s": 0.5, "epsilon": 0.25, "points": [], "families": []}, "holds no points"),
+        ({**quasi_product(4, 0.5, 0.5).to_json(), "s": 4}, "s=4.0 must lie in (0, 1]"),
+        (
+            {"k": 4, "tube": [1, 0, 1, 2], "points": [[-1, 4, 3, 4], [1, 3, 7, 4], [1, 3, 7, 4]]},
+            "three distinct levels",
+        ),
+    ],
+)
+def test_inputs_the_fuzz_found_are_parse_errors(capsys, tmp_path, obj, message):
+    # each was exit 4: ValidationError from validate, GeneratorError from the
+    # slope net, or a tripod projection dividing by a zero level gap
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(obj))
+    code, out, err = _call(capsys, ["validate", "--input", str(src), "--k", "4"])
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_log_level_env(monkeypatch):

@@ -20,8 +20,6 @@ from tubelab.core_grid import (
     check_value_bound,
     covering_number,
     fit_exponent,
-    separation_witness,
-    squared_distance,
 )
 from tubelab.errors import DomainError, ParseError, ScaleError, ValidationError
 
@@ -168,12 +166,6 @@ def test_value_bound():
         check_value_bound(DyadicRational.integer(-9))
 
 
-@hyp.given(points, points)
-def test_squared_distance_oracle(p, q):
-    expect = (frac(p.x) - frac(q.x)) ** 2 + (frac(p.y) - frac(q.y)) ** 2
-    assert frac(squared_distance(p, q)) == expect
-
-
 def test_point_set_rejects_duplicates():
     p = DyadicPoint.of(1, 2, 1, 2)
     with pytest.raises(ValidationError):
@@ -210,32 +202,6 @@ def test_covering_monotone_in_scale(pts):
         assert lo <= hi  # refining never merges cells
         assert hi <= 4 * lo  # one cell splits into at most 4 children
     assert counts[12] <= len(pts)
-
-
-@hyp.given(
-    hys.lists(points, min_size=2, max_size=25, unique_by=lambda p: p.key()),
-    hys.integers(min_value=1, max_value=16),
-)
-def test_separation_witness_matches_brute_force(pts, num):
-    dist = DyadicRational(num, 3)
-    got = separation_witness(pts, dist)
-    d2 = frac(dist) ** 2
-    close = [
-        (p, q)
-        for i, p in enumerate(pts)
-        for q in pts[i + 1 :]
-        if frac(squared_distance(p, q)) < d2
-    ]
-    if got is None:
-        assert not close
-    else:
-        a, b = got
-        assert frac(squared_distance(a, b)) < d2
-
-
-def test_separation_witness_rejects_nonpositive():
-    with pytest.raises(ValidationError):
-        separation_witness([], DyadicRational.integer(0))
 
 
 def test_fit_exponent_exact_line():

@@ -72,6 +72,64 @@ def test_validate_reports_separation_failure():
     assert rep.worst_ratio == math.inf
 
 
+def _first_close_pair(coords, k: int) -> tuple[int, int] | None:
+    """Brute force in Fraction arithmetic: the lexicographically first
+    (i, j), i < j, of two coordinates less than delta apart."""
+    exact = [[Fraction(v.num, 1 << v.exp) for v in c] for c in coords]
+    delta2 = Fraction(1, 1 << 2 * k)
+    for i, p in enumerate(exact):
+        for j in range(i + 1, len(exact)):
+            if sum((a - b) ** 2 for a, b in zip(p, exact[j])) < delta2:
+                return i, j
+    return None
+
+
+def _assert_separation_matches_brute_force(rep, coords, k: int) -> None:
+    pair = _first_close_pair(coords, k)
+    if pair is None:
+        assert (rep.valid, rep.kind) == (True, "ok")
+        return
+    i, j = pair
+    assert (rep.valid, rep.kind, rep.worst_ratio) == (False, "separation", math.inf)
+    assert rep.witness == {"pair": [[v.pair() for v in coords[i]], [v.pair() for v in coords[j]]]}
+
+
+@hys.composite
+def _scale_and_numerators(draw, dim: int, bound: int):
+    """A scale k in 1..6 and 2 to 25 rows of dim numerators over 2^(k+2),
+    spaced by a quarter, half, one or two deltas, inside [-bound, bound]:
+    close pairs are common at the finer spacings and impossible at the
+    coarser ones (C = 1e9 leaves separation the only failure)."""
+    k = draw(hys.integers(1, 6))
+    step = draw(hys.sampled_from([1, 2, 4, 8]))
+    reach = min(6, (bound << (k + 2)) // step)
+    rows = draw(
+        hys.lists(
+            hys.tuples(*[hys.integers(-reach, reach)] * dim), min_size=2, max_size=25, unique=True
+        )
+    )
+    return k, [tuple(step * n for n in row) for row in rows]
+
+
+@hyp.settings(deadline=None)
+@hyp.given(_scale_and_numerators(2, 4))
+def test_validate_separation_matches_brute_force(case):
+    k, rows = case
+    ps = PointSet(Scale(k), tuple(DyadicPoint.of(x, k + 2, y, k + 2) for x, y in rows))
+    rep = validate(ps, DeltaSetParams(Scale(k), 1.0, 1e9))
+    _assert_separation_matches_brute_force(rep, [(p.x, p.y) for p in ps.points], k)
+
+
+@hyp.settings(deadline=None)
+@hyp.given(_scale_and_numerators(1, 8))
+def test_validate_1d_separation_matches_brute_force_unsorted(case):
+    # the values stay in the order drawn, not sorted
+    k, rows = case
+    values = [DyadicRational(n, k + 2) for (n,) in rows]
+    rep = validate_1d(values, DeltaSetParams(Scale(k), 1.0, 1e9))
+    _assert_separation_matches_brute_force(rep, [(v,) for v in values], k)
+
+
 def test_validate_rejects_empty_and_scale_mismatch():
     with pytest.raises(ValidationError):
         validate(PointSet(Scale(4), ()), DeltaSetParams(Scale(4), 1.0, 1.0))
