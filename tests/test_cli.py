@@ -341,9 +341,9 @@ _JSON_VALUE = hys.one_of(_NON_INTEGER, _NUMERATOR, _EXPONENT)
 def _mutated_json(draw, obj):
     """A deep copy of the JSON object with one to three mutations. Each walks
     down from the root into nested objects and lists (three times in four
-    where it can), then at one entry
-    replaces the value with any JSON value, drops it, copies it over a
-    sibling entry, or moves an integer by at most 2."""
+    where it can), then at one entry replaces the value with any JSON
+    value, drops it, copies it over a sibling entry, or moves an integer by
+    at most 2."""
     obj = copy.deepcopy(obj)
     for _ in range(draw(hys.integers(1, 3))):
         node = obj
