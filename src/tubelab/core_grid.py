@@ -64,10 +64,6 @@ class Scale:
         if self.k < 0 or self.k > SCALE_CAP:
             raise ScaleError(f"scale exponent k={self.k} outside [0, {SCALE_CAP}]")
 
-    @property
-    def delta(self) -> "DyadicRational":
-        return DyadicRational(1, self.k)
-
     def require_even(self) -> None:
         if self.k % 2 != 0:
             raise ScaleError(f"k={self.k} must be even when the sqrt(delta) companion scale is used")

@@ -391,7 +391,7 @@ def test_canonical_tube_through():
 
 def test_cover_by_coarse_tubes_single_point():
     fine, coarse = Scale(6), Scale(3)
-    delta2 = coarse.delta
+    delta2 = DyadicRational(1, coarse.k)
     rng = random.Random(11)
     for _ in range(10):
         p = DyadicPoint(
@@ -434,7 +434,7 @@ def test_cover_by_coarse_tubes_rejects_uncovered_point():
     far = DyadicPoint.of(1, 2, 7, 3)
     a2 = ZERO
     t0 = canonical_tube_through(p, a2, coarse)
-    window = Window(a2, a2 + coarse.delta, ZERO, ONE)
+    window = Window(a2, a2 + DyadicRational(1, coarse.k), ZERO, ONE)
     fam = tubes_through(p, fine, window)
     with pytest.raises(ValidationError):
         cover_by_coarse_tubes(
