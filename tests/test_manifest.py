@@ -340,6 +340,20 @@ def test_run_internal_error_witness(tmp_path, monkeypatch):
     assert json.loads((out / "meta.json").read_text())["exit_code"] == EXIT_INTERNAL
 
 
+def test_run_any_exception_writes_witness_and_meta(tmp_path, monkeypatch):
+    # not only package errors: a RuntimeError is exit 4 with both files too
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("tubelab.manifest.validate", boom)
+    out = tmp_path / "out"
+    m = _manifest(tmp_path, generator_kind="grid", k_range=(3,), analyses=("validate",))
+    assert run(m) == EXIT_INTERNAL
+    witness = json.loads((out / "witness.json").read_text())
+    assert witness == {"error": "RuntimeError", "message": "boom", "stage": "validate"}
+    assert json.loads((out / "meta.json").read_text())["exit_code"] == EXIT_INTERNAL
+
+
 @pytest.mark.parametrize(
     "target, source, stage",
     [
