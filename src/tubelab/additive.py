@@ -13,9 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core_grid import DyadicPoint, DyadicRational, Scale, _int_field, check_value_bound
 from .errors import HypothesisViolation, ParseError, ValidationError
-from .tubes import TubeFamily, keys_through, unpack_key
+from .incidence import _run_starts
+from .tubes import TubeFamily, intercept_window_array, pack_key_array, point_columns, unpack_key, unpack_key_array
 
 
 @dataclass(frozen=True)
@@ -341,19 +344,40 @@ def slice_incidences(qp: QuasiProduct, tubes: TubeFamily) -> dict[int, list[tupl
     are absent.
 
     The tubes through each point come from the intercept window at the
-    family's slope cells, so the cost is O(points * slopes), not
-    O(points * tubes).
+    family's slope cells, evaluated for every (point, slope cell) at once,
+    so the cost is O(points * slopes), not O(points * tubes). The window is
+    exact for points on the 2^-m grid while m + k <= 56; point_columns
+    refuses finer points with DyadicOverflowError.
     """
     k = qp.scale.k
-    family = set(tubes.keys)
-    slopes = tubes.slope_cells()
-    hits: dict[int, list[tuple[int, int]]] = {}
-    for li, (b, sl) in enumerate(zip(qp.levels, qp.slices)):
-        for pi, a in enumerate(sl):
-            for key in keys_through(DyadicPoint(a, b), k, slopes):
-                if key in family:
-                    hits.setdefault(key, []).append((li, pi))
-    return hits
+    if not tubes.keys:
+        return {}
+    family = np.array(tubes.keys, dtype=np.int64)
+    a_idx, _ = unpack_key_array(family, k)
+    slopes = a_idx[_run_starts(a_idx)]
+    x_num, y_num, m = (col[:, None] for col in point_columns(qp.points(), k))
+    lo, hi = intercept_window_array(x_num, y_num, m, k, slopes)
+    # clip each window [lo, hi] to the [-8, 8) intercept domain, then expand
+    # it into one entry per intercept cell, (point, slope cell)-major
+    edge = 8 << k
+    lo = np.maximum(lo, -edge).ravel()
+    counts = np.maximum(np.minimum(hi + 1, edge).ravel() - lo, 0)
+    window = np.repeat(np.arange(counts.size), counts)
+    b_idx = np.arange(window.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    owner, slope = np.divmod(window, slopes.size)
+    keys = pack_key_array(slopes[slope], b_idx, k)
+    found = family[np.minimum(np.searchsorted(family, keys), family.size - 1)] == keys
+    keys, owner = keys[found], owner[found]
+    # a stable sort keeps each tube's points in level-then-point order
+    order = np.argsort(keys, kind="stable")
+    keys, owner = keys[order], owner[order]
+    sizes = np.fromiter(map(len, qp.slices), dtype=np.int64, count=len(qp.slices))
+    level = np.repeat(np.arange(sizes.size), sizes)
+    point = np.arange(level.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pairs = list(zip(level[owner].tolist(), point[owner].tolist()))
+    starts = np.flatnonzero(_run_starts(keys)).tolist()
+    bounds = zip(starts, starts[1:] + [len(pairs)])
+    return {key: pairs[s:e] for key, (s, e) in zip(keys[starts].tolist(), bounds)}
 
 
 def _repeated_level(incidences: Sequence[tuple[int, int]]) -> int | None:
@@ -392,18 +416,27 @@ def prune_to_slice_multiplicity(qp: QuasiProduct, tubes: TubeFamily) -> TubeFami
     return TubeFamily(tubes.scale, tuple(keep))
 
 
-def best_slice_pair(qp: QuasiProduct, tubes: TubeFamily) -> tuple[int, int]:
+def best_slice_pair(
+    qp: QuasiProduct,
+    tubes: TubeFamily,
+    *,
+    incidences: dict[int, list[tuple[int, int]]] | None = None,
+) -> tuple[int, int]:
     """The level pair joined by the most tubes of the family.
 
     Ties prefer wider level separation, then lower indices; deterministic.
     Raises HypothesisViolation("joined_levels"), witnessed by the level and
     tube counts, when no tube joins two distinct levels: nothing to measure.
+    A caller that already holds slice_incidences(qp, tubes) passes it as
+    incidences.
     """
+    if incidences is None:
+        incidences = slice_incidences(qp, tubes)
     pair_edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for incidences in slice_incidences(qp, tubes).values():
-        for x in range(len(incidences)):
-            for y in range(x + 1, len(incidences)):
-                (li, pi), (lj, pj) = incidences[x], incidences[y]
+    for hits in incidences.values():
+        for x in range(len(hits)):
+            for y in range(x + 1, len(hits)):
+                (li, pi), (lj, pj) = hits[x], hits[y]
                 if li != lj:
                     pair_edges.setdefault((li, lj), set()).add((pi, pj))
     if not pair_edges:
@@ -419,23 +452,30 @@ def best_slice_pair(qp: QuasiProduct, tubes: TubeFamily) -> tuple[int, int]:
 
 
 def tube_slice_pairs(
-    qp: QuasiProduct, tubes: TubeFamily, level_lo: int, level_hi: int
+    qp: QuasiProduct,
+    tubes: TubeFamily,
+    level_lo: int,
+    level_hi: int,
+    *,
+    incidences: dict[int, list[tuple[int, int]]] | None = None,
 ) -> PairGraph:
     """Pairs (a1, a3) joined by a tube through slices level_lo and level_hi.
 
     Raises HypothesisViolation if any tube meets two points of one slice
-    (checked over every slice, not only the two used).
+    (checked over every slice, not only the two used). A caller that
+    already holds slice_incidences(qp, tubes) passes it as incidences.
     """
     n = len(qp.levels)
     if not (0 <= level_lo < n and 0 <= level_hi < n) or level_lo == level_hi:
         raise ValidationError(f"level indices ({level_lo}, {level_hi}) invalid for {n} levels")
-    hits = slice_incidences(qp, tubes)
-    bad = _multiplicity_violation(tubes, hits)
+    if incidences is None:
+        incidences = slice_incidences(qp, tubes)
+    bad = _multiplicity_violation(tubes, incidences)
     if bad is not None:
         raise bad
     edges = set()
-    for incidences in hits.values():
-        at_level = dict(incidences)  # one point per level, as just checked
+    for hits in incidences.values():
+        at_level = dict(hits)  # one point per level, as just checked
         if level_lo in at_level and level_hi in at_level:
             edges.add((at_level[level_lo], at_level[level_hi]))
     if not edges:

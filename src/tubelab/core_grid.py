@@ -68,11 +68,6 @@ class Scale:
         if self.k % 2 != 0:
             raise ScaleError(f"k={self.k} must be even when the sqrt(delta) companion scale is used")
 
-    def coarse(self) -> "Scale":
-        """The companion scale sqrt(delta) = 2^-(k/2). Requires even k."""
-        self.require_even()
-        return Scale(self.k // 2)
-
 
 class DyadicRational:
     """num / 2^exp in canonical form: exp >= 0, and num odd unless exp == 0.

@@ -24,8 +24,8 @@ from .core_grid import (
     _int_row,
 )
 from .errors import GeneratorError, ParseError
-from .incidence import Configuration
-from .tubes import DyadicTube, TubeFamily, canonical_keys, pack_key_array
+from .incidence import Configuration, _run_starts
+from .tubes import DyadicTube, TubeFamily, pack_key_array, point_columns
 
 _MASK64 = (1 << 64) - 1
 # furstenberg_product's epsilon when none is given; it needs s > 1/4
@@ -175,14 +175,16 @@ def quasi_product(k: int, s: float, tau: float, seed: int = 0) -> QuasiProduct:
 
 def quasi_product_tubes(qp: QuasiProduct, s_net: float | None = None) -> TubeFamily:
     """Steep tubes (slopes in [1, 2) on a cantor slope net) through every
-    point of the quasi product, canonical intercepts."""
+    point of the quasi product, canonical intercepts. Like slice_incidences,
+    it refuses points finer than the 2^-(56-k) grid (DyadicOverflowError)."""
     k = qp.scale.k
     s_net = qp.s if s_net is None else s_net
-    slope_idx = [(1 << k) + v for v in cantor_line_indices(k, s_net)]
-    keys = set()
-    for p in qp.points():
-        keys.update(canonical_keys(p, k, slope_idx))
-    return TubeFamily(qp.scale, tuple(sorted(keys)))
+    slopes = np.array(cantor_line_indices(k, s_net), dtype=np.int64) + (1 << k)
+    x_num, y_num, m = (col[:, None] for col in point_columns(qp.points(), k))
+    # canonical_keys of every point, one row per point: intercept cells
+    # floor((y - a*x)/delta) at slope cells a; sorted, then deduplicated
+    keys = np.sort(pack_key_array(slopes, ((y_num << k) - slopes * x_num) >> m, k), axis=None)
+    return TubeFamily(qp.scale, tuple(keys[_run_starts(keys)].tolist()))
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .additive import (
     best_slice_pair,
     bsg_refine,
     plunnecke_corollary_check,
+    slice_incidences,
     tripod_residual,
     tube_slice_pairs,
 )
@@ -418,8 +419,9 @@ class _Subject:
     @cached_property
     def _slice_graph(self) -> tuple:
         tubes = quasi_product_tubes(self.obj)
-        lo, hi = best_slice_pair(self.obj, tubes)
-        return tubes, lo, hi, tube_slice_pairs(self.obj, tubes, lo, hi)
+        incidences = slice_incidences(self.obj, tubes)
+        lo, hi = best_slice_pair(self.obj, tubes, incidences=incidences)
+        return tubes, lo, hi, tube_slice_pairs(self.obj, tubes, lo, hi, incidences=incidences)
 
     @cached_property
     def _structural(self) -> list[HypothesisViolation]:

@@ -18,6 +18,7 @@ from tubelab.delta_sets import DeltaSetParams, validate_1d
 from tubelab.errors import HypothesisViolation, ParseError, ValidationError
 from tubelab.additive import (
     PairGraph,
+    QuasiProduct,
     bsg_refine,
     best_slice_pair,
     exact_sumset_size,
@@ -34,7 +35,15 @@ from tubelab.additive import (
     tube_slice_pairs,
 )
 from tubelab.generators import collinear_tripod, quasi_product, quasi_product_tubes
-from tubelab.tubes import TubeFamily, tube_contains
+from tubelab.tubes import (
+    TubeFamily,
+    _intercept_window,
+    canonical_keys,
+    keys_through,
+    pack_key,
+    tube_contains,
+    unpack_key,
+)
 
 D = DyadicRational
 
@@ -327,8 +336,9 @@ def test_prune_to_slice_multiplicity():
 def _gentle_tubes(qp):
     """Steep tubes of the quasi product plus a grid of gentle ones, several
     of which meet one slice twice."""
+    b_hi = min(256, 8 << qp.scale.k)  # inside the [-8, 8) domain at every k
     gentle = TubeFamily.from_index_pairs(
-        qp.scale, [(a, b) for a in range(8, 40, 3) for b in range(-60, 256, 5)]
+        qp.scale, [(a, b) for a in range(8, 40, 3) for b in range(-60, b_hi, 5)]
     )
     return quasi_product_tubes(qp).union(gentle)
 
@@ -348,6 +358,117 @@ def test_slice_incidences_match_brute_force(k, seed):
             if hits:
                 oracle[key] = hits
         assert slice_incidences(qp, tubes) == oracle
+
+
+def _slice_incidences_by_point(qp, tubes):
+    """slice_incidences as one keys_through call per slice point: the tubes
+    through the point at each slope cell of the family, kept if in it."""
+    k = qp.scale.k
+    family = set(tubes.keys)
+    slopes = tubes.slope_cells()
+    hits = {}
+    for li, (b, sl) in enumerate(zip(qp.levels, qp.slices)):
+        for pi, a in enumerate(sl):
+            for key in keys_through(DyadicPoint(a, b), k, slopes):
+                if key in family:
+                    hits.setdefault(key, []).append((li, pi))
+    return hits
+
+
+def _canonical_union(qp):
+    """quasi_product_tubes as one canonical_keys call per slice point."""
+    from tubelab.generators import cantor_line_indices
+
+    k = qp.scale.k
+    slopes = [(1 << k) + v for v in cantor_line_indices(k, qp.s)]
+    return sorted({key for p in qp.points() for key in canonical_keys(p, k, slopes)})
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("k", [4, 6, 8, 10])
+def test_columnar_slice_maps_match_the_point_loops(k, seed):
+    qp = quasi_product(k, 0.5, 0.4, seed=seed)
+    steep = quasi_product_tubes(qp)
+    assert list(steep.keys) == _canonical_union(qp)
+    for tubes in (steep, _gentle_tubes(qp)):
+        hits = slice_incidences(qp, tubes)
+        assert hits == _slice_incidences_by_point(qp, tubes)
+        # keys through a point come out in key order, so equality of the
+        # lists also pins the level-then-point order of each tube's points
+        assert all(v == sorted(v) for v in hits.values())
+
+
+@pytest.mark.parametrize("k, seed", [(6, 1), (8, 0), (8, 2), (10, 3)])
+def test_slice_pair_functions_take_the_map(k, seed):
+    qp = quasi_product(k, 0.5, 0.4, seed=seed)
+    tubes = quasi_product_tubes(qp)
+    hits = slice_incidences(qp, tubes)
+    lo, hi = best_slice_pair(qp, tubes)
+    assert best_slice_pair(qp, tubes, incidences=hits) == (lo, hi)
+    assert tube_slice_pairs(qp, tubes, lo, hi, incidences=hits) == tube_slice_pairs(qp, tubes, lo, hi)
+    # the map is read, not recomputed: an empty one joins no levels
+    with pytest.raises(HypothesisViolation, match="no tube joins two distinct levels"):
+        best_slice_pair(qp, tubes, incidences={})
+
+
+@hys.composite
+def _signed_quasi_products(draw):
+    """A quasi-product on the 2^-(k+2) grid whose slice values may be
+    negative, with tubes at slope cells of both signs through its points:
+    the canonical tube and its intercept neighbours, plus stray cells."""
+    k = draw(hys.integers(min_value=2, max_value=6))
+    m = k + 2
+    n_levels = draw(hys.integers(min_value=1, max_value=4))
+    level_nums = draw(
+        hys.lists(hys.integers(-(4 << m), 4 << m), min_size=n_levels, max_size=n_levels, unique=True)
+    )
+    slice_values = hys.lists(hys.integers(-(4 << m), 4 << m), min_size=1, max_size=5, unique=True)
+    slices = tuple(tuple(D(v, m) for v in draw(slice_values)) for _ in level_nums)
+    qp = QuasiProduct(Scale(k), 0.5, 0.5, tuple(D(v, m) for v in sorted(level_nums)), slices)
+    off = 8 << k
+    slopes = draw(hys.lists(hys.integers(-off, off - 1), min_size=1, max_size=6, unique=True))
+    cells = set()
+    for p in qp.points():
+        for key in keys_through(p, k, slopes):
+            a, b = unpack_key(key, k)
+            cells.update((a, c) for c in (b - 1, b, b + 1) if -off <= c < off)
+    stray = hys.tuples(hys.sampled_from(slopes), hys.integers(-off, off - 1))
+    cells.update(draw(hys.lists(stray, max_size=8)))
+    kept = draw(hys.lists(hys.sampled_from(sorted(cells)), unique=True)) if cells else []
+    return qp, TubeFamily.from_index_pairs(qp.scale, kept)
+
+
+@hyp.given(_signed_quasi_products())
+def test_slice_incidences_match_the_point_loop_on_signed_inputs(case):
+    qp, tubes = case
+    assert slice_incidences(qp, tubes) == _slice_incidences_by_point(qp, tubes)
+
+
+def test_slice_incidences_clip_windows_at_the_intercept_edges():
+    k = 4
+    edge = 8 << k
+    # at slope cell 37, the window of (3, -1) runs below -8 and that of
+    # (-3, 1) above 8: only their cells inside [-8, 8) are tubes
+    qp = QuasiProduct(Scale(k), 0.5, 0.5, (D(-1, 0), D(1, 0)), ((D(3, 0),), (D(-3, 0),)))
+    assert _intercept_window(3, -1, 0, k, 37) == (-edge - 2, -edge + 1)
+    assert _intercept_window(-3, 1, 0, k, 37) == (edge - 1, edge + 1)
+    cells = [(37, -edge), (37, -edge + 1), (37, edge - 1), (-37, 0)]
+    tubes = TubeFamily.from_index_pairs(qp.scale, cells)
+    expected = {
+        pack_key(37, -edge, k): [(0, 0)],
+        pack_key(37, -edge + 1, k): [(0, 0)],
+        pack_key(37, edge - 1, k): [(1, 0)],
+    }
+    assert slice_incidences(qp, tubes) == expected == _slice_incidences_by_point(qp, tubes)
+
+
+def test_slice_incidences_on_one_point_slices_and_an_empty_family():
+    qp = QuasiProduct(Scale(6), 0.5, 0.5, (D(0, 0), D(1, 1)), ((D(1, 2),), (D(-5, 3),)))
+    tubes = TubeFamily.from_index_pairs(qp.scale, [(a, b) for a in range(-80, 80, 7) for b in range(-90, 90)])
+    hits = slice_incidences(qp, tubes)
+    assert hits and hits == _slice_incidences_by_point(qp, tubes)
+    assert all(len(v) <= 2 for v in hits.values())
+    assert slice_incidences(qp, TubeFamily(qp.scale, ())) == {}
 
 
 def test_slice_multiplicity_witness_is_pinned():

@@ -5,6 +5,10 @@ import argparse
 import copy
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis as hyp
 import hypothesis.strategies as hys
@@ -599,6 +603,78 @@ def test_quasi_product_without_joined_levels_is_a_hypothesis_failure(capsys):
         "message": "no tube joins two distinct levels",
         "witness": {"level_count": 2, "tube_count": 8},
     }
+
+
+def test_one_slice_incidence_map_per_quasi_product(capsys, tmp_path, monkeypatch):
+    import tubelab.additive as additive_module
+    import tubelab.manifest as manifest_module
+
+    calls = []
+    real = additive_module.slice_incidences
+
+    def counted(qp, tubes):
+        calls.append(qp.scale.k)
+        return real(qp, tubes)
+
+    # wherever the package binds it, so a recomputation inside the
+    # additive functions is counted too
+    for module in (additive_module, manifest_module):
+        monkeypatch.setattr(module, "slice_incidences", counted)
+    mf = tmp_path / "m.json"
+    generator = {"kind": "quasi_product", "params": {"s": 0.5, "tau": 0.4}}
+    analyses = ["validate", "additive"]
+    mf.write_text(
+        json.dumps({"generator": generator, "k_range": [8, 10], "analyses": analyses, "out": str(tmp_path / "out")})
+    )
+    assert _call(capsys, ["run", "--manifest", str(mf)])[0] == 0
+    assert calls == [8, 10]
+    calls.clear()
+    argv = ["additive", "--kind", "quasi_product", "--k", "8", "--s", "0.5", "--tau", "0.4", "--seed", "1"]
+    assert _call(capsys, argv)[0] == 0
+    assert calls == [8]
+
+
+@pytest.mark.parametrize("exp, code", [(46, 0), (50, 2)])
+def test_quasi_product_finer_than_the_window_envelope_is_refused(capsys, tmp_path, exp, code):
+    # the array intercept window is exact while m + k <= 56: at k = 10 a
+    # slice value on the 2^-46 grid is read, one on the 2^-50 grid refused
+    obj = quasi_product(10, 0.5, 0.4, seed=0).to_json()
+    value = DyadicRational.from_pair(obj["slices"][0]["values"][0]) + DyadicRational(1, exp)
+    obj["slices"][0]["values"][0] = list(value.pair())
+    src = tmp_path / "qp.json"
+    src.write_text(json.dumps(obj))
+    mf = tmp_path / "m.json"
+    analyses = ["validate", "additive"]
+    mf.write_text(json.dumps({"input": str(src), "k_range": [10], "analyses": analyses, "out": str(tmp_path / "out")}))
+    for argv in (["validate", "--input", str(src)], ["additive", "--input", str(src)], ["run", "--manifest", str(mf)]):
+        result, out, err = _call(capsys, argv)
+        assert result == code
+        if code == 2:
+            assert out == ""
+            assert "2^-46 grid or coarser, got 2^-50" in err
+
+
+_PROBE = "import sys\nfrom tubelab.cli import main\ncode = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)\n"
+
+
+def test_commands_never_import_numpy_ma(tmp_path):
+    # the first np.unique call in a process imports numpy.ma, about 15 ms
+    # cold: no command of the benchmarked shapes may pay that
+    import tubelab
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(tubelab.__file__).parents[1]), *sys.path]))
+    mf = tmp_path / "m.json"
+    generator = {"kind": "quasi_product", "params": {"s": 0.5, "tau": 0.4}}
+    analyses = ["validate", "additive", "sweep"]
+    mf.write_text(
+        json.dumps({"generator": generator, "k_range": [8, 10], "analyses": analyses, "out": str(tmp_path / "run")})
+    )
+    project = ["project", "--kind", "furstenberg_product", "--k", "8", "--s", "0.5", "--energy-s", "1.0", "--audit"]
+    for argv in (["run", "--manifest", str(mf)], [*project, "--out", str(tmp_path / "sweep.csv")]):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
 def test_dim_fit(capsys):

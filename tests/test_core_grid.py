@@ -149,12 +149,9 @@ def test_scale_bounds():
 
 
 def test_scale_even_and_coarse():
-    assert Scale(8).coarse() == Scale(4)
     Scale(8).require_even()
     with pytest.raises(ScaleError):
         Scale(7).require_even()
-    with pytest.raises(ScaleError):
-        Scale(7).coarse()
 
 
 def test_value_bound():

@@ -4,7 +4,9 @@ Every top-level function and class of `src/tubelab`, and every method other
 than a dunder, must be reached in one of four ways:
 
 - its name is used elsewhere in `src/tubelab`; re-exports in `__init__.py`
-  and uses inside its own definition do not count
+  and uses inside its own definition do not count, and a method counts as
+  used only through attribute access (`obj.name`), so a local or parameter
+  that shares its name reaches nothing
 - its name is used in `tests/test_acceptance.py`
 - it is a `_Subject` analysis method, one per entry of `manifest.ANALYSES`
 - it is in README_API below, with the paper statement it measures
@@ -52,14 +54,17 @@ def _definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _uses(tree: ast.AST) -> dict[str, list[int]]:
-    """Line numbers of each identifier used as a name, an attribute or an import."""
+def _uses(tree: ast.AST, attributes_only: bool = False) -> dict[str, list[int]]:
+    """Line numbers of each identifier used as an attribute and, unless
+    attributes_only, as a name or an import."""
     uses: dict[str, list[int]] = defaultdict(list)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            uses[node.id].append(node.lineno)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             uses[node.attr].append(node.lineno)
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name):
+            uses[node.id].append(node.lineno)
         elif isinstance(node, ast.alias):
             uses[node.name].append(node.lineno)
     return uses
@@ -73,14 +78,22 @@ def _modules() -> dict[str, ast.Module]:
     }
 
 
-def _unreached() -> list[str]:
-    modules = _modules()
-    uses = {module: _uses(tree) for module, tree in modules.items()}
-    acceptance = set(_uses(ast.parse(ACCEPTANCE.read_text())))
+def _unreached(modules: dict[str, ast.Module], acceptance: ast.Module) -> list[str]:
+    """The definitions of the modules that none of the four ways reaches."""
     analyses = {f"_Subject._{name}" for name in ANALYSES}
+    # (uses in the modules, uses in the acceptance tests), for top-level
+    # definitions and for methods
+    reach = {
+        is_method: (
+            {module: _uses(tree, is_method) for module, tree in modules.items()},
+            set(_uses(acceptance, is_method)),
+        )
+        for is_method in (False, True)
+    }
     unreached = []
     for module, tree in modules.items():
         for qualified, node in _definitions(tree):
+            uses, accepted = reach["." in qualified]
             own_lines = range(node.lineno, node.end_lineno + 1)
             used = any(
                 other != module or line not in own_lines
@@ -89,7 +102,7 @@ def _unreached() -> list[str]:
             )
             if not (
                 used
-                or node.name in acceptance
+                or node.name in accepted
                 or qualified in analyses
                 or node.name in README_API
             ):
@@ -98,7 +111,26 @@ def _unreached() -> list[str]:
 
 
 def test_every_definition_is_reached():
-    assert _unreached() == []
+    assert _unreached(_modules(), ast.parse(ACCEPTANCE.read_text())) == []
+
+
+def test_a_method_shadowed_by_a_local_is_unreached():
+    box = ast.parse(
+        "class Box:\n"
+        "    def coarse(self):\n"
+        "        return 1\n"
+        "    def fine(self):\n"
+        "        return 2\n"
+    )
+    user = ast.parse(
+        "from box import Box\n"
+        "def use(coarse):\n"
+        "    fine = Box().fine()\n"
+        "    return coarse + fine\n"
+        "use(3)\n"
+    )
+    modules = {"box.py": box, "user.py": user}
+    assert _unreached(modules, ast.parse("")) == ["box.py: Box.coarse"]
 
 
 def test_readme_api_names_are_defined_and_documented():
