@@ -20,6 +20,9 @@ from .errors import HypothesisViolation, ParseError, ValidationError
 from .incidence import _run_starts
 from .tubes import TubeFamily, intercept_window_array, pack_key_array, point_columns, unpack_key, unpack_key_array
 
+# tube key -> (level index, point index) of each slice point in the tube
+SliceMap = dict[int, list[tuple[int, int]]]
+
 
 @dataclass(frozen=True)
 class QuasiProduct:
@@ -338,7 +341,7 @@ def tripod_image_cover(
     return len(cells)
 
 
-def slice_incidences(qp: QuasiProduct, tubes: TubeFamily) -> dict[int, list[tuple[int, int]]]:
+def slice_incidences(qp: QuasiProduct, tubes: TubeFamily) -> SliceMap:
     """Tube key -> the (level index, point index) of every slice point the
     tube contains, in level-then-point order; tubes meeting no slice point
     are absent.
@@ -388,9 +391,7 @@ def _repeated_level(incidences: Sequence[tuple[int, int]]) -> int | None:
     return None
 
 
-def _multiplicity_violation(
-    tubes: TubeFamily, hits: dict[int, list[tuple[int, int]]]
-) -> HypothesisViolation | None:
+def _multiplicity_violation(tubes: TubeFamily, hits: SliceMap) -> HypothesisViolation | None:
     """The first tube in key order that meets one slice twice, at its lowest such level."""
     for key in tubes.keys:
         li = _repeated_level(hits.get(key, ()))
@@ -417,10 +418,7 @@ def prune_to_slice_multiplicity(qp: QuasiProduct, tubes: TubeFamily) -> TubeFami
 
 
 def best_slice_pair(
-    qp: QuasiProduct,
-    tubes: TubeFamily,
-    *,
-    incidences: dict[int, list[tuple[int, int]]] | None = None,
+    qp: QuasiProduct, tubes: TubeFamily, *, incidences: SliceMap | None = None
 ) -> tuple[int, int]:
     """The level pair joined by the most tubes of the family.
 
@@ -452,12 +450,7 @@ def best_slice_pair(
 
 
 def tube_slice_pairs(
-    qp: QuasiProduct,
-    tubes: TubeFamily,
-    level_lo: int,
-    level_hi: int,
-    *,
-    incidences: dict[int, list[tuple[int, int]]] | None = None,
+    qp: QuasiProduct, tubes: TubeFamily, level_lo: int, level_hi: int, *, incidences: SliceMap | None = None
 ) -> PairGraph:
     """Pairs (a1, a3) joined by a tube through slices level_lo and level_hi.
 
