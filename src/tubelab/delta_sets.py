@@ -3,9 +3,13 @@
 The ball condition is checked at data-point centers and dyadic radii only;
 against arbitrary centers this costs at most a factor 2^s in the constant,
 which the report surfaces as `effective_constant`. Counts are exact: open
-Euclidean balls, integer comparisons d^2 < r^2, vectorized over int64 on
-coordinates lifted to one grid no finer than 2^-27 (a finer set is refused
-with DyadicOverflowError before anything is counted), so nothing wraps.
+Euclidean balls, integer comparisons d^2 < r^2 on coordinates lifted to one
+grid no finer than 2^-27 (a finer set is refused with DyadicOverflowError
+before anything is counted), so nothing wraps. For each block of 16 centers
+the squared distances are sorted row by row, and each ball count is the
+length of the prefix below r^2. They are int32 when the largest possible
+squared distance, the sum over axes of (max - min)^2, is below 2^31 - 1,
+else int64; squared radii are clipped to that bound plus one.
 
 delta-separation is the radius-delta case of the same counts: the open
 delta-ball around each point holds that point alone. A set that fails it is
@@ -33,7 +37,7 @@ from .errors import DyadicOverflowError, ValidationError
 Coord = tuple[DyadicRational, ...]
 
 # ball counts take the squared distances of this many centers at a time:
-# a few 16 x n int64 rows, so a block stays small next to the point set
+# one 16 x n row block of int32 or int64, small next to the point set
 _CENTER_BLOCK = 16
 
 
@@ -78,16 +82,21 @@ def _coord_json(c: Coord) -> list[list[int]]:
     return [v.pair() for v in c]
 
 
+def _distance_dtype(d2_max: int) -> type:
+    """int32 when squared distances up to d2_max and the squared radius
+    d2_max + 1 all fit in it, else int64: sorting 32-bit rows is cheaper."""
+    return np.int32 if d2_max < np.iinfo(np.int32).max else np.int64
+
+
 def _validate_coords(coords: Sequence[Coord], params: DeltaSetParams) -> ValidationReport:
     k = params.scale.k
     eff = params.C * (2.0 ** params.s)
     if len(coords) == 0:
         raise ValidationError("empty set cannot be validated")
     dim = len(coords[0])
-    # exact counting on int64: lift all coordinates to a shared exponent
+    # exact counting in integers: lift all coordinates to a shared exponent
     # M >= k. Coordinates differ by at most 16, so squared distances stay
-    # below 2^(8 + 2M) <= 2^62 for M <= 27 and every comparison d^2 < r^2 is
-    # exact in integer arithmetic; finer coordinates would wrap
+    # below 2^(8 + 2M) <= 2^62 for M <= 27; finer coordinates would wrap
     m_exp = max(k, max(v.exp for c in coords for v in c))
     if m_exp > 27:
         raise DyadicOverflowError(
@@ -97,34 +106,41 @@ def _validate_coords(coords: Sequence[Coord], params: DeltaSetParams) -> Validat
         np.array([c[d].num << (m_exp - c[d].exp) for c in coords], dtype=np.int64)
         for d in range(dim)
     ]
+    # no squared distance exceeds d2_max, and a squared radius above it
+    # counts the same as d2_max + 1: every point
+    d2_max = sum(int(ax.max() - ax.min()) ** 2 for ax in axes)
+    dtype = _distance_dtype(d2_max)
+    axes = [(ax - ax.min()).astype(dtype) for ax in axes]
     n = len(coords)
     # row t of counts and thresholds is the radius 2^-(k-t): radii ascend
-    r2 = np.array([1 << 2 * (m_exp - k + t) for t in range(k + 1)], dtype=np.int64)
+    r2 = np.array(
+        [min(1 << 2 * (m_exp - k + t), d2_max + 1) for t in range(k + 1)], dtype=dtype
+    )
     thresholds = np.array([params.C * (2.0 ** (t * params.s)) for t in range(k + 1)])
-    counts = np.empty((k + 1, n), dtype=np.int64)
+    # row i holds center i's counts, radii ascending
+    counts = np.empty((n, k + 1), dtype=np.int64)
     for lo in range(0, n, _CENTER_BLOCK):
         rows = min(_CENTER_BLOCK, n - lo)
         d2 = (axes[0][lo : lo + rows, None] - axes[0]) ** 2
         for d in range(1, dim):
             d2 += (axes[d][lo : lo + rows, None] - axes[d]) ** 2
-        # the smallest radius whose open ball around the center holds the
-        # point (k + 1: none); each row's histogram of it, summed up, counts
-        # the points in every ball at once
-        first = np.searchsorted(r2, d2, side="right")
-        first += np.arange(0, rows * (k + 2), k + 2)[:, None]
-        hist = np.bincount(first.ravel(), minlength=rows * (k + 2)).reshape(rows, k + 2)
-        counts[:, lo : lo + rows] = np.cumsum(hist[:, : k + 1], axis=1).T
+        # on a sorted row the points of each open ball d^2 < r^2 are a prefix
+        d2.sort(axis=1)
+        for i, row in enumerate(d2, lo):
+            counts[i] = row.searchsorted(r2, side="left")
         # separation is the radius-delta ball: it holds its center alone.
         # The first center that fails is the lowest index in any close
-        # pair, so its first close partner comes after it
-        close = np.flatnonzero(counts[0, lo : lo + rows] > 1)
+        # pair, so its first close partner comes after it; the sort lost
+        # the point order, so its row is recomputed
+        close = np.flatnonzero(counts[lo : lo + rows, 0] > 1)
         if close.size:
-            row = int(close[0])
-            i = lo + row
-            partners = np.flatnonzero(d2[row] < r2[0])
+            i = lo + int(close[0])
+            d2_i = sum((ax - ax[i]) ** 2 for ax in axes)
+            partners = np.flatnonzero(d2_i < r2[0])
             j = int(partners[partners != i][0])
             witness = {"pair": [_coord_json(coords[i]), _coord_json(coords[j])]}
             return ValidationReport(False, "separation", math.inf, witness, eff, params)
+    counts = counts.T
     ratios = counts / thresholds[:, None]
     # the first maximum in (radius, center) order, as a strict > scan finds it
     t, i = divmod(int(np.argmax(ratios)), n)

@@ -16,6 +16,7 @@ import pytest
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
 from tubelab.delta_sets import (
     DeltaSetParams,
+    _distance_dtype,
     extract,
     validate,
     validate_1d,
@@ -308,6 +309,124 @@ def test_validate_1d_blocked_counts_match_oracle_on_random_sets(cells, k, s):
     values = [DyadicRational(i, k) for i in sorted(cells)]
     params = DeltaSetParams(Scale(k), s, 1.0)
     _assert_matches_oracle(validate_1d(values, params), [(v,) for v in values], params)
+
+
+# --- the sorted-row kernel: distance dtype, radius clip, open balls ---
+
+
+def test_distance_dtype_is_int32_below_int32_max():
+    # squared radii are clipped to d2_max + 1, which must fit as well
+    assert _distance_dtype(2**31 - 2) is np.int32
+    assert _distance_dtype(2**31 - 1) is np.int64
+
+
+def _span_set_1d(k: int, span: int) -> list[DyadicRational]:
+    """Two values `span` units of 2^-k apart and a few close to each end."""
+    lo = -(span // 2)
+    nums = [lo, lo + 3, lo + 4, lo + 9, lo + span - 7, lo + span - 2, lo + span]
+    return [DyadicRational(n, k) for n in nums]
+
+
+def _span_set_2d(k: int, sx: int, sy: int) -> PointSet:
+    """Opposite corners of an sx x sy box of 2^-k cells and points near them."""
+    x0, y0 = -(sx // 2), -(sy // 2)
+    cells = [(0, 0), (2, 1), (5, 0), (sx, sy), (sx - 3, sy), (sx - 1, sy - 4), (sx // 2, sy // 2)]
+    return PointSet(Scale(k), tuple(DyadicPoint.of(x0 + i, k, y0 + j, k) for i, j in cells))
+
+
+@pytest.mark.parametrize(
+    "span, dtype",
+    [(46340, np.int32), (46341, np.int64)],  # 46340^2 < 2^31 - 1 < 46341^2
+)
+@pytest.mark.parametrize("s, C, kind", [(1.0, 1.0, "ok"), (0.25, 1.0, "ball")])
+def test_validate_1d_at_the_int32_switch_matches_oracle(span, dtype, s, C, kind):
+    values = _span_set_1d(13, span)
+    assert _distance_dtype(span**2) is dtype
+    params = DeltaSetParams(Scale(13), s, C)
+    rep = validate_1d(values, params)
+    # a wrapped squared distance would put the far end in the delta-ball
+    assert rep.kind == kind
+    _assert_matches_oracle(rep, [(v,) for v in values], params)
+
+
+@pytest.mark.parametrize(
+    "sx, sy, dtype",
+    # the sums of two squares nearest 2^31 - 1 from below and above
+    [(45994, 5660, np.int32), (32768, 32768, np.int64)],
+)
+@pytest.mark.parametrize("s, C, kind", [(1.0, 1.0, "ok"), (0.25, 1.0, "ball")])
+def test_validate_at_the_int32_switch_matches_oracle(sx, sy, dtype, s, C, kind):
+    assert sx * sx + sy * sy in (2**31 - 12, 2**31)
+    assert _distance_dtype(sx * sx + sy * sy) is dtype
+    ps = _span_set_2d(13, sx, sy)
+    params = DeltaSetParams(Scale(13), s, C)
+    rep = validate(ps, params)
+    assert rep.kind == kind
+    _assert_matches_oracle(rep, [(p.x, p.y) for p in ps.points], params)
+
+
+# 2^-20 coordinates a little over delta = 2^-8 apart: the squared radii up
+# to 2^40 do not fit in int32, the squared distances do
+_FINE_1D = [DyadicRational(n, 20) for n in (1, 4099, 8199, 12301, 16407, 24601)]
+_FINE_2D = PointSet(
+    Scale(8),
+    tuple(
+        DyadicPoint.of(x, 20, y, 20)
+        for x, y in ((1, 3), (4099, 5), (1, 4101), (8201, 8193), (12301, -3), (-4095, 1))
+    ),
+)
+
+
+@pytest.mark.parametrize("s, C, kind", [(1.0, 2.0, "ok"), (0.25, 1.0, "ball"), (0.5, 0.5, "ball")])
+def test_validate_fine_small_span_sets_clip_radii(s, C, kind):
+    params = DeltaSetParams(Scale(8), s, C)
+    rep = validate_1d(_FINE_1D, params)
+    assert rep.kind == kind
+    _assert_matches_oracle(rep, [(v,) for v in _FINE_1D], params)
+    rep = validate(_FINE_2D, params)
+    assert rep.kind == kind
+    _assert_matches_oracle(rep, [(p.x, p.y) for p in _FINE_2D.points], params)
+
+
+def test_validate_fine_small_span_separation():
+    values = [DyadicRational(n, 20) for n in (5, 9000, 13200, 9001)]
+    rep = validate_1d(values, DeltaSetParams(Scale(8), 1.0, 1.0))
+    assert rep.witness == {"pair": [[[1125, 17]], [[9001, 20]]]}
+
+
+def test_validate_balls_are_open():
+    # every pair of points sits at exactly a dyadic radius or far out of it
+    ps = _grid_set(1, {(0, 0), (0, 1), (1, 0), (1, 1)})
+    params = DeltaSetParams(Scale(1), 2.0, 1.0)
+    rep = validate(ps, params)
+    # the delta-ball holds its center alone; the unit ball holds all four
+    assert (rep.kind, rep.witness["radius_k"], rep.witness["count"]) == ("ok", 1, 1)
+    _assert_matches_oracle(rep, [(p.x, p.y) for p in ps.points], params)
+    # values 1/8 apart are outside each other's delta-balls, and the
+    # radius-2^-2 ball around 1/8 holds 0, 1/8 and 2/8 but not 3/8
+    values = [DyadicRational(n, 3) for n in (0, 1, 2, 4, 8)]
+    params = DeltaSetParams(Scale(3), 1.0, 1.0)
+    rep = validate_1d(values, params)
+    assert rep.witness == {"center": [[1, 3]], "radius_k": 2, "count": 3, "allowed": 2.0}
+    _assert_matches_oracle(rep, [(v,) for v in values], params)
+
+
+def test_separation_witness_is_lowest_partner_not_nearest():
+    # 20 separated points fill the first block and spill into the second;
+    # the first close pair starts at index 20, whose lowest close partner
+    # (21, 3/4 delta away) is farther than its next one (22, 1/4 delta)
+    k = 6
+    spread = [(4 * i - 40, 0) for i in range(20)]
+    rows = spread + [(0, 8), (3, 8), (-1, 8), (40, 40)]
+    ps = PointSet(Scale(k), tuple(DyadicPoint.of(x, k + 2, y, k + 2) for x, y in rows))
+    rep = validate(ps, DeltaSetParams(Scale(k), 1.0, 1e9))
+    assert rep.witness == {"pair": [[[0, 0], [1, 5]], [[3, 8], [1, 5]]]}
+    _assert_separation_matches_brute_force(rep, [(p.x, p.y) for p in ps.points], k)
+    # the same in 1-d: 25/64 is 3/4 delta from 103/256, 1/4 delta from 99/256
+    values = [DyadicRational(x, k + 2) for x, _ in spread + [(100, 0), (103, 0), (99, 0)]]
+    rep = validate_1d(values, DeltaSetParams(Scale(k), 1.0, 1e9))
+    assert rep.witness == {"pair": [[[25, 6]], [[103, 8]]]}
+    _assert_separation_matches_brute_force(rep, [(v,) for v in values], k)
 
 
 # --- discrete content, as extract reports it ---
