@@ -41,16 +41,7 @@ _SWEEP_BLOCK = 1 << 14
 _AUDIT_JITTERS = (2.0**-20, -(2.0**-20))
 # points live in [-4,4]^2, so projected values span less than 12
 _SPAN_BOUND = 12.0
-
-
-def _unit_vector(angle: float) -> tuple[float, float]:
-    # snap the two exactly representable right angles so axis projections
-    # are exact; everything else takes the library trig values
-    if angle == 0.0:
-        return 1.0, 0.0
-    if angle == math.pi / 2:
-        return 0.0, 1.0
-    return math.cos(angle), math.sin(angle)
+_RIGHT = math.pi / 2
 
 
 @dataclass(frozen=True)
@@ -74,15 +65,27 @@ class DirectionNet:
             raise ValidationError("angle and vector tuples must have equal length")
         if self.weights is not None and len(self.weights) != n:
             raise ValidationError("weights length must match angles")
-        seen: set[float] = set()
-        for a, c, s in zip(self.angles, self.cosines, self.sines):
-            if not (math.isfinite(a) and 0.0 <= a < math.pi):
-                raise ValidationError(f"angle {a!r} outside [0, pi)")
-            if a in seen:
-                raise ValidationError(f"duplicate angle {a!r}")
-            seen.add(a)
-            if abs(c * c + s * s - 1.0) > 1e-9:
-                raise ValidationError(f"direction vector for angle {a!r} is not unit length")
+        a = np.array(self.angles, dtype=np.float64)
+        c = np.array(self.cosines, dtype=np.float64)
+        s = np.array(self.sines, dtype=np.float64)
+        outside = ~((a >= 0.0) & (a < math.pi))  # NaN and infinities too
+        # an angle equal to an earlier one: the later entries of each run of
+        # equal angles in a stable sort
+        order = np.argsort(a, kind="stable")
+        ordered = a[order]
+        repeat = np.zeros(n, dtype=bool)
+        repeat[order[1:][ordered[1:] == ordered[:-1]]] = True
+        off_unit = np.abs(c * c + s * s - 1.0) > 1e-9
+        # the first offending angle, with the first check it fails
+        bad = np.flatnonzero(outside | repeat | off_unit)
+        if bad.size:
+            i = int(bad[0])
+            angle = self.angles[i]
+            if outside[i]:
+                raise ValidationError(f"angle {angle!r} outside [0, pi)")
+            if repeat[i]:
+                raise ValidationError(f"duplicate angle {angle!r}")
+            raise ValidationError(f"direction vector for angle {angle!r} is not unit length")
         if self.weights is not None:
             for w in self.weights:
                 if not (math.isfinite(w) and w > 0.0):
@@ -98,13 +101,14 @@ class DirectionNet:
         angles: Iterable[float],
         weights: Sequence[float] | None = None,
     ) -> "DirectionNet":
-        angs = tuple(float(a) for a in angles)
-        vectors = [_unit_vector(a) for a in angs]
+        angs = tuple(map(float, angles))
+        # snap the two exactly representable right angles so axis projections
+        # are exact; everything else takes the library trig values
         return cls(
             scale,
             angs,
-            tuple(v[0] for v in vectors),
-            tuple(v[1] for v in vectors),
+            tuple(1.0 if a == 0.0 else 0.0 if a == _RIGHT else math.cos(a) for a in angs),
+            tuple(0.0 if a == 0.0 else 1.0 if a == _RIGHT else math.sin(a) for a in angs),
             None if weights is None else tuple(float(w) for w in weights),
         )
 

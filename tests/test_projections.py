@@ -46,6 +46,65 @@ def _cells(values, k: int) -> int:
     return len({math.floor(v * (1 << k) - BOUNDARY_TOL) for v in values})
 
 
+# --- direction nets ---
+
+
+def _per_angle_vector(angle: float) -> tuple[float, float]:
+    """The unit vector as nets built it one angle at a time."""
+    if angle == 0.0:
+        return 1.0, 0.0
+    if angle == math.pi / 2:
+        return 0.0, 1.0
+    return math.cos(angle), math.sin(angle)
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_uniform_net_matches_per_angle_construction(k):
+    net = DirectionNet.uniform(Scale(k))
+    angles = []
+    j = 0
+    while j * 2.0**-k < math.pi:
+        angles.append(j * 2.0**-k)
+        j += 1
+    vectors = [_per_angle_vector(a) for a in angles]
+    # bit for bit, signed zeros included
+    assert [a.hex() for a in net.angles] == [a.hex() for a in angles]
+    assert [c.hex() for c in net.cosines] == [v[0].hex() for v in vectors]
+    assert [s.hex() for s in net.sines] == [v[1].hex() for v in vectors]
+
+
+def test_from_angles_snaps_right_angles():
+    net = DirectionNet.from_angles(Scale(2), [math.pi / 2, 0.0, 1.0])
+    assert (net.cosines[:2], net.sines[:2]) == ((0.0, 1.0), (1.0, 0.0))
+    assert [s.hex() for s in net.sines[:2]] == [(1.0).hex(), (0.0).hex()]
+
+
+@pytest.mark.parametrize(
+    "angles, cosines, sines, weights, message",
+    [
+        ((0.5, 4.0, 0.5), None, None, None, "angle 4.0 outside [0, pi)"),
+        ((0.5, 0.5, 4.0), None, None, None, "duplicate angle 0.5"),
+        ((0.1, 0.7, 0.1, float("nan")), None, None, None, "duplicate angle 0.1"),
+        ((0.2, float("nan"), 0.2), None, None, None, "angle nan outside [0, pi)"),
+        ((float("inf"),), (1.0,), (0.0,), None, "angle inf outside [0, pi)"),
+        ((-0.5,), None, None, None, "angle -0.5 outside [0, pi)"),
+        ((0.0, -0.0), None, None, None, "duplicate angle -0.0"),
+        ((0.3, 0.9), (1.0, 0.5), (0.0, 0.5), None, "direction vector for angle 0.9 is not unit length"),
+        ((0.3, 3.5), (0.5, 1.0), (0.5, 0.0), None, "direction vector for angle 0.3 is not unit length"),
+        ((0.3, 0.9), None, None, (1.0, -2.0), "weight -2.0 must be positive and finite"),
+        ((0.3, 0.9, 4.0), None, None, (0.0, 1.0, 1.0), "angle 4.0 outside [0, pi)"),
+        ((0.3, 0.9), None, None, (float("inf"), 0.0), "weight inf must be positive and finite"),
+    ],
+)
+def test_direction_net_reports_first_offender(angles, cosines, sines, weights, message):
+    # angles in order, each failing its first check; weights after all angles
+    cosines = cosines or tuple(math.cos(a) for a in angles)
+    sines = sines or tuple(math.sin(a) for a in angles)
+    with pytest.raises(ValidationError) as err:
+        DirectionNet(Scale(3), angles, cosines, sines, weights)
+    assert str(err.value) == message
+
+
 # --- sweep ---
 
 
