@@ -119,11 +119,19 @@ def _validate_coords(coords: Sequence[Coord], params: DeltaSetParams) -> Validat
     thresholds = np.array([params.C * (2.0 ** (t * params.s)) for t in range(k + 1)])
     # row i holds center i's counts, radii ascending
     counts = np.empty((n, k + 1), dtype=np.int64)
+    # every block reuses two buffers: freeing fresh ones per block lets the
+    # allocator hand the memory back and fault it in again
+    block = np.empty((min(_CENTER_BLOCK, n), n), dtype=dtype)
+    term = np.empty_like(block)
     for lo in range(0, n, _CENTER_BLOCK):
         rows = min(_CENTER_BLOCK, n - lo)
-        d2 = (axes[0][lo : lo + rows, None] - axes[0]) ** 2
+        d2, sq = block[:rows], term[:rows]
+        np.subtract(axes[0][lo : lo + rows, None], axes[0], out=d2)
+        d2 *= d2
         for d in range(1, dim):
-            d2 += (axes[d][lo : lo + rows, None] - axes[d]) ** 2
+            np.subtract(axes[d][lo : lo + rows, None], axes[d], out=sq)
+            sq *= sq
+            d2 += sq
         # on a sorted row the points of each open ball d^2 < r^2 are a prefix
         d2.sort(axis=1)
         for i, row in enumerate(d2, lo):
