@@ -395,7 +395,8 @@ def test_validate_fine_small_span_separation():
 
 
 def test_validate_balls_are_open():
-    # every pair of points sits at exactly a dyadic radius or far out of it
+    # axis neighbours sit exactly on the radius delta = 1/2, diagonal ones
+    # inside the unit ball
     ps = _grid_set(1, {(0, 0), (0, 1), (1, 0), (1, 1)})
     params = DeltaSetParams(Scale(1), 2.0, 1.0)
     rep = validate(ps, params)
