@@ -1,11 +1,12 @@
-"""Directional projection sweeps over finite angle nets.
+"""Directional projection sweeps and energies over finite angle nets.
 
 pi_e(x, y) = x*cos(e) + y*sin(e) for angles e in [0, pi). Projections are a
 floating-point diagnostic layered on the exact dyadic core: per-direction
 covering counts use a shifted half-open cell convention (a value within 2^-40
 of a cell boundary belongs to the lower cell), which keeps counts stable under
 the rounding of the projection itself. An audit mode recounts with jittered
-cell offsets to bound boundary sensitivity.
+cell offsets to bound boundary sensitivity. Energies sum over the exact
+distinct difference vectors of points on the 2^-27 grid or coarser.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .core_grid import PointSet, Scale, _int_field
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, DyadicOverflowError, ParseError, ValidationError
+from .incidence import _run_starts
 
 __all__ = [
     "DirectionNet",
@@ -303,11 +305,12 @@ class ProjectionEnergy:
         }
 
 
-# difference vectors that _difference_histogram buffers between folds
+# int64 difference keys that _difference_histogram buffers per fold: 4 MiB
 _PAIR_BUFFER = 1 << 19
 # (vector, direction) terms per energy kernel call. The 1 MB block stays in
-# cache, and its K=2 matmul (M*N*K = 2^18) stays at OpenBLAS's threshold for
-# running single-threaded, so BLAS threads do not compete with the workers
+# cache, and OpenBLAS runs its K=2 matmul (M*N*K = 2^18, at the threshold)
+# and the gemv `weights @ d` on one thread (the same CPU time and wall time
+# with 1 or 2 BLAS threads), so BLAS threads do not compete with the workers
 _ENERGY_BLOCK = 1 << 17
 # chunks summed in order by one worker task
 _CHUNKS_PER_TASK = 32
@@ -316,33 +319,33 @@ _CHUNKS_PER_TASK = 32
 def _difference_histogram(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
     """Distinct difference vectors q - p over pairs p < q, with multiplicities.
 
-    Points are sorted lexicographically first, so every q - p with p < q has
-    dx > 0, or dx == 0 and dy > 0: v and -v, which project to the same
-    distance, share one entry. Vectors are complex dx + i*dy, exact float
-    differences of the point coordinates, in sorted order. Rows of
-    differences fill a fixed buffer that is folded into the running
-    histogram whenever it is full, so memory is bounded by the buffer plus
-    the histogram, never by n^2.
+    A point (X, Y)/2^m on the shared grid 2^-m, m = max(k, largest
+    exponent), is the int64 key X*2^(m+5) + Y. As |Y| <= 2^(m+2), keys sort
+    as the points do, and over sorted keys each K_q - K_p > 0 packs the
+    exact (dX, dY), |dY| <= 2^(m+3), in lexicographic order: v and -v share
+    one entry, as they project to the same distance. Keys of the 2^-27 grid
+    reach about 2^62; finer grids raise DyadicOverflowError. Rows of
+    differences fill a fixed buffer that is folded into the histogram when
+    full, so memory is bounded by the buffer plus the histogram, never by
+    n^2. Returns the float64 rows (dx, dy) in key order, and their counts as
+    float64 weights.
     """
-    xs, ys = _coords(points)
-    order = np.lexsort((ys, xs))
-    z = xs[order] + 1j * ys[order]
-    n = z.size
-    buf = np.empty(min(_PAIR_BUFFER, n * (n - 1) // 2), dtype=np.complex128)
-    vectors = np.empty(0, dtype=np.complex128)
-    counts = np.empty(0, dtype=np.int64)
+    m = max(points.scale.k, max(max(p.x.exp, p.y.exp) for p in points))
+    if m > 27:
+        raise DyadicOverflowError(f"projection energy needs coordinates on the 2^-27 grid or coarser, got 2^-{m}")
+    lifted = [(p.x.num << (2 * m + 5 - p.x.exp)) + (p.y.num << (m - p.y.exp)) for p in points]
+    keys = np.sort(np.array(lifted, dtype=np.int64))
+    n = keys.size
+    # a buffer never shorter than one row, so that rows are never split
+    buf = np.empty(max(n - 1, min(_PAIR_BUFFER, n * (n - 1) // 2)), dtype=np.int64)
+    vectors = counts = np.empty(0, dtype=np.int64)
 
     def fold(chunk: np.ndarray) -> None:
         nonlocal vectors, counts
         # np.unique without its copy of the chunk: sort in place, then
-        # count the runs of equal vectors. Each row of differences arrives
-        # sorted, and the stable sort merges such runs instead of
-        # re-sorting them
-        chunk.sort(kind="stable")
-        first = np.ones(chunk.size, dtype=bool)
-        np.not_equal(chunk[1:], chunk[:-1], out=first[1:])
-        starts = np.flatnonzero(first)
-        del first
+        # count the runs of equal keys
+        chunk.sort()
+        starts = np.flatnonzero(_run_starts(chunk))
         vals = chunk[starts]
         cnts = np.empty_like(starts)
         np.subtract(starts[1:], starts[:-1], out=cnts[:-1])
@@ -351,8 +354,8 @@ def _difference_histogram(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
         if vectors.size == 0:
             vectors, counts = vals, cnts
             return
-        # both sides are sorted and distinct: add the counts of vectors
-        # already present, insert the new ones in order
+        # both sides are sorted and distinct: add the counts of keys already
+        # present, insert the new ones in order
         at = np.searchsorted(vectors, vals)
         seen = at < vectors.size
         seen[seen] = vectors[at[seen]] == vals[seen]
@@ -363,19 +366,22 @@ def _difference_histogram(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
 
     filled = 0
     for i in range(n - 1):
-        row = z[i + 1 :] - z[i]
-        done = 0
-        while done < row.size:
-            take = min(row.size - done, buf.size - filled)
-            buf[filled : filled + take] = row[done : done + take]
-            filled += take
-            done += take
-            if filled == buf.size:
-                fold(buf)
-                filled = 0
+        if filled + n - 1 - i > buf.size:
+            fold(buf[:filled])
+            filled = 0
+        np.subtract(keys[i + 1 :], keys[i], out=buf[filled : filled + n - 1 - i])
+        filled += n - 1 - i
     if filled:
         fold(buf[:filled])
-    return vectors, counts
+    del buf
+    counts = counts.astype(np.float64)
+    # decode in place: (dX, dY + 2^(m+4)) = divmod(K + 2^(m+4), 2^(m+5))
+    rows = np.empty((vectors.size, 2))
+    vectors += 1 << (m + 4)
+    np.divmod(vectors, 1 << (m + 5), out=(rows[:, 0], rows[:, 1]))
+    rows[:, 1] -= 1 << (m + 4)
+    rows *= 2.0**-m
+    return rows, counts
 
 
 def projection_energy(
@@ -394,8 +400,10 @@ def projection_energy(
     The sum depends on the points only through the multiset of difference
     vectors p - q, so it runs over the distinct vectors once, against all
     directions at a time: each unordered pair {v, -v} weighs twice its count.
-    Chunks of vectors, sized by the net alone, are summed in a fixed order,
-    which keeps the energies bit-identical for every thread count.
+    The vectors are exact, from int64 keys (_difference_histogram), so the
+    points must lie on the 2^-27 grid or coarser. Chunks of vectors, sized by
+    the net alone, are summed in a fixed order, which keeps the energies
+    bit-identical for every thread count.
     """
     n = len(points.points)
     if n < 2:
@@ -406,10 +414,7 @@ def projection_energy(
         raise DomainError(f"energy exponent s={s} must be finite and positive")
     if points.scale.k * s >= 1024.0:
         raise DomainError(f"truncation level delta^-s = 2^{points.scale.k * s:g} overflows a float")
-    vectors, counts = _difference_histogram(points)
-    xy = vectors.view(np.float64).reshape(-1, 2)  # rows (dx, dy)
-    weights = counts.astype(np.float64)
-    del counts
+    xy, weights = _difference_histogram(points)
     directions = np.array([net.cosines, net.sines])
     delta = 2.0 ** -points.scale.k
     chunk = max(1, _ENERGY_BLOCK // len(net))
@@ -420,9 +425,8 @@ def projection_energy(
         buf = np.empty((chunk, len(net)))
         total = np.zeros(len(net))
         for start in range(lo, min(lo + span, len(xy)), chunk):
-            block = xy[start : start + chunk]
-            d = buf[: len(block)]
-            np.matmul(block, directions, out=d)
+            d = buf[: len(xy) - start]  # the last chunk may be short
+            np.matmul(xy[start : start + chunk], directions, out=d)
             np.abs(d, out=d)
             # clamping the distance at delta truncates the term at delta^-s
             np.maximum(d, delta, out=d)
@@ -430,20 +434,16 @@ def projection_energy(
                 np.reciprocal(d, out=d)
             else:
                 np.power(d, -s, out=d)
-            total += np.einsum("i,ij->j", weights[start : start + len(block)], d)
+            total += weights[start : start + chunk] @ d
         return total
 
     # task boundaries depend on the net alone, and task sums are added in
     # order, so the association of the sum is the same for every thread count
-    totals = np.zeros(len(net))
-    for part in _in_order(task, range(0, len(xy), span), threads):
-        totals += part
+    totals = sum(_in_order(task, range(0, len(xy), span), threads), np.zeros(len(net)))
     # each distinct vector stands for the ordered pairs (p, q) and (q, p)
     energies = tuple(2.0 * float(t) / (n * n) for t in totals)
-    if net.weights is None:
-        average = math.fsum(energies) / len(energies)
-    else:
-        average = math.fsum(w * e for w, e in zip(net.weights, energies)) / math.fsum(net.weights)
+    net_weights = net.weights or (1.0,) * len(energies)
+    average = math.fsum(w * e for w, e in zip(net_weights, energies)) / math.fsum(net_weights)
     return ProjectionEnergy(net, points.scale, s, energies, average)
 
 

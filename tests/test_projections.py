@@ -468,8 +468,8 @@ def test_energy_thread_determinism():
     n = len(ps.points)
     assert n * (n - 1) // 2 > 2 * _PAIR_BUFFER
     net = DirectionNet.uniform(Scale(10))
-    vectors, _ = _difference_histogram(ps)
-    assert vectors.size > 4 * _CHUNKS_PER_TASK * (_ENERGY_BLOCK // len(net))
+    rows, _ = _difference_histogram(ps)
+    assert len(rows) > 4 * _CHUNKS_PER_TASK * (_ENERGY_BLOCK // len(net))
     one = projection_energy(ps, net, 1.0, threads=1)
     for threads in (2, 4):
         many = projection_energy(ps, net, 1.0, threads=threads)
@@ -566,13 +566,16 @@ def test_difference_histogram_counts_unordered_pairs():
     ps = furstenberg_product(10, 0.5).points
     ps = PointSet(ps.scale, ps.points[::-1])
     n = len(ps.points)
-    vectors, counts = _difference_histogram(ps)
+    rows, counts = _difference_histogram(ps)
     # D x D with D of 32 values has 3^10 distinct differences; dropping 0
     # and identifying v with -v leaves half of the rest
-    assert vectors.size == (3**10 - 1) // 2
+    assert rows.shape == ((3**10 - 1) // 2, 2)
     assert int(counts.sum()) == n * (n - 1) // 2
-    assert np.all(vectors[1:] > vectors[:-1])
-    assert np.all((vectors.real > 0) | ((vectors.real == 0) & (vectors.imag > 0)))
+    dx, dy = rows.T
+    # every row is oriented: dx > 0, or dx == 0 and dy > 0
+    assert np.all((dx > 0) | ((dx == 0) & (dy > 0)))
+    # and the rows strictly increase lexicographically
+    assert np.all((dx[1:] > dx[:-1]) | ((dx[1:] == dx[:-1]) & (dy[1:] > dy[:-1])))
 
 
 def test_energy_weighted_average():
