@@ -771,6 +771,27 @@ def test_run_exits_as_validate_on_too_fine_input(capsys, tmp_path):
     assert list(out_dir.iterdir()) == []
 
 
+# its last point, 1 + 2^-28, lies on the 2^-28 grid
+_ENERGY_TOO_FINE_POINTS = {"k": 2, "points": [[0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [268435457, 28, 1, 0]]}
+
+
+def test_project_energy_refuses_input_finer_than_its_keys(capsys, tmp_path):
+    # the energy's int64 difference keys hold to the 2^-27 grid: a finer
+    # input is bad input (exit 2) with --energy-s, and the sweep alone,
+    # which needs no keys, still runs on it
+    src = tmp_path / "fine.json"
+    src.write_text(json.dumps(_ENERGY_TOO_FINE_POINTS))
+    out_csv = tmp_path / "sweep.csv"
+    code, out, err = _call(capsys, ["project", "--input", str(src), "--energy-s", "1", "--out", str(out_csv)])
+    assert (code, out) == (2, "")
+    assert "projection energy needs coordinates on the 2^-27 grid or coarser, got 2^-28" in err
+    assert not out_csv.exists()
+    code, out, err = _call(capsys, ["project", "--input", str(src), "--out", str(out_csv)])
+    assert code == 0
+    assert json.loads(out)["n_points"] == 4
+    assert out_csv.read_text().startswith("angle,count,energy\n")
+
+
 def test_unseparated_input_finer_than_ball_counts_is_refused(capsys, tmp_path):
     # the 2^-27 refusal comes before separation, so a set that fails
     # separation and holds a 2^-30 point is refused (exit 2), not a

@@ -10,12 +10,15 @@ ran over distinct difference vectors.
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import tubelab.projections
 from tubelab.core_grid import DyadicPoint, PointSet, Scale
-from tubelab.errors import DomainError, ValidationError
+from tubelab.errors import DomainError, DyadicOverflowError, ValidationError
 from tubelab.generators import cantor_grid, furstenberg_product, grid, quasi_product
 from tubelab.projections import (
     _AUDIT_JITTERS,
@@ -576,6 +579,110 @@ def test_difference_histogram_counts_unordered_pairs():
     assert np.all((dx > 0) | ((dx == 0) & (dy > 0)))
     # and the rows strictly increase lexicographically
     assert np.all((dx[1:] > dx[:-1]) | ((dx[1:] == dx[:-1]) & (dy[1:] > dy[:-1])))
+
+
+def _pair_histogram_oracle(points: PointSet) -> tuple[int, list[tuple[tuple[int, int], int]]]:
+    """Brute force over all pairs: the exact integer difference (dX, dY) on
+    the grid 2^-M of the finest coordinate, oriented so that it is above
+    (0, 0) lexicographically, with the number of pairs that have it."""
+    fine = max(max(p.x.exp, p.y.exp) for p in points)
+    xs = np.array([p.x.num << (fine - p.x.exp) for p in points], dtype=np.int64)
+    ys = np.array([p.y.num << (fine - p.y.exp) for p in points], dtype=np.int64)
+    hist: Counter = Counter()
+    for i in range(len(xs) - 1):
+        dx, dy = xs[i + 1 :] - xs[i], ys[i + 1 :] - ys[i]
+        flip = (dx < 0) | ((dx == 0) & (dy < 0))
+        dx[flip], dy[flip] = -dx[flip], -dy[flip]
+        hist.update(zip(dx.tolist(), dy.tolist()))
+    return fine, sorted(hist.items())
+
+
+def _random_points(n: int, k: int, exps, seed: int) -> PointSet:
+    """n distinct points of [-4, 4]^2 at scale k, each coordinate on a grid
+    2^-e drawn from exps."""
+    rng = random.Random(seed)
+    pts: dict = {}
+    while len(pts) < n:
+        xe, ye = rng.choice(exps), rng.choice(exps)
+        p = DyadicPoint.of(rng.randint(-4 << xe, 4 << xe), xe, rng.randint(-4 << ye, 4 << ye), ye)
+        pts[p.key()] = p
+    return PointSet(Scale(k), tuple(pts.values()))
+
+
+def _corners(k: int, e: int) -> PointSet:
+    """The four corners (+-4, +-4), the origin, and the points one 2^-e step
+    inside each corner."""
+    inner = (4 << e) - 1
+    pts = [DyadicPoint.of(sx * 4, 0, sy * 4, 0) for sx in (-1, 1) for sy in (-1, 1)]
+    pts += [DyadicPoint.of(sx * inner, e, sy * inner, e) for sx in (-1, 1) for sy in (-1, 1)]
+    pts.append(DyadicPoint.of(0, 0, 0, 0))
+    return PointSet(Scale(k), tuple(pts))
+
+
+_HISTOGRAM_CASES = {
+    "negative": lambda: _random_points(80, 6, (6,), seed=1),
+    "corners": lambda: _corners(3, 3),
+    "mixed-exponents": lambda: _random_points(120, 4, (0, 1, 3, 7, 12), seed=2),
+    # keys of this set reach about 2^62: the corners lie 2^30 steps apart
+    "corners-2^-27": lambda: _corners(10, 27),
+    "mixed-2^-27": lambda: PointSet(
+        Scale(20), _corners(20, 27).points + _random_points(40, 20, (0, 5, 27), seed=3).points
+    ),
+    "furstenberg": lambda: furstenberg_product(6, 0.5).points,
+}
+
+
+def _assert_matches_oracle(ps: PointSet) -> None:
+    rows, counts = _difference_histogram(ps)
+    fine, expect = _pair_histogram_oracle(ps)
+    scaled = rows * 2.0**fine
+    assert np.all(scaled == np.round(scaled))
+    got = [tuple(r) for r in scaled.astype(np.int64).tolist()]
+    assert got == [d for d, _ in expect]
+    assert counts.tolist() == [c for _, c in expect]
+
+
+@pytest.mark.parametrize("case", sorted(_HISTOGRAM_CASES))
+def test_difference_histogram_matches_pair_oracle(case):
+    _assert_matches_oracle(_HISTOGRAM_CASES[case]())
+
+
+@pytest.mark.parametrize("buffer", [1, 7, 64, 1000])
+@pytest.mark.parametrize("case", ["negative", "mixed-exponents", "mixed-2^-27"])
+def test_difference_histogram_folds_small_buffers(case, buffer, monkeypatch):
+    # a buffer shorter than a row still takes whole rows, and every fold
+    # after the first merges into the running histogram
+    monkeypatch.setattr(tubelab.projections, "_PAIR_BUFFER", buffer)
+    _assert_matches_oracle(_HISTOGRAM_CASES[case]())
+
+
+def test_difference_histogram_folds_full_buffers():
+    # a 39 x 39 lattice of step 1/8 around the origin: its 1,521 points are
+    # 1,155,960 pairs, so the real buffer folds three times
+    side = range(-19, 20)
+    ps = PointSet(Scale(3), tuple(DyadicPoint.of(x, 3, y, 3) for x in side for y in side))
+    assert len(ps.points) * (len(ps.points) - 1) // 2 > 2 * _PAIR_BUFFER
+    _assert_matches_oracle(ps)
+
+
+def test_energy_refuses_coordinates_finer_than_2_27():
+    ok = _corners(10, 27)
+    # 1 + 2^-28 lies on the 2^-28 grid
+    fine = PointSet(ok.scale, ok.points + (DyadicPoint.of((1 << 28) + 1, 28, 0, 0),))
+    net = DirectionNet.uniform(Scale(3))
+    message = r"projection energy needs coordinates on the 2\^-27 grid or coarser, got 2\^-28"
+    with pytest.raises(DyadicOverflowError, match=message):
+        _difference_histogram(fine)
+    with pytest.raises(DyadicOverflowError, match=message):
+        projection_energy(fine, net, 1.0)
+    # the 2^-27 grid itself is still counted, though the packed key of its
+    # widest difference, dX * 2^(m+5) + dY, reaches 2^62; and a 2^-28 set
+    # is still swept
+    fine_exp, expect = _pair_histogram_oracle(ok)
+    assert fine_exp == 27
+    assert max((dx << 32) + dy for (dx, dy), _ in expect) >= 1 << 62
+    assert len(projection_energy(ok, net, 1.0).energies) == len(net)
+    assert len(sweep(fine, net, Scale(3)).counts) == len(net)
 
 
 def test_energy_weighted_average():
