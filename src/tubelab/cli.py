@@ -154,8 +154,8 @@ def _cmd_project(args: argparse.Namespace) -> int:
         with _stage("energy"):
             energy = projection_energy(points, net, args.energy_s, threads=args.threads)
     csv_text = sweep_to_csv(sw, energy)
-    summary = sw.to_json(thresholds=(0.25, 0.5, 0.75))
-    del summary["counts"], summary["angles"]
+    summary = sw.summary((0.25, 0.5, 0.75))
+    summary.update(k=k, n_points=len(points.points))
     if energy is not None:
         summary["energy_average"] = energy.average
     if args.out is None:

@@ -482,13 +482,7 @@ class _Subject:
         points = _point_set_of(self.obj)
         net = DirectionNet.uniform(points.scale)
         sw = sweep(points, net, points.scale, threads=self.threads, audit=True)
-        summary = {
-            "n_directions": len(net),
-            "quantiles": sw.quantiles(),
-            "exceptional": {str(t): sw.exceptional_count(t) for t in (0.25, 0.5, 0.75)},
-            "max_boundary_sensitivity": sw.max_sensitivity(),
-        }
-        return _Outcome(True, {"summary": summary}, csv=sweep_to_csv(sw))
+        return _Outcome(True, {"summary": sw.summary((0.25, 0.5, 0.75))}, csv=sweep_to_csv(sw))
 
     def _additive(self) -> _Outcome:
         tubes, lo, hi, graph = self._slice_graph

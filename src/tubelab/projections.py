@@ -5,8 +5,10 @@ floating-point diagnostic layered on the exact dyadic core: per-direction
 covering counts use a shifted half-open cell convention (a value within 2^-40
 of a cell boundary belongs to the lower cell), which keeps counts stable under
 the rounding of the projection itself. An audit mode recounts with jittered
-cell offsets to bound boundary sensitivity. Energies sum over the exact
-distinct difference vectors of points on the 2^-27 grid or coarser.
+cell offsets to bound boundary sensitivity, at only the steps next to a value
+within 2^-18 of a cell boundary. Each sweep worker reuses its block buffers.
+Energies sum over the exact distinct difference vectors of points on the
+2^-27 grid or coarser.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import statistics
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
@@ -36,11 +39,13 @@ __all__ = [
 
 # values within this distance of a cell boundary count in the lower cell
 BOUNDARY_TOL = 2.0**-40
-# (direction, point) terms per sweep task: each of its few float64 arrays is
-# 128 kB, so a task stays in cache and adds little to peak memory
+# (direction, point) terms per sweep task: the three float64 block buffers a
+# worker allocates once per sweep are 128 kB each, so a task stays in cache
 _SWEEP_BLOCK = 1 << 14
 # audit jitter: far above the boundary tolerance, far below one cell
 _AUDIT_JITTERS = (2.0**-20, -(2.0**-20))
+# only a value this close to a cell boundary can change cell under a jitter
+_NEAR = 2.0**-18
 # points live in [-4,4]^2, so projected values span less than 12
 _SPAN_BOUND = 12.0
 _RIGHT = math.pi / 2
@@ -160,6 +165,33 @@ def _cell_counts(ordered: np.ndarray, k: int, jitter: float = 0.0) -> np.ndarray
     return 1 + np.count_nonzero(np.diff(f, axis=1), axis=1)
 
 
+def _block_counts(vals: np.ndarray, k: int, audit: bool, u: np.ndarray, f: np.ndarray) -> tuple:
+    """_cell_counts of the sorted rows `vals`, in the scratch arrays u and f,
+    and with audit each row's largest |change| under the jitters (else 0).
+
+    The plain count leaves u - f in [BOUNDARY_TOL, 1 + BOUNDARY_TOL); a value
+    is near when that lies within _NEAR of 0 or of 1. For |u| < 12*2^20
+    (k <= SCALE_CAP), rounding u +- 2^-20 errs by less than 2^-28, so a value
+    not near keeps its cell under both jitters and stays above BOUNDARY_TOL.
+    Only the steps with a near left or right value are recounted, as pairs.
+    """
+    np.multiply(vals, float(1 << k), out=u)
+    np.floor(u, out=f)
+    u -= f  # before the lift, where a lifted value lies below BOUNDARY_TOL
+    f -= u < BOUNDARY_TOL
+    step = f[:, 1:] != f[:, :-1]
+    count = 1 + np.count_nonzero(step, axis=1)
+    spread = np.zeros_like(count)
+    if audit:
+        near = (u < _NEAR) | (u > 1.0 - _NEAR)
+        rows, cols = np.nonzero(near[:, :-1] | near[:, 1:])
+        pairs = np.stack((vals[rows, cols], vals[rows, cols + 1]), axis=1)
+        for jit in _AUDIT_JITTERS:
+            change = np.bincount(rows, _cell_counts(pairs, k, jit) - 1 - step[rows, cols], len(vals))
+            np.maximum(spread, np.abs(change).astype(spread.dtype), out=spread)
+    return count, spread
+
+
 def _in_order(task: Callable[[int], Any], starts: range, threads: int) -> list[Any]:
     """[task(lo) for lo in starts], on at most `threads` worker threads, no
     more than there are CPUs or tasks. Results keep the order of `starts`,
@@ -216,13 +248,9 @@ class ProjectionSweep:
             return None
         return max(self.sensitivities, default=0)
 
-    def to_json(self, thresholds: Sequence[float] = ()) -> dict:
+    def summary(self, thresholds: Sequence[float]) -> dict:
         obj: dict = {
-            "k": self.target.k,
-            "n_points": len(self.points.points),
             "n_directions": len(self.net),
-            "angles": list(self.net.angles),
-            "counts": list(self.counts),
             "quantiles": self.quantiles(),
             "exceptional": {str(t): self.exceptional_count(t) for t in thresholds},
         }
@@ -242,10 +270,12 @@ def sweep(
     """Covering count of the projection per net direction, at the target scale.
 
     With audit=True each direction is recounted under jittered cell offsets
-    and the worst absolute count deviation is recorded per direction.
-    Directions are counted in blocks of about _SWEEP_BLOCK (direction,
-    point) terms, one sort per block; `threads` spreads the blocks over
-    worker threads and never changes the result.
+    at the steps next to a value near a cell boundary (_block_counts), and
+    the worst absolute count deviation is recorded per direction. Directions
+    are counted in blocks of about _SWEEP_BLOCK (direction, point) terms, one
+    sort per block, in buffers each worker thread allocates once per call;
+    `threads` spreads the blocks over worker threads and never changes the
+    result.
     """
     if not points.points:
         raise DomainError("cannot sweep an empty point set")
@@ -255,20 +285,19 @@ def sweep(
     cosines, sines = np.array(net.cosines), np.array(net.sines)
     k = target.k
     rows = max(1, _SWEEP_BLOCK // xs.size)
+    local = threading.local()
 
     def task(lo: int) -> tuple[np.ndarray, np.ndarray]:
         """Counts and spreads of the directions in [lo, lo + rows)."""
+        if not hasattr(local, "buffers"):
+            local.buffers = np.empty((3, rows, xs.size))
+        vals, u, f = local.buffers[:, : min(rows, len(net) - lo)]
         # row i is xs * c + ys * s for one direction, the same float
         # operations as projecting that direction alone
-        vals = np.multiply.outer(cosines[lo : lo + rows], xs)
-        vals += np.multiply.outer(sines[lo : lo + rows], ys)
+        np.multiply(cosines[lo : lo + rows, None], xs, out=vals)
+        vals += np.multiply(sines[lo : lo + rows, None], ys, out=u)
         vals.sort(axis=1)
-        count = _cell_counts(vals, k)
-        spread = np.zeros_like(count)
-        if audit:
-            for jit in _AUDIT_JITTERS:
-                np.maximum(spread, np.abs(_cell_counts(vals, k, jit) - count), out=spread)
-        return count, spread
+        return _block_counts(vals, k, audit, u, f)
 
     # task boundaries depend on the net and the point count alone
     parts = _in_order(task, range(0, len(net), rows), threads)
@@ -294,15 +323,6 @@ class ProjectionEnergy:
     s: float
     energies: tuple[float, ...]
     average: float
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.scale.k,
-            "s": self.s,
-            "angles": list(self.net.angles),
-            "energies": list(self.energies),
-            "average": self.average,
-        }
 
 
 # int64 difference keys that _difference_histogram buffers per fold: 4 MiB

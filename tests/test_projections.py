@@ -27,6 +27,7 @@ from tubelab.projections import (
     _PAIR_BUFFER,
     _SWEEP_BLOCK,
     DirectionNet,
+    _block_counts,
     _cell_counts,
     _coords,
     _difference_histogram,
@@ -170,6 +171,58 @@ def test_sorted_cell_count_matches_dedupe_of_cells():
         assert _cell_counts(rows, k, jitter).tolist() == expect
 
 
+def _dense_audit(rows: np.ndarray, k: int) -> tuple[list, list]:
+    """Counts and spreads from _cell_counts of every row under every jitter."""
+    count = _cell_counts(rows, k)
+    spread = np.zeros_like(count)
+    for jit in _AUDIT_JITTERS:
+        spread = np.maximum(spread, np.abs(_cell_counts(rows, k, jit) - count))
+    return count.tolist(), spread.tolist()
+
+
+def _near_boundary_values() -> np.ndarray:
+    """Scaled values u around the boundaries -3..3: on them, BOUNDARY_TOL
+    (and half of it) either side, the audit jitter 2^-20 either side (and
+    BOUNDARY_TOL past it), and the near margin 2^-18 either side, each also
+    one ulp either side."""
+    tol = BOUNDARY_TOL
+    offsets = [0.0, tol, tol / 2, 2.0**-20, 2.0**-20 + tol / 2, 2.0**-20 - tol / 2]
+    offsets += [2.0**-20 + 2 * tol, 2.0**-19, 2.0**-18]
+    values = []
+    for n in range(-3, 4):
+        for off in offsets:
+            for u in (n + off, n - off):
+                # the ulps beside 0 are subnormal, and scaling rounds them
+                values += [u] if u == 0 else [u, np.nextafter(u, -np.inf), np.nextafter(u, np.inf)]
+    return np.array(values)
+
+
+@pytest.mark.parametrize("k", [1, 10, 20])
+def test_sparse_recount_matches_dense_audit(k):
+    # the sweep recounts only steps next to a value within 2^-18 of a cell
+    # boundary; rows of values exactly that far, one ulp either side of it,
+    # at the jitter, and within BOUNDARY_TOL of a boundary must give the
+    # counts and spreads of the dense audit
+    u = _near_boundary_values()
+    # one crafted value per row between two cell midpoints, so that no other
+    # change in its row can hide its own
+    mid = np.floor(u) + 0.5
+    single = np.stack([mid - 1.0, u, mid + 1.0], axis=1)
+    # and all of them in rows together, with generic values among them
+    rng = np.random.default_rng(k)
+    pool = np.concatenate([u, rng.uniform(-4.0, 4.0, u.size)])
+    mixed = np.sort(np.stack([rng.permutation(pool)[:200] for _ in range(40)]), axis=1)
+    for scaled in (single, mixed, u[None, :].copy()):
+        rows = np.sort(scaled, axis=1) / 2.0**k  # exact: a power of two
+        assert np.array_equal(rows * 2.0**k, np.sort(scaled, axis=1))
+        count, spread = _block_counts(rows, k, True, np.empty_like(rows), np.empty_like(rows))
+        assert (count.tolist(), spread.tolist()) == _dense_audit(rows, k)
+        plain, zeros = _block_counts(rows, k, False, np.empty_like(rows), np.empty_like(rows))
+        assert plain.tolist() == count.tolist() and not zeros.any()
+    # the crafted values do move: some single rows change under a jitter
+    assert any(_dense_audit(single / 2.0**k, k)[1])
+
+
 def test_sweep_bounded_by_three_source_cells():
     ps = cantor_grid(8, 0.5)
     net = DirectionNet.uniform(Scale(5))
@@ -220,6 +273,12 @@ def _quasi_product_points(k: int, s: float, tau: float, seed: int) -> PointSet:
     return PointSet(qp.scale, tuple(qp.points()))
 
 
+def _fine_grid_points(count: int, k: int, seed: int) -> PointSet:
+    rng = np.random.default_rng(seed)
+    cells = {tuple(c) for c in rng.integers(0, 1 << k, size=(count, 2)).tolist()}
+    return PointSet(Scale(k), tuple(DyadicPoint.of(x, k, y, k) for x, y in sorted(cells)))
+
+
 _SWEEP_CASES = {
     # (points, net, target scale); the first two are the energy workloads'
     # sweep and the manifest's sweep at k = 10
@@ -249,16 +308,34 @@ _SWEEP_CASES = {
     "one_direction_per_block": lambda: (
         _random_grid_points(20_000, 10, 2), DirectionNet.uniform(Scale(2)), Scale(9)
     ),
+    # the finest scale: at target 20 the axis directions put every value on
+    # a cell boundary, the other angles put them anywhere
+    "k20_target20": lambda: (
+        _fine_grid_points(2000, 20, 4),
+        DirectionNet.from_angles(Scale(20), [0.0, math.pi / 2, 0.1, 0.7, 1.3, 2.2, 3.0]),
+        Scale(20),
+    ),
+    # the origin projects onto a cell boundary in every direction
+    "lattice_with_origin": lambda: (
+        PointSet(
+            Scale(3), tuple(DyadicPoint.of(i, 3, j, 3) for i in range(-8, 9) for j in range(-8, 9))
+        ),
+        DirectionNet.uniform(Scale(8)),
+        Scale(8),
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
-def test_blocked_sweep_matches_per_direction_loop(case):
+def test_blocked_sweep_matches_per_direction_loop(case, monkeypatch):
+    # the CPU count is raised so that 4 threads start up to 4 workers
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
     ps, net, target = _SWEEP_CASES[case]()
     counts, spreads = _sweep_oracle(ps, net, target)
-    audited = sweep(ps, net, target, audit=True)
-    assert audited.counts == counts
-    assert audited.sensitivities == spreads
+    for threads in (1, 2, 4):
+        audited = sweep(ps, net, target, threads=threads, audit=True)
+        assert audited.counts == counts
+        assert audited.sensitivities == spreads
     assert sweep(ps, net, target).counts == counts
     rows = max(1, _SWEEP_BLOCK // len(ps.points))
     if case == "ragged_last_block":
@@ -373,10 +450,14 @@ def test_sweep_quantiles_and_json():
     sw = sweep(ps, net, Scale(6), audit=True)
     q = sw.quantiles()
     assert q["min"] <= q["q25"] <= q["median"] <= q["q75"] <= q["max"]
-    obj = sw.to_json(thresholds=(0.5,))
-    assert obj["n_directions"] == len(net)
-    assert obj["exceptional"]["0.5"] == sw.exceptional_count(0.5)
-    assert "max_boundary_sensitivity" in obj
+    obj = sw.summary((0.5,))
+    assert obj == {
+        "n_directions": len(net),
+        "quantiles": q,
+        "exceptional": {"0.5": sw.exceptional_count(0.5)},
+        "max_boundary_sensitivity": sw.max_sensitivity(),
+    }
+    assert "max_boundary_sensitivity" not in sweep(ps, net, Scale(6)).summary((0.5,))
 
 
 # --- exceptional directions ---
