@@ -171,24 +171,26 @@ def _block_counts(vals: np.ndarray, k: int, audit: bool, u: np.ndarray, f: np.nd
 
     The plain count leaves u - f in [BOUNDARY_TOL, 1 + BOUNDARY_TOL); a value
     is near when that lies within _NEAR of 0 or of 1. For |u| < 12*2^20
-    (k <= SCALE_CAP), rounding u +- 2^-20 errs by less than 2^-28, so a value
-    not near keeps its cell under both jitters and stays above BOUNDARY_TOL.
-    Only the steps with a near left or right value are recounted, as pairs.
+    (k <= SCALE_CAP), rounding u +- 2^-20 errs by less than 2^-28: a value
+    not near keeps its cell under both jitters and stays above BOUNDARY_TOL,
+    so only the steps with a near left or right value are recounted.
     """
     np.multiply(vals, float(1 << k), out=u)
     np.floor(u, out=f)
     u -= f  # before the lift, where a lifted value lies below BOUNDARY_TOL
-    f -= u < BOUNDARY_TOL
+    np.subtract(f, 1.0, out=f, where=u < BOUNDARY_TOL)
     step = f[:, 1:] != f[:, :-1]
     count = 1 + np.count_nonzero(step, axis=1)
     spread = np.zeros_like(count)
     if audit:
         near = (u < _NEAR) | (u > 1.0 - _NEAR)
-        rows, cols = np.nonzero(near[:, :-1] | near[:, 1:])
-        pairs = np.stack((vals[rows, cols], vals[rows, cols + 1]), axis=1)
-        for jit in _AUDIT_JITTERS:
-            change = np.bincount(rows, _cell_counts(pairs, k, jit) - 1 - step[rows, cols], len(vals))
-            np.maximum(spread, np.abs(change).astype(spread.dtype), out=spread)
+        at = np.flatnonzero(near[:, :-1] | near[:, 1:])  # steps with a near end
+        if at.size:
+            rows = at // step.shape[1]
+            pairs = np.stack((vals.ravel()[at + rows], vals.ravel()[at + rows + 1]), axis=1)
+            for jit in _AUDIT_JITTERS:
+                change = np.bincount(rows, _cell_counts(pairs, k, jit) - 1 - step.ravel()[at], len(vals))
+                np.maximum(spread, np.abs(change).astype(spread.dtype), out=spread)
     return count, spread
 
 
@@ -269,13 +271,12 @@ def sweep(
 ) -> ProjectionSweep:
     """Covering count of the projection per net direction, at the target scale.
 
-    With audit=True each direction is recounted under jittered cell offsets
-    at the steps next to a value near a cell boundary (_block_counts), and
-    the worst absolute count deviation is recorded per direction. Directions
-    are counted in blocks of about _SWEEP_BLOCK (direction, point) terms, one
-    sort per block, in buffers each worker thread allocates once per call;
-    `threads` spreads the blocks over worker threads and never changes the
-    result.
+    With audit=True each direction is recounted under jittered cell offsets,
+    only at steps next to a value near a cell boundary (_block_counts), and
+    its worst absolute count deviation is kept. Blocks of about _SWEEP_BLOCK
+    (direction, point) terms are sorted and counted in buffers each worker
+    thread allocates once per call; `threads` spreads the blocks over worker
+    threads and never changes the result.
     """
     if not points.points:
         raise DomainError("cannot sweep an empty point set")
