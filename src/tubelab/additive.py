@@ -17,11 +17,11 @@ import numpy as np
 
 from .core_grid import DyadicPoint, DyadicRational, Scale, _int_field, check_value_bound
 from .errors import HypothesisViolation, ParseError, ValidationError
-from .incidence import _run_starts
+from .incidence import _run_lengths, _run_starts
 from .tubes import TubeFamily, intercept_window_array, pack_key_array, point_columns, unpack_key, unpack_key_array
 
-# tube key -> (level index, point index) of each slice point in the tube
-SliceMap = dict[int, list[tuple[int, int]]]
+# (tube key, level index, point index) columns of slice_incidences
+SliceHits = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -341,10 +341,10 @@ def tripod_image_cover(
     return len(cells)
 
 
-def slice_incidences(qp: QuasiProduct, tubes: TubeFamily) -> SliceMap:
-    """Tube key -> the (level index, point index) of every slice point the
-    tube contains, in level-then-point order; tubes meeting no slice point
-    are absent.
+def slice_incidences(qp: QuasiProduct, tubes: TubeFamily) -> SliceHits:
+    """The (tube key, level index, point index) of every slice point that a
+    tube of the family contains, as three int64 columns sorted by key, then
+    level, then point; tubes meeting no slice point have no rows.
 
     The tubes through each point come from the intercept window at the
     family's slope cells, evaluated for every (point, slope cell) at once,
@@ -354,7 +354,8 @@ def slice_incidences(qp: QuasiProduct, tubes: TubeFamily) -> SliceMap:
     """
     k = qp.scale.k
     if not tubes.keys:
-        return {}
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
     family = np.array(tubes.keys, dtype=np.int64)
     a_idx, _ = unpack_key_array(family, k)
     slopes = a_idx[_run_starts(a_idx)]
@@ -371,56 +372,76 @@ def slice_incidences(qp: QuasiProduct, tubes: TubeFamily) -> SliceMap:
     keys = pack_key_array(slopes[slope], b_idx, k)
     found = family[np.minimum(np.searchsorted(family, keys), family.size - 1)] == keys
     keys, owner = keys[found], owner[found]
-    # a stable sort keeps each tube's points in level-then-point order
+    # points are numbered level-then-point, so a stable sort by key keeps
+    # each tube's rows in level-then-point order
     order = np.argsort(keys, kind="stable")
     keys, owner = keys[order], owner[order]
     sizes = np.fromiter(map(len, qp.slices), dtype=np.int64, count=len(qp.slices))
     level = np.repeat(np.arange(sizes.size), sizes)
     point = np.arange(level.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    pairs = list(zip(level[owner].tolist(), point[owner].tolist()))
-    starts = np.flatnonzero(_run_starts(keys)).tolist()
-    bounds = zip(starts, starts[1:] + [len(pairs)])
-    return {key: pairs[s:e] for key, (s, e) in zip(keys[starts].tolist(), bounds)}
+    return keys, level[owner], point[owner]
 
 
-def _repeated_level(incidences: Sequence[tuple[int, int]]) -> int | None:
-    """The lowest level index met twice, if any (incidences in level order)."""
-    for (li, _), (lj, _) in zip(incidences, incidences[1:]):
-        if li == lj:
-            return li
-    return None
+def _repeated_rows(hits: SliceHits) -> np.ndarray:
+    """Rows followed by a row of the same tube at the same level: one per
+    second point of a slice that a tube meets."""
+    keys, level, _ = hits
+    return np.flatnonzero((keys[1:] == keys[:-1]) & (level[1:] == level[:-1]))
 
 
-def _multiplicity_violation(tubes: TubeFamily, hits: SliceMap) -> HypothesisViolation | None:
+def _multiplicity_violation(hits: SliceHits, k: int) -> HypothesisViolation | None:
     """The first tube in key order that meets one slice twice, at its lowest such level."""
-    for key in tubes.keys:
-        li = _repeated_level(hits.get(key, ()))
-        if li is not None:
-            return HypothesisViolation(
-                "tube_slice_multiplicity",
-                "a tube meets two points of one slice",
-                {"tube_cell": list(unpack_key(key, tubes.scale.k)), "level_index": li},
-            )
-    return None
+    rows = _repeated_rows(hits)
+    if not rows.size:
+        return None
+    keys, level, _ = hits
+    witness = {"tube_cell": list(unpack_key(int(keys[rows[0]]), k)), "level_index": int(level[rows[0]])}
+    return HypothesisViolation("tube_slice_multiplicity", "a tube meets two points of one slice", witness)
 
 
 def slice_multiplicity_violation(qp: QuasiProduct, tubes: TubeFamily) -> HypothesisViolation | None:
     """Steepness hypothesis: no tube may meet two points of one slice."""
-    return _multiplicity_violation(tubes, slice_incidences(qp, tubes))
+    return _multiplicity_violation(slice_incidences(qp, tubes), qp.scale.k)
 
 
 def prune_to_slice_multiplicity(qp: QuasiProduct, tubes: TubeFamily) -> TubeFamily:
     """Drop every tube that meets a slice twice; the surviving family
     satisfies the steepness hypothesis by construction."""
     hits = slice_incidences(qp, tubes)
-    keep = (key for key in tubes.keys if _repeated_level(hits.get(key, ())) is None)
-    return TubeFamily(tubes.scale, tuple(keep))
+    family = np.array(tubes.keys, dtype=np.int64)
+    keep = np.ones(family.size, dtype=bool)
+    # every hit key is a key of the (sorted) family
+    keep[np.searchsorted(family, hits[0][_repeated_rows(hits)])] = False
+    return TubeFamily(tubes.scale, tuple(family[keep].tolist()))
+
+
+def _pair_table(hits: SliceHits) -> tuple[np.ndarray, ...]:
+    """Columns (level lo, level hi, point lo, point hi), lo < hi, of every
+    two slice points at distinct levels that one tube contains; distinct
+    rows, sorted in that column order."""
+    keys, level, point = hits
+    # each row pairs with every later row of its tube's run
+    first = _run_starts(keys)
+    lengths = _run_lengths(first)
+    later = np.repeat(np.flatnonzero(first) + lengths, lengths) - np.arange(keys.size) - 1
+    i = np.repeat(np.arange(keys.size), later)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(later) - later, later)
+    distinct = level[i] != level[j]
+    i, j = i[distinct], j[distinct]
+    table = (level[i], level[j], point[i], point[j])
+    order = np.lexsort(table[::-1])
+    table = tuple(col[order] for col in table)
+    new = _run_starts(table[0])
+    for col in table[1:]:
+        new |= _run_starts(col)
+    return tuple(col[new] for col in table)
 
 
 def best_slice_pair(
-    qp: QuasiProduct, tubes: TubeFamily, *, incidences: SliceMap | None = None
+    qp: QuasiProduct, tubes: TubeFamily, *, incidences: SliceHits | None = None
 ) -> tuple[int, int]:
-    """The level pair joined by the most tubes of the family.
+    """The level pair with the most distinct point pairs joined by a tube of
+    the family.
 
     Ties prefer wider level separation, then lower indices; deterministic.
     Raises HypothesisViolation("joined_levels"), witnessed by the level and
@@ -430,27 +451,24 @@ def best_slice_pair(
     """
     if incidences is None:
         incidences = slice_incidences(qp, tubes)
-    pair_edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
-    for hits in incidences.values():
-        for x in range(len(hits)):
-            for y in range(x + 1, len(hits)):
-                (li, pi), (lj, pj) = hits[x], hits[y]
-                if li != lj:
-                    pair_edges.setdefault((li, lj), set()).add((pi, pj))
-    if not pair_edges:
+    lo, hi, _, _ = _pair_table(incidences)
+    if not lo.size:
         witness = {"level_count": len(qp.levels), "tube_count": len(tubes)}
         raise HypothesisViolation("joined_levels", "no tube joins two distinct levels", witness)
+    # the table is sorted by level pair: one run of rows, one edge each, per pair
+    first = _run_starts(lo) | _run_starts(hi)
+    edge_counts = _run_lengths(first)
+    most = edge_counts == edge_counts.max()
 
-    def rank(item: tuple[tuple[int, int], set]) -> tuple:
-        (lo, hi), edges = item
-        gap = (qp.levels[hi] - qp.levels[lo]).as_float()
-        return (len(edges), gap, -lo, -hi)
+    def rank(pair: tuple[int, int]) -> tuple:
+        lo, hi = pair
+        return ((qp.levels[hi] - qp.levels[lo]).as_float(), -lo, -hi)
 
-    return max(pair_edges.items(), key=rank)[0]
+    return max(zip(lo[first][most].tolist(), hi[first][most].tolist()), key=rank)
 
 
 def tube_slice_pairs(
-    qp: QuasiProduct, tubes: TubeFamily, level_lo: int, level_hi: int, *, incidences: SliceMap | None = None
+    qp: QuasiProduct, tubes: TubeFamily, level_lo: int, level_hi: int, *, incidences: SliceHits | None = None
 ) -> PairGraph:
     """Pairs (a1, a3) joined by a tube through slices level_lo and level_hi.
 
@@ -463,16 +481,16 @@ def tube_slice_pairs(
         raise ValidationError(f"level indices ({level_lo}, {level_hi}) invalid for {n} levels")
     if incidences is None:
         incidences = slice_incidences(qp, tubes)
-    bad = _multiplicity_violation(tubes, incidences)
+    bad = _multiplicity_violation(incidences, qp.scale.k)
     if bad is not None:
         raise bad
-    edges = set()
-    for hits in incidences.values():
-        at_level = dict(hits)  # one point per level, as just checked
-        if level_lo in at_level and level_hi in at_level:
-            edges.add((at_level[level_lo], at_level[level_hi]))
+    lo, hi, point_lo, point_hi = _pair_table(incidences)
+    rows = (lo == min(level_lo, level_hi)) & (hi == max(level_lo, level_hi))
+    ends = (point_lo[rows], point_hi[rows]) if level_lo < level_hi else (point_hi[rows], point_lo[rows])
+    # the table's rows are distinct, and so are the edges
+    edges = sorted(zip(ends[0].tolist(), ends[1].tolist()))
     if not edges:
         raise ValidationError("no tube joins the two slices")
     slice_lo, slice_hi = qp.slices[level_lo], qp.slices[level_hi]
-    k = measured_bsg_parameter(slice_lo, slice_hi, sorted(edges))
-    return PairGraph(tuple(slice_lo), tuple(slice_hi), tuple(sorted(edges)), max(k, 1.0))
+    k = measured_bsg_parameter(slice_lo, slice_hi, edges)
+    return PairGraph(tuple(slice_lo), tuple(slice_hi), tuple(edges), max(k, 1.0))

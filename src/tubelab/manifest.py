@@ -31,6 +31,7 @@ from typing import Any, Iterator
 
 from .additive import (
     QuasiProduct,
+    _multiplicity_violation,
     best_slice_pair,
     bsg_refine,
     plunnecke_corollary_check,
@@ -420,6 +421,10 @@ class _Subject:
     def _slice_graph(self) -> tuple:
         tubes = quasi_product_tubes(self.obj)
         incidences = slice_incidences(self.obj, tubes)
+        # the defining hypothesis is checked before any level pair is sought
+        bad = _multiplicity_violation(incidences, self.obj.scale.k)
+        if bad is not None:
+            raise bad
         lo, hi = best_slice_pair(self.obj, tubes, incidences=incidences)
         return tubes, lo, hi, tube_slice_pairs(self.obj, tubes, lo, hi, incidences=incidences)
 
@@ -439,7 +444,7 @@ class _Subject:
             return _Outcome(True, {"hypotheses": "ok"}, {"shape": shape, "verdict": "pass"})
         if shape == "quasi_product":
             # the defining property: no tube of the natural family meets one
-            # slice twice; tube_slice_pairs re-checks it and raises on failure
+            # slice twice; _slice_graph checks it first and raises on failure
             tubes, lo, hi, graph = self._slice_graph
             pairs = {"levels": [lo, hi], "slice_pairs": len(graph.edges)}
             section = {**pairs, "tube_count": len(tubes.keys)}

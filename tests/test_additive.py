@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import hypothesis as hyp
 import hypothesis.strategies as hys
+import numpy as np
 import pytest
 
 from tubelab.core_grid import DyadicPoint, DyadicRational, Scale
@@ -343,6 +344,17 @@ def _gentle_tubes(qp):
     return quasi_product_tubes(qp).union(gentle)
 
 
+def _columns(slice_map):
+    """A tube key -> [(level, point), ...] map as slice_incidences' three
+    column lists: key, then level, then point order."""
+    rows = [(key, li, pi) for key in sorted(slice_map) for li, pi in slice_map[key]]
+    return [list(col) for col in zip(*rows)] if rows else [[], [], []]
+
+
+def _lists(hits):
+    return [col.tolist() for col in hits]
+
+
 @pytest.mark.parametrize("k, seed", [(8, 0), (8, 1), (8, 2), (10, 0), (10, 3)])
 def test_slice_incidences_match_brute_force(k, seed):
     qp = quasi_product(k, 0.5, 0.4, seed=seed)
@@ -357,7 +369,7 @@ def test_slice_incidences_match_brute_force(k, seed):
             hits = [(li, pi) for li, pi, p in points if tube_contains(t, p)]
             if hits:
                 oracle[key] = hits
-        assert slice_incidences(qp, tubes) == oracle
+        assert _lists(slice_incidences(qp, tubes)) == _columns(oracle)
 
 
 def _slice_incidences_by_point(qp, tubes):
@@ -390,7 +402,7 @@ def test_columnar_slice_maps_match_the_point_loops(k, seed):
     assert list(steep.keys) == _canonical_union(qp)
     for tubes in (steep, _gentle_tubes(qp)):
         # list equality pins each tube's level-then-point order as well
-        assert slice_incidences(qp, tubes) == _slice_incidences_by_point(qp, tubes)
+        assert _lists(slice_incidences(qp, tubes)) == _columns(_slice_incidences_by_point(qp, tubes))
 
 
 @pytest.mark.parametrize("k, seed", [(6, 1), (8, 0), (8, 2), (10, 3)])
@@ -401,9 +413,10 @@ def test_slice_pair_functions_take_the_map(k, seed):
     lo, hi = best_slice_pair(qp, tubes)
     assert best_slice_pair(qp, tubes, incidences=hits) == (lo, hi)
     assert tube_slice_pairs(qp, tubes, lo, hi, incidences=hits) == tube_slice_pairs(qp, tubes, lo, hi)
-    # the map is read, not recomputed: an empty one joins no levels
+    # the columns are read, not recomputed: empty ones join no levels
+    empty = tuple(col[:0] for col in hits)
     with pytest.raises(HypothesisViolation, match="no tube joins two distinct levels"):
-        best_slice_pair(qp, tubes, incidences={})
+        best_slice_pair(qp, tubes, incidences=empty)
 
 
 @hys.composite
@@ -436,7 +449,7 @@ def _signed_quasi_products(draw):
 @hyp.given(_signed_quasi_products())
 def test_slice_incidences_match_the_point_loop_on_signed_inputs(case):
     qp, tubes = case
-    assert slice_incidences(qp, tubes) == _slice_incidences_by_point(qp, tubes)
+    assert _lists(slice_incidences(qp, tubes)) == _columns(_slice_incidences_by_point(qp, tubes))
 
 
 def test_slice_incidences_clip_windows_at_the_intercept_edges():
@@ -454,16 +467,20 @@ def test_slice_incidences_clip_windows_at_the_intercept_edges():
         pack_key(37, -edge + 1, k): [(0, 0)],
         pack_key(37, edge - 1, k): [(1, 0)],
     }
-    assert slice_incidences(qp, tubes) == expected == _slice_incidences_by_point(qp, tubes)
+    assert _lists(slice_incidences(qp, tubes)) == _columns(expected)
+    assert expected == _slice_incidences_by_point(qp, tubes)
 
 
 def test_slice_incidences_on_one_point_slices_and_an_empty_family():
     qp = QuasiProduct(Scale(6), 0.5, 0.5, (D(0, 0), D(1, 1)), ((D(1, 2),), (D(-5, 3),)))
     tubes = TubeFamily.from_index_pairs(qp.scale, [(a, b) for a in range(-80, 80, 7) for b in range(-90, 90)])
     hits = slice_incidences(qp, tubes)
-    assert hits and hits == _slice_incidences_by_point(qp, tubes)
-    assert all(len(v) <= 2 for v in hits.values())
-    assert slice_incidences(qp, TubeFamily(qp.scale, ())) == {}
+    assert all(col.dtype == np.int64 for col in hits)
+    assert hits[0].size and _lists(hits) == _columns(_slice_incidences_by_point(qp, tubes))
+    assert all(len(v) <= 2 for v in _slice_map(hits).values())
+    empty = slice_incidences(qp, TubeFamily(qp.scale, ()))
+    assert all(col.dtype == np.int64 for col in empty)
+    assert _lists(empty) == [[], [], []]
 
 
 def test_slice_multiplicity_witness_is_pinned():
@@ -495,3 +512,158 @@ def test_best_slice_pair_requires_a_join():
         "message": "no tube joins two distinct levels",
         "witness": {"level_count": len(qp.levels), "tube_count": 0},
     }
+
+
+# The per-tube walks that the columnar slice graph replaced, kept as oracles:
+# a dict of each tube's (level, point) hits, one pass per tube for the
+# multiplicity check, one edge set per level pair for the ranking, and one
+# level -> point lookup per tube for the pair graph.
+
+
+def _slice_map(hits):
+    """Tube key -> its (level, point) hits in level-then-point order."""
+    out = {}
+    for key, li, pi in zip(*_lists(hits)):
+        out.setdefault(key, []).append((li, pi))
+    return out
+
+
+def _repeated_level(incidences):
+    for (li, _), (lj, _) in zip(incidences, incidences[1:]):
+        if li == lj:
+            return li
+    return None
+
+
+def _multiplicity_oracle(tubes, slice_map):
+    for key in tubes.keys:
+        li = _repeated_level(slice_map.get(key, ()))
+        if li is not None:
+            return HypothesisViolation(
+                "tube_slice_multiplicity",
+                "a tube meets two points of one slice",
+                {"tube_cell": list(unpack_key(key, tubes.scale.k)), "level_index": li},
+            )
+    return None
+
+
+def _best_pair_oracle(qp, tubes, slice_map):
+    pair_edges = {}
+    for hits in slice_map.values():
+        for x in range(len(hits)):
+            for y in range(x + 1, len(hits)):
+                (li, pi), (lj, pj) = hits[x], hits[y]
+                if li != lj:
+                    pair_edges.setdefault((li, lj), set()).add((pi, pj))
+    if not pair_edges:
+        witness = {"level_count": len(qp.levels), "tube_count": len(tubes)}
+        raise HypothesisViolation("joined_levels", "no tube joins two distinct levels", witness)
+
+    def rank(item):
+        (lo, hi), edges = item
+        return (len(edges), (qp.levels[hi] - qp.levels[lo]).as_float(), -lo, -hi)
+
+    return max(pair_edges.items(), key=rank)[0]
+
+
+def _pairs_oracle(qp, tubes, level_lo, level_hi, slice_map):
+    bad = _multiplicity_oracle(tubes, slice_map)
+    if bad is not None:
+        raise bad
+    edges = set()
+    for hits in slice_map.values():
+        at_level = dict(hits)
+        if level_lo in at_level and level_hi in at_level:
+            edges.add((at_level[level_lo], at_level[level_hi]))
+    if not edges:
+        raise ValidationError("no tube joins the two slices")
+    slice_lo, slice_hi = qp.slices[level_lo], qp.slices[level_hi]
+    k = measured_bsg_parameter(slice_lo, slice_hi, sorted(edges))
+    return PairGraph(tuple(slice_lo), tuple(slice_hi), tuple(sorted(edges)), max(k, 1.0))
+
+
+def _outcome(call):
+    """A call's value, or the type and payload of what it raised."""
+    try:
+        return call()
+    except HypothesisViolation as exc:
+        return type(exc), exc.payload()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_slice_graph_matches_the_walks(qp, tubes):
+    hits = slice_incidences(qp, tubes)
+    slice_map = _slice_map(hits)
+    bad, want = slice_multiplicity_violation(qp, tubes), _multiplicity_oracle(tubes, slice_map)
+    assert (bad and bad.payload()) == (want and want.payload())
+    assert _outcome(lambda: best_slice_pair(qp, tubes, incidences=hits)) == _outcome(
+        lambda: _best_pair_oracle(qp, tubes, slice_map)
+    )
+    n = len(qp.levels)
+    # a violation is raised before any level pair is read: two orders suffice
+    pairs = [(0, n - 1), (n - 1, 0)] if want else [(lo, hi) for lo in range(n) for hi in range(n)]
+    for lo, hi in pairs:
+        if lo != hi:
+            assert _outcome(lambda: tube_slice_pairs(qp, tubes, lo, hi, incidences=hits)) == _outcome(
+                lambda: _pairs_oracle(qp, tubes, lo, hi, slice_map)
+            )
+    pruned = prune_to_slice_multiplicity(qp, tubes)
+    keep = [key for key in tubes.keys if _repeated_level(slice_map.get(key, ())) is None]
+    assert pruned == TubeFamily(tubes.scale, tuple(keep))
+    return want, pruned
+
+
+@hyp.given(_signed_quasi_products())
+def test_slice_graph_matches_the_per_tube_walks_on_signed_inputs(case):
+    qp, tubes = case
+    bad, pruned = _assert_slice_graph_matches_the_walks(qp, tubes)
+    if bad is not None:
+        _assert_slice_graph_matches_the_walks(qp, pruned)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+@pytest.mark.parametrize("k", [8, 10])
+def test_slice_graph_matches_the_per_tube_walks(k, seed):
+    qp = quasi_product(k, 0.5, 0.4, seed=seed)
+    assert _assert_slice_graph_matches_the_walks(qp, quasi_product_tubes(qp))[0] is None
+    bad, pruned = _assert_slice_graph_matches_the_walks(qp, _gentle_tubes(qp))
+    assert bad is not None
+    # the pruned gentle family keeps tubes that join three or more levels
+    assert _assert_slice_graph_matches_the_walks(qp, pruned)[0] is None
+
+
+def test_best_slice_pair_tie_break_order():
+    # levels 0, 1/4, 1/2, 1 at k = 4; slice 1 holds two points. Each tube
+    # below meets exactly the two slice points named beside it
+    D = DyadicRational
+    levels = (D(0, 0), D(1, 2), D(1, 1), D(1, 0))
+    slices = ((D(0, 0),), (D(1, 3), D(5, 4)), (D(-1, 2),), (D(1, 1),))
+    qp = QuasiProduct(Scale(4), 0.5, 0.5, levels, slices)
+    joins = {
+        (24, 0): [(0, 0), (1, 0)],  # gap 1/4
+        (9, 0): [(0, 0), (1, 1)],  # gap 1/4
+        (-12, 5): [(1, 0), (2, 0)],  # gap 1/4
+        (-32, 0): [(0, 0), (2, 0)],  # gap 1/2
+        (10, 10): [(2, 0), (3, 0)],  # gap 1/2
+        (32, -1): [(1, 0), (3, 0)],  # gap 3/4
+    }
+
+    def best(*cells):
+        tubes = TubeFamily.from_index_pairs(qp.scale, cells)
+        assert _slice_map(slice_incidences(qp, tubes)) == {pack_key(*c, 4): joins[c] for c in cells}
+        return best_slice_pair(qp, tubes)
+
+    # the edge count first: two edges at gap 1/4 beat one at gap 1/2
+    assert best((24, 0), (9, 0), (-32, 0)) == (0, 1)
+    # then the wider gap, even at a higher lo
+    assert best((24, 0), (32, -1)) == (1, 3)
+    # then the lower lo, at equal gaps
+    assert best((24, 0), (-12, 5)) == (0, 1)
+    assert best((-32, 0), (10, 10)) == (0, 2)
+    # then the lower hi. Levels strictly increase, so equal lo and equal gap
+    # mean equal hi unless the float gaps round together: 1 and 1 + 2^-60
+    # do, and the columns are given, since no tube is that fine
+    fine = QuasiProduct(Scale(4), 0.5, 0.5, (D(0, 0), D(1, 0), D((1 << 60) + 1, 60)), ((D(0, 0),),) * 3)
+    keys, level, point = (np.array(col, dtype=np.int64) for col in ([1, 1, 2, 2], [0, 1, 0, 2], [0, 0, 0, 0]))
+    assert best_slice_pair(fine, TubeFamily(fine.scale, ()), incidences=(keys, level, point)) == (0, 1)

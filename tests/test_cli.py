@@ -605,6 +605,26 @@ def test_quasi_product_without_joined_levels_is_a_hypothesis_failure(capsys):
     }
 
 
+def test_quasi_product_whose_steep_tubes_meet_a_slice_twice_fails_steepness(capsys, tmp_path):
+    # one level of 20 points 2^-7 apart at k = 6: its own steep tubes meet
+    # that slice twice, and it joins no two levels; the defining steepness
+    # hypothesis is checked first, so it is the one reported
+    from tubelab.additive import QuasiProduct
+
+    D = DyadicRational
+    qp = QuasiProduct(Scale(6), 0.5, 0.5, (D(0, 0),), (tuple(D(v, 7) for v in range(20)),))
+    src = tmp_path / "qp.json"
+    src.write_text(json.dumps(qp.to_json()))
+    for command in ("validate", "additive"):
+        code, out, _ = _call(capsys, [command, "--input", str(src)])
+        assert code == 3
+        assert json.loads(out) == {
+            "hypothesis": "tube_slice_multiplicity",
+            "message": "a tube meets two points of one slice",
+            "witness": {"tube_cell": [64, -10], "level_index": 0},
+        }
+
+
 def test_one_slice_incidence_map_per_quasi_product(capsys, tmp_path, monkeypatch):
     import tubelab.additive as additive_module
     import tubelab.manifest as manifest_module
