@@ -353,9 +353,6 @@ def slice_incidences(qp: QuasiProduct, tubes: TubeFamily) -> SliceHits:
     refuses finer points with DyadicOverflowError.
     """
     k = qp.scale.k
-    if not tubes.keys:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, empty
     family = np.array(tubes.keys, dtype=np.int64)
     a_idx, _ = unpack_key_array(family, k)
     slopes = a_idx[_run_starts(a_idx)]
