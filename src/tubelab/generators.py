@@ -144,13 +144,13 @@ def furstenberg_product(k: int, s: float, epsilon: float = DEFAULT_EPSILON) -> C
     slopes = np.array(cantor_line_indices(k, s), dtype=np.int64)
     ys = np.array(line, dtype=np.int64)[:, None]
     points = [DyadicPoint(DyadicRational(xi, k), DyadicRational(yi, k)) for xi in line for yi in line]
-    families = []
-    for xi in line:
+    keys = np.empty((len(line), len(line), slopes.size), dtype=np.int64)
+    for xi, column in zip(line, keys):
         # canonical_keys of the column x = xi*delta, one row per point, in
         # key order: intercept cells floor(yi - a*xi*delta) at slope cells a
-        column = pack_key_array(slopes, ((ys << k) - slopes * xi) >> k, k)
-        families.extend(TubeFamily(scale, tuple(row)) for row in column.tolist())
-    return Configuration(PointSet(scale, tuple(points)), tuple(families), s, epsilon)
+        column[...] = pack_key_array(slopes, ((ys << k) - slopes * xi) >> k, k)
+    offsets = np.arange(len(points) + 1) * slopes.size
+    return Configuration(PointSet(scale, tuple(points)), keys.ravel(), offsets, s, epsilon)
 
 
 def quasi_product(k: int, s: float, tau: float, seed: int = 0) -> QuasiProduct:

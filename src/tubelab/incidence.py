@@ -7,15 +7,17 @@ sum_p |T_p| = sum_T N_T is checked exactly, and the pairwise-intersection sum
 sum_{p != q} |T_p cap T_q| equals sum_T N_T^2 - sum_T N_T, so the
 Cauchy-Schwarz chain is verified with integer arithmetic only.
 
-Per-key work runs as numpy kernels over columns of the families' keys in
-point order: membership and slope sets over blocks of whole families, N_T
-and M_T as run lengths of sorted whole-configuration columns, one at a time.
+Per-key work runs as numpy kernels over the configuration's own key column,
+the families' keys in point order: membership and slope sets over blocks of
+whole families, N_T and M_T as run lengths of sorted whole-configuration
+columns, one at a time.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
-from itertools import chain
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,28 +33,55 @@ from .tubes import unpack_key, unpack_key_array
 _BLOCK_KEYS = 1 << 13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Configuration:
-    """Point set plus one tube family per point, at a common even-k scale."""
+    """Point set plus one tube family per point, at a common even-k scale.
+    Family i is keys[offsets[i]:offsets[i + 1]], its sorted, distinct packed
+    keys; both columns are read-only int64 arrays."""
 
     points: PointSet
-    families: tuple[TubeFamily, ...]
+    keys: np.ndarray = field(repr=False)
+    offsets: np.ndarray = field(repr=False)
     s: float
     epsilon: float
 
     def __post_init__(self) -> None:
         self.points.scale.require_even()
-        if len(self.families) != len(self.points.points):
-            raise ValidationError(
-                f"{len(self.families)} families for {len(self.points.points)} points"
-            )
-        for fam in self.families:
-            if fam.scale != self.points.scale:
-                raise ScaleError("family scale differs from point scale")
+        keys, offsets = np.array(self.keys, dtype=np.int64), np.array(self.offsets, dtype=np.int64)
+        n = len(self.points.points)
+        if keys.ndim != 1 or offsets.shape != (n + 1,):
+            raise ValidationError(f"{offsets.size - 1} families for {n} points")
+        if offsets[0] != 0 or offsets[-1] != keys.size or (np.diff(offsets) < 0).any():
+            raise ValidationError(f"offsets must rise from 0 to the {keys.size} keys")
+        keys.flags.writeable = offsets.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "offsets", offsets)
         if not (0.0 < self.s <= 1.0):
             raise ValidationError(f"slope dimension s={self.s} outside (0, 1]")
         if not (0.0 < self.epsilon < min(self.s, 0.5)):
             raise ValidationError(f"epsilon={self.epsilon} outside (0, min(s, 1/2))")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Configuration):
+            return NotImplemented
+        return (self.points, self.s, self.epsilon) == (other.points, other.s, other.epsilon) and all(
+            np.array_equal(a, b) for a, b in ((self.keys, other.keys), (self.offsets, other.offsets))
+        )
+
+    @classmethod
+    def from_families(cls, points: PointSet, families: Sequence[TubeFamily], s: float, epsilon: float) -> Configuration:
+        """The configuration of one TubeFamily per point."""
+        if any(fam.scale != points.scale for fam in families):
+            raise ScaleError("family scale differs from point scale")
+        offsets = np.fromiter(accumulate(map(len, families), initial=0), dtype=np.int64, count=len(families) + 1)
+        keys = np.fromiter(chain.from_iterable(fam.keys for fam in families), dtype=np.int64, count=offsets[-1])
+        return cls(points, keys, offsets, s, epsilon)
+
+    @cached_property
+    def families(self) -> tuple[TubeFamily, ...]:
+        """The families as TubeFamily objects, derived from the column."""
+        keys, bounds = self.keys.tolist(), self.offsets.tolist()
+        return tuple(TubeFamily(self.scale, tuple(keys[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
 
     @property
     def scale(self) -> Scale:
@@ -91,15 +120,9 @@ class Configuration:
             if slots[idx] is not None:
                 raise ParseError(f"two families for point index {idx}")
             slots[idx] = TubeFamily.from_json({"k": k, "tubes": entry.get("tubes", [])})
-        for i, fam in enumerate(slots):
-            if fam is None:
-                raise ParseError(f"no family for point index {i}")
-        return cls(points, tuple(slots), s, eps)  # type: ignore[arg-type]
-
-
-def _key_column(families: Sequence[TubeFamily], n_keys: int, dtype: np.dtype | type = np.int64) -> np.ndarray:
-    """The families' keys, concatenated in order, as one column."""
-    return np.fromiter(chain.from_iterable(f.keys for f in families), dtype=dtype, count=n_keys)
+        if None in slots:
+            raise ParseError(f"no family for point index {slots.index(None)}")
+        return cls.from_families(points, slots, s, eps)  # type: ignore[arg-type]
 
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
@@ -122,17 +145,18 @@ def _histogram(run_lengths: np.ndarray) -> tuple[tuple[int, int], ...]:
     return tuple(zip(values.tolist(), counts[values].tolist()))
 
 
-def _family_blocks(families: Sequence[TubeFamily]) -> Iterator[tuple[int, int]]:
+def _family_blocks(offsets: np.ndarray) -> Iterator[tuple[int, int]]:
     """Consecutive [lo, hi) runs of whole families, each holding at most
-    _BLOCK_KEYS keys or a single family."""
-    lo = held = 0
-    for i, fam in enumerate(families):
-        if held and held + len(fam) > _BLOCK_KEYS:
-            yield lo, i
-            lo, held = i, 0
-        held += len(fam)
-    if lo < len(families):
-        yield lo, len(families)
+    _BLOCK_KEYS keys or a single family, cut from the families' offsets."""
+    lo, n = 0, offsets.size - 1
+    while lo < n:
+        # the last family end that fits; when none does, the families up to
+        # and including the first nonempty one
+        hi = int(np.searchsorted(offsets, offsets[lo] + _BLOCK_KEYS, side="right")) - 1
+        if offsets[hi] == offsets[lo]:
+            hi = min(hi + 1, n)
+        yield lo, hi
+        lo = hi
 
 
 def _scan_families(cfg: Configuration) -> tuple[HypothesisViolation | None, dict[bytes, int]]:
@@ -141,16 +165,17 @@ def _scan_families(cfg: Configuration) -> tuple[HypothesisViolation | None, dict
     order), and the first nonempty family with each slope set, keyed by the
     bytes of its increasing int64 slope cells."""
     k = cfg.scale.k
-    families = cfg.families
+    offsets = cfg.offsets
     x_num, y_num, m = point_columns(cfg.points.points, k)
     missing: HypothesisViolation | None = None
     slope_sets: dict[bytes, int] = {}
-    for lo, hi in _family_blocks(families):
-        lengths = np.fromiter(map(len, families[lo:hi]), dtype=np.int64, count=hi - lo)
-        ends = np.cumsum(lengths)
-        keys = _key_column(families[lo:hi], int(ends[-1]))
+    for lo, hi in _family_blocks(offsets):
+        keys = cfg.keys[offsets[lo] : offsets[hi]]
         if keys.size == 0:
             continue
+        # the block's family bounds within `keys`
+        edges = offsets[lo : hi + 1] - offsets[lo]
+        starts, ends, lengths = edges[:-1], edges[1:], np.diff(edges)
         a_idx, b_idx = unpack_key_array(keys, k)
         if missing is None:
             owner = np.repeat(np.arange(lo, hi), lengths)
@@ -164,7 +189,6 @@ def _scan_families(cfg: Configuration) -> tuple[HypothesisViolation | None, dict
                 )
         # keys sort by slope cell first, so a family's distinct slope cells
         # are the firsts of its runs of equal slope cell
-        starts = ends - lengths
         first = _run_starts(a_idx)
         first[starts[lengths > 0]] = True
         cells = a_idx[first]
@@ -232,12 +256,12 @@ class IncidenceReport:
 def incidence_report(cfg: Configuration) -> IncidenceReport:
     k = cfg.scale.k
     h = k // 2
-    families = cfg.families
-    incidences_by_point = sum(map(len, families))
+    offsets = cfg.offsets
+    incidences_by_point = cfg.keys.size
 
     # N_T: the run lengths of the sorted keys. The whole-configuration
     # columns only sort and compare, so they take the narrowest unsigned type
-    keys = _key_column(families, incidences_by_point, np.min_scalar_type((1 << key_bits(k)) - 1))
+    keys = cfg.keys.astype(np.min_scalar_type((1 << key_bits(k)) - 1))
     keys.sort()
     first = _run_starts(keys)
     del keys
@@ -254,14 +278,11 @@ def incidence_report(cfg: Configuration) -> IncidenceReport:
     )
     cell_bits = max(len(cell_number) - 1, 1).bit_length()
     pairs = np.empty(incidences_by_point, dtype=np.min_scalar_type((1 << (key_bits(h) + cell_bits)) - 1))
-    at = 0
-    for lo, hi in _family_blocks(families):
-        lengths = np.fromiter(map(len, families[lo:hi]), dtype=np.int64, count=hi - lo)
-        block = parent_key_array(_key_column(families[lo:hi], int(lengths.sum())), k, h)
+    for lo, hi in _family_blocks(offsets):
+        block = parent_key_array(cfg.keys[offsets[lo] : offsets[hi]], k, h)
         block <<= cell_bits
-        block |= np.repeat(point_cells[lo:hi], lengths)
-        pairs[at : at + block.size] = block
-        at += block.size
+        block |= np.repeat(point_cells[lo:hi], np.diff(offsets[lo : hi + 1]))
+        pairs[offsets[lo] : offsets[hi]] = block
     pairs.sort()
     parents = pairs[_run_starts(pairs)] >> cell_bits
     del pairs
@@ -359,16 +380,16 @@ def dichotomy_hypotheses(
             )
         )
     need_tubes = 2.0 ** (k * (cfg.s - eps))
-    for i, fam in enumerate(cfg.families):
-        if len(fam) < need_tubes:
-            out.append(
-                HypothesisViolation(
-                    "family_size",
-                    f"|T_p| = {len(fam)} below delta^-(s-eps) = {need_tubes:.2f} at point {i}",
-                    {"point_index": i, "size": len(fam), "required": need_tubes},
-                )
+    sizes = np.diff(cfg.offsets)
+    for i in np.flatnonzero(sizes < need_tubes)[:1].tolist():
+        size = int(sizes[i])
+        out.append(
+            HypothesisViolation(
+                "family_size",
+                f"|T_p| = {size} below delta^-(s-eps) = {need_tubes:.2f} at point {i}",
+                {"point_index": i, "size": size, "required": need_tubes},
             )
-            break
+        )
     return out
 
 

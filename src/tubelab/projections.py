@@ -346,10 +346,10 @@ def _difference_histogram(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
     exact (dX, dY), |dY| <= 2^(m+3), in lexicographic order: v and -v share
     one entry, as they project to the same distance. Keys of the 2^-27 grid
     reach about 2^62; finer grids raise DyadicOverflowError. Rows of
-    differences fill a fixed buffer that is folded into the histogram when
-    full, so memory is bounded by the buffer plus the histogram, never by
-    n^2. Returns the float64 rows (dx, dy) in key order, and their counts as
-    float64 weights.
+    differences fill a fixed buffer that is folded into histograms when full,
+    and those are merged as they grow, so memory is bounded by the buffer
+    plus a few histograms, never by n^2. Returns the float64 rows (dx, dy)
+    in key order, and their counts as float64 weights.
     """
     m = max(points.scale.k, max(max(p.x.exp, p.y.exp) for p in points))
     if m > 27:
@@ -359,31 +359,31 @@ def _difference_histogram(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
     n = keys.size
     # a buffer never shorter than one row, so that rows are never split
     buf = np.empty(max(n - 1, min(_PAIR_BUFFER, n * (n - 1) // 2)), dtype=np.int64)
-    vectors = counts = np.empty(0, dtype=np.int64)
+    # the folded histograms, (sorted distinct keys, counts), each at least
+    # twice the size of the next, so that a key is merged O(log folds) times
+    runs: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def merge(count: int) -> None:
+        # the last `count` histograms as one: a stable sort of their keys,
+        # then the counts of each run of equal keys summed
+        merged = np.concatenate([run[0] for run in runs[-count:]])
+        order = np.argsort(merged, kind="stable")
+        merged = merged[order]
+        starts = np.flatnonzero(_run_starts(merged))
+        sums = np.add.reduceat(np.concatenate([run[1] for run in runs[-count:]])[order], starts)
+        runs[-count:] = [(merged[starts], sums)]
 
     def fold(chunk: np.ndarray) -> None:
-        nonlocal vectors, counts
         # np.unique without its copy of the chunk: sort in place, then
         # count the runs of equal keys
         chunk.sort()
         starts = np.flatnonzero(_run_starts(chunk))
-        vals = chunk[starts]
         cnts = np.empty_like(starts)
         np.subtract(starts[1:], starts[:-1], out=cnts[:-1])
         cnts[-1:] = chunk.size - starts[-1:]
-        del starts
-        if vectors.size == 0:
-            vectors, counts = vals, cnts
-            return
-        # both sides are sorted and distinct: add the counts of keys already
-        # present, insert the new ones in order
-        at = np.searchsorted(vectors, vals)
-        seen = at < vectors.size
-        seen[seen] = vectors[at[seen]] == vals[seen]
-        counts[at[seen]] += cnts[seen]
-        fresh = ~seen
-        vectors = np.insert(vectors, at[fresh], vals[fresh])
-        counts = np.insert(counts, at[fresh], cnts[fresh])
+        runs.append((chunk[starts], cnts))
+        while len(runs) > 1 and 2 * runs[-1][0].size > runs[-2][0].size:
+            merge(2)
 
     filled = 0
     for i in range(n - 1):
@@ -395,6 +395,10 @@ def _difference_histogram(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
     if filled:
         fold(buf[:filled])
     del buf
+    if len(runs) > 1:
+        merge(len(runs))
+    # popped, so that the int64 counts are freed once converted
+    vectors, counts = runs.pop() if runs else (np.empty(0, dtype=np.int64),) * 2
     counts = counts.astype(np.float64)
     # decode in place: (dX, dY + 2^(m+4)) = divmod(K + 2^(m+4), 2^(m+5))
     rows = np.empty((vectors.size, 2))

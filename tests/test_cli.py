@@ -47,7 +47,7 @@ def _call(capsys, argv):
 def _degenerate_config_file(tmp_path):
     # one point with one family: far below every cardinality hypothesis
     p = grid(2).points[0]
-    cfg = Configuration(PointSet(Scale(4), (p,)), (tubes_through(p, Scale(4)),), 0.5, 0.1)
+    cfg = Configuration.from_families(PointSet(Scale(4), (p,)), (tubes_through(p, Scale(4)),), 0.5, 0.1)
     src = tmp_path / "cfg.json"
     src.write_text(json.dumps(cfg.to_json()))
     return src
@@ -821,7 +821,7 @@ def test_unseparated_input_finer_than_ball_counts_is_refused(capsys, tmp_path):
     q = DyadicPoint(p.x + DyadicRational(1, 30), p.y)
     fam = TubeFamily(cfg.scale, tuple(keys_through(q, 8, range(0, 1 << 8, 3))))
     points = PointSet(cfg.scale, cfg.points.points + (q,))
-    cfg = Configuration(points, cfg.families + (fam,), cfg.s, cfg.epsilon)
+    cfg = Configuration.from_families(points, cfg.families + (fam,), cfg.s, cfg.epsilon)
     with pytest.raises(DyadicOverflowError, match=r"2\^-27 grid or coarser, got 2\^-30"):
         validate_configuration(cfg)
     src = tmp_path / "points.json"

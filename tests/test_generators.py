@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from tubelab.core_grid import Scale, covering_number
@@ -24,7 +25,7 @@ from tubelab.generators import (
 )
 from tubelab.incidence import validate_configuration
 from tubelab.additive import slice_multiplicity_violation
-from tubelab.tubes import canonical_keys, tube_contains
+from tubelab.tubes import TubeFamily, canonical_keys, pack_key_array, tube_contains
 
 
 def test_cantor_line_counts():
@@ -116,6 +117,28 @@ def test_furstenberg_keys_are_the_canonical_keys(k, s):
     assert [fam.keys for fam in cfg.families] == [
         tuple(canonical_keys(p, k, slopes)) for p in cfg.points.points
     ]
+
+
+def furstenberg_families_oracle(k: int, s: float) -> tuple[TubeFamily, ...]:
+    """The families as furstenberg_product built them before it wrote one key
+    column: a TubeFamily of Python ints per row of each point column."""
+    line = cantor_line_indices(k, 0.5)
+    slopes = np.array(cantor_line_indices(k, s), dtype=np.int64)
+    ys = np.array(line, dtype=np.int64)[:, None]
+    families = []
+    for xi in line:
+        column = pack_key_array(slopes, ((ys << k) - slopes * xi) >> k, k)
+        families.extend(TubeFamily(Scale(k), tuple(row)) for row in column.tolist())
+    return tuple(families)
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
+def test_furstenberg_families_match_the_per_point_build(k):
+    cfg = furstenberg_product(k, 0.5)
+    oracle = furstenberg_families_oracle(k, 0.5)
+    assert cfg.families == oracle
+    assert cfg.offsets.tolist() == [0, *np.cumsum([len(fam) for fam in oracle]).tolist()]
+    assert not (cfg.keys.flags.writeable or cfg.offsets.flags.writeable)
 
 
 def test_furstenberg_deterministic():

@@ -9,17 +9,19 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import islice
 from typing import Iterator, Sequence
 from unittest import mock
 
 import hypothesis as hyp
 import hypothesis.strategies as hys
+import numpy as np
 import pytest
 
 from tubelab import incidence
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale, covering_number
 from tubelab.delta_sets import DeltaSetParams, validate, validate_1d
-from tubelab.errors import DyadicOverflowError, HypothesisViolation, ParseError, ValidationError
+from tubelab.errors import DyadicOverflowError, HypothesisViolation, ParseError, ScaleError, ValidationError
 from tubelab.generators import furstenberg_product, grid
 from tubelab.incidence import (
     CauchySchwarzReport,
@@ -169,7 +171,7 @@ def assert_matches_oracles(cfg: Configuration) -> None:
 
 
 def _config_for(points: list[DyadicPoint], fams: list[TubeFamily], k: int) -> Configuration:
-    return Configuration(PointSet(Scale(k), tuple(points)), tuple(fams), 0.5, 0.1)
+    return Configuration.from_families(PointSet(Scale(k), tuple(points)), tuple(fams), 0.5, 0.1)
 
 
 def _point(i: int, j: int, k: int) -> DyadicPoint:
@@ -231,7 +233,7 @@ def test_incidence_invariant_under_relabeling():
     cfg = furstenberg_product(8, 0.3)
     order = list(range(len(cfg.points.points)))
     order.reverse()
-    shuffled = Configuration(
+    shuffled = Configuration.from_families(
         PointSet(cfg.scale, tuple(cfg.points.points[i] for i in order)),
         tuple(cfg.families[i] for i in order),
         cfg.s,
@@ -307,7 +309,7 @@ def test_validate_configuration_clean_and_dirty():
     idx = cfg.points.points.index(p_far)
     fams = list(cfg.families)
     fams[idx] = fam0
-    bad = Configuration(cfg.points, tuple(fams), cfg.s, cfg.epsilon)
+    bad = Configuration.from_families(cfg.points, tuple(fams), cfg.s, cfg.epsilon)
     violations = validate_configuration(bad)
     assert any(v.name == "tube_membership" for v in violations)
     payload = violations[0].payload()
@@ -321,7 +323,7 @@ def test_membership_witness_is_pinned():
     fams = list(cfg.families)
     fams[37] = fams[37].union(TubeFamily(cfg.scale, cfg.families[40].keys[5:]))
     fams[90] = fams[91]
-    bad = Configuration(cfg.points, tuple(fams), cfg.s, cfg.epsilon)
+    bad = Configuration.from_families(cfg.points, tuple(fams), cfg.s, cfg.epsilon)
     [violation] = validate_configuration(bad)
     assert violation.payload()["witness"] == {"point_index": 37, "tube_cell": [17, 63]}
     assert_matches_oracles(bad)
@@ -426,7 +428,7 @@ def test_dichotomy_hypothesis_coarse_spread():
     k = 4
     ps = grid(k)
     fams = tuple(tubes_through(p, Scale(k)) for p in ps.points)
-    cfg = Configuration(ps, fams, 0.5, 0.1)
+    cfg = Configuration.from_families(ps, fams, 0.5, 0.1)
     names = [v.name for v in dichotomy_hypotheses(cfg)]
     assert "coarse_point_cover" in names
 
@@ -467,7 +469,7 @@ def test_kernels_match_oracles_with_a_family_swapped():
     # point 0, and many slope sets are checked once each
     cfg = furstenberg_product(8, 0.5)
     fams = cfg.families[1:] + cfg.families[:1]
-    assert_matches_oracles(Configuration(cfg.points, fams, cfg.s, cfg.epsilon))
+    assert_matches_oracles(Configuration.from_families(cfg.points, fams, cfg.s, cfg.epsilon))
 
 
 def test_slope_sets_of_neighbouring_families_sharing_a_slope_cell():
@@ -493,7 +495,7 @@ def _finer_point(cfg: Configuration, exp: int) -> Configuration:
     q = DyadicPoint(p.x + DyadicRational(1, exp), p.y)
     fam = TubeFamily(cfg.scale, tuple(keys_through(q, k, range(0, 1 << k, 3))))
     points = PointSet(cfg.scale, cfg.points.points[:-1] + (q,))
-    return Configuration(points, cfg.families[:-1] + (fam,), cfg.s, cfg.epsilon)
+    return Configuration.from_families(points, cfg.families[:-1] + (fam,), cfg.s, cfg.epsilon)
 
 
 @pytest.mark.parametrize("exp", [30, 50])
@@ -542,7 +544,7 @@ def _configurations(draw) -> tuple[Configuration, int]:
         key = pack_key(a_idx, b_idx, k)
         if key not in families[i]:
             families[i] = sorted(families[i] + [key])
-    cfg = Configuration(
+    cfg = Configuration.from_families(
         PointSet(scale, points),
         tuple(TubeFamily(scale, tuple(f)) for f in families),
         draw(hys.sampled_from([0.5, 1.0])),
@@ -557,3 +559,174 @@ def test_kernels_match_oracles_on_drawn_configurations(drawn):
     cfg, block = drawn
     with mock.patch.object(incidence, "_BLOCK_KEYS", block):
         assert_matches_oracles(cfg)
+
+
+# ----------------------------------------------------- the key column
+
+
+def family_blocks_oracle(families: Sequence[TubeFamily]) -> Iterator[tuple[int, int]]:
+    """The block cut over the families themselves, one len() per family, as
+    the kernels took it before a configuration held its keys as a column."""
+    lo = held = 0
+    for i, fam in enumerate(families):
+        if held and held + len(fam) > incidence._BLOCK_KEYS:
+            yield lo, i
+            lo, held = i, 0
+        held += len(fam)
+    if lo < len(families):
+        yield lo, len(families)
+
+
+def _offsets(sizes: Sequence[int]) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+
+
+def _blocks(sizes: Sequence[int]) -> list[tuple[int, int]]:
+    # at most one block more than there are families, so that a cut that
+    # stops advancing fails the comparison instead of looping forever
+    return list(islice(incidence._family_blocks(_offsets(sizes)), len(sizes) + 1))
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [],
+        [0],
+        [0, 0, 0],
+        [3, 5, 2],  # the first two fill a block exactly
+        [3, 5, 0, 0, 2],  # empty families after an exact fill stay in its block
+        [9],  # one family larger than a block
+        [0, 0, 9, 0, 1],  # empty families before a large one join its block
+        [2, 9, 9, 0, 8, 8, 1],
+        [1] * 20,
+        [8, 8, 8],
+    ],
+)
+def test_family_blocks_match_the_per_family_cut(sizes):
+    families = [TubeFamily(Scale(4), tuple(range(size))) for size in sizes]
+    with mock.patch.object(incidence, "_BLOCK_KEYS", 8):
+        assert _blocks(sizes) == list(family_blocks_oracle(families))
+
+
+@hyp.settings(max_examples=200, deadline=None)
+@hyp.given(
+    hys.lists(hys.integers(min_value=0, max_value=12) | hys.just(0), max_size=30),
+    hys.integers(min_value=1, max_value=10),
+)
+def test_family_blocks_match_the_per_family_cut_on_drawn_sizes(sizes, block):
+    families = [TubeFamily(Scale(4), tuple(range(size))) for size in sizes]
+    with mock.patch.object(incidence, "_BLOCK_KEYS", block):
+        assert _blocks(sizes) == list(family_blocks_oracle(families))
+
+
+def _with_offsets(cfg: Configuration, offsets) -> Configuration:
+    return Configuration(cfg.points, cfg.keys, offsets, cfg.s, cfg.epsilon)
+
+
+def test_configuration_refuses_offsets_that_do_not_cut_the_keys():
+    cfg = furstenberg_product(4, 0.5)
+    offsets = cfg.offsets.copy()
+    assert _with_offsets(cfg, offsets) == cfg
+    wrong = {
+        "one family short": offsets[:-1],
+        "one family too many": np.append(offsets, offsets[-1]),
+        "not a column": offsets[None, :],
+        "start past 0": np.where(np.arange(offsets.size) == 0, 1, offsets),
+        "decreasing": np.where(np.arange(offsets.size) == 2, offsets[1] - 1, offsets),
+        "end short of the keys": np.where(np.arange(offsets.size) == offsets.size - 1, offsets[-1] - 1, offsets),
+    }
+    for name, bad in wrong.items():
+        with pytest.raises(ValidationError):
+            _with_offsets(cfg, bad)
+            pytest.fail(name)
+    with pytest.raises(ValidationError):
+        Configuration(cfg.points, cfg.keys[None, :], offsets, cfg.s, cfg.epsilon)
+
+
+def test_configuration_columns_are_read_only_copies():
+    cfg = furstenberg_product(4, 0.5)
+    keys, offsets = cfg.keys.copy(), cfg.offsets.copy()
+    built = Configuration(cfg.points, keys, offsets, cfg.s, cfg.epsilon)
+    keys[0] += 1
+    offsets[1] -= 1
+    assert built == cfg
+    for column in (built.keys, built.offsets):
+        assert column.dtype == np.int64
+        with pytest.raises(ValueError):
+            column[0] = 7
+    with pytest.raises(AttributeError):
+        built.keys = keys
+
+
+def test_configuration_equality_is_by_value_and_never_raises():
+    a, b = furstenberg_product(8, 0.5), furstenberg_product(8, 0.5)
+    assert a is not b and a == b and not a != b
+    fams = list(a.families)
+    fams[3] = TubeFamily(a.scale, fams[3].keys[1:])
+    assert Configuration.from_families(a.points, fams, a.s, a.epsilon) != a
+    assert Configuration.from_families(a.points, a.families, a.s, 0.2) != a
+    assert furstenberg_product(8, 0.3) != a
+    assert a != "configuration" and a != None  # noqa: E711
+    assert a in [None, b]
+
+
+def test_configuration_from_families_round_trips_through_json():
+    k = 4
+    points = [_point(3, 5, k), _point(9, 2, k), _point(1, 1, k)]
+    fams = [
+        tubes_through(points[0], Scale(k)),
+        TubeFamily(Scale(k), ()),
+        TubeFamily(Scale(k), tuple(keys_through(points[2], k, [0, 5, 9]))),
+    ]
+    cfg = _config_for(points, fams, k)
+    assert cfg.families == tuple(fams)
+    assert cfg.offsets.tolist() == [0, len(fams[0]), len(fams[0]), len(fams[0]) + len(fams[2])]
+    obj = cfg.to_json()
+    again = Configuration.from_json(obj)
+    assert again == cfg and again.to_json() == obj
+    with pytest.raises(ScaleError):
+        Configuration.from_families(cfg.points, [*fams[:2], TubeFamily(Scale(6), ())], 0.5, 0.1)
+
+
+def test_configuration_with_an_empty_family_and_a_single_point():
+    k = 4
+    p = _point(3, 5, k)
+    lone = _config_for([p], [TubeFamily(Scale(k), ())], k)
+    assert lone.keys.size == 0 and lone.offsets.tolist() == [0, 0]
+    assert_matches_oracles(lone)
+    rep = incidence_report(lone)
+    assert (rep.incidence_count, rep.tube_count, rep.nt_histogram) == (0, 0, ())
+    sizes = [v.witness for v in dichotomy_hypotheses(lone) if v.name == "family_size"]
+    assert [(w["point_index"], w["size"]) for w in sizes] == [(0, 0)]
+    # an empty family between two nonempty ones
+    q, r = _point(9, 2, k), _point(1, 1, k)
+    cfg = _config_for([q, p, r], [tubes_through(q, Scale(k)), TubeFamily(Scale(k), ()), tubes_through(r, Scale(k))], k)
+    assert_matches_oracles(cfg)
+    for block in (1, 3):
+        with mock.patch.object(incidence, "_BLOCK_KEYS", block):
+            assert_matches_oracles(cfg)
+
+
+def family_size_oracle(cfg: Configuration) -> list[dict]:
+    """The family-size witness, from a len() of each family in point order."""
+    need = 2.0 ** (cfg.scale.k * (cfg.s - cfg.epsilon))
+    for i, fam in enumerate(cfg.families):
+        if len(fam) < need:
+            return [{"point_index": i, "size": len(fam), "required": need}]
+    return []
+
+
+def test_dichotomy_reports_the_first_short_family():
+    cfg = furstenberg_product(8, 0.5)
+    assert family_size_oracle(cfg) == []
+    fams = list(cfg.families)
+    # families 5 and 9 drop below delta^-(s-eps) = 4 tubes; 5 is reported
+    fams[9] = TubeFamily(cfg.scale, fams[9].keys[:1])
+    fams[5] = TubeFamily(cfg.scale, fams[5].keys[:3])
+    short = Configuration.from_families(cfg.points, fams, cfg.s, cfg.epsilon)
+    got = [v.witness for v in dichotomy_hypotheses(short) if v.name == "family_size"]
+    assert got == family_size_oracle(short) == [{"point_index": 5, "size": 3, "required": 4.0}]
+    with pytest.raises(HypothesisViolation) as err:
+        dichotomy_check(short, 0.25)
+    assert err.value.name == "family_size"
+    assert err.value.witness["point_index"] == 5

@@ -306,7 +306,7 @@ def test_run_hypothesis_violation_witness(tmp_path):
 
     p = cfg_points[0]
     fam = tubes_through(p, Scale(k))
-    cfg = Configuration(PointSet(Scale(k), (p,)), (fam,), 0.5, 0.1)
+    cfg = Configuration.from_families(PointSet(Scale(k), (p,)), (fam,), 0.5, 0.1)
     src = tmp_path / "cfg.json"
     src.write_text(json.dumps(cfg.to_json()))
     out = tmp_path / "out"

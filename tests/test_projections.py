@@ -746,6 +746,20 @@ def test_difference_histogram_folds_full_buffers():
     _assert_matches_oracle(ps)
 
 
+def test_difference_histogram_merges_many_folds_as_one(monkeypatch):
+    # 2,048 random points: 2,096,128 pairs fill the real buffer at least four
+    # times, so folds merge into folds that have merged before; a buffer
+    # that holds every pair folds once and merges nothing
+    ps = _random_points(2048, 10, (10,), seed=4)
+    n = len(ps.points)
+    assert n * (n - 1) // 2 > 3 * _PAIR_BUFFER
+    folded = _difference_histogram(ps)
+    monkeypatch.setattr(tubelab.projections, "_PAIR_BUFFER", n * n)
+    once = _difference_histogram(ps)
+    for got, expect in zip(folded, once):
+        assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
 def test_energy_refuses_coordinates_finer_than_2_27():
     ok = _corners(10, 27)
     # 1 + 2^-28 lies on the 2^-28 grid
