@@ -15,13 +15,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_grid import DyadicPoint, DyadicRational, Scale, _int_field, check_value_bound
+from .core_grid import DyadicPoint, DyadicRational, Scale, _int_field, _run_starts, check_value_bound
 from .errors import HypothesisViolation, ParseError, ValidationError
-from .incidence import _run_lengths, _run_starts
+from .incidence import _run_lengths
 from .tubes import TubeFamily, intercept_window_array, pack_key_array, point_columns, unpack_key, unpack_key_array
 
 # (tube key, level index, point index) columns of slice_incidences
 SliceHits = tuple[np.ndarray, np.ndarray, np.ndarray]
+# (level lo, level hi, point lo, point hi) columns of _pair_table
+PairTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -51,11 +53,7 @@ class QuasiProduct:
             raise ValidationError("levels must be strictly increasing")
 
     def points(self) -> list[DyadicPoint]:
-        out = []
-        for b, sl in zip(self.levels, self.slices):
-            for a in sl:
-                out.append(DyadicPoint(a, b))
-        return out
+        return [DyadicPoint(a, b) for b, sl in zip(self.levels, self.slices) for a in sl]
 
     def to_json(self) -> dict:
         return {
@@ -412,7 +410,7 @@ def prune_to_slice_multiplicity(qp: QuasiProduct, tubes: TubeFamily) -> TubeFami
     return TubeFamily(tubes.scale, tuple(family[keep].tolist()))
 
 
-def _pair_table(hits: SliceHits) -> tuple[np.ndarray, ...]:
+def _pair_table(hits: SliceHits) -> PairTable:
     """Columns (level lo, level hi, point lo, point hi), lo < hi, of every
     two slice points at distinct levels that one tube contains; distinct
     rows, sorted in that column order."""
@@ -435,7 +433,7 @@ def _pair_table(hits: SliceHits) -> tuple[np.ndarray, ...]:
 
 
 def best_slice_pair(
-    qp: QuasiProduct, tubes: TubeFamily, *, incidences: SliceHits | None = None
+    qp: QuasiProduct, tubes: TubeFamily, *, incidences: SliceHits | None = None, pairs: PairTable | None = None
 ) -> tuple[int, int]:
     """The level pair with the most distinct point pairs joined by a tube of
     the family.
@@ -444,11 +442,9 @@ def best_slice_pair(
     Raises HypothesisViolation("joined_levels"), witnessed by the level and
     tube counts, when no tube joins two distinct levels: nothing to measure.
     A caller that already holds slice_incidences(qp, tubes) passes it as
-    incidences.
+    incidences, or its _pair_table as pairs.
     """
-    if incidences is None:
-        incidences = slice_incidences(qp, tubes)
-    lo, hi, _, _ = _pair_table(incidences)
+    lo, hi, _, _ = pairs or _pair_table(incidences or slice_incidences(qp, tubes))
     if not lo.size:
         witness = {"level_count": len(qp.levels), "tube_count": len(tubes)}
         raise HypothesisViolation("joined_levels", "no tube joins two distinct levels", witness)
@@ -465,23 +461,25 @@ def best_slice_pair(
 
 
 def tube_slice_pairs(
-    qp: QuasiProduct, tubes: TubeFamily, level_lo: int, level_hi: int, *, incidences: SliceHits | None = None
+    qp: QuasiProduct, tubes: TubeFamily, level_lo: int, level_hi: int, *,
+    incidences: SliceHits | None = None, pairs: PairTable | None = None,
 ) -> PairGraph:
     """Pairs (a1, a3) joined by a tube through slices level_lo and level_hi.
 
     Raises HypothesisViolation if any tube meets two points of one slice
     (checked over every slice, not only the two used). A caller that
-    already holds slice_incidences(qp, tubes) passes it as incidences.
+    already holds slice_incidences(qp, tubes) passes it as incidences; one
+    that has also checked that hypothesis passes its _pair_table as pairs.
     """
     n = len(qp.levels)
     if not (0 <= level_lo < n and 0 <= level_hi < n) or level_lo == level_hi:
         raise ValidationError(f"level indices ({level_lo}, {level_hi}) invalid for {n} levels")
-    if incidences is None:
-        incidences = slice_incidences(qp, tubes)
-    bad = _multiplicity_violation(incidences, qp.scale.k)
-    if bad is not None:
-        raise bad
-    lo, hi, point_lo, point_hi = _pair_table(incidences)
+    if pairs is None:
+        incidences = incidences or slice_incidences(qp, tubes)
+        bad = _multiplicity_violation(incidences, qp.scale.k)
+        if bad is not None:
+            raise bad
+    lo, hi, point_lo, point_hi = pairs or _pair_table(incidences)
     rows = (lo == min(level_lo, level_hi)) & (hi == max(level_lo, level_hi))
     ends = (point_lo[rows], point_hi[rows]) if level_lo < level_hi else (point_hi[rows], point_lo[rows])
     # the table's rows are distinct, and so are the edges

@@ -8,8 +8,11 @@ around 1e-15 is documented and harmless against the tolerances in use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import DomainError, DyadicOverflowError, ParseError, ScaleError, ValidationError
 
@@ -279,32 +282,89 @@ class DyadicPoint:
         return (self.x.num, self.x.exp, self.y.num, self.y.exp)
 
 
-@dataclass(frozen=True)
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal values of a column."""
+    first = np.empty(values.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
+# a numerator on the 2^-m grid is at most 4 * 2^m = 2^(m+2) in magnitude,
+# so int64 columns hold the coordinates while m <= GRID_CAP
+GRID_CAP = 60
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class PointSet:
-    """Finite set of pairwise distinct dyadic points at a working scale."""
+    """Finite set of pairwise distinct dyadic points at a working scale:
+    point i is (x[i], y[i]) / 2^m, with x and y read-only int64 numerator
+    columns and m the largest coordinate exponent. `points` is the view of
+    them as DyadicPoints, built when first asked for."""
 
     scale: Scale
-    points: tuple[DyadicPoint, ...]
+    x: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
+    m: int
 
-    def __post_init__(self) -> None:
-        seen: set[tuple[int, int, int, int]] = set()
-        for p in self.points:
-            key = p.key()
-            if key in seen:
-                raise ValidationError(f"duplicate point {p}")
-            seen.add(key)
+    def __init__(self, scale: Scale, points: Iterable[DyadicPoint]) -> None:
+        points = tuple(points)
+        m = max((max(p.x.exp, p.y.exp) for p in points), default=0)
+        self._store(scale, [p.x.num << (m - p.x.exp) for p in points], [p.y.num << (m - p.y.exp) for p in points], m)
+        self.__dict__["points"] = points
+
+    @classmethod
+    def from_columns(cls, scale: Scale, x: np.ndarray, y: np.ndarray, m: int) -> PointSet:
+        """The points (x[i], y[i]) / 2^m of two integer columns."""
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        # the largest exponent: drop the trailing zero bits all numerators share
+        bits = int(np.bitwise_or.reduce(x, axis=None) | np.bitwise_or.reduce(y, axis=None))
+        drop = min(m, (bits & -bits).bit_length() - 1) if bits else m
+        ps = cls.__new__(cls)
+        ps._store(scale, x >> drop, y >> drop, m - drop)
+        return ps
+
+    def _store(self, scale: Scale, x: Sequence[int], y: Sequence[int], m: int) -> None:
+        """The one check of both ways in: the grid, the [-4, 4] bound and
+        distinct points, each error naming the first point at fault."""
+        if m > GRID_CAP:
+            raise DyadicOverflowError(f"point sets need coordinates on the 2^-{GRID_CAP} grid or coarser, got 2^-{m}")
+        x, y = np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)
+        for name, value in (("scale", scale), ("x", x), ("y", y), ("m", m)):
+            object.__setattr__(self, name, value)
+        bound = _COORD_BOUND << m
+        outside = np.flatnonzero((x < -bound) | (x > bound) | (y < -bound) | (y > bound))
+        if outside.size:
+            self._point(int(outside[0]))  # raises DyadicPoint's DomainError
+        # a stable sort keeps each run of equal points in point order
+        order = np.lexsort((y, x))
+        repeat = ~(_run_starts(x[order]) | _run_starts(y[order]))
+        if repeat.any():
+            raise ValidationError(f"duplicate point {self._point(int(order[repeat].min()))}")
+        x.flags.writeable = y.flags.writeable = False
+
+    def _point(self, i: int) -> DyadicPoint:
+        return DyadicPoint(DyadicRational(int(self.x[i]), self.m), DyadicRational(int(self.y[i]), self.m))
+
+    @cached_property
+    def points(self) -> tuple[DyadicPoint, ...]:
+        return tuple(map(self._point, range(len(self))))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return (self.scale, self.m, self.x.tobytes(), self.y.tobytes()) == (
+            other.scale, other.m, other.x.tobytes(), other.y.tobytes()
+        )
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.x.size
 
     def __iter__(self):
         return iter(self.points)
 
     def to_json(self) -> dict:
-        return {
-            "k": self.scale.k,
-            "points": [[p.x.num, p.x.exp, p.y.num, p.y.exp] for p in self.points],
-        }
+        return {"k": self.scale.k, "points": [[p.x.num, p.x.exp, p.y.num, p.y.exp] for p in self.points]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSet":
@@ -316,13 +376,26 @@ class PointSet:
         return cls(Scale(k), tuple(pts))
 
 
+def cell_numbers(ps: PointSet, k: int) -> tuple[np.ndarray, int]:
+    """Each point's half-open dyadic cell of side 2^-k, numbered in the
+    cells' sorted order, and the number of cells the set meets."""
+    shift = ps.m - k
+    cx, cy = (ps.x >> shift, ps.y >> shift) if shift >= 0 else (ps.x << -shift, ps.y << -shift)
+    # k <= SCALE_CAP, so |cy| <= 2^22 and one int64 packs (cx, cy) in order
+    cells = (cx << 24) + cy
+    order = np.argsort(cells)
+    first = _run_starts(cells[order])
+    numbers = np.empty_like(order)
+    numbers[order] = np.cumsum(first) - 1
+    return numbers, int(np.count_nonzero(first))
+
+
 def covering_number(ps: PointSet, target: Scale) -> int:
     """Number of half-open dyadic target-cells [a*d, (a+1)*d) x [b*d, (b+1)*d)
     meeting the set. Exact; target must be at or coarser than the set's scale."""
     if target.k > ps.scale.k:
         raise ScaleError(f"covering target k={target.k} finer than set scale k={ps.scale.k}")
-    k = target.k
-    return len({(p.x.floor_to_int(k), p.y.floor_to_int(k)) for p in ps.points})
+    return cell_numbers(ps, target.k)[1]
 
 
 @dataclass(frozen=True)

@@ -78,40 +78,39 @@ class ValidationReport:
         }
 
 
-def _coord_json(c: Coord) -> list[list[int]]:
-    return [v.pair() for v in c]
-
-
 def _distance_dtype(d2_max: int) -> type:
     """int32 when squared distances up to d2_max and the squared radius
     d2_max + 1 all fit in it, else int64: sorting 32-bit rows is cheaper."""
     return np.int32 if d2_max < np.iinfo(np.int32).max else np.int64
 
 
-def _validate_coords(coords: Sequence[Coord], params: DeltaSetParams) -> ValidationReport:
+def _validate_coords(columns: Sequence[Sequence[int]], m: int, params: DeltaSetParams) -> ValidationReport:
+    """The ball counts of the points whose coordinates are the integer
+    columns `columns`, numerators on the grid 2^-m."""
     k = params.scale.k
     eff = params.C * (2.0 ** params.s)
-    if len(coords) == 0:
+    if len(columns[0]) == 0:
         raise ValidationError("empty set cannot be validated")
-    dim = len(coords[0])
+    dim = len(columns)
     # exact counting in integers: lift all coordinates to a shared exponent
     # M >= k. Coordinates differ by at most 16, so squared distances stay
     # below 2^(8 + 2M) <= 2^62 for M <= 27; finer coordinates would wrap
-    m_exp = max(k, max(v.exp for c in coords for v in c))
+    m_exp = max(k, m)
     if m_exp > 27:
         raise DyadicOverflowError(
             f"ball counts need coordinates on the 2^-27 grid or coarser, got 2^-{m_exp}"
         )
-    axes = [
-        np.array([c[d].num << (m_exp - c[d].exp) for c in coords], dtype=np.int64)
-        for d in range(dim)
-    ]
+    lifted = [np.asarray(col, dtype=np.int64) << (m_exp - m) for col in columns]
+
+    def coord_json(i: int) -> list[list[int]]:
+        return [DyadicRational(int(col[i]), m_exp).pair() for col in lifted]
+
     # no squared distance exceeds d2_max, and a squared radius above it
     # counts the same as d2_max + 1: every point
-    d2_max = sum(int(ax.max() - ax.min()) ** 2 for ax in axes)
+    d2_max = sum(int(ax.max() - ax.min()) ** 2 for ax in lifted)
     dtype = _distance_dtype(d2_max)
-    axes = [(ax - ax.min()).astype(dtype) for ax in axes]
-    n = len(coords)
+    axes = [(ax - ax.min()).astype(dtype) for ax in lifted]
+    n = axes[0].size
     # row t of counts and thresholds is the radius 2^-(k-t): radii ascend
     r2 = np.array(
         [min(1 << 2 * (m_exp - k + t), d2_max + 1) for t in range(k + 1)], dtype=dtype
@@ -146,7 +145,7 @@ def _validate_coords(coords: Sequence[Coord], params: DeltaSetParams) -> Validat
             d2_i = sum((ax - ax[i]) ** 2 for ax in axes)
             partners = np.flatnonzero(d2_i < r2[0])
             j = int(partners[partners != i][0])
-            witness = {"pair": [_coord_json(coords[i]), _coord_json(coords[j])]}
+            witness = {"pair": [coord_json(i), coord_json(j)]}
             return ValidationReport(False, "separation", math.inf, witness, eff, params)
     counts = counts.T
     ratios = counts / thresholds[:, None]
@@ -156,7 +155,7 @@ def _validate_coords(coords: Sequence[Coord], params: DeltaSetParams) -> Validat
     worst_witness: dict = {}
     if worst_ratio > 0.0:
         worst_witness = {
-            "center": _coord_json(coords[i]),
+            "center": coord_json(i),
             "radius_k": k - t,
             "count": int(counts[t, i]),
             "allowed": float(thresholds[t]),
@@ -169,16 +168,15 @@ def validate(ps: PointSet, params: DeltaSetParams) -> ValidationReport:
     """Check the planar (delta, s, C) condition on a point set."""
     if params.scale != ps.scale:
         raise ValidationError(f"params at k={params.scale.k} but set at k={ps.scale.k}")
-    coords = [(p.x, p.y) for p in ps.points]
-    return _validate_coords(coords, params)
+    return _validate_coords((ps.x, ps.y), ps.m, params)
 
 
 def validate_1d(values: Sequence[DyadicRational], params: DeltaSetParams) -> ValidationReport:
     """1-d variant (slope sets, level sets); values must lie in [-8, 8]."""
     for v in values:
         check_value_bound(v)
-    coords = [(v,) for v in values]
-    return _validate_coords(coords, params)
+    m = max((v.exp for v in values), default=0)
+    return _validate_coords(([v.num << (m - v.exp) for v in values],), m, params)
 
 
 def _occupied_levels(coords: Sequence[Coord], k: int) -> list[dict[tuple[int, ...], list[int]]]:

@@ -22,9 +22,10 @@ from .core_grid import (
     _dyadic_row,
     _int_field,
     _int_row,
+    _run_starts,
 )
 from .errors import GeneratorError, ParseError
-from .incidence import Configuration, _run_starts
+from .incidence import Configuration
 from .tubes import DyadicTube, TubeFamily, pack_key_array, point_columns
 
 _MASK64 = (1 << 64) - 1
@@ -90,16 +91,17 @@ def slope_net(k: int, s: float) -> tuple[DyadicRational, ...]:
 _SIZE_GUARD = 300_000
 
 
+def _product(k: int, line: Sequence[int]) -> PointSet:
+    """The points (i, j) * 2^-k for i, then j, in line."""
+    line = np.asarray(line, dtype=np.int64)
+    return PointSet.from_columns(Scale(k), np.repeat(line, line.size), np.tile(line, line.size), k)
+
+
 def grid(k: int) -> PointSet:
     """Full delta-grid of [0, 1)^2."""
     if 4 ** k > _SIZE_GUARD:
         raise GeneratorError(f"full grid at k={k} would have {4**k} points")
-    pts = [
-        DyadicPoint(DyadicRational(i, k), DyadicRational(j, k))
-        for i in range(1 << k)
-        for j in range(1 << k)
-    ]
-    return PointSet(Scale(k), tuple(pts))
+    return _product(k, range(1 << k))
 
 
 def cantor_grid(k: int, s: float, mask: Sequence[Sequence[int]] | None = None) -> PointSet:
@@ -110,12 +112,7 @@ def cantor_grid(k: int, s: float, mask: Sequence[Sequence[int]] | None = None) -
         line = cantor_line_indices(k, s)
         if len(line) ** 2 > _SIZE_GUARD:
             raise GeneratorError(f"cantor grid would have {len(line)**2} points")
-        pts = [
-            DyadicPoint(DyadicRational(i, k), DyadicRational(j, k))
-            for i in line
-            for j in line
-        ]
-        return PointSet(Scale(k), tuple(pts))
+        return _product(k, line)
     quads = sorted({(int(m[0]), int(m[1])) for m in mask})
     if not quads or not all(q in {(0, 0), (0, 1), (1, 0), (1, 1)} for q in quads):
         raise GeneratorError(f"mask must be nonempty subset of the four quadrants, got {mask!r}")
@@ -124,10 +121,8 @@ def cantor_grid(k: int, s: float, mask: Sequence[Sequence[int]] | None = None) -
         if len(cells) * len(quads) > _SIZE_GUARD:
             raise GeneratorError("masked grid too large")
         cells = [(2 * cx + dx, 2 * cy + dy) for cx, cy in cells for dx, dy in quads]
-    pts = [
-        DyadicPoint(DyadicRational(cx, k), DyadicRational(cy, k)) for cx, cy in sorted(cells)
-    ]
-    return PointSet(Scale(k), tuple(pts))
+    cx, cy = np.array(sorted(cells), dtype=np.int64).reshape(-1, 2).T
+    return PointSet.from_columns(Scale(k), cx, cy, k)
 
 
 def furstenberg_product(k: int, s: float, epsilon: float = DEFAULT_EPSILON) -> Configuration:
@@ -139,18 +134,16 @@ def furstenberg_product(k: int, s: float, epsilon: float = DEFAULT_EPSILON) -> C
     """
     if k % 2 != 0 or k < 4:
         raise GeneratorError(f"k={k} must be even and >= 4")
-    scale = Scale(k)
     line = cantor_line_indices(k, 0.5)
     slopes = np.array(cantor_line_indices(k, s), dtype=np.int64)
     ys = np.array(line, dtype=np.int64)[:, None]
-    points = [DyadicPoint(DyadicRational(xi, k), DyadicRational(yi, k)) for xi in line for yi in line]
     keys = np.empty((len(line), len(line), slopes.size), dtype=np.int64)
     for xi, column in zip(line, keys):
         # canonical_keys of the column x = xi*delta, one row per point, in
         # key order: intercept cells floor(yi - a*xi*delta) at slope cells a
         column[...] = pack_key_array(slopes, ((ys << k) - slopes * xi) >> k, k)
-    offsets = np.arange(len(points) + 1) * slopes.size
-    return Configuration(PointSet(scale, tuple(points)), keys.ravel(), offsets, s, epsilon)
+    offsets = np.arange(len(line) ** 2 + 1) * slopes.size
+    return Configuration(_product(k, line), keys.ravel(), offsets, s, epsilon)
 
 
 def quasi_product(k: int, s: float, tau: float, seed: int = 0) -> QuasiProduct:

@@ -22,10 +22,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core_grid import DyadicRational, PointSet, Scale, _int_field, covering_number
-from .delta_sets import DeltaSetParams, validate, validate_1d
+from .core_grid import PointSet, Scale, _int_field, _run_starts, cell_numbers, covering_number
+from .delta_sets import DeltaSetParams, _validate_coords, validate
 from .errors import HypothesisViolation, ParseError, ScaleError, ValidationError
-from .tubes import TubeFamily, intercept_window_array, key_bits, parent_key_array, point_columns
+from .tubes import TubeFamily, intercept_window_array, key_bits, membership_grid, parent_key_array
 from .tubes import unpack_key, unpack_key_array
 
 # the membership and slope-set kernels take whole families, at most this many
@@ -36,8 +36,8 @@ _BLOCK_KEYS = 1 << 13
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """Point set plus one tube family per point, at a common even-k scale.
-    Family i is keys[offsets[i]:offsets[i + 1]], its sorted, distinct packed
-    keys; both columns are read-only int64 arrays."""
+    Family i is keys[offsets[i]:offsets[i + 1]], its strictly increasing
+    packed keys; both columns are read-only int64 arrays."""
 
     points: PointSet
     keys: np.ndarray = field(repr=False)
@@ -48,11 +48,17 @@ class Configuration:
     def __post_init__(self) -> None:
         self.points.scale.require_even()
         keys, offsets = np.array(self.keys, dtype=np.int64), np.array(self.offsets, dtype=np.int64)
-        n = len(self.points.points)
+        n = len(self.points)
         if keys.ndim != 1 or offsets.shape != (n + 1,):
             raise ValidationError(f"{offsets.size - 1} families for {n} points")
         if offsets[0] != 0 or offsets[-1] != keys.size or (np.diff(offsets) < 0).any():
             raise ValidationError(f"offsets must rise from 0 to the {keys.size} keys")
+        # keys rise within each family; a family's first key is exempt
+        rising = keys[1:] > keys[:-1]
+        rising[offsets[(offsets > 0) & (offsets < keys.size)] - 1] = True
+        if not rising.all():
+            i = int(np.searchsorted(offsets, np.argmin(rising) + 1, side="right")) - 1
+            raise ValidationError(f"the keys of family {i} are not sorted and distinct")
         keys.flags.writeable = offsets.flags.writeable = False
         object.__setattr__(self, "keys", keys)
         object.__setattr__(self, "offsets", offsets)
@@ -108,7 +114,7 @@ class Configuration:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"configuration JSON needs k, s, epsilon: {exc}") from exc
         points = PointSet.from_json({"k": k, "points": obj.get("points", [])})
-        n = len(points.points)
+        n = len(points)
         slots: list[TubeFamily | None] = [None] * n
         entries = obj.get("families", [])
         if not isinstance(entries, list):
@@ -123,14 +129,6 @@ class Configuration:
         if None in slots:
             raise ParseError(f"no family for point index {slots.index(None)}")
         return cls.from_families(points, slots, s, eps)  # type: ignore[arg-type]
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Mask of the first entry of each run of equal values of a column."""
-    first = np.empty(values.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(values[1:], values[:-1], out=first[1:])
-    return first
 
 
 def _run_lengths(first: np.ndarray) -> np.ndarray:
@@ -166,7 +164,8 @@ def _scan_families(cfg: Configuration) -> tuple[HypothesisViolation | None, dict
     bytes of its increasing int64 slope cells."""
     k = cfg.scale.k
     offsets = cfg.offsets
-    x_num, y_num, m = point_columns(cfg.points.points, k)
+    x_num, y_num, m = cfg.points.x, cfg.points.y, cfg.points.m
+    membership_grid(m, k)
     missing: HypothesisViolation | None = None
     slope_sets: dict[bytes, int] = {}
     for lo, hi in _family_blocks(offsets):
@@ -179,7 +178,7 @@ def _scan_families(cfg: Configuration) -> tuple[HypothesisViolation | None, dict
         a_idx, b_idx = unpack_key_array(keys, k)
         if missing is None:
             owner = np.repeat(np.arange(lo, hi), lengths)
-            w_lo, w_hi = intercept_window_array(x_num[owner], y_num[owner], m[owner], k, a_idx)
+            w_lo, w_hi = intercept_window_array(x_num[owner], y_num[owner], m, k, a_idx)
             bad = np.flatnonzero((b_idx < w_lo) | (b_idx > w_hi))
             if bad.size:
                 missing = HypothesisViolation(
@@ -221,8 +220,8 @@ def validate_configuration(cfg: Configuration) -> list[HypothesisViolation]:
             )
         )
     for cells, i in slope_sets.items():
-        slopes = [DyadicRational(a_idx, k) for a_idx in np.frombuffer(cells, dtype=np.int64).tolist()]
-        rep = validate_1d(slopes, DeltaSetParams(cfg.scale, cfg.s, c_eps))
+        # the slope cells on the 2^-k grid, all inside [-8, 8)
+        rep = _validate_coords((np.frombuffer(cells, dtype=np.int64),), k, DeltaSetParams(cfg.scale, cfg.s, c_eps))
         if not rep.valid:
             out.append(
                 HypothesisViolation(
@@ -271,12 +270,8 @@ def incidence_report(cfg: Configuration) -> IncidenceReport:
 
     # M_T: run lengths of the sorted distinct (parent key, coarse point cell)
     # pairs, packed as parent << cell_bits | cell number, below 2^(2k+15)
-    cell_number: dict[tuple[int, int], int] = {}
-    point_cells = np.array(
-        [cell_number.setdefault((p.x.floor_to_int(h), p.y.floor_to_int(h)), len(cell_number)) for p in cfg.points],
-        dtype=np.int64,
-    )
-    cell_bits = max(len(cell_number) - 1, 1).bit_length()
+    point_cells, coarse_balls = cell_numbers(cfg.points, h)
+    cell_bits = max(coarse_balls - 1, 1).bit_length()
     pairs = np.empty(incidences_by_point, dtype=np.min_scalar_type((1 << (key_bits(h) + cell_bits)) - 1))
     for lo, hi in _family_blocks(offsets):
         block = parent_key_array(cfg.keys[offsets[lo] : offsets[hi]], k, h)
@@ -290,11 +285,11 @@ def incidence_report(cfg: Configuration) -> IncidenceReport:
     coarse_count = m_t.size
     return IncidenceReport(
         k=k,
-        n_points=len(cfg.points.points),
+        n_points=len(cfg.points),
         incidence_count=incidences_by_tube,
         tube_count=tube_count,
         coarse_tube_count=coarse_count,
-        coarse_ball_count=len(cell_number),
+        coarse_ball_count=coarse_balls,
         e_tubes=math.log2(tube_count) / k if tube_count else 0.0,
         e_coarse=math.log2(coarse_count) / k if coarse_count else 0.0,
         nt_histogram=_histogram(n_t),
@@ -359,7 +354,7 @@ def dichotomy_hypotheses(
     k = cfg.scale.k
     eps = cfg.epsilon
     out = list(validate_configuration(cfg) if structural is None else structural)
-    n = len(cfg.points.points)
+    n = len(cfg.points)
     need_points = 2.0 ** (k * (1.0 - eps))
     if n < need_points:
         out.append(

@@ -32,6 +32,7 @@ from typing import Any, Iterator
 from .additive import (
     QuasiProduct,
     _multiplicity_violation,
+    _pair_table,
     best_slice_pair,
     bsg_refine,
     plunnecke_corollary_check,
@@ -318,7 +319,7 @@ def _point_count(obj: Any) -> int | None:
     shape = _shape_of(obj)
     if shape == "tripod":
         return None
-    return len(obj) if shape == "values" else len(_point_set_of(obj).points)
+    return len(obj) if shape == "values" else len(_point_set_of(obj))
 
 
 @contextmanager
@@ -425,8 +426,9 @@ class _Subject:
         bad = _multiplicity_violation(incidences, self.obj.scale.k)
         if bad is not None:
             raise bad
-        lo, hi = best_slice_pair(self.obj, tubes, incidences=incidences)
-        return tubes, lo, hi, tube_slice_pairs(self.obj, tubes, lo, hi, incidences=incidences)
+        pairs = _pair_table(incidences)
+        lo, hi = best_slice_pair(self.obj, tubes, pairs=pairs)
+        return tubes, lo, hi, tube_slice_pairs(self.obj, tubes, lo, hi, pairs=pairs)
 
     @cached_property
     def _structural(self) -> list[HypothesisViolation]:

@@ -23,9 +23,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core_grid import PointSet, Scale, _int_field
+from .core_grid import PointSet, Scale, _int_field, _run_starts
 from .errors import DomainError, DyadicOverflowError, ParseError, ValidationError
-from .incidence import _run_starts
 
 __all__ = [
     "DirectionNet",
@@ -147,10 +146,9 @@ class DirectionNet:
 
 
 def _coords(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
-    n = len(points.points)
-    xs = np.fromiter((p.x.as_float() for p in points), dtype=np.float64, count=n)
-    ys = np.fromiter((p.y.as_float() for p in points), dtype=np.float64, count=n)
-    return xs, ys
+    # each numerator's float, scaled exactly by a power of two
+    unit = 2.0 ** -points.m
+    return points.x * unit, points.y * unit
 
 
 def _cell_counts(ordered: np.ndarray, k: int, jitter: float = 0.0) -> np.ndarray:
@@ -217,7 +215,7 @@ class ProjectionSweep:
     sensitivities: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        cap = min(len(self.points.points), int(_SPAN_BOUND * (1 << self.target.k)) + 2)
+        cap = min(len(self.points), int(_SPAN_BOUND * (1 << self.target.k)) + 2)
         for c in self.counts:
             if not 1 <= c <= cap:
                 raise ValidationError(f"projection count {c} outside [1, {cap}]")
@@ -278,7 +276,7 @@ def sweep(
     thread allocates once per call; `threads` spreads the blocks over worker
     threads and never changes the result.
     """
-    if not points.points:
+    if not len(points):
         raise DomainError("cannot sweep an empty point set")
     if len(net) == 0:
         raise DomainError("cannot sweep an empty direction net")
@@ -351,11 +349,11 @@ def _difference_histogram(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
     plus a few histograms, never by n^2. Returns the float64 rows (dx, dy)
     in key order, and their counts as float64 weights.
     """
-    m = max(points.scale.k, max(max(p.x.exp, p.y.exp) for p in points))
+    m = max(points.scale.k, points.m)
     if m > 27:
         raise DyadicOverflowError(f"projection energy needs coordinates on the 2^-27 grid or coarser, got 2^-{m}")
-    lifted = [(p.x.num << (2 * m + 5 - p.x.exp)) + (p.y.num << (m - p.y.exp)) for p in points]
-    keys = np.sort(np.array(lifted, dtype=np.int64))
+    lift = m - points.m
+    keys = np.sort((points.x << (m + 5 + lift)) + (points.y << lift))
     n = keys.size
     # a buffer never shorter than one row, so that rows are never split
     buf = np.empty(max(n - 1, min(_PAIR_BUFFER, n * (n - 1) // 2)), dtype=np.int64)
@@ -430,7 +428,7 @@ def projection_energy(
     the net alone, are summed in a fixed order, which keeps the energies
     bit-identical for every thread count.
     """
-    n = len(points.points)
+    n = len(points)
     if n < 2:
         raise DomainError("projection energy needs at least two points")
     if len(net) == 0:

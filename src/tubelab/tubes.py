@@ -181,15 +181,20 @@ def _intercept_window(x_num: int, y_num: int, m: int, k: int, a_idx: int) -> tup
     return ((u - (1 << m)) >> m) + 1, (u - x_num - 1) >> m
 
 
-def point_columns(points: Sequence[DyadicPoint], k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (X, Y, m) of _point_ints for many points, as int64 columns; past
-    m + k = 56, intercept_window_array would leave int64, so it refuses."""
-    rows = [_point_ints(p) for p in points]
-    m_max = max((m for _, _, m in rows), default=0)
-    if m_max + k > 56:
+def membership_grid(m: int, k: int) -> None:
+    """Refuse points on the 2^-m grid past m + k = 56, where
+    intercept_window_array would leave int64, with DyadicOverflowError."""
+    if m + k > 56:
         raise DyadicOverflowError(
-            f"tube membership at k={k} needs coordinates on the 2^-{56 - k} grid or coarser, got 2^-{m_max}"
+            f"tube membership at k={k} needs coordinates on the 2^-{56 - k} grid or coarser, got 2^-{m}"
         )
+
+
+def point_columns(points: Sequence[DyadicPoint], k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (X, Y, m) of _point_ints for many points, as int64 columns; a
+    PointSet has its own. Refused past the membership_grid envelope."""
+    rows = [_point_ints(p) for p in points]
+    membership_grid(max((m for _, _, m in rows), default=0), k)
     return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
 
 

@@ -141,11 +141,13 @@ def test_validate_duplicate_points_is_internal(capsys, tmp_path):
     "row, message",
     [
         ([(1 << 127) + 1, 127, 0, 0], "128-bit envelope"),  # refused at load
-        # its distances would overflow, but the ball counts refuse it first
-        ([535826199, 127, (1 << 127) - 1, 127], "2^-27 grid"),
+        # its distances would overflow, but the ball counts refuse it
+        # first; on the 2^-127 grid the point set itself refuses it
+        ([535826199, 60, (1 << 60) - 1, 60], "2^-27 grid"),
         ([(1 << 29) + 1, 28, 2, 0], "2^-27 grid"),  # too fine for int64 ball counts
         ([1, 1 << 26, 0, 0], "exponent 67108864 outside [-128, 128]"),  # refused before any shift
         ([0, 0, 1, -(1 << 33)], "exponent -8589934592 outside [-128, 128]"),
+        ([535826199, 127, (1 << 127) - 1, 127], "2^-60 grid"),  # too fine for int64 point columns
     ],
 )
 def test_input_past_the_exact_envelope_is_parse_error(capsys, tmp_path, row, message):

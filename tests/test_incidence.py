@@ -20,7 +20,7 @@ import pytest
 
 from tubelab import incidence
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale, covering_number
-from tubelab.delta_sets import DeltaSetParams, validate, validate_1d
+from tubelab.delta_sets import DeltaSetParams, _validate_coords, validate, validate_1d
 from tubelab.errors import DyadicOverflowError, HypothesisViolation, ParseError, ScaleError, ValidationError
 from tubelab.generators import furstenberg_product, grid
 from tubelab.incidence import (
@@ -154,10 +154,23 @@ def recording(checked: list):
     return check_1d
 
 
+def recording_kernel(checked: list):
+    """The ball-count kernel that validate_configuration calls on slope
+    cells, appending the values of each call to `checked` as validate_1d
+    would see them."""
+
+    def kernel(columns, m, params):
+        [cells] = columns
+        checked.append([DyadicRational(int(a), m) for a in cells])
+        return _validate_coords(columns, m, params)
+
+    return kernel
+
+
 def assert_matches_oracles(cfg: Configuration) -> None:
     # the same violations, and the same slope sets checked in the same order
     kernel_checked, oracle_checked = [], []
-    with mock.patch.object(incidence, "validate_1d", recording(kernel_checked)):
+    with mock.patch.object(incidence, "_validate_coords", recording_kernel(kernel_checked)):
         got = [v.payload() for v in validate_configuration(cfg)]
     assert got == [v.payload() for v in validate_configuration_oracle(cfg, recording(oracle_checked))]
     assert kernel_checked == oracle_checked
@@ -482,7 +495,7 @@ def test_slope_sets_of_neighbouring_families_sharing_a_slope_cell():
     cfg = _config_for([p, q], [fam_p, fam_q], k)
     assert_matches_oracles(cfg)
     checked = []
-    with mock.patch.object(incidence, "validate_1d", recording(checked)):
+    with mock.patch.object(incidence, "_validate_coords", recording_kernel(checked)):
         validate_configuration(cfg)
     assert [[v.floor_to_int(k) for v in values] for values in checked] == [[0, 5], [5, 9]]
 
@@ -641,6 +654,30 @@ def test_configuration_refuses_offsets_that_do_not_cut_the_keys():
             pytest.fail(name)
     with pytest.raises(ValidationError):
         Configuration(cfg.points, cfg.keys[None, :], offsets, cfg.s, cfg.epsilon)
+
+
+def test_configuration_refuses_family_keys_that_do_not_rise():
+    # one key twice in one family counted one point twice on one tube
+    k = 4
+    p = _point(3, 5, k)
+    [key] = keys_through(p, k, [0])[:1]
+    with pytest.raises(ValidationError, match="family 0"):
+        Configuration(PointSet(Scale(k), (p,)), [key, key], [0, 2], 0.5, 0.1)
+    cfg = furstenberg_product(4, 0.5)
+    keys = cfg.keys.copy()
+    keys[[9, 10]] = keys[[10, 9]]  # inside family 2 of 4 keys each
+    with pytest.raises(ValidationError, match="family 2 are not sorted and distinct"):
+        Configuration(cfg.points, keys, cfg.offsets, cfg.s, cfg.epsilon)
+    # a family may start below the end of the one before, also after empty families
+    q = _point(9, 2, k)
+    fam_p, fam_q = (TubeFamily(Scale(k), tuple(keys_through(r, k, [0, 5]))) for r in (p, q))
+    empty = TubeFamily(Scale(k), ())
+    for fams in ([fam_q, fam_p], [empty, fam_q, fam_p, empty], [fam_q, empty, empty, fam_p]):
+        points = PointSet(Scale(k), [p, q, _point(1, 1, k), _point(2, 2, k)][: len(fams)])
+        assert_matches_oracles(Configuration.from_families(points, fams, 0.5, 0.1))
+    with pytest.raises(ValidationError, match="family 3"):
+        bad = TubeFamily(Scale(k), fam_p.keys[::-1])
+        Configuration.from_families(points, [fam_q, empty, empty, bad], 0.5, 0.1)
 
 
 def test_configuration_columns_are_read_only_copies():

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import tubelab.additive as additive_module
 import tubelab.incidence as incidence_module
 import tubelab.manifest as manifest_module
-from tubelab.core_grid import Scale
+from tubelab.core_grid import DyadicPoint, PointSet, Scale
 from tubelab.errors import ParseError, ValidationError
 from tubelab.generators import collinear_tripod, furstenberg_product, grid, slope_net
 from tubelab.manifest import (
@@ -400,6 +401,61 @@ def test_run_checks_each_configuration_once(tmp_path, monkeypatch):
     )
     assert run(m) == EXIT_PASS
     assert calls == {"validate_configuration": 2, "incidence_report": 2}
+
+
+def test_incidence_run_builds_no_point_objects(tmp_path, monkeypatch):
+    # the benchmark's incidence-run manifest at small k reads only the point
+    # columns on its pass path: one stray DyadicPoint view per configuration
+    # costs more than all of its point work
+    built = Counter()
+    init, points = DyadicPoint.__init__, PointSet.__dict__["points"].func
+
+    def counted(self, x, y):
+        built["DyadicPoint"] += 1
+        init(self, x, y)
+
+    def view(ps):
+        built["PointSet.points"] += 1
+        return points(ps)
+
+    monkeypatch.setattr(DyadicPoint, "__init__", counted)
+    monkeypatch.setattr(PointSet, "points", property(view))
+    m = _manifest(
+        tmp_path,
+        generator_kind="furstenberg_product",
+        generator_params={"s": 0.5},
+        k_range=(4, 6, 8),
+        analyses=("validate", "incidence", "dichotomy"),
+    )
+    assert run(m, threads=2) == EXIT_PASS
+    assert built == Counter()
+    # the guard sees a view when one is built
+    assert len(furstenberg_product(4, 0.5).points.points) == 16
+    assert built == {"PointSet.points": 1, "DyadicPoint": 16}
+
+
+def test_run_builds_one_pair_table_per_quasi_product(tmp_path, monkeypatch):
+    # the additive-run manifest: best_slice_pair and tube_slice_pairs share
+    # the table that _slice_graph builds once per scale
+    calls = Counter()
+    table = additive_module._pair_table
+
+    def counted(hits):
+        calls["_pair_table"] += 1
+        return table(hits)
+
+    monkeypatch.setattr(additive_module, "_pair_table", counted)
+    monkeypatch.setattr(manifest_module, "_pair_table", counted)
+    m = _manifest(
+        tmp_path,
+        generator_kind="quasi_product",
+        generator_params={"s": 0.5, "tau": 0.4},
+        k_range=(8, 10),
+        analyses=("validate", "additive", "sweep"),
+        seed=1,
+    )
+    assert run(m, threads=1) == EXIT_PASS
+    assert calls == {"_pair_table": 2}
 
 
 def test_run_dichotomy_alone_is_unchanged(tmp_path, monkeypatch):
