@@ -148,7 +148,7 @@ def _cmd_project(args: argparse.Namespace) -> int:
     k = args.target_k if args.target_k is not None else points.scale.k
     net = DirectionNet.uniform(Scale(k))
     with _stage("sweep"):
-        sw = sweep(points, net, Scale(k), threads=args.threads, audit=args.audit)
+        sw = sweep(points, net, Scale(k), audit=args.audit)
     energy = None
     if args.energy_s is not None:
         with _stage("energy"):
@@ -199,7 +199,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         data["out"] = args.out
         manifest = ExperimentManifest.from_json(data)
     log.info("running manifest %s", manifest.sha256()[:12])
-    return _run(manifest, args.threads)
+    return _run(manifest)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-k", type=int, help="counting scale (defaults to the set's scale)")
     p.add_argument("--energy-s", type=float, help="also evaluate the truncated s-energy")
     p.add_argument("--audit", action="store_true", help="recount with jittered cell offsets")
-    p.add_argument("--threads", type=_thread_count, default=1)
+    p.add_argument("--threads", type=_thread_count, default=1, help="worker threads for the energy")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_project)
 
@@ -257,7 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute an experiment manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--threads", type=_thread_count, default=1)
     p.add_argument("--out", help="override the manifest's output directory")
     p.set_defaults(func=_cmd_run)
 

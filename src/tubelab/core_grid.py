@@ -278,9 +278,6 @@ class DyadicPoint:
     def of(cls, xn: int, xe: int, yn: int, ye: int) -> "DyadicPoint":
         return cls(DyadicRational(xn, xe), DyadicRational(yn, ye))
 
-    def key(self) -> tuple[int, int, int, int]:
-        return (self.x.num, self.x.exp, self.y.num, self.y.exp)
-
 
 def _run_starts(values: np.ndarray) -> np.ndarray:
     """Mask of the first entry of each run of equal values of a column."""

@@ -306,15 +306,6 @@ class GeneratorSpec:
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": dict(sorted(self.params.items()))}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "GeneratorSpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ParseError("generator spec JSON needs a 'kind'")
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise ParseError("'params' must be an object")
-        return cls(str(obj["kind"]), dict(params))
-
     def build(self) -> Any:
         """The generator's output. A spec the generator cannot satisfy (a
         scale it does not support, a size past its guard, a seed with no

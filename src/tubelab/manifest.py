@@ -390,7 +390,6 @@ class _Subject:
     k: int | None  # scale of slope values, which carry none of their own
     profile: tuple[float, float]  # (s, C) checked on points and slope values
     slack: float | None = None
-    threads: int = 1
 
     def __post_init__(self) -> None:
         self.shape = _shape_of(self.obj)
@@ -488,7 +487,7 @@ class _Subject:
     def _sweep(self) -> _Outcome:
         points = _point_set_of(self.obj)
         net = DirectionNet.uniform(points.scale)
-        sw = sweep(points, net, points.scale, threads=self.threads, audit=True)
+        sw = sweep(points, net, points.scale, audit=True)
         return _Outcome(True, {"summary": sw.summary((0.25, 0.5, 0.75))}, csv=sweep_to_csv(sw))
 
     def _additive(self) -> _Outcome:
@@ -500,9 +499,7 @@ class _Subject:
         return _Outcome(plun.ok and math.isfinite(bsg.c_exponent), section, printed)
 
 
-def _analyze_one(
-    manifest: ExperimentManifest, k: int, threads: int
-) -> tuple[dict, dict[str, Any], str | None]:
+def _analyze_one(manifest: ExperimentManifest, k: int) -> tuple[dict, dict[str, Any], str | None]:
     """Run all requested analyses at one scale.
 
     Returns (report json, csv row fields, sweep csv text or None). Raises
@@ -527,7 +524,7 @@ def _analyze_one(
             )
         source = {"input": manifest.input_path}
     profile = _natural_profile(manifest.generator_kind, manifest.generator_params)
-    subject = _Subject(obj, manifest.analyses, k, profile, manifest.slack, threads)
+    subject = _Subject(obj, manifest.analyses, k, profile, manifest.slack)
 
     report: dict = {"k": k, "source": source, "analyses": {}}
     row: dict[str, Any] = {c: "" for c in CSV_COLUMNS}
@@ -557,7 +554,7 @@ def _csv_text(rows: list[dict[str, Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run(manifest: ExperimentManifest, threads: int) -> int:
+def _run(manifest: ExperimentManifest) -> int:
     """`run`, for the command line: exit 0 or 1, or the exception that
     stopped the run, raised once every artifact is written."""
     out = Path(manifest.out)
@@ -575,7 +572,7 @@ def _run(manifest: ExperimentManifest, threads: int) -> int:
     rows: list[dict[str, Any]] = []
     sweeps: list[tuple[int, str]] = []
     try:
-        results = [_analyze_one(manifest, k, threads) for k in manifest.k_range]
+        results = [_analyze_one(manifest, k) for k in manifest.k_range]
         for k, (report, row, sweep_csv) in zip(manifest.k_range, results):
             report["manifest_sha256"] = digest
             reports.append((k, report))
@@ -624,14 +621,14 @@ def _run(manifest: ExperimentManifest, threads: int) -> int:
 def run(manifest: ExperimentManifest, threads: int = 1) -> int:
     """Execute the manifest, write artifacts, and return the exit code.
 
-    Scales run one after another, and every scale finishes before anything
-    is written. `threads` caps the worker threads of the sweep's direction
-    blocks (at the CPU count, too) and never changes output bytes. What
-    maps to exit 2 is raised and writes no artifact; a run stopped at exit
-    3 or 4 writes its witness.json and meta.json.
+    Scales run one after another on one thread, and every scale finishes
+    before anything is written. `threads` is unused, since a manifest runs
+    no energy, and stays because the benchmark harness passes it. What maps
+    to exit 2 is raised and writes no artifact; a run stopped at exit 3 or
+    4 writes its witness.json and meta.json.
     """
     try:
-        return _run(manifest, threads)
+        return _run(manifest)
     except Exception as exc:
         code, _ = _exit_of(exc)
         if code == EXIT_PARSE:

@@ -6,7 +6,7 @@ covering counts use a shifted half-open cell convention (a value within 2^-40
 of a cell boundary belongs to the lower cell), which keeps counts stable under
 the rounding of the projection itself. An audit mode recounts with jittered
 cell offsets to bound boundary sensitivity, at only the steps next to a value
-within 2^-18 of a cell boundary. Each sweep worker reuses its block buffers.
+within 2^-18 of a cell boundary. A sweep reuses one set of block buffers.
 Energies sum over the exact distinct difference vectors of points on the
 2^-27 grid or coarser.
 """
@@ -16,15 +16,14 @@ from __future__ import annotations
 import math
 import os
 import statistics
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_grid import PointSet, Scale, _int_field, _run_starts
-from .errors import DomainError, DyadicOverflowError, ParseError, ValidationError
+from .core_grid import PointSet, Scale, _run_starts
+from .errors import DomainError, DyadicOverflowError, ValidationError
 
 __all__ = [
     "DirectionNet",
@@ -38,8 +37,8 @@ __all__ = [
 
 # values within this distance of a cell boundary count in the lower cell
 BOUNDARY_TOL = 2.0**-40
-# (direction, point) terms per sweep task: the three float64 block buffers a
-# worker allocates once per sweep are 128 kB each, so a task stays in cache
+# (direction, point) terms per sweep block: the three float64 block buffers a
+# sweep allocates once are 128 kB each, so a block stays in cache
 _SWEEP_BLOCK = 1 << 14
 # audit jitter: far above the boundary tolerance, far below one cell
 _AUDIT_JITTERS = (2.0**-20, -(2.0**-20))
@@ -63,14 +62,11 @@ class DirectionNet:
     angles: tuple[float, ...]
     cosines: tuple[float, ...]
     sines: tuple[float, ...]
-    weights: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         n = len(self.angles)
         if len(self.cosines) != n or len(self.sines) != n:
             raise ValidationError("angle and vector tuples must have equal length")
-        if self.weights is not None and len(self.weights) != n:
-            raise ValidationError("weights length must match angles")
         a = np.array(self.angles, dtype=np.float64)
         c = np.array(self.cosines, dtype=np.float64)
         s = np.array(self.sines, dtype=np.float64)
@@ -92,21 +88,12 @@ class DirectionNet:
             if repeat[i]:
                 raise ValidationError(f"duplicate angle {angle!r}")
             raise ValidationError(f"direction vector for angle {angle!r} is not unit length")
-        if self.weights is not None:
-            for w in self.weights:
-                if not (math.isfinite(w) and w > 0.0):
-                    raise ValidationError(f"weight {w!r} must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.angles)
 
     @classmethod
-    def from_angles(
-        cls,
-        scale: Scale,
-        angles: Iterable[float],
-        weights: Sequence[float] | None = None,
-    ) -> "DirectionNet":
+    def from_angles(cls, scale: Scale, angles: Iterable[float]) -> "DirectionNet":
         angs = tuple(map(float, angles))
         # snap the two exactly representable right angles so axis projections
         # are exact; everything else takes the library trig values
@@ -115,7 +102,6 @@ class DirectionNet:
             angs,
             tuple(1.0 if a == 0.0 else 0.0 if a == _RIGHT else math.cos(a) for a in angs),
             tuple(0.0 if a == 0.0 else 1.0 if a == _RIGHT else math.sin(a) for a in angs),
-            None if weights is None else tuple(float(w) for w in weights),
         )
 
     @classmethod
@@ -127,22 +113,6 @@ class DirectionNet:
         while angles and angles[-1] >= math.pi:
             angles.pop()
         return cls.from_angles(scale, angles)
-
-    def to_json(self) -> dict:
-        obj: dict = {"k": self.scale.k, "angles": list(self.angles)}
-        if self.weights is not None:
-            obj["weights"] = list(self.weights)
-        return obj
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "DirectionNet":
-        scale = Scale(_int_field(obj, "k"))
-        try:
-            angles = [float(a) for a in obj["angles"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"direction net JSON needs 'angles': {exc}") from exc
-        weights = obj.get("weights")
-        return cls.from_angles(scale, angles, weights)
 
 
 def _coords(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
@@ -190,18 +160,6 @@ def _block_counts(vals: np.ndarray, k: int, audit: bool, u: np.ndarray, f: np.nd
                 change = np.bincount(rows, _cell_counts(pairs, k, jit) - 1 - step.ravel()[at], len(vals))
                 np.maximum(spread, np.abs(change).astype(spread.dtype), out=spread)
     return count, spread
-
-
-def _in_order(task: Callable[[int], Any], starts: range, threads: int) -> list[Any]:
-    """[task(lo) for lo in starts], on at most `threads` worker threads, no
-    more than there are CPUs or tasks. Results keep the order of `starts`,
-    so a caller that fixes its task boundaries without looking at `threads`
-    gets the same results for every thread count."""
-    workers = min(threads, os.cpu_count() or 1, len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, starts))
-    return [task(lo) for lo in starts]
 
 
 @dataclass(frozen=True)
@@ -264,7 +222,6 @@ def sweep(
     net: DirectionNet,
     target: Scale,
     *,
-    threads: int = 1,
     audit: bool = False,
 ) -> ProjectionSweep:
     """Covering count of the projection per net direction, at the target scale.
@@ -272,9 +229,8 @@ def sweep(
     With audit=True each direction is recounted under jittered cell offsets,
     only at steps next to a value near a cell boundary (_block_counts), and
     its worst absolute count deviation is kept. Blocks of about _SWEEP_BLOCK
-    (direction, point) terms are sorted and counted in buffers each worker
-    thread allocates once per call; `threads` spreads the blocks over worker
-    threads and never changes the result.
+    (direction, point) terms are sorted and counted in turn, in three
+    buffers allocated once per call.
     """
     if not len(points):
         raise DomainError("cannot sweep an empty point set")
@@ -284,22 +240,16 @@ def sweep(
     cosines, sines = np.array(net.cosines), np.array(net.sines)
     k = target.k
     rows = max(1, _SWEEP_BLOCK // xs.size)
-    local = threading.local()
-
-    def task(lo: int) -> tuple[np.ndarray, np.ndarray]:
-        """Counts and spreads of the directions in [lo, lo + rows)."""
-        if not hasattr(local, "buffers"):
-            local.buffers = np.empty((3, rows, xs.size))
-        vals, u, f = local.buffers[:, : min(rows, len(net) - lo)]
+    buffers = np.empty((3, rows, xs.size))
+    parts = []
+    for lo in range(0, len(net), rows):
+        vals, u, f = buffers[:, : min(rows, len(net) - lo)]
         # row i is xs * c + ys * s for one direction, the same float
         # operations as projecting that direction alone
         np.multiply(cosines[lo : lo + rows, None], xs, out=vals)
         vals += np.multiply(sines[lo : lo + rows, None], ys, out=u)
         vals.sort(axis=1)
-        return _block_counts(vals, k, audit, u, f)
-
-    # task boundaries depend on the net and the point count alone
-    parts = _in_order(task, range(0, len(net), rows), threads)
+        parts.append(_block_counts(vals, k, audit, u, f))
     counts = tuple(np.concatenate([c for c, _ in parts]).tolist())
     sens = tuple(np.concatenate([d for _, d in parts]).tolist()) if audit else None
     return ProjectionSweep(net, target, points, counts, sens)
@@ -418,14 +368,15 @@ def projection_energy(
 
     The truncation at delta^-s (delta from the point set's scale) keeps every
     term finite, including coincident projections. Also reports the
-    net-average (weighted when the net carries weights).
+    net average.
 
     The sum depends on the points only through the multiset of difference
     vectors p - q, so it runs over the distinct vectors once, against all
     directions at a time: each unordered pair {v, -v} weighs twice its count.
     The vectors are exact, from int64 keys (_difference_histogram), so the
     points must lie on the 2^-27 grid or coarser. Chunks of vectors, sized by
-    the net alone, are summed in a fixed order, which keeps the energies
+    the net alone, are summed in a fixed order on at most `threads` worker
+    threads, no more than there are CPUs or tasks, which keeps the energies
     bit-identical for every thread count.
     """
     n = len(points)
@@ -462,11 +413,16 @@ def projection_energy(
 
     # task boundaries depend on the net alone, and task sums are added in
     # order, so the association of the sum is the same for every thread count
-    totals = sum(_in_order(task, range(0, len(xy), span), threads), np.zeros(len(net)))
+    starts = range(0, len(xy), span)
+    workers = min(threads, os.cpu_count() or 1, len(starts))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            totals = sum(pool.map(task, starts), np.zeros(len(net)))
+    else:
+        totals = sum(map(task, starts), np.zeros(len(net)))
     # each distinct vector stands for the ordered pairs (p, q) and (q, p)
     energies = tuple(2.0 * float(t) / (n * n) for t in totals)
-    net_weights = net.weights or (1.0,) * len(energies)
-    average = math.fsum(w * e for w, e in zip(net_weights, energies)) / math.fsum(net_weights)
+    average = math.fsum(energies) / len(energies)
     return ProjectionEnergy(net, points.scale, s, energies, average)
 
 

@@ -22,6 +22,7 @@ incidence module's columnar kernels included.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -294,6 +295,11 @@ class TubeFamily:
 
     scale: Scale
     keys: tuple[int, ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        # sorted and distinct, as the searches over the keys assume
+        if not all(map(operator.lt, self.keys, self.keys[1:])):
+            raise ValidationError("tube family keys must strictly increase")
 
     @classmethod
     def from_tubes(cls, scale: Scale, tubes: Iterable[DyadicTube]) -> "TubeFamily":

@@ -300,7 +300,7 @@ def test_criterion_09_kaufman_sweep(verdict):
     t0 = time.perf_counter()
     pts = cantor_grid(10, 0.5)
     target = Scale(10)
-    sw = sweep(pts, DirectionNet.uniform(target), target, threads=4)
+    sw = sweep(pts, DirectionNet.uniform(target), target)
     worst = max(exceptional_ratio(sw, t) for t in (0.5, 0.6, 0.7))
     elapsed = time.perf_counter() - t0
     verdict(9, "kaufman exceptional sweep", worst <= 64.0 and elapsed < 300.0,

@@ -372,6 +372,16 @@ def test_slice_incidences_match_brute_force(k, seed):
         assert _lists(slice_incidences(qp, tubes)) == _columns(oracle)
 
 
+def test_reversed_family_is_refused_not_missed():
+    # slice_incidences searches the sorted keys: reversed, it would find
+    # none of the 537 hits
+    qp = quasi_product(8, 0.5, 0.4, seed=1)
+    tubes = quasi_product_tubes(qp)
+    assert len(slice_incidences(qp, tubes)[0]) == 537
+    with pytest.raises(ValidationError, match="strictly increase"):
+        TubeFamily(tubes.scale, tubes.keys[::-1])
+
+
 def _slice_incidences_by_point(qp, tubes):
     """slice_incidences as one keys_through call per slice point: the tubes
     through the point at each slope cell of the family, kept if in it."""

@@ -34,7 +34,6 @@ from tubelab.manifest import (
     _natural_profile,
     run,
 )
-from tubelab.projections import DirectionNet
 from tubelab.tubes import TubeFamily, keys_through, tubes_through
 
 
@@ -261,13 +260,27 @@ def test_project_thread_stability(capsys, tmp_path):
     assert single == multi
 
 
-@pytest.mark.parametrize("command", ["project", "run"])
+@pytest.mark.parametrize("command", ["project"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_usage_error(command, threads):
-    source = ["--kind", "grid", "--k", "3"] if command == "project" else ["--manifest", "m.json"]
     with pytest.raises(SystemExit) as exc:
-        main([command, *source, "--threads", threads])
+        main([command, "--kind", "grid", "--k", "3", "--threads", threads])
     assert exc.value.code == 2
+
+
+def test_run_takes_no_threads_flag():
+    # a manifest runs no energy, the one analysis with worker threads
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--manifest", "m.json", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_project_starts_no_pool_without_energy(capsys, monkeypatch, inline_pool):
+    # --threads reaches only the energy; the sweep runs on one thread
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    code, _, _ = _call(capsys, ["project", "--kind", "cantor_grid", "--k", "8", "--s", "0.5", "--threads", "4"])
+    assert code == 0
+    assert inline_pool == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -496,19 +509,16 @@ def test_mutated_manifests_never_exit_internal(tmp_path_factory):
 @pytest.mark.parametrize("bad", [4.7, True, "4", None])
 @pytest.mark.parametrize(
     "what",
-    ["points", "configuration", "quasi_product", "tripod", "tubes", "directions", "k_range", "seed"],
+    ["points", "configuration", "quasi_product", "tripod", "tubes", "k_range", "seed"],
 )
 def test_integer_header_fields(capsys, tmp_path, what, bad):
     # k of every input object, and a manifest's k_range entries and seed,
     # must be JSON integers: 4.7 is not read as 4, nor true as 1
     src = tmp_path / "in.json"
-    if what in ("tubes", "directions"):  # loaded by the library, not the command line
-        if what == "tubes":
-            obj = TubeFamily.from_index_pairs(Scale(4), [(1, 2)])
-        else:
-            obj = DirectionNet.uniform(Scale(2))
+    if what == "tubes":  # loaded by the library, not the command line
+        obj = TubeFamily.from_index_pairs(Scale(4), [(1, 2)]).to_json()
         with pytest.raises(ParseError):
-            type(obj).from_json({**obj.to_json(), "k": bad})
+            TubeFamily.from_json({**obj, "k": bad})
         return
     if what in ("k_range", "seed"):
         manifest = {"generator": {"kind": "grid", "params": {}}, "analyses": ["validate"]}

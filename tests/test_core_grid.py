@@ -191,7 +191,7 @@ def test_covering_number_half_open_boundary():
     assert covering_number(ps, Scale(0)) == 1
 
 
-@hyp.given(hys.lists(points, min_size=1, max_size=40, unique_by=lambda p: p.key()))
+@hyp.given(hys.lists(points, min_size=1, max_size=40, unique=True))
 def test_covering_monotone_in_scale(pts):
     ps = PointSet(Scale(12), tuple(pts))
     counts = [covering_number(ps, Scale(j)) for j in range(13)]

@@ -675,9 +675,13 @@ def test_configuration_refuses_family_keys_that_do_not_rise():
     for fams in ([fam_q, fam_p], [empty, fam_q, fam_p, empty], [fam_q, empty, empty, fam_p]):
         points = PointSet(Scale(k), [p, q, _point(1, 1, k), _point(2, 2, k)][: len(fams)])
         assert_matches_oracles(Configuration.from_families(points, fams, 0.5, 0.1))
+    # a TubeFamily refuses reversed keys itself, so the columns carry them
+    with pytest.raises(ValidationError, match="strictly increase"):
+        TubeFamily(Scale(k), fam_p.keys[::-1])
+    keys = np.array(fam_q.keys + fam_p.keys[::-1])
+    offsets = [0, len(fam_q), len(fam_q), len(fam_q), keys.size]
     with pytest.raises(ValidationError, match="family 3"):
-        bad = TubeFamily(Scale(k), fam_p.keys[::-1])
-        Configuration.from_families(points, [fam_q, empty, empty, bad], 0.5, 0.1)
+        Configuration(points, keys, offsets, 0.5, 0.1)
 
 
 def test_configuration_columns_are_read_only_copies():

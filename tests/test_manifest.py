@@ -527,22 +527,20 @@ def test_run_thread_determinism(tmp_path):
     assert first == second
 
 
-def test_run_caps_sweep_threads_at_cpu_count(tmp_path, monkeypatch, inline_pool):
-    out = tmp_path / "out"
+def test_run_starts_no_pool(tmp_path, monkeypatch, inline_pool):
+    # a manifest runs no energy, so it starts no worker thread, whatever the
+    # CPU count and the `threads` it is given; k=8 sweeps 805 directions in
+    # 13 blocks
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
     m = _manifest(
         tmp_path,
         generator_kind="cantor_grid",
         generator_params={"s": 0.5},
         k_range=(6, 8),
-        analyses=("sweep",),
+        analyses=("validate", "sweep"),
     )
-    assert run(m, threads=1) == EXIT_PASS
-    first = _snapshot(out)
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
     assert run(m, threads=10_000) == EXIT_PASS
-    # k=6 sweeps its 202 directions in one task, inline; k=8 has 13 tasks
-    assert inline_pool == [4]
-    assert _snapshot(out) == first
+    assert inline_pool == []
 
 
 def test_analyses_constant_is_ordered():

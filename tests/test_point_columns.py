@@ -31,7 +31,7 @@ def _coords(max_exp: int):
 def _point_lists(max_exp: int, max_size: int = 24):
     """Distinct points with signed coordinates on mixed exponents."""
     points = hys.builds(DyadicPoint, _coords(max_exp), _coords(max_exp))
-    return hys.lists(points, min_size=1, max_size=max_size, unique_by=DyadicPoint.key)
+    return hys.lists(points, min_size=1, max_size=max_size, unique=True)
 
 
 def _cells_oracle(points, k: int) -> list[tuple[int, int]]:
@@ -42,9 +42,9 @@ def _duplicate_oracle(points) -> DyadicPoint | None:
     """The point the per-point scan named: the first one seen before."""
     seen = set()
     for p in points:
-        if p.key() in seen:
+        if p in seen:
             return p
-        seen.add(p.key())
+        seen.add(p)
     return None
 
 

@@ -354,6 +354,15 @@ def test_family_basics():
         TubeFamily.from_tubes(scale, [DyadicTube.from_indices(Scale(3), 0, 0)])
 
 
+def test_family_refuses_keys_that_do_not_rise():
+    # unsorted or repeated keys would give len 3 and slope cells (3, 1)
+    a, b = TubeFamily.from_index_pairs(Scale(4), [(1, 2), (3, 1)]).keys
+    for keys in ((b, a, a), (a, a), (b, a)):
+        with pytest.raises(ValidationError, match="strictly increase"):
+            TubeFamily(Scale(4), keys)
+    assert TubeFamily(Scale(4), (a, b)).slope_cells() == (1, 3)
+
+
 def test_family_json_roundtrip():
     fam = TubeFamily.from_index_pairs(Scale(6), [(3, 5), (0, 0), (-2, 9)])
     again = TubeFamily.from_json(fam.to_json())
