@@ -260,11 +260,12 @@ def test_project_thread_stability(capsys, tmp_path):
     assert single == multi
 
 
-@pytest.mark.parametrize("command", ["project"])
+@pytest.mark.parametrize("command", ["project", "run"])
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_one_is_usage_error(command, threads):
+    source = ["--kind", "grid", "--k", "3"] if command == "project" else ["--manifest", "m.json"]
     with pytest.raises(SystemExit) as exc:
-        main([command, "--kind", "grid", "--k", "3", "--threads", threads])
+        main([command, *source, "--threads", threads])
     assert exc.value.code == 2
 
 
