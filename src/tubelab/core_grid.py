@@ -287,6 +287,12 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return first
 
 
+def _distance_dtype(top: int) -> type:
+    """int32 when values from 0 up to top + 1 all fit in it, else int64:
+    sorting 32-bit columns is cheaper."""
+    return np.int32 if top < np.iinfo(np.int32).max else np.int64
+
+
 # a numerator on the 2^-m grid is at most 4 * 2^m = 2^(m+2) in magnitude,
 # so int64 columns hold the coordinates while m <= GRID_CAP
 GRID_CAP = 60

@@ -30,6 +30,7 @@ from .core_grid import (
     DyadicRational,
     PointSet,
     Scale,
+    _distance_dtype,
     check_value_bound,
 )
 from .errors import DyadicOverflowError, ValidationError
@@ -76,12 +77,6 @@ class ValidationReport:
             "s": self.params.s,
             "C": self.params.C,
         }
-
-
-def _distance_dtype(d2_max: int) -> type:
-    """int32 when squared distances up to d2_max and the squared radius
-    d2_max + 1 all fit in it, else int64: sorting 32-bit rows is cheaper."""
-    return np.int32 if d2_max < np.iinfo(np.int32).max else np.int64
 
 
 def _validate_coords(columns: Sequence[Sequence[int]], m: int, params: DeltaSetParams) -> ValidationReport:

@@ -37,7 +37,8 @@ _BLOCK_KEYS = 1 << 13
 class Configuration:
     """Point set plus one tube family per point, at a common even-k scale.
     Family i is keys[offsets[i]:offsets[i + 1]], its strictly increasing
-    packed keys; both columns are read-only int64 arrays."""
+    packed keys; both columns are read-only int64 arrays. An int64 array
+    passed in is adopted, not copied, and made read-only."""
 
     points: PointSet
     keys: np.ndarray = field(repr=False)
@@ -47,7 +48,7 @@ class Configuration:
 
     def __post_init__(self) -> None:
         self.points.scale.require_even()
-        keys, offsets = np.array(self.keys, dtype=np.int64), np.array(self.offsets, dtype=np.int64)
+        keys, offsets = np.asarray(self.keys, dtype=np.int64), np.asarray(self.offsets, dtype=np.int64)
         n = len(self.points)
         if keys.ndim != 1 or offsets.shape != (n + 1,):
             raise ValidationError(f"{offsets.size - 1} families for {n} points")

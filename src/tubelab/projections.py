@@ -8,21 +8,20 @@ the rounding of the projection itself. An audit mode recounts with jittered
 cell offsets to bound boundary sensitivity, at only the steps next to a value
 within 2^-18 of a cell boundary. A sweep reuses one set of block buffers.
 Energies sum over the exact distinct difference vectors of points on the
-2^-27 grid or coarser.
+2^-27 grid or coarser, found as 32-bit keys when their span allows.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Thread
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_grid import PointSet, Scale, _run_starts
+from .core_grid import PointSet, Scale, _distance_dtype, _run_starts
 from .errors import DomainError, DyadicOverflowError, ValidationError
 
 __all__ = [
@@ -182,15 +181,19 @@ class ProjectionSweep:
 
     def quantiles(self) -> dict[str, float]:
         data = sorted(self.counts)
-        if len(data) == 1:
-            q1 = med = q3 = float(data[0])
-        else:
-            q1, med, q3 = statistics.quantiles(data, n=4, method="inclusive")
+        last = len(data) - 1
+
+        def quartile(i: int) -> float:
+            # statistics.quantiles(method="inclusive"): data at i * last / 4,
+            # interpolated exactly on the integer counts, then divided once
+            j, r = divmod(i * last, 4)
+            return (data[j] * (4 - r) + data[min(j + 1, last)] * r) / 4
+
         return {
             "min": float(data[0]),
-            "q25": q1,
-            "median": med,
-            "q75": q3,
+            "q25": quartile(1),
+            "median": quartile(2),
+            "q75": quartile(3),
             "max": float(data[-1]),
         }
 
@@ -274,7 +277,7 @@ class ProjectionEnergy:
     average: float
 
 
-# int64 difference keys that _difference_histogram buffers per fold: 4 MiB
+# difference keys _difference_histogram buffers per fold: 2 MiB int32, 4 MiB int64
 _PAIR_BUFFER = 1 << 19
 # (vector, direction) terms per energy kernel call. The 1 MB block stays in
 # cache, and OpenBLAS runs its K=2 matmul (M*N*K = 2^18, at the threshold)
@@ -293,7 +296,9 @@ def _difference_histogram(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
     as the points do, and over sorted keys each K_q - K_p > 0 packs the
     exact (dX, dY), |dY| <= 2^(m+3), in lexicographic order: v and -v share
     one entry, as they project to the same distance. Keys of the 2^-27 grid
-    reach about 2^62; finer grids raise DyadicOverflowError. Rows of
+    reach about 2^62; finer grids raise DyadicOverflowError. Shifted to
+    start at 0, keys whose span plus 2^(m+4) fits int32 are held as int32,
+    which halves the bytes each fold sorts; others stay int64. Rows of
     differences fill a fixed buffer that is folded into histograms when full,
     and those are merged as they grow, so memory is bounded by the buffer
     plus a few histograms, never by n^2. Returns the float64 rows (dx, dy)
@@ -304,9 +309,11 @@ def _difference_histogram(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
         raise DyadicOverflowError(f"projection energy needs coordinates on the 2^-27 grid or coarser, got 2^-{m}")
     lift = m - points.m
     keys = np.sort((points.x << (m + 5 + lift)) + (points.y << lift))
+    keys -= keys[:1]  # differences do not change under the shift
+    keys = keys.astype(_distance_dtype(int(keys.max(initial=0)) + (1 << (m + 4))))
     n = keys.size
     # a buffer never shorter than one row, so that rows are never split
-    buf = np.empty(max(n - 1, min(_PAIR_BUFFER, n * (n - 1) // 2)), dtype=np.int64)
+    buf = np.empty(max(n - 1, min(_PAIR_BUFFER, n * (n - 1) // 2)), dtype=keys.dtype)
     # the folded histograms, (sorted distinct keys, counts), each at least
     # twice the size of the next, so that a key is merged O(log folds) times
     runs: list[tuple[np.ndarray, np.ndarray]] = []
@@ -348,10 +355,12 @@ def _difference_histogram(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
     # popped, so that the int64 counts are freed once converted
     vectors, counts = runs.pop() if runs else (np.empty(0, dtype=np.int64),) * 2
     counts = counts.astype(np.float64)
-    # decode in place: (dX, dY + 2^(m+4)) = divmod(K + 2^(m+4), 2^(m+5))
+    # decode: as K + 2^(m+4) > 0, dX and dY + 2^(m+4) are its bits above and
+    # below bit m+5
     rows = np.empty((vectors.size, 2))
     vectors += 1 << (m + 4)
-    np.divmod(vectors, 1 << (m + 5), out=(rows[:, 0], rows[:, 1]))
+    np.right_shift(vectors, m + 5, out=rows[:, 0])
+    np.bitwise_and(vectors, (1 << (m + 5)) - 1, out=rows[:, 1])
     rows[:, 1] -= 1 << (m + 4)
     rows *= 2.0**-m
     return rows, counts
@@ -373,11 +382,12 @@ def projection_energy(
     The sum depends on the points only through the multiset of difference
     vectors p - q, so it runs over the distinct vectors once, against all
     directions at a time: each unordered pair {v, -v} weighs twice its count.
-    The vectors are exact, from int64 keys (_difference_histogram), so the
-    points must lie on the 2^-27 grid or coarser. Chunks of vectors, sized by
-    the net alone, are summed in a fixed order on at most `threads` worker
-    threads, no more than there are CPUs or tasks, which keeps the energies
-    bit-identical for every thread count.
+    The vectors are exact, from integer keys (_difference_histogram), so the
+    points must lie on the 2^-27 grid or coarser. Tasks of vector chunks,
+    sized by the net alone, run on the calling thread and helper threads, at
+    most `threads` in all and no more than there are CPUs or tasks; their
+    sums are added in task order, which keeps the energies bit-identical
+    for every thread count.
     """
     n = len(points)
     if n < 2:
@@ -393,33 +403,45 @@ def projection_energy(
     delta = 2.0 ** -points.scale.k
     chunk = max(1, _ENERGY_BLOCK // len(net))
     span = chunk * _CHUNKS_PER_TASK
-
-    def task(lo: int) -> np.ndarray:
-        """Per-direction sum over the vectors in [lo, lo + span), chunk by chunk."""
-        buf = np.empty((chunk, len(net)))
-        total = np.zeros(len(net))
-        for start in range(lo, min(lo + span, len(xy)), chunk):
-            d = buf[: len(xy) - start]  # the last chunk may be short
-            np.matmul(xy[start : start + chunk], directions, out=d)
-            np.abs(d, out=d)
-            # clamping the distance at delta truncates the term at delta^-s
-            np.maximum(d, delta, out=d)
-            if s == 1.0:
-                np.reciprocal(d, out=d)
-            else:
-                np.power(d, -s, out=d)
-            total += weights[start : start + chunk] @ d
-        return total
-
     # task boundaries depend on the net alone, and task sums are added in
     # order, so the association of the sum is the same for every thread count
     starts = range(0, len(xy), span)
+    results: list = [None] * len(starts)
+    errors: list[BaseException] = []
+    tasks = iter(enumerate(starts))  # shared; next() on it is atomic under the GIL
+
+    def work() -> None:
+        """Take tasks until none is left, each summed chunk by chunk in one scratch block."""
+        buf = np.empty((chunk, len(net)))
+        try:
+            for i, lo in tasks:
+                total = results[i] = np.zeros(len(net))
+                for start in range(lo, min(lo + span, len(xy)), chunk):
+                    d = buf[: len(xy) - start]  # the last chunk may be short
+                    np.matmul(xy[start : start + chunk], directions, out=d)
+                    np.abs(d, out=d)
+                    # clamping the distance at delta truncates the term at delta^-s
+                    np.maximum(d, delta, out=d)
+                    if s == 1.0:
+                        np.reciprocal(d, out=d)
+                    else:
+                        np.power(d, -s, out=d)
+                    total += weights[start : start + chunk] @ d
+        except BaseException as exc:  # raised again by the calling thread
+            errors.append(exc)
+            for _ in tasks:  # so that no worker takes another task
+                pass
+
     workers = min(threads, os.cpu_count() or 1, len(starts))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            totals = sum(pool.map(task, starts), np.zeros(len(net)))
-    else:
-        totals = sum(map(task, starts), np.zeros(len(net)))
+    helpers = [Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if errors:
+        raise errors[0]
+    totals = sum(results, np.zeros(len(net)))
     # each distinct vector stands for the ordered pairs (p, q) and (q, p)
     energies = tuple(2.0 * float(t) / (n * n) for t in totals)
     average = math.fsum(energies) / len(energies)

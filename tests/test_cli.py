@@ -276,12 +276,21 @@ def test_run_takes_no_threads_flag():
     assert exc.value.code == 2
 
 
-def test_project_starts_no_pool_without_energy(capsys, monkeypatch, inline_pool):
+def test_project_energy_helper_fault_is_exit_4(capsys, helper_fault):
+    # an exception on a helper thread reaches the energy stage's witness
+    argv = ["project", "--kind", "cantor_grid", "--k", "8", "--s", "0.5", "--target-k", "10"]
+    code, out, err = _call(capsys, [*argv, "--energy-s", "1.0", "--threads", "3"])
+    assert code == 4
+    assert json.loads(out) == {"error": "HelperFault", "message": "helper task", "stage": "energy"}
+    assert "internal error: HelperFault" in err
+
+
+def test_project_starts_no_pool_without_energy(capsys, monkeypatch, helper_threads):
     # --threads reaches only the energy; the sweep runs on one thread
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     code, _, _ = _call(capsys, ["project", "--kind", "cantor_grid", "--k", "8", "--s", "0.5", "--threads", "4"])
     assert code == 0
-    assert inline_pool == []
+    assert helper_threads == []
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -708,6 +717,17 @@ def test_commands_never_import_numpy_ma(tmp_path):
             [sys.executable, "-c", _PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
         )
         assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
+def test_import_loads_no_executor_or_statistics():
+    # every command pays for what `import tubelab.cli` loads: the energy
+    # starts its own threads and the sweep computes its own quartiles
+    import tubelab
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(tubelab.__file__).parents[1]), *sys.path]))
+    probe = "import sys, tubelab, tubelab.cli\nprint(sorted({'concurrent.futures', 'queue', 'statistics'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stderr
 
 
 def test_dim_fit(capsys):

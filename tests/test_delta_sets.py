@@ -13,10 +13,9 @@ import hypothesis.strategies as hys
 import numpy as np
 import pytest
 
-from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
+from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale, _distance_dtype
 from tubelab.delta_sets import (
     DeltaSetParams,
-    _distance_dtype,
     extract,
     validate,
     validate_1d,
@@ -315,9 +314,12 @@ def test_validate_1d_blocked_counts_match_oracle_on_random_sets(cells, k, s):
 
 
 def test_distance_dtype_is_int32_below_int32_max():
-    # squared radii are clipped to d2_max + 1, which must fit as well
+    # squared radii are clipped to d2_max + 1, which must fit as well; the
+    # energy's difference keys use the same rule
+    assert _distance_dtype(0) is np.int32
     assert _distance_dtype(2**31 - 2) is np.int32
     assert _distance_dtype(2**31 - 1) is np.int64
+    assert _distance_dtype(2**62) is np.int64
 
 
 def _span_set_1d(k: int, span: int) -> list[DyadicRational]:

@@ -8,6 +8,7 @@ columnar kernels replaced are kept below as exact oracles.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 from itertools import islice
 from typing import Iterator, Sequence
@@ -684,12 +685,12 @@ def test_configuration_refuses_family_keys_that_do_not_rise():
         Configuration(points, keys, offsets, 0.5, 0.1)
 
 
-def test_configuration_columns_are_read_only_copies():
+def test_configuration_adopts_int64_columns_read_only():
     cfg = furstenberg_product(4, 0.5)
     keys, offsets = cfg.keys.copy(), cfg.offsets.copy()
     built = Configuration(cfg.points, keys, offsets, cfg.s, cfg.epsilon)
-    keys[0] += 1
-    offsets[1] -= 1
+    # int64 arrays are adopted, not copied, and then refuse writes
+    assert built.keys is keys and built.offsets is offsets
     assert built == cfg
     for column in (built.keys, built.offsets):
         assert column.dtype == np.int64
@@ -697,6 +698,25 @@ def test_configuration_columns_are_read_only_copies():
             column[0] = 7
     with pytest.raises(AttributeError):
         built.keys = keys
+    # anything else becomes a read-only int64 copy
+    listed, narrow = cfg.keys.tolist(), cfg.offsets.astype(np.int32)
+    copied = Configuration(cfg.points, listed, narrow, cfg.s, cfg.epsilon)
+    narrow[1] -= 1
+    assert copied == cfg
+    assert copied.keys.dtype == copied.offsets.dtype == np.int64
+    assert not copied.keys.flags.writeable and not copied.offsets.flags.writeable
+
+
+def test_configuration_build_holds_one_key_column():
+    # furstenberg_product hands its fresh key column over: a copy in the
+    # constructor took the peak to 2.1 times the column at k = 12
+    tracemalloc.start()
+    try:
+        cfg = furstenberg_product(12, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cfg.keys.nbytes
 
 
 def test_configuration_equality_is_by_value_and_never_raises():

@@ -527,7 +527,7 @@ def test_run_thread_determinism(tmp_path):
     assert first == second
 
 
-def test_run_starts_no_pool(tmp_path, monkeypatch, inline_pool):
+def test_run_starts_no_pool(tmp_path, monkeypatch, helper_threads):
     # a manifest runs no energy, so it starts no worker thread, whatever the
     # CPU count and the `threads` it is given; k=8 sweeps 805 directions in
     # 13 blocks
@@ -540,7 +540,7 @@ def test_run_starts_no_pool(tmp_path, monkeypatch, inline_pool):
         analyses=("validate", "sweep"),
     )
     assert run(m, threads=10_000) == EXIT_PASS
-    assert inline_pool == []
+    assert helper_threads == []
 
 
 def test_analyses_constant_is_ordered():

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
 import tubelab.projections
-from tubelab.core_grid import DyadicPoint, PointSet, Scale
+from tubelab.core_grid import DyadicPoint, PointSet, Scale, _distance_dtype
 from tubelab.errors import DomainError, DyadicOverflowError, ValidationError
 from tubelab.generators import cantor_grid, furstenberg_product, grid, quasi_product
 from tubelab.projections import (
@@ -27,6 +29,7 @@ from tubelab.projections import (
     _PAIR_BUFFER,
     _SWEEP_BLOCK,
     DirectionNet,
+    ProjectionSweep,
     _block_counts,
     _cell_counts,
     _coords,
@@ -339,19 +342,49 @@ def test_blocked_sweep_matches_per_direction_loop(case):
 
 
 @pytest.mark.parametrize("cpus", [2, None, 64])
-def test_threads_capped_at_cpus_and_tasks(monkeypatch, inline_pool, cpus):
+def test_threads_capped_at_cpus_and_tasks(monkeypatch, helper_threads, cpus):
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     # 3,280 distinct difference vectors against 3,217 directions are 3
     # energy tasks
     ps = cantor_grid(8, 0.5)
     net = DirectionNet.uniform(Scale(10))
     energy = projection_energy(ps, net, 1.0)
-    inline_pool.clear()
+    assert helper_threads == []
     capped = projection_energy(ps, net, 1.0, threads=10_000)
-    # an unknown CPU count counts as one CPU: the tasks run inline
-    expect = {2: [2], None: [], 64: [3]}[cpus]
-    assert inline_pool == expect
+    # the calling thread is one worker; an unknown CPU count counts as one
+    # CPU, so the tasks run on the calling thread alone
+    workers = {2: 2, None: 1, 64: 3}[cpus]
+    assert len(helper_threads) == workers - 1
+    assert not any(t.is_alive() for t in helper_threads)
     assert capped.energies == energy.energies
+
+
+def test_energy_on_more_workers_than_cpus_matches_one_thread(monkeypatch, helper_threads):
+    # 11 tasks on 8 workers that switch every microsecond: a task lost
+    # between workers would leave its sum out, or break the sum
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    ps = cantor_grid(8, 0.5)
+    net = DirectionNet.uniform(Scale(12))
+    one = projection_energy(ps, net, 1.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = projection_energy(ps, net, 1.0, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(helper_threads) == 7
+    assert not any(t.is_alive() for t in helper_threads)
+    assert many.energies == one.energies
+
+
+def test_energy_raises_what_a_helper_raised(helper_fault, helper_threads):
+    # 3 tasks on the calling thread and two helpers; one helper's task fails
+    ps = cantor_grid(8, 0.5)
+    net = DirectionNet.uniform(Scale(10))
+    with pytest.raises(helper_fault, match="helper task"):
+        projection_energy(ps, net, 1.0, threads=3)
+    assert len(helper_threads) == 2
+    assert not any(t.is_alive() for t in helper_threads)
 
 
 def _exact_dyadic_counts(points: PointSet, target_k: int) -> list[int]:
@@ -435,6 +468,21 @@ def test_sweep_quantiles_and_json():
         "max_boundary_sensitivity": sw.max_sensitivity(),
     }
     assert "max_boundary_sensitivity" not in sweep(ps, net, Scale(6)).summary((0.5,))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 40, 805])
+def test_quantiles_match_statistics_inclusive(n):
+    # bit for bit, on counts drawn with many ties and with few
+    rng = random.Random(n)
+    ps = grid(5)
+    net = DirectionNet.uniform(Scale(1))
+    for trial in range(40):
+        top = (3, len(ps))[trial % 2]
+        counts = tuple(rng.randint(1, top) for _ in range(n))
+        q = ProjectionSweep(net, Scale(7), ps, counts).quantiles()
+        expect = [float(counts[0])] * 3 if n == 1 else statistics.quantiles(counts, n=4, method="inclusive")
+        assert [q["q25"], q["median"], q["q75"]] == expect
+        assert (q["min"], q["max"]) == (min(counts), max(counts))
 
 
 # --- exceptional directions ---
@@ -674,6 +722,10 @@ def _corners(k: int, e: int) -> PointSet:
 _HISTOGRAM_CASES = {
     "negative": lambda: _random_points(80, 6, (6,), seed=1),
     "corners": lambda: _corners(3, 3),
+    # the widest sets on each side of int32 difference keys (see
+    # test_difference_keys_are_int32_while_they_fit)
+    "corners-2^-11": lambda: _corners(10, 11),
+    "corners-2^-12": lambda: _corners(10, 12),
     "mixed-exponents": lambda: _random_points(120, 4, (0, 1, 3, 7, 12), seed=2),
     # keys of this set reach about 2^62: the corners lie 2^30 steps apart
     "corners-2^-27": lambda: _corners(10, 27),
@@ -700,12 +752,29 @@ def test_difference_histogram_matches_pair_oracle(case):
 
 
 @pytest.mark.parametrize("buffer", [1, 7, 64, 1000])
-@pytest.mark.parametrize("case", ["negative", "mixed-exponents", "mixed-2^-27"])
+@pytest.mark.parametrize("case", ["negative", "corners-2^-11", "mixed-exponents", "mixed-2^-27"])
 def test_difference_histogram_folds_small_buffers(case, buffer, monkeypatch):
     # a buffer shorter than a row still takes whole rows, and every fold
     # after the first merges into the running histogram
     monkeypatch.setattr(tubelab.projections, "_PAIR_BUFFER", buffer)
     _assert_matches_oracle(_HISTOGRAM_CASES[case]())
+
+
+@pytest.mark.parametrize("e, dtype", [(11, np.int32), (12, np.int64)])
+def test_difference_keys_are_int32_while_they_fit(e, dtype, monkeypatch):
+    # the corners of [-4, 4]^2 on the grid 2^-e: from 0 their keys
+    # X*2^(e+5) + Y span 8*2^e*2^(e+5) + 8*2^e, and decoding adds 2^(e+4)
+    top = (1 << (2 * e + 8)) + (1 << (e + 3)) + (1 << (e + 4))
+    assert (top < 2**31 - 1) == (dtype is np.int32)
+    tops = []
+    monkeypatch.setattr(tubelab.projections, "_distance_dtype", lambda t: tops.append(t) or _distance_dtype(t))
+    ps = _corners(10, e)
+    got = _difference_histogram(ps)
+    assert tops == [top] and _distance_dtype(top) is dtype
+    # the same rows and counts as from int64 keys
+    monkeypatch.setattr(tubelab.projections, "_distance_dtype", lambda t: np.int64)
+    for a, b in zip(got, _difference_histogram(ps)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_difference_histogram_folds_full_buffers():
