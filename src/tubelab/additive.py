@@ -9,16 +9,17 @@ exact; cell counts of non-dyadic projection values go through Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_grid import DyadicPoint, DyadicRational, Scale, _int_field, _run_starts, check_value_bound
+from .core_grid import DyadicPoint, DyadicRational, PointSet, Scale, _int_field, _run_starts
 from .errors import HypothesisViolation, ParseError, ValidationError
 from .incidence import _run_lengths
-from .tubes import TubeFamily, intercept_window_array, pack_key_array, point_columns, unpack_key, unpack_key_array
+from .tubes import TubeFamily, unpack_key, unpack_key_array, window_keys
 
 # (tube key, level index, point index) columns of slice_incidences
 SliceHits = tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -28,32 +29,59 @@ PairTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 @dataclass(frozen=True)
 class QuasiProduct:
-    """Levels b in B with one horizontal slice A_b x {b} per level."""
+    """Levels b in B with one horizontal slice A_b x {b} per level, stored as
+    one PointSet in level-then-point order, so that each level is one run of
+    equal y and the runs rise. offsets (level i holds the points
+    offsets[i]:offsets[i + 1]), levels, slices and points() are views
+    derived from the columns."""
 
-    scale: Scale
+    point_set: PointSet
     s: float
     tau: float
-    levels: tuple[DyadicRational, ...]
-    slices: tuple[tuple[DyadicRational, ...], ...]
 
     def __post_init__(self) -> None:
         # s is the dimension of the slope net of quasi_product_tubes
-        if not 0.0 < self.s <= 1.0:
-            raise ValidationError(f"quasi product s={self.s} must lie in (0, 1]")
-        if len(self.levels) != len(self.slices):
-            raise ValidationError("one slice per level required")
-        if any(len(sl) == 0 for sl in self.slices):
-            raise ValidationError("empty slice")
-        for b in self.levels:
-            check_value_bound(b)
-        for sl in self.slices:
-            for a in sl:
-                check_value_bound(a)
-        if list(self.levels) != sorted(set(self.levels)):
+        for name, value in (("s", self.s), ("tau", self.tau)):
+            if not 0.0 < value <= 1.0:
+                raise ValidationError(f"quasi product {name}={value} must lie in (0, 1]")
+        y = self.point_set.y
+        if (y[1:] < y[:-1]).any():
             raise ValidationError("levels must be strictly increasing")
 
+    @classmethod
+    def from_slices(
+        cls, scale: Scale, s: float, tau: float,
+        levels: Sequence[DyadicRational], slices: Sequence[Sequence[DyadicRational]],
+    ) -> "QuasiProduct":
+        """The quasi product of one nonempty slice of values per level."""
+        if len(levels) != len(slices):
+            raise ValidationError("one slice per level required")
+        if not all(slices):
+            raise ValidationError("empty slice")
+        if list(levels) != sorted(set(levels)):
+            raise ValidationError("levels must be strictly increasing")
+        return cls(PointSet(scale, (DyadicPoint(a, b) for b, sl in zip(levels, slices) for a in sl)), s, tau)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.append(np.flatnonzero(_run_starts(self.point_set.y)), len(self.point_set))
+
+    @property
+    def scale(self) -> Scale:
+        return self.point_set.scale
+
+    @cached_property
+    def levels(self) -> tuple[DyadicRational, ...]:
+        m = self.point_set.m
+        return tuple(DyadicRational(b, m) for b in self.point_set.y[self.offsets[:-1]].tolist())
+
+    @cached_property
+    def slices(self) -> tuple[tuple[DyadicRational, ...], ...]:
+        m, x, bounds = self.point_set.m, self.point_set.x.tolist(), self.offsets.tolist()
+        return tuple(tuple(DyadicRational(a, m) for a in x[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+
     def points(self) -> list[DyadicPoint]:
-        return [DyadicPoint(a, b) for b, sl in zip(self.levels, self.slices) for a in sl]
+        return list(self.point_set.points)
 
     def to_json(self) -> dict:
         return {
@@ -91,10 +119,9 @@ class QuasiProduct:
             if not isinstance(values, list):
                 raise ParseError(f"slice {idx} 'values' must be a list, got {values!r}")
             slots[idx] = tuple(DyadicRational.from_pair(r) for r in values)
-        for i, sl in enumerate(slots):
-            if sl is None:
-                raise ParseError(f"no slice for level index {i}")
-        return cls(Scale(k), s, tau, levels, tuple(slots))  # type: ignore[arg-type]
+        if None in slots:
+            raise ParseError(f"no slice for level index {slots.index(None)}")
+        return cls.from_slices(Scale(k), s, tau, levels, slots)  # type: ignore[arg-type]
 
 
 def sumset_cover(a_values: Sequence[DyadicRational], b_values: Sequence[DyadicRational], target: Scale) -> int:
@@ -133,10 +160,6 @@ class PairGraph:
     def restricted_sumset_size(self) -> int:
         return len({self.a_values[i] + self.b_values[j] for i, j in self.edges})
 
-    def restricted_sumset_cover(self, target: Scale) -> int:
-        k = target.k
-        return len({(self.a_values[i] + self.b_values[j]).floor_to_int(k) for i, j in self.edges})
-
     def eligibility(self) -> dict:
         """The two Balog-Szemeredi-Gowers hypotheses at this K."""
         na, nb = len(self.a_values), len(self.b_values)
@@ -151,7 +174,7 @@ class PairGraph:
 
 def restricted_sumset(g: PairGraph, target: Scale) -> int:
     """Number of target-cells met by {a + b : (a, b) an edge of g}; exact."""
-    return g.restricted_sumset_cover(target)
+    return len({(g.a_values[i] + g.b_values[j]).floor_to_int(target.k) for i, j in g.edges})
 
 
 def measured_bsg_parameter(
@@ -177,14 +200,8 @@ class BsgReport:
     flags: dict
 
     def to_json(self) -> dict:
-        return {
-            "a_kept": list(self.a_kept),
-            "b_kept": list(self.b_kept),
-            "rounds": self.rounds,
-            "c_exponent": self.c_exponent,
-            "component_exponents": list(self.component_exponents),
-            "flags": self.flags,
-        }
+        lists = {name: list(getattr(self, name)) for name in ("a_kept", "b_kept", "component_exponents")}
+        return {**asdict(self), **lists}
 
 
 def bsg_refine(g: PairGraph) -> BsgReport:
@@ -252,16 +269,7 @@ class PlunneckeReport:
     ok: bool
 
     def to_json(self) -> dict:
-        return {
-            "c0": self.c0,
-            "a_cells": self.a_cells,
-            "b_cells": self.b_cells,
-            "sum_ab": self.sum_ab,
-            "sum_bb": self.sum_bb,
-            "diff_bb": self.diff_bb,
-            "bound": self.bound,
-            "ok": self.ok,
-        }
+        return asdict(self)
 
 
 def plunnecke_corollary_check(
@@ -347,34 +355,20 @@ def slice_incidences(qp: QuasiProduct, tubes: TubeFamily) -> SliceHits:
     The tubes through each point come from the intercept window at the
     family's slope cells, evaluated for every (point, slope cell) at once,
     so the cost is O(points * slopes), not O(points * tubes). The window is
-    exact for points on the 2^-m grid while m + k <= 56; point_columns
-    refuses finer points with DyadicOverflowError.
+    exact for points on the 2^-m grid while m + k <= 56; finer points are
+    refused with DyadicOverflowError.
     """
-    k = qp.scale.k
-    family = np.array(tubes.keys, dtype=np.int64)
+    k, ps, family = qp.scale.k, qp.point_set, tubes.keys
     a_idx, _ = unpack_key_array(family, k)
-    slopes = a_idx[_run_starts(a_idx)]
-    x_num, y_num, m = (col[:, None] for col in point_columns(qp.points(), k))
-    lo, hi = intercept_window_array(x_num, y_num, m, k, slopes)
-    # clip each window [lo, hi] to the [-8, 8) intercept domain, then expand
-    # it into one entry per intercept cell, (point, slope cell)-major
-    edge = 8 << k
-    lo = np.maximum(lo, -edge).ravel()
-    counts = np.maximum(np.minimum(hi + 1, edge).ravel() - lo, 0)
-    window = np.repeat(np.arange(counts.size), counts)
-    b_idx = np.arange(window.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
-    owner, slope = np.divmod(window, slopes.size)
-    keys = pack_key_array(slopes[slope], b_idx, k)
+    keys, owner = window_keys(ps.x, ps.y, ps.m, k, a_idx[_run_starts(a_idx)])
     found = family[np.minimum(np.searchsorted(family, keys), family.size - 1)] == keys
     keys, owner = keys[found], owner[found]
     # points are numbered level-then-point, so a stable sort by key keeps
     # each tube's rows in level-then-point order
     order = np.argsort(keys, kind="stable")
     keys, owner = keys[order], owner[order]
-    sizes = np.fromiter(map(len, qp.slices), dtype=np.int64, count=len(qp.slices))
-    level = np.repeat(np.arange(sizes.size), sizes)
-    point = np.arange(level.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    return keys, level[owner], point[owner]
+    level = np.searchsorted(qp.offsets, owner, side="right") - 1
+    return keys, level, owner - qp.offsets[level]
 
 
 def _repeated_rows(hits: SliceHits) -> np.ndarray:
@@ -403,11 +397,10 @@ def prune_to_slice_multiplicity(qp: QuasiProduct, tubes: TubeFamily) -> TubeFami
     """Drop every tube that meets a slice twice; the surviving family
     satisfies the steepness hypothesis by construction."""
     hits = slice_incidences(qp, tubes)
-    family = np.array(tubes.keys, dtype=np.int64)
-    keep = np.ones(family.size, dtype=bool)
+    keep = np.ones(tubes.keys.size, dtype=bool)
     # every hit key is a key of the (sorted) family
-    keep[np.searchsorted(family, hits[0][_repeated_rows(hits)])] = False
-    return TubeFamily(tubes.scale, tuple(family[keep].tolist()))
+    keep[np.searchsorted(tubes.keys, hits[0][_repeated_rows(hits)])] = False
+    return TubeFamily(tubes.scale, tubes.keys[keep])
 
 
 def _pair_table(hits: SliceHits) -> PairTable:

@@ -26,7 +26,7 @@ from .core_grid import (
 )
 from .errors import GeneratorError, ParseError
 from .incidence import Configuration
-from .tubes import DyadicTube, TubeFamily, pack_key_array, point_columns
+from .tubes import DyadicTube, TubeFamily, canonical_key_array
 
 _MASK64 = (1 << 64) - 1
 # furstenberg_product's epsilon when none is given; it needs s > 1/4
@@ -139,9 +139,9 @@ def furstenberg_product(k: int, s: float, epsilon: float = DEFAULT_EPSILON) -> C
     ys = np.array(line, dtype=np.int64)[:, None]
     keys = np.empty((len(line), len(line), slopes.size), dtype=np.int64)
     for xi, column in zip(line, keys):
-        # canonical_keys of the column x = xi*delta, one row per point, in
-        # key order: intercept cells floor(yi - a*xi*delta) at slope cells a
-        column[...] = pack_key_array(slopes, ((ys << k) - slopes * xi) >> k, k)
+        # the canonical keys of the column x = xi*delta, one row per point,
+        # in key order
+        column[...] = canonical_key_array(xi, ys, k, k, slopes)
     offsets = np.arange(len(line) ** 2 + 1) * slopes.size
     return Configuration(_product(k, line), keys.ravel(), offsets, s, epsilon)
 
@@ -154,30 +154,27 @@ def quasi_product(k: int, s: float, tau: float, seed: int = 0) -> QuasiProduct:
     if k < 4:
         raise GeneratorError(f"k={k} too coarse for quasi products")
     scale = Scale(k)
-    levels = cantor_line(k, tau)
-    base = cantor_line_indices(k - 3, s)
+    levels = np.array(cantor_line_indices(k, tau), dtype=np.int64)
+    base = np.array(cantor_line_indices(k - 3, s), dtype=np.int64)
     n_cells = 1 << (k - 3)
     rng = Lcg(seed)
-    slices = []
-    for _b in levels:
-        o = rng.below(n_cells)
-        vals = sorted((v + o) % n_cells for v in base)
-        slices.append(tuple(DyadicRational(v, k - 3) for v in vals))
-    return QuasiProduct(scale, s, tau, levels, tuple(slices))
+    # the slice values on the 2^-k grid, level by level
+    x = np.concatenate([np.sort((base + rng.below(n_cells)) % n_cells) << 3 for _ in range(levels.size)])
+    points = PointSet.from_columns(scale, x, np.repeat(levels, base.size), k)
+    return QuasiProduct(points, s, tau)
 
 
 def quasi_product_tubes(qp: QuasiProduct, s_net: float | None = None) -> TubeFamily:
     """Steep tubes (slopes in [1, 2) on a cantor slope net) through every
     point of the quasi product, canonical intercepts. Like slice_incidences,
     it refuses points finer than the 2^-(56-k) grid (DyadicOverflowError)."""
-    k = qp.scale.k
+    k, ps = qp.scale.k, qp.point_set
     s_net = qp.s if s_net is None else s_net
     slopes = np.array(cantor_line_indices(k, s_net), dtype=np.int64) + (1 << k)
-    x_num, y_num, m = (col[:, None] for col in point_columns(qp.points(), k))
-    # canonical_keys of every point, one row per point: intercept cells
-    # floor((y - a*x)/delta) at slope cells a; sorted, then deduplicated
-    keys = np.sort(pack_key_array(slopes, ((y_num << k) - slopes * x_num) >> m, k), axis=None)
-    return TubeFamily(qp.scale, tuple(keys[_run_starts(keys)].tolist()))
+    # the canonical keys of every point, one row per point; sorted, then
+    # deduplicated
+    keys = np.sort(canonical_key_array(ps.x[:, None], ps.y[:, None], ps.m, k, slopes), axis=None)
+    return TubeFamily(qp.scale, keys[_run_starts(keys)])
 
 
 @dataclass(frozen=True)

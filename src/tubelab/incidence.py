@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -81,14 +81,14 @@ class Configuration:
         if any(fam.scale != points.scale for fam in families):
             raise ScaleError("family scale differs from point scale")
         offsets = np.fromiter(accumulate(map(len, families), initial=0), dtype=np.int64, count=len(families) + 1)
-        keys = np.fromiter(chain.from_iterable(fam.keys for fam in families), dtype=np.int64, count=offsets[-1])
+        keys = np.concatenate([np.empty(0, dtype=np.int64), *(fam.keys for fam in families)])
         return cls(points, keys, offsets, s, epsilon)
 
     @cached_property
     def families(self) -> tuple[TubeFamily, ...]:
-        """The families as TubeFamily objects, derived from the column."""
-        keys, bounds = self.keys.tolist(), self.offsets.tolist()
-        return tuple(TubeFamily(self.scale, tuple(keys[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
+        """The families as TubeFamily objects over views of the column."""
+        bounds = self.offsets.tolist()
+        return tuple(TubeFamily(self.scale, self.keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
     @property
     def scale(self) -> Scale:

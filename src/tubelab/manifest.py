@@ -310,7 +310,7 @@ def _point_set_of(obj: Any) -> PointSet:
     if isinstance(obj, Configuration):
         return obj.points
     if isinstance(obj, QuasiProduct):
-        return PointSet(obj.scale, tuple(obj.points()))
+        return obj.point_set
     return obj
 
 

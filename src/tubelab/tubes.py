@@ -15,16 +15,19 @@ contiguous run of intercept cells.
 
 Families store tubes as packed integer keys
 ((A + 8*2^k) << (k+4)) | (B + 8*2^k), keeping million-tube configurations
-cheap. pack_key, unpack_key and unpack_keys, their array forms
-pack_key_array, unpack_key_array and parent_key_array, and key_bits are the
-only code that knows this format; every other module goes through them, the
-incidence module's columnar kernels included.
+cheap. pack_key and unpack_key, their array forms pack_key_array,
+unpack_key_array and parent_key_array, and key_bits are the only code that
+knows this format; every other module goes through them, the incidence
+module's columnar kernels included.
+
+Each predicate has one array kernel, whose scalar entry points are one-row
+calls: window_keys (the intercept windows expanded into keys) and
+canonical_key_array. Only tube_contains, the inequality itself, is scalar.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .core_grid import (
     ONE,
     _dyadic_row,
     _int_field,
+    _run_starts,
     check_value_bound,
 )
 from .errors import DomainError, DyadicOverflowError, ParseError, ScaleError, ValidationError
@@ -86,14 +90,6 @@ def pack_key_array(a_idx: np.ndarray, b_idx: np.ndarray, k: int) -> np.ndarray:
 def unpack_key(key: int, k: int) -> tuple[int, int]:
     off, shift = _layout(k)
     return (key >> shift) - off, (key & ((1 << shift) - 1)) - off
-
-
-def unpack_keys(keys: Iterable[int], k: int) -> Iterator[tuple[int, int]]:
-    """The cells of many keys, lazily, in order; equal to unpack_key applied
-    to each, without a call per key."""
-    off, shift = _layout(k)
-    mask = (1 << shift) - 1
-    return (((key >> shift) - off, (key & mask) - off) for key in keys)
 
 
 def key_bits(k: int) -> int:
@@ -172,42 +168,63 @@ def tube_contains(tube: DyadicTube, p: DyadicPoint) -> bool:
     return x_num < w < (1 << m)
 
 
-def _intercept_window(x_num: int, y_num: int, m: int, k: int, a_idx: int) -> tuple[int, int]:
-    """Inclusive range [lo, hi] of the intercept cells whose tube at slope
-    cell a_idx contains (X/2^m, Y/2^m): the membership inequalities solved
-    for B."""
-    u = (y_num << k) - a_idx * x_num
-    if x_num >= 0:
-        return ((u - x_num - (1 << m)) >> m) + 1, u >> m
-    return ((u - (1 << m)) >> m) + 1, (u - x_num - 1) >> m
-
-
 def membership_grid(m: int, k: int) -> None:
-    """Refuse points on the 2^-m grid past m + k = 56, where
-    intercept_window_array would leave int64, with DyadicOverflowError."""
+    """Refuse points on the 2^-m grid past m + k = 56, where the array
+    kernels below would leave int64, with DyadicOverflowError."""
     if m + k > 56:
         raise DyadicOverflowError(
             f"tube membership at k={k} needs coordinates on the 2^-{56 - k} grid or coarser, got 2^-{m}"
         )
 
 
-def point_columns(points: Sequence[DyadicPoint], k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (X, Y, m) of _point_ints for many points, as int64 columns; a
-    PointSet has its own. Refused past the membership_grid envelope."""
-    rows = [_point_ints(p) for p in points]
-    membership_grid(max((m for _, _, m in rows), default=0), k)
-    return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
-
-
 def intercept_window_array(
-    x_num: np.ndarray, y_num: np.ndarray, m: np.ndarray, k: int, a_idx: np.ndarray
+    x_num: np.ndarray, y_num: np.ndarray, m: int | np.ndarray, k: int, a_idx: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_intercept_window elementwise over int64 arrays. Exact while
-    m + k <= 56: then |u| < 2^(m+k+6) and every term stays below 2^63."""
+    """Inclusive ranges [lo, hi] of the intercept cells whose tube at slope
+    cell a_idx contains (X/2^m, Y/2^m), elementwise over int64 arrays: the
+    membership inequalities solved for B. Exact while m + k <= 56: then
+    |u| < 2^(m+k+6) and every term stays below 2^63."""
     u = (y_num << k) - a_idx * x_num
     lo = ((u - np.left_shift(1, m) - np.maximum(x_num, 0)) >> m) + 1
     hi = (u - np.minimum(x_num + 1, 0)) >> m
     return lo, hi
+
+
+def window_keys(
+    x_num: np.ndarray | int, y_num: np.ndarray | int, m: int, k: int, slopes: np.ndarray,
+    intercepts: tuple[int, int] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Keys of every tube through the points (x_num[i], y_num[i]) / 2^m at
+    the slope cells, inside the [-8, 8) domain and, if given, with intercept
+    cell in [lo, hi), and the index of each key's point: point-major, then
+    in key order when the slope cells increase. Refused past the
+    membership_grid envelope."""
+    membership_grid(m, k)
+    x_num, y_num = (np.asarray(col, dtype=np.int64).reshape(-1, 1) for col in (x_num, y_num))
+    lo, hi = intercept_window_array(x_num, y_num, m, k, slopes)
+    # clip each window [lo, hi] to the intercept range, then expand it into
+    # one entry per intercept cell, (point, slope cell)-major
+    off, _ = _layout(k)
+    b_lo, b_hi = -off, off
+    if intercepts is not None:
+        b_lo, b_hi = max(b_lo, intercepts[0]), min(b_hi, intercepts[1])
+    lo = np.maximum(lo, b_lo).ravel()
+    counts = np.maximum(np.minimum(hi + 1, b_hi).ravel() - lo, 0)
+    window = np.repeat(np.arange(counts.size), counts)
+    b_idx = np.arange(window.size) - np.repeat(np.cumsum(counts) - counts - lo, counts)
+    point, slope = np.divmod(window, slopes.size)
+    return pack_key_array(slopes[slope], b_idx, k), point
+
+
+def canonical_key_array(
+    x_num: np.ndarray | int, y_num: np.ndarray | int, m: int, k: int, a_idx: np.ndarray
+) -> np.ndarray:
+    """Keys of the canonical tubes through the points (X/2^m, Y/2^m) at
+    slope cells a_idx, broadcast together: intercept cell
+    floor((y - a*x)/delta), the top of the intercept window for x >= 0.
+    Refused past the membership_grid envelope."""
+    membership_grid(m, k)
+    return pack_key_array(a_idx, ((y_num << k) - a_idx * x_num) >> m, k)
 
 
 def keys_through(
@@ -221,23 +238,13 @@ def keys_through(
     intersects them with.
     """
     x_num, y_num, m = _point_ints(p)
-    off, _ = _layout(k)
-    b_lo, b_hi = -off, off
-    if intercepts is not None:
-        b_lo, b_hi = max(b_lo, intercepts[0]), min(b_hi, intercepts[1])
-    keys: list[int] = []
-    for a_idx in slope_cells:
-        lo, hi = _intercept_window(x_num, y_num, m, k, a_idx)
-        keys.extend(pack_key(a_idx, b_idx, k) for b_idx in range(max(lo, b_lo), min(hi + 1, b_hi)))
-    return keys
+    return window_keys(x_num, y_num, m, k, np.fromiter(slope_cells, dtype=np.int64), intercepts)[0].tolist()
 
 
 def canonical_keys(p: DyadicPoint, k: int, slope_cells: Iterable[int]) -> list[int]:
-    """Key of the canonical tube through p at each slope cell: intercept cell
-    floor((p.y - a*p.x)/delta), the top of the intercept window for x >= 0."""
+    """Key of the canonical tube through p at each slope cell."""
     x_num, y_num, m = _point_ints(p)
-    yk = y_num << k
-    return [pack_key(a_idx, (yk - a_idx * x_num) >> m, k) for a_idx in slope_cells]
+    return canonical_key_array(x_num, y_num, m, k, np.fromiter(slope_cells, dtype=np.int64)).tolist()
 
 
 def canonical_tube_through(p: DyadicPoint, slope: DyadicRational, scale: Scale) -> DyadicTube:
@@ -265,41 +272,40 @@ class Window:
 
     @classmethod
     def of_ints(cls, a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> "Window":
-        return cls(
-            DyadicRational.integer(a_lo),
-            DyadicRational.integer(a_hi),
-            DyadicRational.integer(b_lo),
-            DyadicRational.integer(b_hi),
-        )
+        return cls(*map(DyadicRational.integer, (a_lo, a_hi, b_lo, b_hi)))
 
-    def slope_index_range(self, scale: Scale) -> tuple[int, int]:
-        """[lo, hi) of slope cell indices with a in the window."""
-        k = scale.k
-        lo = -((-self.a_lo).floor_to_int(k))  # ceil
-        hi = -((-self.a_hi).floor_to_int(k))
-        return lo, hi
-
-    def intercept_index_range(self, scale: Scale) -> tuple[int, int]:
-        k = scale.k
-        lo = -((-self.b_lo).floor_to_int(k))
-        hi = -((-self.b_hi).floor_to_int(k))
-        return lo, hi
+    def cell_ranges(self, scale: Scale) -> tuple[range, tuple[int, int]]:
+        """The slope cells with a in the window, and [lo, hi) of the
+        intercept cells with b in it."""
+        # -floor(-v) is the ceiling
+        a_lo, a_hi, b_lo, b_hi = (-(-v).floor_to_int(scale.k) for v in (self.a_lo, self.a_hi, self.b_lo, self.b_hi))
+        return range(a_lo, a_hi), (b_lo, b_hi)
 
 
 UNIT_WINDOW = Window(ZERO, ONE, ZERO, ONE)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TubeFamily:
-    """Deduplicated family of tubes at one scale, as sorted packed keys."""
+    """Deduplicated family of tubes at one scale: keys is a read-only int64
+    column of strictly increasing packed keys. An int64 array passed in is
+    adopted, not copied, and made read-only."""
 
     scale: Scale
-    keys: tuple[int, ...] = field(repr=False)
+    keys: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        keys = np.asarray(self.keys, dtype=np.int64)
         # sorted and distinct, as the searches over the keys assume
-        if not all(map(operator.lt, self.keys, self.keys[1:])):
+        if keys.ndim != 1 or not (keys[1:] > keys[:-1]).all():
             raise ValidationError("tube family keys must strictly increase")
+        keys.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TubeFamily):
+            return NotImplemented
+        return self.scale == other.scale and np.array_equal(self.keys, other.keys)
 
     @classmethod
     def from_tubes(cls, scale: Scale, tubes: Iterable[DyadicTube]) -> "TubeFamily":
@@ -308,45 +314,43 @@ class TubeFamily:
             if t.scale != scale:
                 raise ScaleError(f"tube at k={t.scale.k} in family at k={scale.k}")
             keys.add(t.key())
-        return cls(scale, tuple(sorted(keys)))
+        return cls(scale, sorted(keys))
 
     @classmethod
     def from_index_pairs(cls, scale: Scale, pairs: Iterable[tuple[int, int]]) -> "TubeFamily":
         k = scale.k
-        return cls(scale, tuple(sorted({pack_key(a, b, k) for a, b in pairs})))
+        return cls(scale, sorted({pack_key(a, b, k) for a, b in pairs}))
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return self.keys.size
 
     def __iter__(self) -> Iterator[DyadicTube]:
-        for a_idx, b_idx in self.index_pairs():
-            yield DyadicTube(self.scale, a_idx, b_idx)
+        return (DyadicTube(self.scale, a_idx, b_idx) for a_idx, b_idx in self.index_pairs())
 
     def index_pairs(self) -> Iterator[tuple[int, int]]:
-        return unpack_keys(self.keys, self.scale.k)
+        a_idx, b_idx = unpack_key_array(self.keys, self.scale.k)
+        return zip(a_idx.tolist(), b_idx.tolist())
 
     def union(self, other: "TubeFamily") -> "TubeFamily":
         if other.scale != self.scale:
             raise ScaleError("union across scales")
-        return TubeFamily(self.scale, tuple(sorted(set(self.keys) | set(other.keys))))
+        keys = np.sort(np.concatenate((self.keys, other.keys)))
+        return TubeFamily(self.scale, keys[_run_starts(keys)])
 
     def intersection_size(self, other: "TubeFamily") -> int:
         if other.scale != self.scale:
             raise ScaleError("intersection across scales")
-        return len(set(self.keys).intersection(other.keys))
+        return len(set(self.keys.tolist()).intersection(other.keys.tolist()))
 
     def slope_cells(self) -> tuple[int, ...]:
         """The distinct slope cells of the family, increasing."""
         # keys sort by slope cell first, so equal slopes are adjacent
-        return tuple(dict.fromkeys(a for a, _ in self.index_pairs()))
+        a_idx, _ = unpack_key_array(self.keys, self.scale.k)
+        return tuple(a_idx[_run_starts(a_idx)].tolist())
 
     def to_json(self) -> dict:
         k = self.scale.k
-        rows = []
-        for a_idx, b_idx in self.index_pairs():
-            a = DyadicRational(a_idx, k)
-            b = DyadicRational(b_idx, k)
-            rows.append([a.num, a.exp, b.num, b.exp])
+        rows = [DyadicRational(a, k).pair() + DyadicRational(b, k).pair() for a, b in self.index_pairs()]
         return {"k": k, "tubes": rows}
 
     @classmethod
@@ -370,11 +374,10 @@ def tubes_through(p: DyadicPoint, scale: Scale, window: Window = UNIT_WINDOW) ->
     cell directly, so the cost is O(#slopes in window) regardless of how many
     tubes come back.
     """
-    a_lo, a_hi = window.slope_index_range(scale)
-    if a_lo >= a_hi:
+    slopes, intercepts = window.cell_ranges(scale)
+    if not slopes:
         raise ValidationError("window contains no slope cells at this scale")
-    intercepts = window.intercept_index_range(scale)
-    return TubeFamily(scale, tuple(keys_through(p, scale.k, range(a_lo, a_hi), intercepts)))
+    return TubeFamily(scale, keys_through(p, scale.k, slopes, intercepts))
 
 
 def parent(tube: DyadicTube, coarse: Scale) -> DyadicTube:
@@ -468,22 +471,16 @@ def cover_by_coarse_tubes(
     fine_slopes = fine_family.slope_cells()
     if any((fa >> d) != a2_idx for fa in fine_slopes):
         raise ValidationError("fine family contains a slope outside the coarse slope cell")
-    cover_keys = set(point_cover.keys)
+    cover_keys = set(point_cover.keys.tolist())
     met: set[int] = set()  # tubes at the fine family's slopes through some point
     for p in points:
         if cover_keys.isdisjoint(keys_through(p, k2, (a2_idx,))):
             raise ValidationError(f"point {p} not covered by the coarse point cover")
         met.update(keys_through(p, k1, fine_slopes))
-    if not met.issuperset(fine_family.keys):
+    if not met.issuperset(fine_family.keys.tolist()):
         raise ValidationError("fine family contains a tube missing the point set")
-    out_pairs = set()
-    for _ca, cb in point_cover.index_pairs():
-        for shift in range(-5, 6):
-            out_pairs.add((a2_idx, cb + shift))
-    result = TubeFamily.from_index_pairs(coarse, out_pairs)
-    result_keys = set(result.keys)
-    for fa, fb in fine_family.index_pairs():
-        key = pack_key(fa >> d, fb >> d, k2)
-        if key not in result_keys:
-            raise AssertionError("coarse cover missed a fine tube; shift bound violated")
+    cells = {(a2_idx, cb + shift) for _, cb in point_cover.index_pairs() for shift in range(-5, 6)}
+    result = TubeFamily.from_index_pairs(coarse, cells)
+    if not set(parent_key_array(fine_family.keys, k1, k2).tolist()) <= set(result.keys.tolist()):
+        raise AssertionError("coarse cover missed a fine tube; shift bound violated")
     return result

@@ -38,8 +38,7 @@ from tubelab.additive import (
 from tubelab.generators import cantor_line_indices, collinear_tripod, quasi_product, quasi_product_tubes
 from tubelab.tubes import (
     TubeFamily,
-    _intercept_window,
-    canonical_keys,
+    intercept_window_array,
     keys_through,
     pack_key,
     tube_contains,
@@ -398,10 +397,11 @@ def _slice_incidences_by_point(qp, tubes):
 
 
 def _canonical_union(qp):
-    """quasi_product_tubes as one canonical_keys call per slice point."""
+    """quasi_product_tubes point by point: the canonical intercept cell
+    floor((y - a*x)/delta) at each slope cell a, in exact dyadic arithmetic."""
     k = qp.scale.k
     slopes = [(1 << k) + v for v in cantor_line_indices(k, qp.s)]
-    return sorted({key for p in qp.points() for key in canonical_keys(p, k, slopes)})
+    return sorted({pack_key(a, (p.y - D(a, k) * p.x).floor_to_int(k), k) for p in qp.points() for a in slopes})
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -442,7 +442,7 @@ def _signed_quasi_products(draw):
     )
     slice_values = hys.lists(hys.integers(-(4 << m), 4 << m), min_size=1, max_size=5, unique=True)
     slices = tuple(tuple(D(v, m) for v in draw(slice_values)) for _ in level_nums)
-    qp = QuasiProduct(Scale(k), 0.5, 0.5, tuple(D(v, m) for v in sorted(level_nums)), slices)
+    qp = QuasiProduct.from_slices(Scale(k), 0.5, 0.5, tuple(D(v, m) for v in sorted(level_nums)), slices)
     off = 8 << k
     slopes = draw(hys.lists(hys.integers(-off, off - 1), min_size=1, max_size=6, unique=True))
     cells = set()
@@ -467,9 +467,9 @@ def test_slice_incidences_clip_windows_at_the_intercept_edges():
     edge = 8 << k
     # at slope cell 37, the window of (3, -1) runs below -8 and that of
     # (-3, 1) above 8: only their cells inside [-8, 8) are tubes
-    qp = QuasiProduct(Scale(k), 0.5, 0.5, (D(-1, 0), D(1, 0)), ((D(3, 0),), (D(-3, 0),)))
-    assert _intercept_window(3, -1, 0, k, 37) == (-edge - 2, -edge + 1)
-    assert _intercept_window(-3, 1, 0, k, 37) == (edge - 1, edge + 1)
+    qp = QuasiProduct.from_slices(Scale(k), 0.5, 0.5, (D(-1, 0), D(1, 0)), ((D(3, 0),), (D(-3, 0),)))
+    assert intercept_window_array(3, -1, 0, k, 37) == (-edge - 2, -edge + 1)
+    assert intercept_window_array(-3, 1, 0, k, 37) == (edge - 1, edge + 1)
     cells = [(37, -edge), (37, -edge + 1), (37, edge - 1), (-37, 0)]
     tubes = TubeFamily.from_index_pairs(qp.scale, cells)
     expected = {
@@ -482,7 +482,7 @@ def test_slice_incidences_clip_windows_at_the_intercept_edges():
 
 
 def test_slice_incidences_on_one_point_slices_and_an_empty_family():
-    qp = QuasiProduct(Scale(6), 0.5, 0.5, (D(0, 0), D(1, 1)), ((D(1, 2),), (D(-5, 3),)))
+    qp = QuasiProduct.from_slices(Scale(6), 0.5, 0.5, (D(0, 0), D(1, 1)), ((D(1, 2),), (D(-5, 3),)))
     tubes = TubeFamily.from_index_pairs(qp.scale, [(a, b) for a in range(-80, 80, 7) for b in range(-90, 90)])
     hits = slice_incidences(qp, tubes)
     assert all(col.dtype == np.int64 for col in hits)
@@ -649,7 +649,7 @@ def test_best_slice_pair_tie_break_order():
     D = DyadicRational
     levels = (D(0, 0), D(1, 2), D(1, 1), D(1, 0))
     slices = ((D(0, 0),), (D(1, 3), D(5, 4)), (D(-1, 2),), (D(1, 1),))
-    qp = QuasiProduct(Scale(4), 0.5, 0.5, levels, slices)
+    qp = QuasiProduct.from_slices(Scale(4), 0.5, 0.5, levels, slices)
     joins = {
         (24, 0): [(0, 0), (1, 0)],  # gap 1/4
         (9, 0): [(0, 0), (1, 1)],  # gap 1/4
@@ -674,6 +674,6 @@ def test_best_slice_pair_tie_break_order():
     # then the lower hi. Levels strictly increase, so equal lo and equal gap
     # mean equal hi unless the float gaps round together: 1 and 1 + 2^-60
     # do, and the columns are given, since no tube is that fine
-    fine = QuasiProduct(Scale(4), 0.5, 0.5, (D(0, 0), D(1, 0), D((1 << 60) + 1, 60)), ((D(0, 0),),) * 3)
+    fine = QuasiProduct.from_slices(Scale(4), 0.5, 0.5, (D(0, 0), D(1, 0), D((1 << 60) + 1, 60)), ((D(0, 0),),) * 3)
     keys, level, point = (np.array(col, dtype=np.int64) for col in ([1, 1, 2, 2], [0, 1, 0, 2], [0, 0, 0, 0]))
     assert best_slice_pair(fine, TubeFamily(fine.scale, ()), incidences=(keys, level, point)) == (0, 1)

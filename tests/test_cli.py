@@ -5,6 +5,7 @@ import argparse
 import copy
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -634,7 +635,7 @@ def test_quasi_product_whose_steep_tubes_meet_a_slice_twice_fails_steepness(caps
     from tubelab.additive import QuasiProduct
 
     D = DyadicRational
-    qp = QuasiProduct(Scale(6), 0.5, 0.5, (D(0, 0),), (tuple(D(v, 7) for v in range(20)),))
+    qp = QuasiProduct.from_slices(Scale(6), 0.5, 0.5, (D(0, 0),), (tuple(D(v, 7) for v in range(20)),))
     src = tmp_path / "qp.json"
     src.write_text(json.dumps(qp.to_json()))
     for command in ("validate", "additive"):
@@ -694,6 +695,48 @@ def test_quasi_product_finer_than_the_window_envelope_is_refused(capsys, tmp_pat
         if code == 2:
             assert out == ""
             assert "2^-46 grid or coarser, got 2^-50" in err
+
+
+def _repeated_slice_value(obj: dict) -> None:
+    obj["slices"][0]["values"].append(obj["slices"][0]["values"][0])
+
+
+def _slice_value_past_four(obj: dict) -> None:
+    obj["slices"][0]["values"][0] = [9, 1]  # 4.5: inside [-8, 8], outside [-4, 4]
+
+
+def _slice_value_past_the_window(obj: dict) -> None:
+    value = DyadicRational.from_pair(obj["slices"][0]["values"][0]) + DyadicRational(1, 55)
+    obj["slices"][0]["values"][0] = value.pair()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (_repeated_slice_value, "duplicate point"),
+        (_slice_value_past_four, "outside [-4, 4]"),
+        (_slice_value_past_the_window, "needs coordinates on the 2^-50 grid or coarser"),
+    ],
+    ids=["repeated", "past_four", "past_the_window"],
+)
+def test_malformed_quasi_product_files_exit_2(capsys, tmp_path, change, message):
+    # each slice point is checked as a point set is, when the file is read:
+    # a repeated value or one outside [-4, 4] was exit 3 from validate and
+    # additive and exit 4 from a run with the sweep; a value past the
+    # membership envelope is refused by the first tube kernel
+    obj = quasi_product(6, 0.5, 0.4, seed=1).to_json()
+    change(obj)
+    src = tmp_path / "qp.json"
+    src.write_text(json.dumps(obj))
+    mf = tmp_path / "m.json"
+    out = tmp_path / "out"
+    analyses = ["validate", "additive", "sweep"]
+    mf.write_text(json.dumps({"input": str(src), "k_range": [6], "analyses": analyses, "out": str(out)}))
+    for argv in (["validate", "--input", str(src)], ["additive", "--input", str(src)], ["run", "--manifest", str(mf)]):
+        code, stdout, err = _call(capsys, argv)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert not (out / "witness.json").exists()
 
 
 _PROBE = "import sys\nfrom tubelab.cli import main\ncode = main(sys.argv[1:])\nprint(code, 'numpy.ma' in sys.modules)\n"
@@ -920,11 +963,17 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, command):
             {"k": 4, "tube": [1, 0, 1, 2], "points": [[-1, 4, 3, 4], [1, 3, 7, 4], [1, 3, 7, 4]]},
             "three distinct levels",
         ),
+        *(
+            ({**quasi_product(4, 0.5, 0.5).to_json(), "tau": tau}, f"tau={float(tau)} must lie in (0, 1]")
+            for tau in (math.nan, math.inf, 0, 1.5)
+        ),
     ],
 )
 def test_inputs_the_fuzz_found_are_parse_errors(capsys, tmp_path, obj, message):
     # each was exit 4: ValidationError from validate, GeneratorError from the
-    # slope net, or a tripod projection dividing by a zero level gap
+    # slope net, or a tripod projection dividing by a zero level gap; a
+    # quasi-product tau outside (0, 1], NaN and Infinity included since
+    # json.load reads them, was exit 0, read and run
     src = tmp_path / "in.json"
     src.write_text(json.dumps(obj))
     code, out, err = _call(capsys, ["validate", "--input", str(src), "--k", "4"])

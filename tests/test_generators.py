@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tubelab.core_grid import Scale, covering_number
+from tubelab.core_grid import DyadicRational, Scale, covering_number
 from tubelab.delta_sets import DeltaSetParams, validate, validate_1d
 from tubelab.errors import GeneratorError, ParseError
 from tubelab.generators import (
@@ -25,7 +25,7 @@ from tubelab.generators import (
 )
 from tubelab.incidence import validate_configuration
 from tubelab.additive import slice_multiplicity_violation
-from tubelab.tubes import TubeFamily, canonical_keys, pack_key_array, tube_contains
+from tubelab.tubes import TubeFamily, pack_key, pack_key_array, tube_contains
 
 
 def test_cantor_line_counts():
@@ -111,11 +111,13 @@ def test_furstenberg_family_sizes():
     [(k, s) for k in (4, 6, 8, 10, 12) for s in (0.3, 0.5, 0.75, 1.0) if k + math.floor(k * s) <= 18],
 )
 def test_furstenberg_keys_are_the_canonical_keys(k, s):
-    # one array per point column against one canonical_keys call per point
+    # one array per point column against the canonical intercept cell
+    # floor((y - a*x)/delta) of each point, in exact dyadic arithmetic
     cfg = furstenberg_product(k, s)
     slopes = cantor_line_indices(k, s)
-    assert [fam.keys for fam in cfg.families] == [
-        tuple(canonical_keys(p, k, slopes)) for p in cfg.points.points
+    assert [fam.keys.tolist() for fam in cfg.families] == [
+        [pack_key(a, (p.y - DyadicRational(a, k) * p.x).floor_to_int(k), k) for a in slopes]
+        for p in cfg.points.points
     ]
 
 

@@ -35,28 +35,26 @@ from tubelab.incidence import (
     validate_configuration,
 )
 from tubelab.tubes import (
+    DyadicTube,
     TubeFamily,
-    _intercept_window,
     _point_ints,
     canonical_tube_through,
     keys_through,
     pack_key,
     parent,
+    tube_contains,
     tubes_through,
     unpack_key,
-    unpack_keys,
 )
 
 
 # ---------------------------------------------------------------- oracles
 
 
-def keys_missing(p: DyadicPoint, k: int, keys: Sequence[int]) -> Iterator[int]:
+def keys_missing(p: DyadicPoint, k: int, keys: np.ndarray) -> Iterator[int]:
     """The keys, in the given order, whose tube does not contain p."""
-    x_num, y_num, m = _point_ints(p)
-    for key, (a_idx, b_idx) in zip(keys, unpack_keys(keys, k)):
-        lo, hi = _intercept_window(x_num, y_num, m, k, a_idx)
-        if not lo <= b_idx <= hi:
+    for key in keys.tolist():
+        if not tube_contains(DyadicTube(Scale(k), *unpack_key(key, k)), p):
             yield key
 
 
@@ -503,11 +501,13 @@ def test_slope_sets_of_neighbouring_families_sharing_a_slope_cell():
 
 def _finer_point(cfg: Configuration, exp: int) -> Configuration:
     # the last point moved by 2^-exp, far from every other point; its family
-    # keeps the tubes through the moved point
+    # holds the canonical tubes through the moved point, in integers, since
+    # the tube kernels refuse it past 2^-(56-k)
     k = cfg.scale.k
     p = cfg.points.points[-1]
     q = DyadicPoint(p.x + DyadicRational(1, exp), p.y)
-    fam = TubeFamily(cfg.scale, tuple(keys_through(q, k, range(0, 1 << k, 3))))
+    x_num, y_num, m = _point_ints(q)
+    fam = TubeFamily(cfg.scale, [pack_key(a, ((y_num << k) - a * x_num) >> m, k) for a in range(0, 1 << k, 3)])
     points = PointSet(cfg.scale, cfg.points.points[:-1] + (q,))
     return Configuration.from_families(points, cfg.families[:-1] + (fam,), cfg.s, cfg.epsilon)
 
@@ -679,7 +679,7 @@ def test_configuration_refuses_family_keys_that_do_not_rise():
     # a TubeFamily refuses reversed keys itself, so the columns carry them
     with pytest.raises(ValidationError, match="strictly increase"):
         TubeFamily(Scale(k), fam_p.keys[::-1])
-    keys = np.array(fam_q.keys + fam_p.keys[::-1])
+    keys = np.concatenate((fam_q.keys, fam_p.keys[::-1]))
     offsets = [0, len(fam_q), len(fam_q), len(fam_q), keys.size]
     with pytest.raises(ValidationError, match="family 3"):
         Configuration(points, keys, offsets, 0.5, 0.1)

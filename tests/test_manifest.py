@@ -429,6 +429,17 @@ def test_incidence_run_builds_no_point_objects(tmp_path, monkeypatch):
     )
     assert run(m, threads=2) == EXIT_PASS
     assert built == Counter()
+    # the additive-run manifest: the slice graph and the sweep read the
+    # quasi-product's point columns too
+    m = _manifest(
+        tmp_path,
+        generator_kind="quasi_product",
+        generator_params={"s": 0.5, "tau": 0.4},
+        k_range=(8, 10),
+        analyses=("validate", "additive", "sweep"),
+    )
+    assert run(m) == EXIT_PASS
+    assert built == Counter()
     # the guard sees a view when one is built
     assert len(furstenberg_product(4, 0.5).points.points) == 16
     assert built == {"PointSet.points": 1, "DyadicPoint": 16}

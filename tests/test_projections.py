@@ -39,7 +39,6 @@ from tubelab.projections import (
     sweep,
     sweep_to_csv,
 )
-from tubelab.tubes import point_columns
 
 BOUNDARY_TOL = 2.0**-40
 
@@ -390,7 +389,7 @@ def test_energy_raises_what_a_helper_raised(helper_fault, helper_threads):
 def _exact_dyadic_counts(points: PointSet, target_k: int) -> list[int]:
     """Cells of side 2^-target_k met by x + a*y for a = j/2^8, j = 0..256,
     in exact integer arithmetic on the points' (X, Y, m) columns."""
-    x, y, m = point_columns(points.points, 0)
+    x, y, m = points.x, points.y, points.m
     return [np.unique((x * 256 + j * y) >> (m + 8 - target_k)).size for j in range(257)]
 
 

@@ -12,6 +12,7 @@ import hypothesis.strategies as hys
 import numpy as np
 import pytest
 
+from tubelab.additive import QuasiProduct, slice_incidences
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
 from tubelab.errors import (
     DomainError,
@@ -21,30 +22,28 @@ from tubelab.errors import (
     TubelabError,
     ValidationError,
 )
+from tubelab.generators import cantor_line_indices, quasi_product_tubes
 from tubelab.tubes import (
     UNIT_WINDOW,
     DyadicTube,
     TubeFamily,
     Window,
-    _intercept_window,
-    _point_ints,
     canonical_tube_through,
     children,
     cover_by_coarse_tubes,
     intercept_window_array,
     key_bits,
+    keys_through,
     pack_key,
     pack_key_array,
     parent,
     parent_key_array,
-    point_columns,
     separating_point,
     slice_interval,
     tube_contains,
     tubes_through,
     unpack_key,
     unpack_key_array,
-    unpack_keys,
 )
 
 ZERO = DyadicRational.integer(0)
@@ -233,7 +232,7 @@ def test_codec_round_trip_at_the_domain_edges(k):
     cells = [(a, b) for a in (-edge, -1, 0, edge - 1) for b in (-edge, 0, 1, edge - 1)]
     keys = [pack_key(a, b, k) for a, b in cells]
     assert [unpack_key(key, k) for key in keys] == cells
-    assert list(unpack_keys(keys, k)) == cells
+    assert list(TubeFamily(Scale(k), keys).index_pairs()) == cells
     assert keys == sorted(keys)  # cells are listed in lexicographic order
     assert min(keys) == 0 and max(keys) < 1 << (2 * k + 8)
     for a, b in [(edge, 0), (0, edge), (-edge - 1, 0), (0, -edge - 1)]:
@@ -274,6 +273,32 @@ def test_pack_key_array_checks_the_domain_once():
     assert pack_key_array(a[:0], b[:0], k).size == 0
 
 
+def _intercept_window(x_num: int, y_num: int, m: int, k: int, a_idx: int) -> tuple[int, int]:
+    """Inclusive range [lo, hi] of the intercept cells whose tube at slope
+    cell a_idx contains (X/2^m, Y/2^m): the membership inequalities of the
+    module docstring solved for B, one point and one slope at a time."""
+    u = (y_num << k) - a_idx * x_num
+    if x_num >= 0:
+        return ((u - x_num - (1 << m)) >> m) + 1, u >> m
+    return ((u - (1 << m)) >> m) + 1, (u - x_num - 1) >> m
+
+
+@hyp.given(
+    hys.integers(min_value=0, max_value=8),
+    hys.integers(min_value=-(4 << 8), max_value=4 << 8),
+    hys.integers(min_value=-(4 << 8), max_value=4 << 8),
+    hys.integers(min_value=-(8 << 3), max_value=(8 << 3) - 1),
+)
+def test_scalar_window_is_the_membership_inequality(m, x_num, y_num, a_idx):
+    # the oracle below, checked against tube_contains over every intercept
+    k = 3
+    hyp.assume(abs(x_num) <= 4 << m and abs(y_num) <= 4 << m)
+    p = DyadicPoint(DyadicRational(x_num, m), DyadicRational(y_num, m))
+    lo, hi = _intercept_window(x_num, y_num, m, k, a_idx)
+    inside = [b for b in range(-(8 << k), 8 << k) if tube_contains(DyadicTube(Scale(k), a_idx, b), p)]
+    assert inside == [b for b in range(max(lo, -(8 << k)), min(hi + 1, 8 << k))]
+
+
 @hyp.given(
     hys.integers(min_value=1, max_value=20).flatmap(
         lambda k: hys.integers(min_value=0, max_value=56 - k).flatmap(
@@ -299,17 +324,78 @@ def test_intercept_window_array_matches_the_scalar_window(args):
     ]
 
 
-def test_point_columns_refuse_points_past_the_int64_window():
-    k = 8
-    fine = DyadicPoint(DyadicRational(1, 56 - k), DyadicRational(-3, 5))
-    x_num, y_num, m = point_columns([fine, DyadicPoint.of(1, 1, 0, 0)], k)
-    assert list(zip(x_num.tolist(), y_num.tolist(), m.tolist())) == [
-        _point_ints(fine),
-        _point_ints(DyadicPoint.of(1, 1, 0, 0)),
+def _through(p: DyadicPoint, k: int, slopes) -> list[int]:
+    """Keys of the tubes at the slope cells that contain p, by testing every
+    intercept cell of the domain."""
+    edge = 8 << k
+    return [
+        pack_key(a, b, k)
+        for a in slopes
+        for b in range(-edge, edge)
+        if tube_contains(DyadicTube(Scale(k), a, b), p)
     ]
-    with pytest.raises(DyadicOverflowError, match=r"2\^-48 grid or coarser, got 2\^-49"):
-        point_columns([DyadicPoint(DyadicRational(1, 57 - k), DyadicRational(0, 0))], k)
-    assert [c.size for c in point_columns([], k)] == [0, 0, 0]
+
+
+def _one_point(p: DyadicPoint, k: int) -> QuasiProduct:
+    return QuasiProduct.from_slices(Scale(k), 0.5, 0.5, (p.y,), ((p.x,),))
+
+
+def _hit_keys(p: DyadicPoint, k: int) -> list[int]:
+    family = TubeFamily(Scale(k), _through(p, k, range(16, 20)))
+    keys, _, _ = slice_incidences(_one_point(p, k), family)
+    return keys.tolist()
+
+
+def _coarse_cover(p: DyadicPoint, k: int) -> list[int]:
+    # fine tubes at k through p at slopes [1, 1 + 2^-2), covered at k - 2
+    coarse = Scale(k - 2)
+    point_cover = TubeFamily.from_tubes(coarse, [canonical_tube_through(p, ONE, coarse)])
+    fine = TubeFamily(Scale(k), _through(p, k, range(1 << k, (1 << k) + 4)))
+    return cover_by_coarse_tubes(fine, PointSet(Scale(k), (p,)), ONE, coarse, point_cover).keys.tolist()
+
+
+def _shifted_cover(p: DyadicPoint, k: int) -> list[int]:
+    # the coarse point cover's intercept shifted by up to 5 coarse steps
+    [key] = _through(p, k - 2, [1 << (k - 2)])[-1:]
+    a, b = unpack_key(key, k - 2)
+    return [pack_key(a, b + shift, k - 2) for shift in range(-5, 6)]
+
+
+# each tube entry point at k = 4, and the same keys by brute force; where x >
+# 0 the canonical tube is the last one through p at its slope cell
+_ENTRY_POINTS = {
+    "keys_through": (
+        lambda p, k: keys_through(p, k, range(16, 20)),
+        lambda p, k: _through(p, k, range(16, 20)),
+    ),
+    "tubes_through": (
+        lambda p, k: tubes_through(p, Scale(k), Window.of_ints(1, 2, -8, 8)).keys.tolist(),
+        lambda p, k: _through(p, k, range(16, 32)),
+    ),
+    "canonical_tube_through": (
+        lambda p, k: [canonical_tube_through(p, ONE, Scale(k)).key()],
+        lambda p, k: _through(p, k, [16])[-1:],
+    ),
+    "cover_by_coarse_tubes": (_coarse_cover, _shifted_cover),
+    "quasi_product_tubes": (
+        lambda p, k: quasi_product_tubes(_one_point(p, k)).keys.tolist(),
+        lambda p, k: [_through(p, k, [(1 << k) + a])[-1] for a in cantor_line_indices(k, 0.5)],
+    ),
+    "slice_incidences": (_hit_keys, lambda p, k: _through(p, k, range(16, 20))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_tube_entry_points_refuse_points_past_the_int64_window(entry):
+    # exact at m + k = 56, refused at 57 with the membership envelope's error
+    call, oracle = _ENTRY_POINTS[entry]
+    k = 4
+    exact = DyadicPoint(DyadicRational(1, 56 - k), DyadicRational(-3, 5))
+    assert call(exact, k) == oracle(exact, k) != []
+    fine = DyadicPoint(DyadicRational(1, 57 - k), DyadicRational(-3, 5))
+    message = r"at k=4 needs coordinates on the 2\^-52 grid or coarser, got 2\^-53"
+    with pytest.raises(DyadicOverflowError, match=message):
+        call(fine, k)
 
 
 def test_tube_cells_are_validated_once():
@@ -343,7 +429,8 @@ def test_family_basics():
     t2 = DyadicTube.from_indices(scale, 3, 4)
     fam = TubeFamily.from_tubes(scale, [t1, t2, t1])
     assert len(fam) == 2
-    assert fam.keys == (t1.key(), t2.key())
+    assert fam.keys.tolist() == [t1.key(), t2.key()]
+    assert fam.keys.dtype == np.int64 and not fam.keys.flags.writeable
     other = TubeFamily.from_tubes(scale, [t2])
     assert len(fam.union(other)) == 2
     assert fam.intersection_size(other) == 1
