@@ -274,12 +274,12 @@ class Window:
     def of_ints(cls, a_lo: int, a_hi: int, b_lo: int, b_hi: int) -> "Window":
         return cls(*map(DyadicRational.integer, (a_lo, a_hi, b_lo, b_hi)))
 
-    def cell_ranges(self, scale: Scale) -> tuple[range, tuple[int, int]]:
-        """The slope cells with a in the window, and [lo, hi) of the
-        intercept cells with b in it."""
+    def cell_ranges(self, scale: Scale) -> tuple[np.ndarray, tuple[int, int]]:
+        """The slope cells with a in the window, increasing, and [lo, hi) of
+        the intercept cells with b in it."""
         # -floor(-v) is the ceiling
         a_lo, a_hi, b_lo, b_hi = (-(-v).floor_to_int(scale.k) for v in (self.a_lo, self.a_hi, self.b_lo, self.b_hi))
-        return range(a_lo, a_hi), (b_lo, b_hi)
+        return np.arange(a_lo, a_hi, dtype=np.int64), (b_lo, b_hi)
 
 
 UNIT_WINDOW = Window(ZERO, ONE, ZERO, ONE)
@@ -375,9 +375,10 @@ def tubes_through(p: DyadicPoint, scale: Scale, window: Window = UNIT_WINDOW) ->
     tubes come back.
     """
     slopes, intercepts = window.cell_ranges(scale)
-    if not slopes:
+    if not slopes.size:
         raise ValidationError("window contains no slope cells at this scale")
-    return TubeFamily(scale, keys_through(p, scale.k, slopes, intercepts))
+    x_num, y_num, m = _point_ints(p)
+    return TubeFamily(scale, window_keys(x_num, y_num, m, scale.k, slopes, intercepts)[0])
 
 
 def parent(tube: DyadicTube, coarse: Scale) -> DyadicTube:
