@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_grid import DyadicPoint, DyadicRational, PointSet, Scale, _int_field, _run_starts
+from .core_grid import DyadicPoint, DyadicRational, PointSet, Scale, _indexed_entries, _int_field, _run_starts
 from .errors import HypothesisViolation, ParseError, ValidationError
 from .incidence import _run_lengths
 from .tubes import TubeFamily, unpack_key, unpack_key_array, window_keys
@@ -108,20 +108,15 @@ class QuasiProduct:
         if not (isinstance(level_rows, list) and isinstance(entries, list)):
             raise ParseError("quasi product 'levels' and 'slices' must be lists")
         levels = tuple(DyadicRational.from_pair(row) for row in level_rows)
-        slots: list[tuple[DyadicRational, ...] | None] = [None] * len(levels)
-        for entry in entries:
-            idx = _int_field(entry, "level_index")
-            if not (0 <= idx < len(levels)):
-                raise ParseError(f"slice references missing level index {idx}")
-            if slots[idx] is not None:
-                raise ParseError(f"two slices for level index {idx}")
-            values = entry.get("values", [])
-            if not isinstance(values, list):
-                raise ParseError(f"slice {idx} 'values' must be a list, got {values!r}")
-            slots[idx] = tuple(DyadicRational.from_pair(r) for r in values)
-        if None in slots:
-            raise ParseError(f"no slice for level index {slots.index(None)}")
-        return cls.from_slices(Scale(k), s, tau, levels, slots)  # type: ignore[arg-type]
+
+        def values(entry: dict) -> tuple[DyadicRational, ...]:
+            rows = entry.get("values", [])
+            if not isinstance(rows, list):
+                raise ParseError(f"slice {entry['level_index']} 'values' must be a list, got {rows!r}")
+            return tuple(DyadicRational.from_pair(r) for r in rows)
+
+        slices = _indexed_entries(entries, "level_index", len(levels), ("slice", "slices"), values)
+        return cls.from_slices(Scale(k), s, tau, levels, slices)
 
 
 def sumset_cover(a_values: Sequence[DyadicRational], b_values: Sequence[DyadicRational], target: Scale) -> int:
@@ -425,19 +420,17 @@ def _pair_table(hits: SliceHits) -> PairTable:
     return tuple(col[new] for col in table)
 
 
-def best_slice_pair(
-    qp: QuasiProduct, tubes: TubeFamily, *, incidences: SliceHits | None = None, pairs: PairTable | None = None
-) -> tuple[int, int]:
+def best_slice_pair(qp: QuasiProduct, tubes: TubeFamily, *, pairs: PairTable | None = None) -> tuple[int, int]:
     """The level pair with the most distinct point pairs joined by a tube of
     the family.
 
     Ties prefer wider level separation, then lower indices; deterministic.
     Raises HypothesisViolation("joined_levels"), witnessed by the level and
     tube counts, when no tube joins two distinct levels: nothing to measure.
-    A caller that already holds slice_incidences(qp, tubes) passes it as
-    incidences, or its _pair_table as pairs.
+    A caller that already holds the _pair_table of slice_incidences(qp,
+    tubes) passes it as pairs.
     """
-    lo, hi, _, _ = pairs or _pair_table(incidences or slice_incidences(qp, tubes))
+    lo, hi, _, _ = pairs or _pair_table(slice_incidences(qp, tubes))
     if not lo.size:
         witness = {"level_count": len(qp.levels), "tube_count": len(tubes)}
         raise HypothesisViolation("joined_levels", "no tube joins two distinct levels", witness)
@@ -454,25 +447,25 @@ def best_slice_pair(
 
 
 def tube_slice_pairs(
-    qp: QuasiProduct, tubes: TubeFamily, level_lo: int, level_hi: int, *,
-    incidences: SliceHits | None = None, pairs: PairTable | None = None,
+    qp: QuasiProduct, tubes: TubeFamily, level_lo: int, level_hi: int, *, pairs: PairTable | None = None
 ) -> PairGraph:
     """Pairs (a1, a3) joined by a tube through slices level_lo and level_hi.
 
     Raises HypothesisViolation if any tube meets two points of one slice
-    (checked over every slice, not only the two used). A caller that
-    already holds slice_incidences(qp, tubes) passes it as incidences; one
-    that has also checked that hypothesis passes its _pair_table as pairs.
+    (checked over every slice, not only the two used). A caller that has
+    checked that hypothesis on slice_incidences(qp, tubes) passes their
+    _pair_table as pairs.
     """
     n = len(qp.levels)
     if not (0 <= level_lo < n and 0 <= level_hi < n) or level_lo == level_hi:
         raise ValidationError(f"level indices ({level_lo}, {level_hi}) invalid for {n} levels")
     if pairs is None:
-        incidences = incidences or slice_incidences(qp, tubes)
-        bad = _multiplicity_violation(incidences, qp.scale.k)
+        hits = slice_incidences(qp, tubes)
+        bad = _multiplicity_violation(hits, qp.scale.k)
         if bad is not None:
             raise bad
-    lo, hi, point_lo, point_hi = pairs or _pair_table(incidences)
+        pairs = _pair_table(hits)
+    lo, hi, point_lo, point_hi = pairs
     rows = (lo == min(level_lo, level_hi)) & (hi == max(level_lo, level_hi))
     ends = (point_lo[rows], point_hi[rows]) if level_lo < level_hi else (point_hi[rows], point_lo[rows])
     # the table's rows are distinct, and so are the edges

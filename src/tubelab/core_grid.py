@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -52,6 +52,27 @@ def _int_field(entry: object, key: str) -> int:
     if type(value) is not int:
         raise ParseError(f"{key!r} must be an integer, got {value!r} in {entry!r}")
     return value
+
+
+def _indexed_entries(
+    entries: list, key: str, n: int, what: tuple[str, str], read: Callable[[dict], object]
+) -> list:
+    """read(entry) of each entry of a JSON list, in the slot its integer
+    entry[key] names; ParseError unless each slot of range(n) is named
+    exactly once. `what` names an entry, singular then plural."""
+    one, many = what
+    index = key.replace("_", " ")
+    slots: list = [None] * n
+    for entry in entries:
+        idx = _int_field(entry, key)
+        if not (0 <= idx < n):
+            raise ParseError(f"{one} references missing {index} {idx}")
+        if slots[idx] is not None:
+            raise ParseError(f"two {many} for {index} {idx}")
+        slots[idx] = read(entry)
+    if None in slots:
+        raise ParseError(f"no {one} for {index} {slots.index(None)}")
+    return slots
 
 
 @dataclass(frozen=True, order=True)

@@ -164,13 +164,12 @@ def quasi_product(k: int, s: float, tau: float, seed: int = 0) -> QuasiProduct:
     return QuasiProduct(points, s, tau)
 
 
-def quasi_product_tubes(qp: QuasiProduct, s_net: float | None = None) -> TubeFamily:
+def quasi_product_tubes(qp: QuasiProduct) -> TubeFamily:
     """Steep tubes (slopes in [1, 2) on a cantor slope net) through every
     point of the quasi product, canonical intercepts. Like slice_incidences,
     it refuses points finer than the 2^-(56-k) grid (DyadicOverflowError)."""
     k, ps = qp.scale.k, qp.point_set
-    s_net = qp.s if s_net is None else s_net
-    slopes = np.array(cantor_line_indices(k, s_net), dtype=np.int64) + (1 << k)
+    slopes = np.array(cantor_line_indices(k, qp.s), dtype=np.int64) + (1 << k)
     # the canonical keys of every point, one row per point; sorted, then
     # deduplicated
     keys = np.sort(canonical_key_array(ps.x[:, None], ps.y[:, None], ps.m, k, slopes), axis=None)

@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core_grid import PointSet, Scale, _int_field, _run_starts, cell_numbers, covering_number
+from .core_grid import PointSet, Scale, _indexed_entries, _int_field, _run_starts, cell_numbers, covering_number
 from .delta_sets import DeltaSetParams, _validate_coords, validate
 from .errors import HypothesisViolation, ParseError, ScaleError, ValidationError
 from .tubes import TubeFamily, intercept_window_array, key_bits, membership_grid, parent_key_array
@@ -90,6 +90,16 @@ class Configuration:
         bounds = self.offsets.tolist()
         return tuple(TubeFamily(self.scale, self.keys[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
+    @cached_property
+    def violations(self) -> tuple[HypothesisViolation, ...]:
+        """validate_configuration's violations, computed once."""
+        return tuple(validate_configuration(self))
+
+    @cached_property
+    def incidences(self) -> IncidenceReport:
+        """incidence_report's report, computed once."""
+        return incidence_report(self)
+
     @property
     def scale(self) -> Scale:
         return self.points.scale
@@ -115,21 +125,14 @@ class Configuration:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"configuration JSON needs k, s, epsilon: {exc}") from exc
         points = PointSet.from_json({"k": k, "points": obj.get("points", [])})
-        n = len(points)
-        slots: list[TubeFamily | None] = [None] * n
         entries = obj.get("families", [])
         if not isinstance(entries, list):
             raise ParseError(f"configuration 'families' must be a list, got {entries!r}")
-        for entry in entries:
-            idx = _int_field(entry, "point_index")
-            if not (0 <= idx < n):
-                raise ParseError(f"family references missing point index {idx}")
-            if slots[idx] is not None:
-                raise ParseError(f"two families for point index {idx}")
-            slots[idx] = TubeFamily.from_json({"k": k, "tubes": entry.get("tubes", [])})
-        if None in slots:
-            raise ParseError(f"no family for point index {slots.index(None)}")
-        return cls.from_families(points, slots, s, eps)  # type: ignore[arg-type]
+        families = _indexed_entries(
+            entries, "point_index", len(points), ("family", "families"),
+            lambda entry: TubeFamily.from_json({"k": k, "tubes": entry.get("tubes", [])}),
+        )
+        return cls.from_families(points, families, s, eps)
 
 
 def _run_lengths(first: np.ndarray) -> np.ndarray:
@@ -316,10 +319,10 @@ class CauchySchwarzReport:
         return {**asdict(self), "lower_bound_ok": self.inequality_ok}
 
 
-def cauchy_schwarz_bound(cfg: Configuration, *, incidences: IncidenceReport | None = None) -> CauchySchwarzReport:
-    """|I|, sum_T N_T^2 and |T|, exactly, from the N_T histogram of
-    `incidences` (computed when the caller does not pass it)."""
-    hist = (incidence_report(cfg) if incidences is None else incidences).nt_histogram
+def cauchy_schwarz_bound(cfg: Configuration) -> CauchySchwarzReport:
+    """|I|, sum_T N_T^2 and |T|, exactly, from the N_T histogram of the
+    configuration's incidence report."""
+    hist = cfg.incidences.nt_histogram
     s1 = sum(v * n for v, n in hist)
     s2 = sum(v * v * n for v, n in hist)
     tubes = sum(n for _, n in hist)
@@ -345,16 +348,11 @@ class DichotomyReport:
         return {**asdict(self), "margins": list(self.margins)}
 
 
-def dichotomy_hypotheses(
-    cfg: Configuration, *, structural: list[HypothesisViolation] | None = None
-) -> list[HypothesisViolation]:
-    """Cardinality and coarse-spread hypotheses on top of the structural ones.
-
-    `structural` is `validate_configuration(cfg)` when the caller has it
-    already; it is copied, not extended."""
+def dichotomy_hypotheses(cfg: Configuration) -> list[HypothesisViolation]:
+    """Cardinality and coarse-spread hypotheses on top of the structural ones."""
     k = cfg.scale.k
     eps = cfg.epsilon
-    out = list(validate_configuration(cfg) if structural is None else structural)
+    out = list(cfg.violations)
     n = len(cfg.points)
     need_points = 2.0 ** (k * (1.0 - eps))
     if n < need_points:
@@ -389,30 +387,18 @@ def dichotomy_hypotheses(
     return out
 
 
-def dichotomy_check(
-    cfg: Configuration,
-    slack: float,
-    *,
-    structural: list[HypothesisViolation] | None = None,
-    incidences: IncidenceReport | None = None,
-) -> DichotomyReport:
+def dichotomy_check(cfg: Configuration, slack: float) -> DichotomyReport:
     """Verify that tube counts or coarse tube counts carry the expected
-    exponent. Raises HypothesisViolation (first one, all payloads attached)
-    if the input fails any stated hypothesis.
-
-    A caller that has `validate_configuration(cfg)` or `incidence_report(cfg)`
-    already passes them as `structural` and `incidences`; the report is
-    the same either way."""
+    exponent. Raises HypothesisViolation (the first one, its witness
+    extended with every payload) if the input fails any stated hypothesis."""
     if not (0.0 < slack <= 1.0):
         raise ValidationError(f"slack={slack} outside (0, 1]")
-    violations = dichotomy_hypotheses(cfg, structural=structural)
+    violations = dichotomy_hypotheses(cfg)
     if violations:
         first = violations[0]
-        first.witness.setdefault(
-            "all_violations", [v.payload() for v in violations]
-        )
-        raise first
-    rep = incidence_report(cfg) if incidences is None else incidences
+        witness = {**first.witness, "all_violations": [v.payload() for v in violations]}
+        raise HypothesisViolation(first.name, first.message, witness)
+    rep = cfg.incidences
     tube_target = 2.0 * cfg.s - slack
     coarse_target = cfg.s - slack
     tube_branch = rep.e_tubes >= tube_target

@@ -50,15 +50,11 @@ from .errors import (
     ScaleError,
     ValidationError,
 )
-from .generators import GeneratorSpec, TripodInstance, quasi_product_tubes
-from .incidence import (
-    Configuration,
-    IncidenceReport,
-    cauchy_schwarz_bound,
-    dichotomy_check,
-    incidence_report,
-    validate_configuration,
-)
+from .generators import GeneratorSpec, TripodInstance, _is_number, quasi_product_tubes
+from .incidence import Configuration, cauchy_schwarz_bound, dichotomy_check
+# a configuration runs these two inside its memos; they stay bound here too,
+# where tests/test_manifest.py counts the checks that a run makes
+from .incidence import incidence_report, validate_configuration  # noqa: F401
 from .projections import DirectionNet, sweep, sweep_to_csv
 
 EXIT_PASS = 0
@@ -238,13 +234,16 @@ class ExperimentManifest:
             analyses = tuple(str(a) for a in obj["analyses"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"manifest needs 'analyses': {exc}") from exc
+        slack = obj.get("slack", 0.25)
+        if not _is_number(slack):
+            raise ParseError(f"manifest 'slack' must be a number, got {slack!r}")
         return cls(
             generator_kind=kind,
             generator_params=dict(params),
             input_path=None if path is None else str(path),
             k_range=_int_row(k_range, len(k_range), "manifest 'k_range'"),
             analyses=analyses,
-            slack=float(obj.get("slack", 0.25)),
+            slack=float(slack),
             seed=_int_field(obj, "seed") if "seed" in obj else 0,
             out=str(obj.get("out", "out")),
         )
@@ -380,9 +379,9 @@ class _Subject:
     Every analysis is checked against the object's shape, and the slack
     and the (s, C) profile against their ranges, before any runs: a
     misapplied analysis or an out-of-range argument is a ParseError before
-    a hypothesis can fail. The quasi-product slice graph, a configuration's
-    structural check and its incidence report are each computed at most
-    once per object, by whichever analysis needs them first.
+    a hypothesis can fail. The quasi-product slice graph is computed at most
+    once per object, by whichever analysis needs it first; a configuration
+    memoizes its own structural check and incidence report.
     """
 
     obj: Any
@@ -429,19 +428,11 @@ class _Subject:
         lo, hi = best_slice_pair(self.obj, tubes, pairs=pairs)
         return tubes, lo, hi, tube_slice_pairs(self.obj, tubes, lo, hi, pairs=pairs)
 
-    @cached_property
-    def _structural(self) -> list[HypothesisViolation]:
-        return validate_configuration(self.obj)
-
-    @cached_property
-    def _incidences(self) -> IncidenceReport:
-        return incidence_report(self.obj)
-
     def _validate(self) -> _Outcome:
         obj, shape = self.obj, self.shape
         if shape == "configuration":
-            if self._structural:
-                raise self._structural[0]
+            if obj.violations:
+                raise obj.violations[0]
             return _Outcome(True, {"hypotheses": "ok"}, {"shape": shape, "verdict": "pass"})
         if shape == "quasi_product":
             # the defining property: no tube of the natural family meets one
@@ -464,8 +455,8 @@ class _Subject:
         return _Outcome(report.valid, {"report": printed}, printed)
 
     def _incidence(self) -> _Outcome:
-        inc = self._incidences
-        cs = cauchy_schwarz_bound(self.obj, incidences=inc)
+        inc = self.obj.incidences
+        cs = cauchy_schwarz_bound(self.obj)
         section = {"report": inc.to_json(), "cauchy_schwarz": cs.to_json()}
         row = {
             "n_tubes": inc.tube_count,
@@ -477,9 +468,7 @@ class _Subject:
         return _Outcome(inc.identity_ok and cs.inequality_ok, section, section, row)
 
     def _dichotomy(self) -> _Outcome:
-        rep = dichotomy_check(
-            self.obj, self.slack, structural=self._structural, incidences=self._incidences
-        )
+        rep = dichotomy_check(self.obj, self.slack)
         printed = rep.to_json()
         row = {"e_tubes": repr(rep.e_tubes), "e_coarse": repr(rep.e_coarse)}
         return _Outcome(rep.passed, {"report": printed}, printed, row)

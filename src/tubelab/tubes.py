@@ -227,31 +227,24 @@ def canonical_key_array(
     return pack_key_array(a_idx, ((y_num << k) - a_idx * x_num) >> m, k)
 
 
-def keys_through(
-    p: DyadicPoint, k: int, slope_cells: Iterable[int], intercepts: tuple[int, int] | None = None
-) -> list[int]:
+def keys_through(p: DyadicPoint, k: int, slope_cells: Iterable[int]) -> list[int]:
     """Keys of every tube through p at the given slope cells, inside the
-    [-8, 8) domain and, if given, with intercept cell in [lo, hi).
+    [-8, 8) domain.
 
     The keys come out in key order when the slope cells increase. The cost
     is O(#slope cells + #keys), whatever the size of any family the caller
     intersects them with.
     """
     x_num, y_num, m = _point_ints(p)
-    return window_keys(x_num, y_num, m, k, np.fromiter(slope_cells, dtype=np.int64), intercepts)[0].tolist()
-
-
-def canonical_keys(p: DyadicPoint, k: int, slope_cells: Iterable[int]) -> list[int]:
-    """Key of the canonical tube through p at each slope cell."""
-    x_num, y_num, m = _point_ints(p)
-    return canonical_key_array(x_num, y_num, m, k, np.fromiter(slope_cells, dtype=np.int64)).tolist()
+    return window_keys(x_num, y_num, m, k, np.fromiter(slope_cells, dtype=np.int64))[0].tolist()
 
 
 def canonical_tube_through(p: DyadicPoint, slope: DyadicRational, scale: Scale) -> DyadicTube:
     """The tube at the given slope cell whose intercept cell is
     delta*floor((p.y - slope*p.x)/delta); always contains p."""
-    [key] = canonical_keys(p, scale.k, (_param_index(slope, scale, "slope"),))
-    return DyadicTube(scale, *unpack_key(key, scale.k))
+    x_num, y_num, m = _point_ints(p)
+    key = canonical_key_array(x_num, y_num, m, scale.k, _param_index(slope, scale, "slope"))
+    return DyadicTube(scale, *unpack_key(int(key), scale.k))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from tubelab.errors import HypothesisViolation, ParseError, ValidationError
 from tubelab.additive import (
     PairGraph,
     QuasiProduct,
+    _pair_table,
     bsg_refine,
     best_slice_pair,
     exact_sumset_size,
@@ -419,14 +420,14 @@ def test_columnar_slice_maps_match_the_point_loops(k, seed):
 def test_slice_pair_functions_take_the_map(k, seed):
     qp = quasi_product(k, 0.5, 0.4, seed=seed)
     tubes = quasi_product_tubes(qp)
-    hits = slice_incidences(qp, tubes)
+    pairs = _pair_table(slice_incidences(qp, tubes))
     lo, hi = best_slice_pair(qp, tubes)
-    assert best_slice_pair(qp, tubes, incidences=hits) == (lo, hi)
-    assert tube_slice_pairs(qp, tubes, lo, hi, incidences=hits) == tube_slice_pairs(qp, tubes, lo, hi)
-    # the columns are read, not recomputed: empty ones join no levels
-    empty = tuple(col[:0] for col in hits)
+    assert best_slice_pair(qp, tubes, pairs=pairs) == (lo, hi)
+    assert tube_slice_pairs(qp, tubes, lo, hi, pairs=pairs) == tube_slice_pairs(qp, tubes, lo, hi)
+    # the table is read, not recomputed: an empty one joins no levels
+    empty = tuple(col[:0] for col in pairs)
     with pytest.raises(HypothesisViolation, match="no tube joins two distinct levels"):
-        best_slice_pair(qp, tubes, incidences=empty)
+        best_slice_pair(qp, tubes, pairs=empty)
 
 
 @hys.composite
@@ -607,7 +608,7 @@ def _assert_slice_graph_matches_the_walks(qp, tubes):
     slice_map = _slice_map(hits)
     bad, want = slice_multiplicity_violation(qp, tubes), _multiplicity_oracle(tubes, slice_map)
     assert (bad and bad.payload()) == (want and want.payload())
-    assert _outcome(lambda: best_slice_pair(qp, tubes, incidences=hits)) == _outcome(
+    assert _outcome(lambda: best_slice_pair(qp, tubes)) == _outcome(
         lambda: _best_pair_oracle(qp, tubes, slice_map)
     )
     n = len(qp.levels)
@@ -615,7 +616,7 @@ def _assert_slice_graph_matches_the_walks(qp, tubes):
     pairs = [(0, n - 1), (n - 1, 0)] if want else [(lo, hi) for lo in range(n) for hi in range(n)]
     for lo, hi in pairs:
         if lo != hi:
-            assert _outcome(lambda: tube_slice_pairs(qp, tubes, lo, hi, incidences=hits)) == _outcome(
+            assert _outcome(lambda: tube_slice_pairs(qp, tubes, lo, hi)) == _outcome(
                 lambda: _pairs_oracle(qp, tubes, lo, hi, slice_map)
             )
     pruned = prune_to_slice_multiplicity(qp, tubes)
@@ -676,4 +677,4 @@ def test_best_slice_pair_tie_break_order():
     # do, and the columns are given, since no tube is that fine
     fine = QuasiProduct.from_slices(Scale(4), 0.5, 0.5, (D(0, 0), D(1, 0), D((1 << 60) + 1, 60)), ((D(0, 0),),) * 3)
     keys, level, point = (np.array(col, dtype=np.int64) for col in ([1, 1, 2, 2], [0, 1, 0, 2], [0, 0, 0, 0]))
-    assert best_slice_pair(fine, TubeFamily(fine.scale, ()), incidences=(keys, level, point)) == (0, 1)
+    assert best_slice_pair(fine, TubeFamily(fine.scale, ()), pairs=_pair_table((keys, level, point))) == (0, 1)

@@ -163,7 +163,7 @@ def test_internal_error_prints_witness(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("tubelab.manifest.incidence_report", boom)
+    monkeypatch.setattr("tubelab.incidence.incidence_report", boom)
     argv = ["incidence", "--kind", "furstenberg_product", "--k", "4", "--s", "0.5"]
     code, out, err = _call(capsys, argv)
     assert code == 4
@@ -439,6 +439,8 @@ _ANALYSIS_LIST = hys.one_of(
     hys.lists(hys.sampled_from(ANALYSES), min_size=1, max_size=3, unique=True),
     hys.lists(hys.sampled_from([*ANALYSES, "mystery"]), max_size=3),
 )
+# near-valid manifest slacks: in range, out of range, and not numbers
+_SLACK = hys.sampled_from([0.25, 1, 1.0, 0.0, 2.0, True, "0.5", None, [1]])
 _GENERATOR_PARAM = {
     "s": hys.sampled_from([0.25, 0.5, 1.0, 0.0, 2.0]),
     "tau": hys.sampled_from([0.4, 0.5, 1.0, -1.0]),
@@ -467,12 +469,15 @@ def _generators(draw):
 @hys.composite
 def _mutated_manifests(draw, inputs: list[str]):
     """A manifest of furstenberg_product at k = 4, or of one of the input
-    files, with some of k_range, analyses and its source (generator or
-    input) replaced by a near-valid value three times in four, by any JSON
-    value or dropped otherwise; one time in twenty it names both sources."""
+    files, with some of k_range, analyses, slack, seed and its source
+    (generator or input) set to a near-valid value three times in four, to
+    any JSON value or dropped otherwise; one time in twenty it names both
+    sources."""
     fields = {
         "k_range": _K_RANGE,
         "analyses": _ANALYSIS_LIST,
+        "slack": _SLACK,
+        "seed": hys.integers(-1, 3),
         "generator": _generators(),
         "input": hys.sampled_from(inputs),
     }
@@ -484,11 +489,13 @@ def _mutated_manifests(draw, inputs: list[str]):
         "input": draw(fields["input"]),
     }
     del manifest["input" if source == "generator" else "generator"]
-    names = draw(hys.lists(hys.sampled_from(["k_range", "analyses", source]), min_size=1, unique=True))
+    names = draw(
+        hys.lists(hys.sampled_from(["k_range", "analyses", "slack", "seed", source]), min_size=1, unique=True)
+    )
     for name in names:
         how = draw(hys.sampled_from(["near"] * 6 + ["any", "drop"]))
         if how == "drop":
-            del manifest[name]
+            manifest.pop(name, None)
         else:
             manifest[name] = draw(fields[name] if how == "near" else _JSON_VALUE)
     if draw(hys.integers(0, 19)) == 0:
@@ -515,6 +522,55 @@ def test_mutated_manifests_never_exit_internal(tmp_path_factory):
         assert main(["run", "--manifest", str(work / "m.json")]) in {0, 1, 2, 3}
 
     check()
+
+
+@pytest.mark.parametrize("slack", [[1], "abc", {}, None, True, "0.5"])
+def test_manifest_slack_must_be_a_number(capsys, tmp_path, slack):
+    # read as a generator's numbers are: an int or a float, not a bool; a
+    # list, an object, null or a string was exit 4 with a TypeError or
+    # ValueError, and true or "0.5" ran as 1.0 or 0.5
+    manifest = {"generator": {"kind": "grid", "params": {}}, "k_range": [2], "analyses": ["validate"]}
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({**manifest, "slack": slack, "out": str(tmp_path / "out")}))
+    code, out, err = _call(capsys, ["run", "--manifest", str(src)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'slack' must be a number" in err and "Traceback" not in err
+
+
+# the index-keyed list of each input shape that has one: (build, list, key)
+_INDEXED_LISTS = {
+    "configuration": (lambda: furstenberg_product(4, 0.5).to_json(), "families", "point_index"),
+    "quasi_product": (lambda: quasi_product(4, 0.5, 0.5).to_json(), "slices", "level_index"),
+}
+
+
+@pytest.mark.parametrize(
+    "shape, how, message",
+    [
+        ("configuration", "past", "family references missing point index {n}"),
+        ("configuration", "twice", "two families for point index 0"),
+        ("configuration", "missing", "no family for point index 0"),
+        ("quasi_product", "past", "slice references missing level index {n}"),
+        ("quasi_product", "twice", "two slices for level index 0"),
+        ("quasi_product", "missing", "no slice for level index 0"),
+    ],
+)
+def test_index_keyed_lists_name_each_slot_once(capsys, tmp_path, shape, how, message):
+    build, name, key = _INDEXED_LISTS[shape]
+    obj = build()
+    entries = obj[name]
+    n = len(entries)
+    if how == "past":
+        entries[0][key] = n
+    elif how == "twice":
+        entries[1][key] = 0
+    else:
+        del entries[0]
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(obj))
+    code, out, err = _call(capsys, ["validate", "--input", str(src)])
+    assert (code, out) == (2, "")
+    assert message.format(n=n) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("bad", [4.7, True, "4", None])

@@ -173,10 +173,8 @@ def assert_matches_oracles(cfg: Configuration) -> None:
         got = [v.payload() for v in validate_configuration(cfg)]
     assert got == [v.payload() for v in validate_configuration_oracle(cfg, recording(oracle_checked))]
     assert kernel_checked == oracle_checked
-    report = incidence_report(cfg)
-    assert report == incidence_report_oracle(cfg)
+    assert incidence_report(cfg) == incidence_report_oracle(cfg)
     assert cauchy_schwarz_bound(cfg) == cauchy_schwarz_oracle(cfg)
-    assert cauchy_schwarz_bound(cfg, incidences=report) == cauchy_schwarz_oracle(cfg)
 
 
 # ------------------------------------------------------------------ tests
@@ -388,23 +386,33 @@ def test_frostman_witnesses_are_pinned():
     }
 
 
-def test_dichotomy_reuses_given_checks():
-    cfg = furstenberg_product(8, 0.5)
-    structural, incidences = validate_configuration(cfg), incidence_report(cfg)
-    given = dichotomy_check(cfg, 0.25, structural=structural, incidences=incidences)
-    assert given == dichotomy_check(cfg, 0.25)
-    # failing hypotheses: the given list is copied before more are appended
+def test_configuration_checks_itself_once(monkeypatch):
+    # cauchy_schwarz_bound and dichotomy_check read the configuration's
+    # memos: one structural check and one incidence report between them
+    calls = Counter()
+    for name in ("validate_configuration", "incidence_report"):
+
+        def counted(cfg, _real=getattr(incidence, name), _name=name):
+            calls[_name] += 1
+            return _real(cfg)
+
+        monkeypatch.setattr(incidence, name, counted)
     k = 4
     p = _point(3, 5, k)
-    small = _config_for([p], [tubes_through(p, Scale(k))], k)
-    structural = validate_configuration(small)
-    names = [v.name for v in dichotomy_hypotheses(small, structural=structural)]
-    assert names == [v.name for v in dichotomy_hypotheses(small)]
-    assert "point_count" in names
-    assert all(v.name != "point_count" for v in structural)
+    cfg = _config_for([p], [tubes_through(p, Scale(k))], k)
+    cauchy_schwarz_bound(cfg)
     with pytest.raises(HypothesisViolation) as err:
-        dichotomy_check(small, 0.25, structural=structural)
-    assert err.value.name == names[0]
+        dichotomy_check(cfg, 0.25)
+    with pytest.raises(HypothesisViolation) as again:
+        dichotomy_check(cfg, 0.25)
+    assert calls == {"validate_configuration": 1, "incidence_report": 1}
+    # each raise is a fresh violation; the memo's first one stays as it was
+    first = cfg.violations[0]
+    assert "all_violations" not in first.witness
+    assert (err.value.name, err.value.message) == (first.name, first.message)
+    every = [v.payload() for v in dichotomy_hypotheses(cfg)]
+    assert err.value.witness == {**first.witness, "all_violations": every}
+    assert again.value.payload() == err.value.payload()
 
 
 def test_dichotomy_passes_on_generator():

@@ -1,4 +1,5 @@
-"""Reachability guard: no library surface that nothing reaches.
+"""Reachability guards: no library surface that nothing reaches, and no
+parameter that nothing sets.
 
 Every top-level function and class of `src/tubelab`, and every method other
 than a dunder, must be reached in one of four ways:
@@ -13,12 +14,20 @@ than a dunder, must be reached in one of four ways:
 
 Names are compared as identifiers in the syntax tree, so a word in a string
 or a docstring reaches nothing.
+
+Every parameter of a function or method of `src/tubelab` that has a default
+or is keyword-only must be passed by some call in `src/tubelab`, outside the
+function's own body, or in `tests/test_acceptance.py`: by keyword, by
+position at or past its index, or by `*` or `**`. Calls match a function by
+its name, and an `__init__` by its class's name. Dataclass fields are not
+parameters here.
 """
 from __future__ import annotations
 
 import ast
 from collections import defaultdict
 from pathlib import Path
+from typing import Iterator
 
 from tubelab.manifest import ANALYSES
 
@@ -38,6 +47,10 @@ README_API = (
     # delta^(1/2) at which the incidence theorem counts
     "children",
 )
+
+# Parameters that no call sets, as "module: function.parameter". `main`'s
+# argv is None when the installed `tubelab` console script calls it.
+UNSET_ALLOWED = ("cli.py: main.argv",)
 
 
 def _definitions(tree: ast.Module):
@@ -139,3 +152,73 @@ def test_readme_api_names_are_defined_and_documented():
     for name in README_API:
         assert name in defined
         assert f"`{name}`" in readme
+
+
+def _functions(body: list[ast.stmt], prefix: str = "", cls: str | None = None) -> Iterator[tuple]:
+    """(qualified name, node, the name calls use, the index of the first
+    parameter a call passes by position) of each function, method and
+    nested function in the statements."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.", node.name)
+        elif isinstance(node, ast.FunctionDef):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            callee = cls if node.name == "__init__" else node.name
+            yield f"{prefix}{node.name}", node, callee, int(cls is not None and not static)
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+def _passes(call: ast.Call, index: int | None, name: str) -> bool:
+    """Whether the call passes the parameter: by keyword or `**`, or, for a
+    positional parameter at that index, by position or `*`."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def _unset(modules: dict[str, ast.Module], acceptance: ast.Module) -> list[str]:
+    """The defaulted and keyword-only parameters of the modules that no call
+    outside their own function passes."""
+    calls: dict[str, list[tuple[str, ast.Call]]] = defaultdict(list)
+    for module, tree in {**modules, "test_acceptance.py": acceptance}.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls[name].append((module, node))
+    unset = []
+    for module, tree in modules.items():
+        for qualified, node, callee, first in _functions(tree.body):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = len(positional) - len(args.defaults)
+            params = [(i - first, a.arg) for i, a in enumerate(positional) if i >= defaulted]
+            params += [(None, a.arg) for a in args.kwonlyargs]
+            own = range(node.lineno, node.end_lineno + 1)
+            outside = [call for other, call in calls[callee] if other != module or call.lineno not in own]
+            for index, name in params:
+                if not any(_passes(call, index, name) for call in outside):
+                    unset.append(f"{module}: {qualified}.{name}")
+    return unset
+
+
+def test_every_parameter_is_set():
+    unset = _unset(_modules(), ast.parse(ACCEPTANCE.read_text()))
+    assert [name for name in unset if name not in UNSET_ALLOWED] == []
+
+
+def test_unset_parameters_are_found():
+    lib = ast.parse(
+        "class Box:\n"
+        "    def __init__(self, side, *, label=None):\n"
+        "        self.side = side\n"
+        "    def grow(self, by=1, twice=False):\n"
+        "        return self.grow(by, twice=True)\n"
+        "def make(n, k=0, *, fast=False, **rest):\n"
+        "    return Box(n, label='b').grow(2)\n"
+        "def spread(a=0, b=0):\n"
+        "    return a + b\n"
+    )
+    user = ast.parse("make(1, 2)\nspread(*(1, 2))\nmake(3, **{})\n")
+    # grow's twice is set only by grow itself
+    assert _unset({"lib.py": lib}, user) == ["lib.py: Box.grow.twice"]
