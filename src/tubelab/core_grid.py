@@ -400,11 +400,17 @@ class PointSet:
         return cls(Scale(k), tuple(pts))
 
 
+def _cell_columns(ps: PointSet, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's half-open dyadic cell of side 2^-k, as the columns
+    floor(x 2^k) and floor(y 2^k)."""
+    shift = ps.m - k
+    return (ps.x >> shift, ps.y >> shift) if shift >= 0 else (ps.x << -shift, ps.y << -shift)
+
+
 def cell_numbers(ps: PointSet, k: int) -> tuple[np.ndarray, int]:
     """Each point's half-open dyadic cell of side 2^-k, numbered in the
     cells' sorted order, and the number of cells the set meets."""
-    shift = ps.m - k
-    cx, cy = (ps.x >> shift, ps.y >> shift) if shift >= 0 else (ps.x << -shift, ps.y << -shift)
+    cx, cy = _cell_columns(ps, k)
     # k <= SCALE_CAP, so |cy| <= 2^22 and one int64 packs (cx, cy) in order
     cells = (cx << 24) + cy
     order = np.argsort(cells)

@@ -26,16 +26,16 @@ from typing import Sequence
 import numpy as np
 
 from .core_grid import (
-    DyadicPoint,
     DyadicRational,
     PointSet,
     Scale,
+    _cell_columns,
     _distance_dtype,
+    _run_starts,
+    cell_numbers,
     check_value_bound,
 )
 from .errors import DyadicOverflowError, ValidationError
-
-Coord = tuple[DyadicRational, ...]
 
 # ball counts take the squared distances of this many centers at a time:
 # one 16 x n row block of int32 or int64, small next to the point set
@@ -174,53 +174,30 @@ def validate_1d(values: Sequence[DyadicRational], params: DeltaSetParams) -> Val
     return _validate_coords(([v.num << (m - v.exp) for v in values],), m, params)
 
 
-def _occupied_levels(coords: Sequence[Coord], k: int) -> list[dict[tuple[int, ...], list[int]]]:
-    levels: list[dict[tuple[int, ...], list[int]]] = []
-    for j in range(k + 1):
-        d: dict[tuple[int, ...], list[int]] = {}
-        for idx, c in enumerate(coords):
-            d.setdefault(tuple(v.floor_to_int(j) for v in c), []).append(idx)
-        levels.append(d)
-    return levels
-
-
-def _content_dp(levels: list[dict[tuple[int, ...], list[int]]], s: float, k: int) -> list[dict[tuple[int, ...], float]]:
-    m: list[dict[tuple[int, ...], float]] = [dict() for _ in range(k + 1)]
-    for cell in levels[k]:
-        m[k][cell] = 2.0 ** (-k * s)
+def _quadtree(ps: PointSet, s: float) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """The dyadic cells of sides 1 down to delta that a set meets, numbered
+    per level in sorted order: each point's leaf cell, each level's parent
+    column (parents[j][c] is the level-(j-1) cell holding level-j cell c)
+    and each level's content m[j][c] = min(side^s, sum of its children's)."""
+    k = ps.scale.k
+    nums, counts = zip(*(cell_numbers(ps, j) for j in range(k + 1)))
+    parents = [np.zeros(0, dtype=np.int64)]
+    for j in range(1, k + 1):
+        parent = np.empty(counts[j], dtype=np.int64)
+        parent[nums[j]] = nums[j - 1]
+        parents.append(parent)
+    m = [np.full(counts[k], 2.0 ** (-k * s))]
     for j in range(k - 1, -1, -1):
-        side_pow = 2.0 ** (-j * s)
-        for cell in levels[j]:
-            child_sum = 0.0
-            for child in _child_cells(cell, levels[j + 1]):
-                child_sum += m[j + 1][child]
-            m[j][cell] = min(side_pow, child_sum)
-    return m
+        # bincount adds children in cell order, within a parent (0, 0),
+        # (0, 1), (1, 0), (1, 1): the order of the content's float sums
+        m.insert(0, np.minimum(2.0 ** (-j * s), np.bincount(parents[j + 1], m[0], counts[j])))
+    return nums[k], parents, m
 
 
-def _child_cells(cell: tuple[int, ...], next_level: dict) -> list[tuple[int, ...]]:
-    out = []
-    for dx in (0, 1):
-        for dy in (0, 1):
-            c = (2 * cell[0] + dx, 2 * cell[1] + dy)
-            if c in next_level:
-                out.append(c)
-    return out
-
-
-def _content(coords: Sequence[Coord], s: float, k: int) -> float:
-    """Discrete content: the minimum over quadtree cuts of the occupied
-    cells (sides between delta and 1) of the sum of side^s."""
-    levels = _occupied_levels(coords, k)
-    m = _content_dp(levels, s, k)
-    return sum(m[0][cell] for cell in sorted(levels[0]))
-
-
-# Absolute ball-condition constants achieved by extract: any dyadic cell of
+# Absolute ball-condition constant achieved by extract: any dyadic cell of
 # side r holds at most (r/delta)^s + 1 <= 2 (r/delta)^s selected points and an
-# open r-ball meets at most 3^dim such cells.
+# open r-ball meets at most 3^2 such cells.
 EXTRACT_CONSTANT_2D = 18.0
-EXTRACT_CONSTANT_1D = 6.0
 
 
 @dataclass(frozen=True)
@@ -243,66 +220,58 @@ def extract(ps: PointSet, s: float) -> ExtractReport:
     induction, the output has at least kappa_selected * delta^-s >= 0.25 *
     kappa * delta^-s points, while the capacities bound every dyadic cell's
     occupancy by (r/delta)^s + 1, giving the absolute validate constant 18.
+
+    The quadtree is a column of integer cell numbers per level, and the
+    content, the capacities and the allocation are one array pass per
+    level; the kept point of a leaf cell is its least in (x, y) order.
     """
     if not (0.0 < s <= 2.0):
         raise ValidationError(f"extraction exponent s={s} outside (0, 2]")
-    k = ps.scale.k
-    kappa = _content([(p.x, p.y) for p in ps.points], s, k)
-
-    best: tuple[float, tuple[int, ...], list[DyadicPoint]] | None = None
-    for parity in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        members = [
-            p
-            for p in ps.points
-            if (p.x.floor_to_int(k) & 1, p.y.floor_to_int(k) & 1) == parity
-        ]
-        if not members:
-            continue
-        kap = _content([(p.x, p.y) for p in members], s, k)
-        if best is None or kap > best[0]:
-            best = (kap, parity, members)
-    if best is None:
+    if not len(ps):
         raise ValidationError("empty input")
-    kappa_sel, parity, members = best
+    k = ps.scale.k
+    kappa = sum(_quadtree(ps, s)[2][0].tolist())
 
-    coords = [(p.x, p.y) for p in members]
-    levels = _occupied_levels(coords, k)
-    m = _content_dp(levels, s, k)
-    cap: list[dict[tuple[int, ...], int]] = [dict() for _ in range(k + 1)]
-    for cell in levels[k]:
-        cap[k][cell] = 1
+    # bit 0 of each point's delta-cell coordinates
+    odd_x, odd_y = (c & 1 for c in _cell_columns(ps, k))
+    best = None
+    for parity in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        mask = (odd_x == parity[0]) & (odd_y == parity[1])
+        if not mask.any():
+            continue
+        members = PointSet.from_columns(ps.scale, ps.x[mask], ps.y[mask], ps.m)
+        tree = _quadtree(members, s)
+        kap = sum(tree[2][0].tolist())
+        if best is None or kap > best[0]:
+            best = (kap, parity, members, tree)
+    kappa_sel, parity, members, (leaf, parents, m) = best
+
+    caps = [np.ones(m[k].size, dtype=np.int64)]
     for j in range(k - 1, -1, -1):
-        a_j = math.ceil(2.0 ** ((k - j) * s))
-        for cell in levels[j]:
-            cap[j][cell] = min(a_j, sum(cap[j + 1][c] for c in _child_cells(cell, levels[j + 1])))
+        child_caps = np.bincount(parents[j + 1], caps[0], m[j].size).astype(np.int64)
+        caps.insert(0, np.minimum(math.ceil(2.0 ** ((k - j) * s)), child_caps))
+    # each parent serves its children greedily, by content descending and
+    # then cell (lexsort is stable): a child gets its parent's give less the
+    # caps of the siblings served before it, clipped to [0, its cap]
+    give = caps[0]
+    for j in range(1, k + 1):
+        order = np.lexsort((-m[j], parents[j]))
+        parent, cap = parents[j][order], caps[j][order]
+        before = np.cumsum(cap) - cap
+        first = _run_starts(parent)
+        earlier = before - before[first][np.cumsum(first) - 1]
+        give_j = np.empty_like(cap)
+        give_j[order] = np.clip(give[parent] - earlier, 0, cap)
+        give = give_j
 
-    chosen_cells: list[tuple[int, ...]] = []
-
-    def allocate(j: int, cell: tuple[int, ...], budget: int) -> None:
-        if budget <= 0:
-            return
-        if j == k:
-            chosen_cells.append(cell)
-            return
-        kids = _child_cells(cell, levels[j + 1])
-        kids.sort(key=lambda c: (-m[j + 1][c], c))
-        remaining = budget
-        for c in kids:
-            give = min(cap[j + 1][c], remaining)
-            allocate(j + 1, c, give)
-            remaining -= give
-            if remaining == 0:
-                break
-
-    for cell in sorted(levels[0]):
-        allocate(0, cell, cap[0][cell])
-
-    picked: list[DyadicPoint] = []
-    for cell in chosen_cells:
-        group = levels[k][cell]
-        pt = min((members[i] for i in group), key=lambda p: (p.x, p.y))
-        picked.append(pt)
-    picked.sort(key=lambda p: (p.x, p.y))
-    out = PointSet(ps.scale, tuple(picked))
+    # one point per served leaf cell, its least in (x, y) order
+    x, y = members.x, members.y
+    by_cell = np.lexsort((y, x, leaf))
+    least = by_cell[_run_starts(leaf[by_cell])]
+    keep = np.zeros(x.size, dtype=bool)
+    keep[least[give > 0]] = True
+    by_xy = np.lexsort((y, x))
+    pick = by_xy[keep[by_xy]]
+    out = PointSet.from_columns(ps.scale, x[pick], y[pick], members.m)
     params = DeltaSetParams(ps.scale, s, EXTRACT_CONSTANT_2D)
     return ExtractReport(out, kappa, kappa_sel, parity, params)

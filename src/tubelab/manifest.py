@@ -52,9 +52,6 @@ from .errors import (
 )
 from .generators import GeneratorSpec, TripodInstance, _is_number, quasi_product_tubes
 from .incidence import Configuration, cauchy_schwarz_bound, dichotomy_check
-# a configuration runs these two inside its memos; they stay bound here too,
-# where tests/test_manifest.py counts the checks that a run makes
-from .incidence import incidence_report, validate_configuration  # noqa: F401
 from .projections import DirectionNet, sweep, sweep_to_csv
 
 EXIT_PASS = 0

@@ -450,7 +450,7 @@ def projection_energy(
 
 def sweep_to_csv(sw: ProjectionSweep, energy: ProjectionEnergy | None = None) -> str:
     """CSV rows (angle, count, energy); energy column empty when not supplied."""
-    if energy is not None and len(energy.energies) != len(sw.counts):
+    if energy is not None and energy.net.angles != sw.net.angles:
         raise ValidationError("energy report does not match sweep net")
     lines = ["angle,count,energy"]
     for i, (a, c) in enumerate(zip(sw.net.angles, sw.counts)):

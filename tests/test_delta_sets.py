@@ -6,6 +6,7 @@ cuts; the validation oracle is a full scan over grid centers.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis as hyp
@@ -21,7 +22,7 @@ from tubelab.delta_sets import (
     validate_1d,
 )
 from tubelab.errors import ValidationError
-from tubelab.generators import cantor_grid, cantor_line, grid
+from tubelab.generators import cantor_grid, cantor_line, grid, quasi_product
 
 
 def _grid_set(k: int, cells: set[tuple[int, int]]) -> PointSet:
@@ -534,3 +535,156 @@ def test_extract_rejects_bad_exponent():
         extract(grid(2), 0.0)
     with pytest.raises(ValidationError):
         extract(grid(2), 2.5)
+
+
+def test_extract_rejects_empty_input():
+    for ps in (PointSet(Scale(4), ()), PointSet.from_columns(Scale(4), [], [], 4)):
+        with pytest.raises(ValidationError, match="empty input"):
+            extract(ps, 1.0)
+
+
+# --- extract against the dict walk it replaced ---
+
+
+def _extract_oracle(ps: PointSet, s: float) -> tuple[PointSet, float, float, tuple[int, int]]:
+    """extract as dicts of tuple cells per level and a recursive allocator
+    over DyadicPoints: (points, kappa, kappa_selected, parity)."""
+    k = ps.scale.k
+
+    def levels_of(points):
+        levels = []
+        for j in range(k + 1):
+            cells: dict[tuple[int, int], list[DyadicPoint]] = {}
+            for p in points:
+                cells.setdefault((p.x.floor_to_int(j), p.y.floor_to_int(j)), []).append(p)
+            levels.append(cells)
+        return levels
+
+    def children(j, cell, levels):
+        out = []
+        for dx in (0, 1):
+            for dy in (0, 1):
+                c = (2 * cell[0] + dx, 2 * cell[1] + dy)
+                if c in levels[j + 1]:
+                    out.append(c)
+        return out
+
+    def content_dp(levels):
+        m = [dict() for _ in range(k + 1)]
+        for cell in levels[k]:
+            m[k][cell] = 2.0 ** (-k * s)
+        for j in range(k - 1, -1, -1):
+            for cell in levels[j]:
+                child_sum = 0.0
+                for c in children(j, cell, levels):
+                    child_sum += m[j + 1][c]
+                m[j][cell] = min(2.0 ** (-j * s), child_sum)
+        return m
+
+    def content(points):
+        levels = levels_of(points)
+        m = content_dp(levels)
+        return sum(m[0][cell] for cell in sorted(levels[0]))
+
+    kappa = content(ps.points)
+    best = None
+    for parity in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        members = [p for p in ps.points if (p.x.floor_to_int(k) & 1, p.y.floor_to_int(k) & 1) == parity]
+        if members:
+            kap = content(members)
+            if best is None or kap > best[0]:
+                best = (kap, parity, members)
+    kappa_sel, parity, members = best
+
+    levels = levels_of(members)
+    m = content_dp(levels)
+    cap = [dict() for _ in range(k + 1)]
+    for cell in levels[k]:
+        cap[k][cell] = 1
+    for j in range(k - 1, -1, -1):
+        a_j = math.ceil(2.0 ** ((k - j) * s))
+        for cell in levels[j]:
+            cap[j][cell] = min(a_j, sum(cap[j + 1][c] for c in children(j, cell, levels)))
+    chosen = []
+
+    def allocate(j, cell, budget):
+        if budget <= 0:
+            return
+        if j == k:
+            chosen.append(cell)
+            return
+        kids = sorted(children(j, cell, levels), key=lambda c: (-m[j + 1][c], c))
+        remaining = budget
+        for c in kids:
+            give = min(cap[j + 1][c], remaining)
+            allocate(j + 1, c, give)
+            remaining -= give
+            if remaining == 0:
+                break
+
+    for cell in sorted(levels[0]):
+        allocate(0, cell, cap[0][cell])
+    picked = sorted((min(levels[k][cell], key=lambda p: (p.x, p.y)) for cell in chosen), key=lambda p: (p.x, p.y))
+    return PointSet(ps.scale, picked), kappa, kappa_sel, parity
+
+
+def _assert_extract_matches_oracle(ps: PointSet, s: float) -> None:
+    rep = extract(ps, s)
+    points, kappa, kappa_sel, parity = _extract_oracle(ps, s)
+    # PointSet equality compares the grid exponent and both columns
+    assert rep.points == points
+    assert (rep.kappa, rep.kappa_selected, rep.parity) == (kappa, kappa_sel, parity)
+    assert rep.params == DeltaSetParams(ps.scale, s, 18.0)
+
+
+@hys.composite
+def _extract_cases(draw):
+    """A scale k in 0..5 and up to 60 distinct points on the grid
+    2^-(k+f), f in 0..2, inside [-r, r)^2 for r a few cells, the unit
+    square's width or the whole [-4, 4) range; s anywhere in (0, 2]."""
+    k, f = draw(hys.integers(0, 5)), draw(hys.integers(0, 2))
+    reach = draw(hys.sampled_from([2, 1 << (k + f), 4 << (k + f)]))
+    rows = draw(
+        hys.sets(hys.tuples(hys.integers(-reach, reach - 1), hys.integers(-reach, reach - 1)), min_size=1, max_size=60)
+    )
+    s = draw(hys.one_of(hys.sampled_from([0.5, 1.0, 1.5, 2.0]), hys.floats(0.05, 2.0)))
+    return PointSet(Scale(k), tuple(DyadicPoint.of(x, k + f, y, k + f) for x, y in sorted(rows))), s
+
+
+@hyp.settings(deadline=None)
+@hyp.given(_extract_cases())
+def test_extract_matches_dict_walk_oracle(case):
+    _assert_extract_matches_oracle(*case)
+
+
+def test_extract_matches_dict_walk_oracle_on_criterion_05_corpus():
+    from test_acceptance import _extraction_corpus
+
+    for _, ps, s in _extraction_corpus():
+        _assert_extract_matches_oracle(ps, s)
+
+
+def test_extract_builds_no_point_objects(monkeypatch):
+    # extract reads the point columns only: no DyadicPoint, no points view
+    inputs = [(grid(5), 1.0), (cantor_grid(6, 0.5), 0.7), (_grid_set(4, {(0, 0), (3, 9), (15, 2)}), 2.0)]
+    qp = quasi_product(8, 0.5, 0.5, seed=1)
+    inputs.append((qp.point_set, 1.0))
+    built = Counter()
+    init, points = DyadicPoint.__init__, PointSet.__dict__["points"].func
+
+    def counted(self, x, y):
+        built["DyadicPoint"] += 1
+        init(self, x, y)
+
+    def view(ps):
+        built["PointSet.points"] += 1
+        return points(ps)
+
+    monkeypatch.setattr(DyadicPoint, "__init__", counted)
+    monkeypatch.setattr(PointSet, "points", property(view))
+    for ps, s in inputs:
+        assert len(extract(ps, s).points) > 0
+    assert built == Counter()
+    # the guard sees a view when one is built
+    assert len(grid(1).points) == 4
+    assert built == {"PointSet.points": 1, "DyadicPoint": 4}

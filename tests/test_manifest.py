@@ -376,17 +376,16 @@ def test_run_internal_error_witness_names_stage(tmp_path, monkeypatch, target, s
 
 
 def _count_structural_checks(monkeypatch) -> Counter:
-    """Count validate_configuration and incidence_report calls, wherever the
-    package binds them."""
+    """Count validate_configuration and incidence_report calls in
+    tubelab.incidence, where a configuration's memos look both up."""
     calls: Counter = Counter()
-    for module in (manifest_module, incidence_module):
-        for name in ("validate_configuration", "incidence_report"):
+    for name in ("validate_configuration", "incidence_report"):
 
-            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
+        def counted(*args, _real=getattr(incidence_module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(incidence_module, name, counted)
     return calls
 
 

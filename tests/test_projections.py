@@ -894,3 +894,9 @@ def test_sweep_to_csv_rejects_mismatched_energy():
     rep = projection_energy(ps, other, 0.5)
     with pytest.raises(ValidationError):
         sweep_to_csv(sw, rep)
+    # a net of the same length with other angles would put each energy
+    # beside the wrong angle
+    same_length = DirectionNet.from_angles(Scale(4), [0.0, 0.5])
+    with pytest.raises(ValidationError):
+        sweep_to_csv(sw, projection_energy(ps, same_length, 0.5))
+    assert sweep_to_csv(sw, projection_energy(ps, net, 0.5)).count("\n") == 3
