@@ -12,11 +12,13 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_grid import DyadicPoint, DyadicRational, PointSet, Scale, _indexed_entries, _int_field, _run_starts
+from .core_grid import GRID_CAP, DyadicPoint, DyadicRational, PointSet, Scale, _indexed_entries, _int_field, _run_starts
+from .core_grid import grid_objects, number_field, read_pairs, write_rows
 from .errors import HypothesisViolation, ParseError, ValidationError
 from .incidence import _run_lengths
 from .tubes import TubeFamily, unpack_key, unpack_key_array, window_keys
@@ -84,39 +86,45 @@ class QuasiProduct:
         return list(self.point_set.points)
 
     def to_json(self) -> dict:
+        ps, bounds = self.point_set, self.offsets.tolist()
+        values = write_rows(ps.x[:, None], ps.m)
         return {
             "k": self.scale.k,
             "s": self.s,
             "tau": self.tau,
-            "levels": [b.pair() for b in self.levels],
+            "levels": write_rows(ps.y[self.offsets[:-1], None], ps.m),
             "slices": [
-                {"level_index": i, "values": [a.pair() for a in sl]}
-                for i, sl in enumerate(self.slices)
+                {"level_index": i, "values": values[lo:hi]} for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
             ],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuasiProduct":
         k = _int_field(obj, "k")
-        try:
-            s = float(obj["s"])
-            tau = float(obj["tau"])
-            level_rows = obj["levels"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"quasi product JSON needs k, s, tau, levels: {exc}") from exc
-        entries = obj.get("slices", [])
+        what = "quasi product JSON needs k, s, tau, levels:"
+        s, tau = number_field(obj, "s", what), number_field(obj, "tau", what)
+        if "levels" not in obj:
+            raise ParseError(f"{what} 'levels'")
+        level_rows, entries = obj["levels"], obj.get("slices", [])
         if not (isinstance(level_rows, list) and isinstance(entries, list)):
             raise ParseError("quasi product 'levels' and 'slices' must be lists")
-        levels = tuple(DyadicRational.from_pair(row) for row in level_rows)
-
-        def values(entry: dict) -> tuple[DyadicRational, ...]:
-            rows = entry.get("values", [])
+        slices = _indexed_entries(
+            entries, "level_index", len(level_rows), ("slice", "slices"), lambda entry: entry.get("values", [])
+        )
+        for i, rows in enumerate(slices):
             if not isinstance(rows, list):
-                raise ParseError(f"slice {entry['level_index']} 'values' must be a list, got {rows!r}")
-            return tuple(DyadicRational.from_pair(r) for r in rows)
-
-        slices = _indexed_entries(entries, "level_index", len(levels), ("slice", "slices"), values)
-        return cls.from_slices(Scale(k), s, tau, levels, slices)
+                raise ParseError(f"slice {i} 'values' must be a list, got {rows!r}")
+        columns, exact = read_pairs([*level_rows, *chain.from_iterable(slices)])
+        if exact:  # the scalar path, for values the array cannot hold
+            pairs = iter(grid_objects(columns, exact, DyadicRational))
+            levels = [next(pairs) for _ in level_rows]
+            return cls.from_slices(Scale(k), s, tau, levels, [[next(pairs) for _ in sl] for sl in slices])
+        levels, xs, sizes = columns[: len(level_rows), 0], columns[len(level_rows) :, 0], list(map(len, slices))
+        if not all(sizes):
+            raise ValidationError("empty slice")
+        if (levels[1:] <= levels[:-1]).any():
+            raise ValidationError("levels must be strictly increasing")
+        return cls(PointSet.from_columns(Scale(k), xs, np.repeat(levels, sizes), GRID_CAP), s, tau)
 
 
 def sumset_cover(a_values: Sequence[DyadicRational], b_values: Sequence[DyadicRational], target: Scale) -> int:

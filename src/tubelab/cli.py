@@ -24,7 +24,7 @@ import sys
 import traceback
 from typing import Any, Sequence
 
-from .core_grid import Scale, fit_exponent
+from .core_grid import Scale, fit_exponent, values_to_json
 from .errors import ParseError
 from .generators import _KIND_PARAMS, GeneratorSpec
 from .manifest import (
@@ -123,7 +123,7 @@ def _thread_count(text: str) -> int:
 
 def _object_json(obj: Any) -> dict:
     if isinstance(obj, (list, tuple)):  # slope_net values
-        return {"values": [v.pair() for v in obj]}
+        return values_to_json(obj)
     return obj.to_json()
 
 

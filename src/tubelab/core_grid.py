@@ -8,8 +8,10 @@ around 1e-15 is documented and harmless against the tolerances in use.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,16 +24,15 @@ _NUM_CAP = 1 << 127
 EXP_BOUND = 128
 
 
-def _int_row(row: object, width: int, what: str) -> tuple[int, ...]:
-    """A JSON row of exactly `width` integers; ParseError on anything else.
+def _is_int_row(row: object, width: int) -> bool:
+    """Whether a JSON row is exactly `width` integers. Booleans are refused
+    too, although Python counts them as ints."""
+    return isinstance(row, (list, tuple)) and len(row) == width and all(type(v) is int for v in row)
 
-    Booleans are refused too, although Python counts them as ints.
-    """
-    if not (
-        isinstance(row, (list, tuple))
-        and len(row) == width
-        and all(type(v) is int for v in row)
-    ):
+
+def _int_row(row: object, width: int, what: str) -> tuple[int, ...]:
+    """A JSON row of exactly `width` integers; ParseError on anything else."""
+    if not _is_int_row(row, width):
         raise ParseError(f"{what} must be {width} integers, got {row!r}")
     return tuple(row)
 
@@ -44,6 +45,73 @@ def _dyadic_row(row: object, width: int, what: str) -> tuple[int, ...]:
         if not -EXP_BOUND <= exp <= EXP_BOUND:
             raise ParseError(f"{what}: exponent {exp} outside [-{EXP_BOUND}, {EXP_BOUND}]")
     return values
+
+
+def read_rows(
+    rows: list, width: int, grid: int, what: Callable[[int], str], build: Callable[..., object]
+) -> tuple[np.ndarray, dict[int, object]]:
+    """JSON rows of `width` integers read as [num, exp] pairs: the int64
+    array of each pair's value times 2^grid, and build(*row) of each row
+    the array does not take, by row index, its array row zero.
+
+    One type pass, one np.array and array masks take the rows of `width`
+    integers (not booleans) whose exponents lie within +-EXP_BOUND and whose
+    values lie on the 2^-grid grid within int64, in lowest terms or not.
+    The other rows are read in row order as the scalar readers read them:
+    the row check names what(i), and build raises its error or returns the
+    row's exact value. Domain tests are the caller's, on the array."""
+    n, ints = len(rows), None
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
+        if set(map(type, chain.from_iterable(rows))) <= {int}:
+            with suppress(OverflowError):  # an integer past int64
+                ints, held = np.array(rows, dtype=np.int64).reshape(n, width), np.ones(n, dtype=bool)
+    if ints is None:
+        fits = [_is_int_row(row, width) and all(-(1 << 63) <= v < 1 << 63 for v in row) for row in rows]
+        held = np.array(fits, dtype=bool)
+        ints = np.array([row if ok else [0] * width for row, ok in zip(rows, held)], dtype=np.int64)
+        ints = ints.reshape(n, width)
+    num, exp = ints[:, 0::2], ints[:, 1::2]
+    held &= ((exp >= -EXP_BOUND) & (exp <= EXP_BOUND)).all(axis=1)
+    # shift each numerator onto the grid, left by up or right by -up; the
+    # round trip fails on any lost bit, and any value of 0 is exact
+    up = np.where(held[:, None], grid - exp, 0)
+    left, right = np.clip(up, 0, 62), np.clip(-up, 0, 62)
+    values = (num << left) >> right
+    held &= ((((values << right) >> left) == num) & (np.abs(up) <= 62) | (num == 0)).all(axis=1)
+    values[~held] = 0
+    return values, {i: build(*_dyadic_row(rows[i], width, what(i))) for i in np.flatnonzero(~held).tolist()}
+
+
+def grid_objects(values: np.ndarray, exact: dict[int, object], build: Callable[..., object]) -> list:
+    """Each row's object from read_rows on the 2^-GRID_CAP grid: build(num,
+    GRID_CAP, ...) of its array row, or the object read exactly."""
+    rows = [chain.from_iterable((v, GRID_CAP) for v in row) for row in values.tolist()]
+    return [exact[i] if i in exact else build(*row) for i, row in enumerate(rows)]
+
+
+def write_rows(values: np.ndarray, grid: int) -> list[list[int]]:
+    """The JSON rows of a 2-d int64 array of values times 2^grid: each
+    value as a [num, exp] pair in lowest terms, the pairs of an array row
+    side by side."""
+    # trailing zero bits of each value, at most grid; all grid for a zero
+    zeros = np.where(values == 0, grid, np.frexp(values & -values)[1] - 1)
+    drop = np.minimum(zeros, grid)
+    rows = np.empty((values.shape[0], 2 * values.shape[1]), dtype=np.int64)
+    rows[:, 0::2] = values >> drop
+    rows[:, 1::2] = grid - drop
+    return rows.tolist()
+
+
+def number_field(obj: dict, key: str, what: str) -> float:
+    """obj[key] as a float. It must be a JSON number: an int or a float, but
+    not a boolean, a string, null, or an int too large for a float."""
+    value = obj.get(key)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ParseError(f"{what} {key!r} must be a number, got {value!r}")
 
 
 def _int_field(entry: object, key: str) -> int:
@@ -98,7 +166,7 @@ class DyadicRational:
 
     Numerators are capped at 128 bits; arithmetic that would exceed the cap
     raises DyadicOverflowError instead of producing a wrong value. Pairs
-    read from input (`from_pair` and the point, tube and tripod rows) must
+    read from input (the point, tube and value rows of read_rows) must
     also keep their exponent within +-EXP_BOUND = 128, or they are a
     ParseError. The domain check and the canonical form shift a numerator
     by as many bits as its exponent says, so an unbounded exponent costs
@@ -171,10 +239,6 @@ class DyadicRational:
     @classmethod
     def integer(cls, n: int) -> "DyadicRational":
         return cls(n, 0)
-
-    @classmethod
-    def from_pair(cls, pair: Sequence[int]) -> "DyadicRational":
-        return cls(*_dyadic_row(pair, 2, "dyadic pair [num, exp]"))
 
     def pair(self) -> list[int]:
         return [self.num, self.exp]
@@ -388,7 +452,7 @@ class PointSet:
         return iter(self.points)
 
     def to_json(self) -> dict:
-        return {"k": self.scale.k, "points": [[p.x.num, p.x.exp, p.y.num, p.y.exp] for p in self.points]}
+        return {"k": self.scale.k, "points": write_rows(np.stack((self.x, self.y), axis=1), self.m)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "PointSet":
@@ -396,8 +460,20 @@ class PointSet:
         rows = obj.get("points")
         if not isinstance(rows, list):
             raise ParseError(f"point set 'points' must be a list, got {rows!r}")
-        pts = [DyadicPoint.of(*_dyadic_row(row, 4, "point row [xn, xe, yn, ye]")) for row in rows]
-        return cls(Scale(k), tuple(pts))
+        columns, exact = read_rows(rows, 4, GRID_CAP, lambda i: "point row [xn, xe, yn, ye]", DyadicPoint.of)
+        if exact:  # the scalar path, which also refuses points finer than the grid
+            return cls(Scale(k), grid_objects(columns, exact, DyadicPoint.of))
+        return cls.from_columns(Scale(k), columns[:, 0], columns[:, 1], GRID_CAP)
+
+
+def read_pairs(rows: list) -> tuple[np.ndarray, dict[int, object]]:
+    """read_rows of JSON [num, exp] rows on the 2^-GRID_CAP grid."""
+    return read_rows(rows, 2, GRID_CAP, lambda i: "dyadic pair [num, exp]", DyadicRational)
+
+
+def values_to_json(values: Sequence[DyadicRational]) -> dict:
+    """Slope values as JSON, {"values": [[num, exp], ...]}."""
+    return {"values": [v.pair() for v in values]}
 
 
 def _cell_columns(ps: PointSet, k: int) -> tuple[np.ndarray, np.ndarray]:

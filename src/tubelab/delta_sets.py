@@ -34,6 +34,7 @@ from .core_grid import (
     _run_starts,
     cell_numbers,
     check_value_bound,
+    write_rows,
 )
 from .errors import DyadicOverflowError, ValidationError
 
@@ -98,7 +99,7 @@ def _validate_coords(columns: Sequence[Sequence[int]], m: int, params: DeltaSetP
     lifted = [np.asarray(col, dtype=np.int64) << (m_exp - m) for col in columns]
 
     def coord_json(i: int) -> list[list[int]]:
-        return [DyadicRational(int(col[i]), m_exp).pair() for col in lifted]
+        return write_rows(np.stack([col[i : i + 1] for col in lifted]), m_exp)
 
     # no squared distance exceeds d2_max, and a squared radius above it
     # counts the same as d2_max + 1: every point

@@ -15,18 +15,21 @@ import numpy as np
 
 from .additive import QuasiProduct
 from .core_grid import (
+    GRID_CAP,
     DyadicPoint,
     DyadicRational,
     PointSet,
     Scale,
-    _dyadic_row,
     _int_field,
     _int_row,
     _run_starts,
+    grid_objects,
+    number_field,
+    read_rows,
 )
 from .errors import GeneratorError, ParseError
 from .incidence import Configuration
-from .tubes import DyadicTube, TubeFamily, canonical_key_array
+from .tubes import DyadicTube, TubeFamily, canonical_key_array, family_keys, unpack_key
 
 _MASK64 = (1 << 64) - 1
 # furstenberg_product's epsilon when none is given; it needs s > 1/4
@@ -204,11 +207,10 @@ class TripodInstance:
         rows = obj.get("points")
         if not (isinstance(rows, list) and len(rows) == 3):
             raise ParseError(f"tripod needs three point rows [xn, xe, yn, ye], got {rows!r}")
-        an, ae, bn, be = _dyadic_row(tube_row, 4, "tripod tube [a_num, a_exp, b_num, b_exp]")
-        tube = DyadicTube.from_values(scale, DyadicRational(an, ae), DyadicRational(bn, be))
-        a, b, c = (
-            DyadicPoint.of(*_dyadic_row(row, 4, "tripod point row [xn, xe, yn, ye]")) for row in rows
-        )
+        keys, _ = family_keys(scale, [[tube_row]], lambda j: "tripod tube [a_num, a_exp, b_num, b_exp]")
+        tube = DyadicTube(scale, *unpack_key(int(keys[0]), scale.k))
+        columns, exact = read_rows(rows, 4, GRID_CAP, lambda i: "tripod point row [xn, xe, yn, ye]", DyadicPoint.of)
+        a, b, c = grid_objects(columns, exact, DyadicPoint.of)
         # the tripod projection divides by the gap between the last two levels
         if len({a.y, b.y, c.y}) < 3:
             raise ParseError(f"tripod points need three distinct levels, got {rows!r}")
@@ -260,10 +262,6 @@ _KIND_PARAMS: dict[str, tuple[set[str], set[str]]] = {
 }
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     kind: str
@@ -282,14 +280,14 @@ class GeneratorSpec:
             raise ParseError(f"{self.kind}: unknown parameters {sorted(unknown)}")
         p = self.params
         for name in ("s", "tau"):
-            if name in p and not (_is_number(p[name]) and 0.0 < p[name] <= 1.0):
+            if name in p and not 0.0 < number_field(p, name, f"{self.kind}:") <= 1.0:
                 raise ParseError(f"{self.kind}: {name}={p[name]!r} must be a number in (0, 1]")
         if self.kind == "furstenberg_product":
             # the default epsilon must fit s as well as a given one
-            eps = p.get("epsilon", DEFAULT_EPSILON)
-            if not (_is_number(eps) and 0.0 < eps < min(p["s"], 0.5)):
+            eps = number_field(p, "epsilon", f"{self.kind}:") if "epsilon" in p else DEFAULT_EPSILON
+            if not 0.0 < eps < min(p["s"], 0.5):
                 given = "" if "epsilon" in p else " (the default)"
-                raise ParseError(f"{self.kind}: epsilon={eps!r}{given} must lie in (0, min(s, 1/2))")
+                raise ParseError(f"{self.kind}: epsilon={p.get('epsilon', eps)!r}{given} must lie in (0, min(s, 1/2))")
         for name in ("k", "seed"):
             if name in p and type(p[name]) is not int:
                 raise ParseError(f"{self.kind}: {name}={p[name]!r} must be an integer")

@@ -17,16 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .core_grid import PointSet, Scale, _indexed_entries, _int_field, _run_starts, cell_numbers, covering_number
+from .core_grid import number_field
 from .delta_sets import DeltaSetParams, _validate_coords, validate
-from .errors import HypothesisViolation, ParseError, ScaleError, ValidationError
-from .tubes import TubeFamily, intercept_window_array, key_bits, membership_grid, parent_key_array
-from .tubes import unpack_key, unpack_key_array
+from .errors import HypothesisViolation, ParseError, ValidationError
+from .tubes import TubeFamily, family_keys, intercept_window_array, key_bits, membership_grid, parent_key_array
+from .tubes import TUBE_ROW, tube_rows, unpack_key, unpack_key_array
 
 # the membership and slope-set kernels take whole families, at most this many
 # keys at a time unless one family alone holds more
@@ -75,15 +75,6 @@ class Configuration:
             np.array_equal(a, b) for a, b in ((self.keys, other.keys), (self.offsets, other.offsets))
         )
 
-    @classmethod
-    def from_families(cls, points: PointSet, families: Sequence[TubeFamily], s: float, epsilon: float) -> Configuration:
-        """The configuration of one TubeFamily per point."""
-        if any(fam.scale != points.scale for fam in families):
-            raise ScaleError("family scale differs from point scale")
-        offsets = np.fromiter(accumulate(map(len, families), initial=0), dtype=np.int64, count=len(families) + 1)
-        keys = np.concatenate([np.empty(0, dtype=np.int64), *(fam.keys for fam in families)])
-        return cls(points, keys, offsets, s, epsilon)
-
     @cached_property
     def families(self) -> tuple[TubeFamily, ...]:
         """The families as TubeFamily objects over views of the column."""
@@ -105,34 +96,29 @@ class Configuration:
         return self.points.scale
 
     def to_json(self) -> dict:
+        rows, bounds = tube_rows(self.keys, self.scale.k), self.offsets.tolist()
         return {
             "k": self.scale.k,
             "s": self.s,
             "epsilon": self.epsilon,
             "points": self.points.to_json()["points"],
             "families": [
-                {"point_index": i, "tubes": fam.to_json()["tubes"]}
-                for i, fam in enumerate(self.families)
+                {"point_index": i, "tubes": rows[lo:hi]} for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
             ],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Configuration":
         k = _int_field(obj, "k")
-        try:
-            s = float(obj["s"])
-            eps = float(obj["epsilon"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"configuration JSON needs k, s, epsilon: {exc}") from exc
+        s, eps = (number_field(obj, key, "configuration JSON needs k, s, epsilon:") for key in ("s", "epsilon"))
         points = PointSet.from_json({"k": k, "points": obj.get("points", [])})
         entries = obj.get("families", [])
         if not isinstance(entries, list):
             raise ParseError(f"configuration 'families' must be a list, got {entries!r}")
         families = _indexed_entries(
-            entries, "point_index", len(points), ("family", "families"),
-            lambda entry: TubeFamily.from_json({"k": k, "tubes": entry.get("tubes", [])}),
+            entries, "point_index", len(points), ("family", "families"), lambda entry: entry.get("tubes", [])
         )
-        return cls.from_families(points, families, s, eps)
+        return cls(points, *family_keys(points.scale, families, TUBE_ROW), s, eps)
 
 
 def _run_lengths(first: np.ndarray) -> np.ndarray:

@@ -40,7 +40,8 @@ from .additive import (
     tripod_residual,
     tube_slice_pairs,
 )
-from .core_grid import DyadicRational, PointSet, Scale, _int_field, _int_row, fit_exponent
+from .core_grid import DyadicRational, PointSet, Scale, _int_field, _int_row, fit_exponent, grid_objects
+from .core_grid import number_field, read_pairs
 from .delta_sets import DeltaSetParams, validate, validate_1d
 from .errors import (
     DomainError,
@@ -50,7 +51,7 @@ from .errors import (
     ScaleError,
     ValidationError,
 )
-from .generators import GeneratorSpec, TripodInstance, _is_number, quasi_product_tubes
+from .generators import GeneratorSpec, TripodInstance, quasi_product_tubes
 from .incidence import Configuration, cauchy_schwarz_bound, dichotomy_check
 from .projections import DirectionNet, sweep, sweep_to_csv
 
@@ -231,16 +232,13 @@ class ExperimentManifest:
             analyses = tuple(str(a) for a in obj["analyses"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"manifest needs 'analyses': {exc}") from exc
-        slack = obj.get("slack", 0.25)
-        if not _is_number(slack):
-            raise ParseError(f"manifest 'slack' must be a number, got {slack!r}")
         return cls(
             generator_kind=kind,
             generator_params=dict(params),
             input_path=None if path is None else str(path),
             k_range=_int_row(k_range, len(k_range), "manifest 'k_range'"),
             analyses=analyses,
-            slack=float(slack),
+            slack=number_field(obj, "slack", "manifest") if "slack" in obj else 0.25,
             seed=_int_field(obj, "seed") if "seed" in obj else 0,
             out=str(obj.get("out", "out")),
         )
@@ -276,7 +274,7 @@ def _load_input(path: str) -> Any:
             rows = obj["values"]
             if not isinstance(rows, list):
                 raise ParseError(f"slope values must be a list of [num, exp] pairs, got {rows!r}")
-            loaded = tuple(DyadicRational.from_pair(row) for row in rows)
+            loaded = tuple(grid_objects(*read_pairs(rows), DyadicRational))
         else:
             raise ParseError(
                 f"input {path!r} is not a point set, configuration, quasi-product, tripod, "

@@ -26,8 +26,10 @@ canonical_key_array. Only tube_contains, the inequality itself, is scalar.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from itertools import accumulate, chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,10 +40,11 @@ from .core_grid import (
     Scale,
     ZERO,
     ONE,
-    _dyadic_row,
     _int_field,
     _run_starts,
     check_value_bound,
+    read_rows,
+    write_rows,
 )
 from .errors import DomainError, DyadicOverflowError, ParseError, ScaleError, ValidationError
 
@@ -76,14 +79,14 @@ def pack_key(a_idx: int, b_idx: int, k: int) -> int:
 
 
 def pack_key_array(a_idx: np.ndarray, b_idx: np.ndarray, k: int) -> np.ndarray:
-    """pack_key over int64 arrays of cells at k >= 1, broadcast together,
-    with one domain check; its error names the first bad cell in C order."""
+    """pack_key over int64 arrays of cells, broadcast together, with one
+    scale and domain check; its error names the first bad cell in C order."""
     off, shift = _layout(k)
     a, b = np.broadcast_arrays(a_idx, b_idx)
     outside = (a < -off) | (a >= off) | (b < -off) | (b >= off)
-    if outside.any():
+    if outside.any() or k < 1 and a.size:
         i = int(np.argmax(outside))
-        pack_key(int(a.flat[i]), int(b.flat[i]), k)  # raises its DomainError
+        pack_key(int(a.flat[i]), int(b.flat[i]), k)  # raises its ScaleError or DomainError
     return ((a + off) << shift) | (b + off)
 
 
@@ -342,22 +345,45 @@ class TubeFamily:
         return tuple(a_idx[_run_starts(a_idx)].tolist())
 
     def to_json(self) -> dict:
-        k = self.scale.k
-        rows = [DyadicRational(a, k).pair() + DyadicRational(b, k).pair() for a, b in self.index_pairs()]
-        return {"k": k, "tubes": rows}
+        return {"k": self.scale.k, "tubes": tube_rows(self.keys, self.scale.k)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TubeFamily":
-        k = _int_field(obj, "k")
-        rows = obj.get("tubes")
+        scale = Scale(_int_field(obj, "k"))
+        return cls(scale, family_keys(scale, [obj.get("tubes")], TUBE_ROW)[0])
+
+
+# what a family's tube row j is called in errors
+TUBE_ROW = "tube row {} [a_num, a_exp, b_num, b_exp]".format
+
+
+def family_keys(scale: Scale, families: Sequence[object], what: Callable[[int], str]) -> tuple[np.ndarray, np.ndarray]:
+    """The key column and offsets of JSON tube families, lists of rows
+    [a_num, a_exp, b_num, b_exp]: family f, read as a set, is
+    keys[offsets[f]:offsets[f + 1]], sorted and distinct. Row j of a family
+    is named what(j); rows past read_rows' array are read as DyadicTubes."""
+    for rows in families:
         if not isinstance(rows, list):
             raise ParseError(f"tube family 'tubes' must be a list, got {rows!r}")
-        scale = Scale(k)
-        tubes = []
-        for i, row in enumerate(rows):
-            an, ae, bn, be = _dyadic_row(row, 4, f"tube row {i} [a_num, a_exp, b_num, b_exp]")
-            tubes.append(DyadicTube.from_values(scale, DyadicRational(an, ae), DyadicRational(bn, be)))
-        return cls.from_tubes(scale, tubes)
+    starts = list(accumulate(map(len, families), initial=0))
+    cells, exact = read_rows(
+        list(chain.from_iterable(families)), 4, scale.k,
+        lambda i: what(i - starts[bisect_right(starts, i) - 1]),
+        lambda an, ae, bn, be: DyadicTube.from_values(scale, DyadicRational(an, ae), DyadicRational(bn, be)),
+    )
+    for i, t in exact.items():
+        cells[i] = t.a_idx, t.b_idx
+    keys = pack_key_array(cells[:, 0], cells[:, 1], scale.k)
+    family = np.repeat(np.arange(len(families)), np.diff(starts))
+    order = np.lexsort((keys, family))
+    keys, family = keys[order], family[order]
+    keep = _run_starts(keys) | _run_starts(family)
+    return keys[keep], np.searchsorted(family[keep], np.arange(len(families) + 1))
+
+
+def tube_rows(keys: np.ndarray, k: int) -> list[list[int]]:
+    """The JSON tube rows [a_num, a_exp, b_num, b_exp] of keys at scale 2^-k."""
+    return write_rows(np.stack(unpack_key_array(keys, k), axis=1), k)
 
 
 def tubes_through(p: DyadicPoint, scale: Scale, window: Window = UNIT_WINDOW) -> TubeFamily:

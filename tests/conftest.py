@@ -1,10 +1,26 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
 from __future__ import annotations
 
 import threading
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 import pytest
+
+from tubelab.core_grid import PointSet
+from tubelab.errors import ScaleError
+from tubelab.incidence import Configuration
+from tubelab.tubes import TubeFamily
+
+
+def configuration_of(points: PointSet, families: Sequence[TubeFamily], s: float, epsilon: float) -> Configuration:
+    """The configuration of one TubeFamily per point."""
+    if any(fam.scale != points.scale for fam in families):
+        raise ScaleError("family scale differs from point scale")
+    offsets = np.fromiter(accumulate(map(len, families), initial=0), dtype=np.int64, count=len(families) + 1)
+    keys = np.concatenate([np.empty(0, dtype=np.int64), *(fam.keys for fam in families)])
+    return Configuration(points, keys, offsets, s, epsilon)
 
 
 @pytest.fixture

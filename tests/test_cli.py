@@ -15,6 +15,7 @@ import hypothesis as hyp
 import hypothesis.strategies as hys
 import pytest
 
+from conftest import configuration_of
 from tubelab.cli import _LOG_LEVELS, _build_parser, _setup_logging, main
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
 from tubelab.errors import DyadicOverflowError, ParseError
@@ -47,7 +48,7 @@ def _call(capsys, argv):
 def _degenerate_config_file(tmp_path):
     # one point with one family: far below every cardinality hypothesis
     p = grid(2).points[0]
-    cfg = Configuration.from_families(PointSet(Scale(4), (p,)), (tubes_through(p, Scale(4)),), 0.5, 0.1)
+    cfg = configuration_of(PointSet(Scale(4), (p,)), (tubes_through(p, Scale(4)),), 0.5, 0.1)
     src = tmp_path / "cfg.json"
     src.write_text(json.dumps(cfg.to_json()))
     return src
@@ -524,11 +525,12 @@ def test_mutated_manifests_never_exit_internal(tmp_path_factory):
     check()
 
 
-@pytest.mark.parametrize("slack", [[1], "abc", {}, None, True, "0.5"])
+@pytest.mark.parametrize("slack", [[1], "abc", {}, None, True, "0.5", 10**400])
 def test_manifest_slack_must_be_a_number(capsys, tmp_path, slack):
     # read as a generator's numbers are: an int or a float, not a bool; a
     # list, an object, null or a string was exit 4 with a TypeError or
-    # ValueError, and true or "0.5" ran as 1.0 or 0.5
+    # ValueError, true or "0.5" ran as 1.0 or 0.5, and an integer too large
+    # for a float was exit 4 with an OverflowError
     manifest = {"generator": {"kind": "grid", "params": {}}, "k_range": [2], "analyses": ["validate"]}
     src = tmp_path / "m.json"
     src.write_text(json.dumps({**manifest, "slack": slack, "out": str(tmp_path / "out")}))
@@ -738,7 +740,7 @@ def test_quasi_product_finer_than_the_window_envelope_is_refused(capsys, tmp_pat
     # the array intercept window is exact while m + k <= 56: at k = 10 a
     # slice value on the 2^-46 grid is read, one on the 2^-50 grid refused
     obj = quasi_product(10, 0.5, 0.4, seed=0).to_json()
-    value = DyadicRational.from_pair(obj["slices"][0]["values"][0]) + DyadicRational(1, exp)
+    value = DyadicRational(*obj["slices"][0]["values"][0]) + DyadicRational(1, exp)
     obj["slices"][0]["values"][0] = list(value.pair())
     src = tmp_path / "qp.json"
     src.write_text(json.dumps(obj))
@@ -762,7 +764,7 @@ def _slice_value_past_four(obj: dict) -> None:
 
 
 def _slice_value_past_the_window(obj: dict) -> None:
-    value = DyadicRational.from_pair(obj["slices"][0]["values"][0]) + DyadicRational(1, 55)
+    value = DyadicRational(*obj["slices"][0]["values"][0]) + DyadicRational(1, 55)
     obj["slices"][0]["values"][0] = value.pair()
 
 
@@ -953,7 +955,7 @@ def test_unseparated_input_finer_than_ball_counts_is_refused(capsys, tmp_path):
     q = DyadicPoint(p.x + DyadicRational(1, 30), p.y)
     fam = TubeFamily(cfg.scale, tuple(keys_through(q, 8, range(0, 1 << 8, 3))))
     points = PointSet(cfg.scale, cfg.points.points + (q,))
-    cfg = Configuration.from_families(points, cfg.families + (fam,), cfg.s, cfg.epsilon)
+    cfg = configuration_of(points, cfg.families + (fam,), cfg.s, cfg.epsilon)
     with pytest.raises(DyadicOverflowError, match=r"2\^-27 grid or coarser, got 2\^-30"):
         validate_configuration(cfg)
     src = tmp_path / "points.json"
@@ -1023,13 +1025,24 @@ def test_unwritable_out_is_usage_error(capsys, tmp_path, command):
             ({**quasi_product(4, 0.5, 0.5).to_json(), "tau": tau}, f"tau={float(tau)} must lie in (0, 1]")
             for tau in (math.nan, math.inf, 0, 1.5)
         ),
+        *(
+            ({**obj, name: value}, f"{name!r} must be a number")
+            for obj, names in (
+                (furstenberg_product(4, 0.5).to_json(), ("s", "epsilon")),
+                (quasi_product(4, 0.5, 0.5).to_json(), ("s", "tau")),
+            )
+            for name in names
+            for value in ("0.5", True, 10**400)
+        ),
     ],
 )
 def test_inputs_the_fuzz_found_are_parse_errors(capsys, tmp_path, obj, message):
     # each was exit 4: ValidationError from validate, GeneratorError from the
     # slope net, or a tripod projection dividing by a zero level gap; a
     # quasi-product tau outside (0, 1], NaN and Infinity included since
-    # json.load reads them, was exit 0, read and run
+    # json.load reads them, was exit 0, read and run. A number field that is
+    # a string or a boolean ran as float() read it, exit 0, and an integer
+    # too large for a float was exit 4 with OverflowError
     src = tmp_path / "in.json"
     src.write_text(json.dumps(obj))
     code, out, err = _call(capsys, ["validate", "--input", str(src), "--k", "4"])

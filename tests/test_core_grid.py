@@ -20,6 +20,8 @@ from tubelab.core_grid import (
     check_value_bound,
     covering_number,
     fit_exponent,
+    grid_objects,
+    read_pairs,
 )
 from tubelab.errors import DomainError, ParseError, ScaleError, ValidationError
 
@@ -106,25 +108,30 @@ def test_integer_roundtrip(n):
     assert frac(d) == n
 
 
+def _read_pair(row: object) -> DyadicRational:
+    [value] = grid_objects(*read_pairs([row]), DyadicRational)
+    return value
+
+
 @hyp.given(dyadics)
 def test_pair_roundtrip(a):
-    assert DyadicRational.from_pair(a.pair()) == a
+    assert _read_pair(a.pair()) == a
 
 
 @pytest.mark.parametrize("pair", [[1, "2"], [1.0, 2], [False, 0], [1], [1, 2, 3], 5, None])
 def test_pair_rejects_non_integers(pair):
     with pytest.raises(ParseError):
-        DyadicRational.from_pair(pair)
+        _read_pair(pair)
 
 
 def test_pair_exponent_envelope():
     # every exponent within +-EXP_BOUND loads; one past it is a ParseError
     assert EXP_BOUND == 128
-    assert DyadicRational.from_pair([1, EXP_BOUND]) == DyadicRational(1, 128)
-    assert DyadicRational.from_pair([0, -EXP_BOUND]) == DyadicRational.integer(0)
+    assert _read_pair([1, EXP_BOUND]) == DyadicRational(1, 128)
+    assert _read_pair([0, -EXP_BOUND]) == DyadicRational.integer(0)
     for exp in (EXP_BOUND + 1, -EXP_BOUND - 1, 1 << 26, -(1 << 40)):
         with pytest.raises(ParseError, match="exponent"):
-            DyadicRational.from_pair([1, exp])
+            _read_pair([1, exp])
     with pytest.raises(ParseError, match="exponent"):
         PointSet.from_json({"k": 2, "points": [[1, 1 << 26, 0, 0]]})
     with pytest.raises(ParseError, match="exponent"):

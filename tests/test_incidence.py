@@ -19,6 +19,7 @@ import hypothesis.strategies as hys
 import numpy as np
 import pytest
 
+from conftest import configuration_of
 from tubelab import incidence
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale, covering_number
 from tubelab.delta_sets import DeltaSetParams, _validate_coords, validate, validate_1d
@@ -181,7 +182,7 @@ def assert_matches_oracles(cfg: Configuration) -> None:
 
 
 def _config_for(points: list[DyadicPoint], fams: list[TubeFamily], k: int) -> Configuration:
-    return Configuration.from_families(PointSet(Scale(k), tuple(points)), tuple(fams), 0.5, 0.1)
+    return configuration_of(PointSet(Scale(k), tuple(points)), tuple(fams), 0.5, 0.1)
 
 
 def _point(i: int, j: int, k: int) -> DyadicPoint:
@@ -243,7 +244,7 @@ def test_incidence_invariant_under_relabeling():
     cfg = furstenberg_product(8, 0.3)
     order = list(range(len(cfg.points.points)))
     order.reverse()
-    shuffled = Configuration.from_families(
+    shuffled = configuration_of(
         PointSet(cfg.scale, tuple(cfg.points.points[i] for i in order)),
         tuple(cfg.families[i] for i in order),
         cfg.s,
@@ -319,7 +320,7 @@ def test_validate_configuration_clean_and_dirty():
     idx = cfg.points.points.index(p_far)
     fams = list(cfg.families)
     fams[idx] = fam0
-    bad = Configuration.from_families(cfg.points, tuple(fams), cfg.s, cfg.epsilon)
+    bad = configuration_of(cfg.points, tuple(fams), cfg.s, cfg.epsilon)
     violations = validate_configuration(bad)
     assert any(v.name == "tube_membership" for v in violations)
     payload = violations[0].payload()
@@ -333,7 +334,7 @@ def test_membership_witness_is_pinned():
     fams = list(cfg.families)
     fams[37] = fams[37].union(TubeFamily(cfg.scale, cfg.families[40].keys[5:]))
     fams[90] = fams[91]
-    bad = Configuration.from_families(cfg.points, tuple(fams), cfg.s, cfg.epsilon)
+    bad = configuration_of(cfg.points, tuple(fams), cfg.s, cfg.epsilon)
     [violation] = validate_configuration(bad)
     assert violation.payload()["witness"] == {"point_index": 37, "tube_cell": [17, 63]}
     assert_matches_oracles(bad)
@@ -448,7 +449,7 @@ def test_dichotomy_hypothesis_coarse_spread():
     k = 4
     ps = grid(k)
     fams = tuple(tubes_through(p, Scale(k)) for p in ps.points)
-    cfg = Configuration.from_families(ps, fams, 0.5, 0.1)
+    cfg = configuration_of(ps, fams, 0.5, 0.1)
     names = [v.name for v in dichotomy_hypotheses(cfg)]
     assert "coarse_point_cover" in names
 
@@ -489,7 +490,7 @@ def test_kernels_match_oracles_with_a_family_swapped():
     # point 0, and many slope sets are checked once each
     cfg = furstenberg_product(8, 0.5)
     fams = cfg.families[1:] + cfg.families[:1]
-    assert_matches_oracles(Configuration.from_families(cfg.points, fams, cfg.s, cfg.epsilon))
+    assert_matches_oracles(configuration_of(cfg.points, fams, cfg.s, cfg.epsilon))
 
 
 def test_slope_sets_of_neighbouring_families_sharing_a_slope_cell():
@@ -517,7 +518,7 @@ def _finer_point(cfg: Configuration, exp: int) -> Configuration:
     x_num, y_num, m = _point_ints(q)
     fam = TubeFamily(cfg.scale, [pack_key(a, ((y_num << k) - a * x_num) >> m, k) for a in range(0, 1 << k, 3)])
     points = PointSet(cfg.scale, cfg.points.points[:-1] + (q,))
-    return Configuration.from_families(points, cfg.families[:-1] + (fam,), cfg.s, cfg.epsilon)
+    return configuration_of(points, cfg.families[:-1] + (fam,), cfg.s, cfg.epsilon)
 
 
 @pytest.mark.parametrize("exp", [30, 50])
@@ -566,7 +567,7 @@ def _configurations(draw) -> tuple[Configuration, int]:
         key = pack_key(a_idx, b_idx, k)
         if key not in families[i]:
             families[i] = sorted(families[i] + [key])
-    cfg = Configuration.from_families(
+    cfg = configuration_of(
         PointSet(scale, points),
         tuple(TubeFamily(scale, tuple(f)) for f in families),
         draw(hys.sampled_from([0.5, 1.0])),
@@ -683,7 +684,7 @@ def test_configuration_refuses_family_keys_that_do_not_rise():
     empty = TubeFamily(Scale(k), ())
     for fams in ([fam_q, fam_p], [empty, fam_q, fam_p, empty], [fam_q, empty, empty, fam_p]):
         points = PointSet(Scale(k), [p, q, _point(1, 1, k), _point(2, 2, k)][: len(fams)])
-        assert_matches_oracles(Configuration.from_families(points, fams, 0.5, 0.1))
+        assert_matches_oracles(configuration_of(points, fams, 0.5, 0.1))
     # a TubeFamily refuses reversed keys itself, so the columns carry them
     with pytest.raises(ValidationError, match="strictly increase"):
         TubeFamily(Scale(k), fam_p.keys[::-1])
@@ -732,8 +733,8 @@ def test_configuration_equality_is_by_value_and_never_raises():
     assert a is not b and a == b and not a != b
     fams = list(a.families)
     fams[3] = TubeFamily(a.scale, fams[3].keys[1:])
-    assert Configuration.from_families(a.points, fams, a.s, a.epsilon) != a
-    assert Configuration.from_families(a.points, a.families, a.s, 0.2) != a
+    assert configuration_of(a.points, fams, a.s, a.epsilon) != a
+    assert configuration_of(a.points, a.families, a.s, 0.2) != a
     assert furstenberg_product(8, 0.3) != a
     assert a != "configuration" and a != None  # noqa: E711
     assert a in [None, b]
@@ -754,7 +755,7 @@ def test_configuration_from_families_round_trips_through_json():
     again = Configuration.from_json(obj)
     assert again == cfg and again.to_json() == obj
     with pytest.raises(ScaleError):
-        Configuration.from_families(cfg.points, [*fams[:2], TubeFamily(Scale(6), ())], 0.5, 0.1)
+        configuration_of(cfg.points, [*fams[:2], TubeFamily(Scale(6), ())], 0.5, 0.1)
 
 
 def test_configuration_with_an_empty_family_and_a_single_point():
@@ -792,7 +793,7 @@ def test_dichotomy_reports_the_first_short_family():
     # families 5 and 9 drop below delta^-(s-eps) = 4 tubes; 5 is reported
     fams[9] = TubeFamily(cfg.scale, fams[9].keys[:1])
     fams[5] = TubeFamily(cfg.scale, fams[5].keys[:3])
-    short = Configuration.from_families(cfg.points, fams, cfg.s, cfg.epsilon)
+    short = configuration_of(cfg.points, fams, cfg.s, cfg.epsilon)
     got = [v.witness for v in dichotomy_hypotheses(short) if v.name == "family_size"]
     assert got == family_size_oracle(short) == [{"point_index": 5, "size": 3, "required": 4.0}]
     with pytest.raises(HypothesisViolation) as err:

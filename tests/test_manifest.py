@@ -11,6 +11,7 @@ import pytest
 import tubelab.additive as additive_module
 import tubelab.incidence as incidence_module
 import tubelab.manifest as manifest_module
+from conftest import configuration_of
 from tubelab.core_grid import DyadicPoint, PointSet, Scale
 from tubelab.errors import ParseError, ValidationError
 from tubelab.generators import collinear_tripod, furstenberg_product, grid, slope_net
@@ -307,7 +308,7 @@ def test_run_hypothesis_violation_witness(tmp_path):
 
     p = cfg_points[0]
     fam = tubes_through(p, Scale(k))
-    cfg = Configuration.from_families(PointSet(Scale(k), (p,)), (fam,), 0.5, 0.1)
+    cfg = configuration_of(PointSet(Scale(k), (p,)), (fam,), 0.5, 0.1)
     src = tmp_path / "cfg.json"
     src.write_text(json.dumps(cfg.to_json()))
     out = tmp_path / "out"
