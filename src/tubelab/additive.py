@@ -9,7 +9,6 @@ exact; cell counts of non-dyadic projection values go through Fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -18,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core_grid import GRID_CAP, DyadicPoint, DyadicRational, PointSet, Scale, _indexed_entries, _int_field, _run_starts
-from .core_grid import grid_objects, number_field, read_pairs, write_rows
+from .core_grid import grid_objects, number_field, read_pairs, record, write_rows
 from .errors import HypothesisViolation, ParseError, ValidationError
 from .incidence import _run_lengths
 from .tubes import TubeFamily, unpack_key, unpack_key_array, window_keys
@@ -29,7 +28,7 @@ SliceHits = tuple[np.ndarray, np.ndarray, np.ndarray]
 PairTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
+@record()
 class QuasiProduct:
     """Levels b in B with one horizontal slice A_b x {b} per level, stored as
     one PointSet in level-then-point order, so that each level is one run of
@@ -138,7 +137,7 @@ def exact_sumset_size(a_values: Sequence[DyadicRational], b_values: Sequence[Dya
     return len({(a + b) for a in a_values for b in b_values})
 
 
-@dataclass(frozen=True)
+@record()
 class PairGraph:
     """Bipartite relation G between value sets A and B, edges as index pairs,
     with the additive-energy parameter K it is claimed to satisfy."""
@@ -193,7 +192,7 @@ def measured_bsg_parameter(
     return max(na * nb / len(edges), s / math.sqrt(na * nb))
 
 
-@dataclass(frozen=True)
+@record()
 class BsgReport:
     a_kept: tuple[int, ...]
     b_kept: tuple[int, ...]
@@ -204,7 +203,7 @@ class BsgReport:
 
     def to_json(self) -> dict:
         lists = {name: list(getattr(self, name)) for name in ("a_kept", "b_kept", "component_exponents")}
-        return {**asdict(self), **lists}
+        return {**self._asdict(), **lists}
 
 
 def bsg_refine(g: PairGraph) -> BsgReport:
@@ -260,7 +259,7 @@ def bsg_refine(g: PairGraph) -> BsgReport:
     return BsgReport(kept_a, kept_b, rounds, c, comp, flags)
 
 
-@dataclass(frozen=True)
+@record()
 class PlunneckeReport:
     c0: float
     a_cells: int
@@ -272,7 +271,7 @@ class PlunneckeReport:
     ok: bool
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def plunnecke_corollary_check(

@@ -12,6 +12,12 @@ Exit codes:
   4  internal error
 
 TUBELAB_LOG in {error, warn, info, debug} routes diagnostics to stderr.
+
+Unless OPENBLAS_NUM_THREADS is set already, the command line sets it to 1
+before numpy loads. The OpenBLAS bundled with numpy otherwise starts a
+thread pool at import whose idle threads spin for tens of milliseconds,
+and no analysis gains from it: the energy's matrix products run on one
+BLAS thread anyway at their size (see projections._ENERGY_BLOCK).
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ import os
 import sys
 import traceback
 from typing import Any, Sequence
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .core_grid import Scale, fit_exponent, values_to_json
 from .errors import ParseError

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field
 from functools import cached_property
+from inspect import Parameter, Signature
 from itertools import chain
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -143,7 +143,111 @@ def _indexed_entries(
     return slots
 
 
-@dataclass(frozen=True, order=True)
+class _Field:
+    """The options of one record field (see field)."""
+
+    __slots__ = ("repr", "default_factory")
+
+    def __init__(self, repr: bool, default_factory: Callable[[], object] | None) -> None:
+        self.repr, self.default_factory = repr, default_factory
+
+    def __repr__(self) -> str:  # how a constructor's signature shows a made default
+        return "<factory>"
+
+
+def field(*, repr: bool = True, default_factory: Callable[[], object] | None = None) -> Any:
+    """A record field's options, written in place of its default as in
+    dataclasses: repr=False leaves the field out of the repr, and
+    default_factory() is its default, made afresh for each instance."""
+    return _Field(repr, default_factory)
+
+
+def _refuse_set(self, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _asdict(self) -> dict:
+    """A record's fields by name, in order, the values themselves."""
+    return {name: getattr(self, name) for name in self._fields}
+
+
+def _compare(test: Callable[[tuple, tuple], bool], values: Callable[[object], tuple]) -> Callable:
+    """An order method of a record: test on the field tuples of two
+    instances of one class."""
+    return lambda self, other: test(values(self), values(other)) if other.__class__ is self.__class__ else NotImplemented
+
+
+def record(*, eq: bool = True, order: bool = False) -> Callable[[type], type]:
+    """A class decorator that makes an annotated class an immutable record,
+    as @dataclass(frozen=True, eq=eq, order=order) does, from closures: a
+    dataclass compiles its methods' source with exec, which every process
+    that imports the package would pay for.
+
+    The class's annotations, in order, are its fields, and its values for
+    them their defaults. The record gets
+    - __init__ over the fields, which calls __post_init__ if the class has
+      one, with a __signature__ naming its parameters
+    - __repr__ `Name(field=value, ...)`, without the fields marked repr=False
+    - unless eq=False, __eq__ and __hash__ on the tuple of fields, and with
+      order=True also <, <=, > and >=
+    - refused assignment and deletion (AttributeError), `_fields` and
+      `_asdict()`.
+    A method the class defines itself is kept."""
+
+    def make(cls: type) -> type:
+        annotations = cls.__dict__.get("__annotations__", {})
+        names = tuple(annotations)
+        params, hidden = [Parameter("self", Parameter.POSITIONAL_OR_KEYWORD)], set()
+        for name in names:
+            default = cls.__dict__.get(name, Parameter.empty)
+            if isinstance(default, _Field):
+                delattr(cls, name)
+                if not default.repr:
+                    hidden.add(name)
+                default = default if default.default_factory else Parameter.empty
+            params.append(Parameter(name, Parameter.POSITIONAL_OR_KEYWORD, default=default, annotation=annotations[name]))
+        signature = Signature(params)
+        width, post_init = len(names), hasattr(cls, "__post_init__")
+        shown = [name for name in names if name not in hidden]
+
+        def __init__(self, *args, **kwargs):
+            if kwargs or len(args) != width:
+                bound = signature.bind(self, *args, **kwargs)  # TypeError on a missing or unknown field
+                bound.apply_defaults()
+                args = [v.default_factory() if isinstance(v, _Field) else v for v in bound.args[1:]]
+            self.__dict__.update(zip(names, args))
+            if post_init:
+                self.__post_init__()
+
+        def __repr__(self):
+            return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in shown)})"
+
+        def values(self):
+            return tuple([getattr(self, name) for name in names])
+
+        __init__.__signature__ = signature
+        methods = {
+            "__init__": __init__, "__repr__": __repr__, "__setattr__": _refuse_set,
+            "__delattr__": _refuse_delete, "_fields": names, "_asdict": _asdict,
+        }
+        if eq:
+            methods["__eq__"] = _compare(tuple.__eq__, values)
+            methods["__hash__"] = lambda self: hash(values(self))
+        if order:
+            methods.update((op, _compare(getattr(tuple, op), values)) for op in ("__lt__", "__le__", "__gt__", "__ge__"))
+        for name, method in methods.items():
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
+        return cls
+
+    return make
+
+
+@record(order=True)
 class Scale:
     """Dyadic scale delta = 2^-k. Working scales use k >= 1; k = 0 is allowed
     as a covering target. Scales finer than 2^-20 are rejected."""
@@ -383,7 +487,7 @@ def _distance_dtype(top: int) -> type:
 GRID_CAP = 60
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@record(eq=False)
 class PointSet:
     """Finite set of pairwise distinct dyadic points at a working scale:
     point i is (x[i], y[i]) / 2^m, with x and y read-only int64 numerator
@@ -504,7 +608,7 @@ def covering_number(ps: PointSet, target: Scale) -> int:
     return cell_numbers(ps, target.k)[1]
 
 
-@dataclass(frozen=True)
+@record()
 class ExponentFit:
     """Least-squares fit of log2(count) against k = log2(1/delta)."""
 

@@ -20,7 +20,6 @@ and the lowest j != i close to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +33,7 @@ from .core_grid import (
     _run_starts,
     cell_numbers,
     check_value_bound,
+    record,
     write_rows,
 )
 from .errors import DyadicOverflowError, ValidationError
@@ -43,7 +43,7 @@ from .errors import DyadicOverflowError, ValidationError
 _CENTER_BLOCK = 16
 
 
-@dataclass(frozen=True)
+@record()
 class DeltaSetParams:
     """Parameters of the (delta, s, C) condition."""
 
@@ -58,7 +58,7 @@ class DeltaSetParams:
             raise ValidationError(f"constant C={self.C} must be positive")
 
 
-@dataclass(frozen=True)
+@record()
 class ValidationReport:
     valid: bool
     kind: str  # "ok" | "separation" | "ball"
@@ -201,7 +201,7 @@ def _quadtree(ps: PointSet, s: float) -> tuple[np.ndarray, list[np.ndarray], lis
 EXTRACT_CONSTANT_2D = 18.0
 
 
-@dataclass(frozen=True)
+@record()
 class ExtractReport:
     points: PointSet
     kappa: float

@@ -7,7 +7,6 @@ mod 2^64), seeded explicitly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -23,9 +22,11 @@ from .core_grid import (
     _int_field,
     _int_row,
     _run_starts,
+    field,
     grid_objects,
     number_field,
     read_rows,
+    record,
 )
 from .errors import GeneratorError, ParseError
 from .incidence import Configuration
@@ -179,7 +180,7 @@ def quasi_product_tubes(qp: QuasiProduct) -> TubeFamily:
     return TubeFamily(qp.scale, keys[_run_starts(keys)])
 
 
-@dataclass(frozen=True)
+@record()
 class TripodInstance:
     """Three grid points on one steep tube at well-separated levels."""
 
@@ -262,7 +263,7 @@ _KIND_PARAMS: dict[str, tuple[set[str], set[str]]] = {
 }
 
 
-@dataclass(frozen=True)
+@record()
 class GeneratorSpec:
     kind: str
     params: dict[str, Any] = field(default_factory=dict)

@@ -15,14 +15,13 @@ columns, one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Iterator
 
 import numpy as np
 
 from .core_grid import PointSet, Scale, _indexed_entries, _int_field, _run_starts, cell_numbers, covering_number
-from .core_grid import number_field
+from .core_grid import field, number_field, record
 from .delta_sets import DeltaSetParams, _validate_coords, validate
 from .errors import HypothesisViolation, ParseError, ValidationError
 from .tubes import TubeFamily, family_keys, intercept_window_array, key_bits, membership_grid, parent_key_array
@@ -33,7 +32,7 @@ from .tubes import TUBE_ROW, tube_rows, unpack_key, unpack_key_array
 _BLOCK_KEYS = 1 << 13
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class Configuration:
     """Point set plus one tube family per point, at a common even-k scale.
     Family i is keys[offsets[i]:offsets[i + 1]], its strictly increasing
@@ -223,7 +222,7 @@ def validate_configuration(cfg: Configuration) -> list[HypothesisViolation]:
     return out
 
 
-@dataclass(frozen=True)
+@record()
 class IncidenceReport:
     k: int
     n_points: int
@@ -239,7 +238,7 @@ class IncidenceReport:
 
     def to_json(self) -> dict:
         nt, mt = ([list(row) for row in hist] for hist in (self.nt_histogram, self.mt_histogram))
-        return {**asdict(self), "nt_histogram": nt, "mt_histogram": mt}
+        return {**self._asdict(), "nt_histogram": nt, "mt_histogram": mt}
 
 
 def incidence_report(cfg: Configuration) -> IncidenceReport:
@@ -288,7 +287,7 @@ def incidence_report(cfg: Configuration) -> IncidenceReport:
     )
 
 
-@dataclass(frozen=True)
+@record()
 class CauchySchwarzReport:
     """Exact verification of |I|^2 <= |T| * sum_T N_T^2 and the implied
     lower bound |T| >= |I|^2 / (|I| + pair_sum)."""
@@ -302,7 +301,7 @@ class CauchySchwarzReport:
 
     def to_json(self) -> dict:
         # lower_bound_ok: the same inequality, read as a tube-count lower bound
-        return {**asdict(self), "lower_bound_ok": self.inequality_ok}
+        return {**self._asdict(), "lower_bound_ok": self.inequality_ok}
 
 
 def cauchy_schwarz_bound(cfg: Configuration) -> CauchySchwarzReport:
@@ -318,7 +317,7 @@ def cauchy_schwarz_bound(cfg: Configuration) -> CauchySchwarzReport:
     return CauchySchwarzReport(s1, tubes, s2, s2 - s1, implied, ineq_ok)
 
 
-@dataclass(frozen=True)
+@record()
 class DichotomyReport:
     k: int
     s: float
@@ -331,7 +330,7 @@ class DichotomyReport:
     margins: tuple[float, float]
 
     def to_json(self) -> dict:
-        return {**asdict(self), "margins": list(self.margins)}
+        return {**self._asdict(), "margins": list(self.margins)}
 
 
 def dichotomy_hypotheses(cfg: Configuration) -> list[HypothesisViolation]:

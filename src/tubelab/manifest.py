@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
@@ -41,7 +40,7 @@ from .additive import (
     tube_slice_pairs,
 )
 from .core_grid import DyadicRational, PointSet, Scale, _int_field, _int_row, fit_exponent, grid_objects
-from .core_grid import number_field, read_pairs
+from .core_grid import field, number_field, read_pairs, record
 from .delta_sets import DeltaSetParams, validate, validate_1d
 from .errors import (
     DomainError,
@@ -139,7 +138,7 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True)
+@record()
 class ExperimentManifest:
     """Declarative description of one reproducible run.
 
@@ -353,7 +352,7 @@ def _write_text(path: str | Path, text: str) -> None:
         raise ParseError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+@record()
 class _Outcome:
     """One analysis of one object: its verdict, its section of
     report_k{K}.json (the run adds the verdict), what the subcommand of the
@@ -366,7 +365,6 @@ class _Outcome:
     csv: str | None = None
 
 
-@dataclass
 class _Subject:
     """An object and the analyses asked of it: the one dispatch behind both
     `tubelab run` and the analysis subcommands.
@@ -379,13 +377,12 @@ class _Subject:
     memoizes its own structural check and incidence report.
     """
 
-    obj: Any
-    analyses: tuple[str, ...]
-    k: int | None  # scale of slope values, which carry none of their own
-    profile: tuple[float, float]  # (s, C) checked on points and slope values
-    slack: float | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, obj: Any, analyses: tuple[str, ...], k: int | None, profile: tuple[float, float], slack: float | None
+    ) -> None:
+        # k is the scale of slope values, which carry none of their own, and
+        # profile the (s, C) checked on points and slope values
+        self.obj, self.analyses, self.k, self.profile, self.slack = obj, analyses, k, profile, slack
         self.shape = _shape_of(self.obj)
         for name in self.analyses:
             _check_applies(name, self.shape)

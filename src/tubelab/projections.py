@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from threading import Thread
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core_grid import PointSet, Scale, _distance_dtype, _run_starts
+from .core_grid import PointSet, Scale, _distance_dtype, _run_starts, record
 from .errors import DomainError, DyadicOverflowError, ValidationError
 
 __all__ = [
@@ -48,7 +47,7 @@ _SPAN_BOUND = 12.0
 _RIGHT = math.pi / 2
 
 
-@dataclass(frozen=True)
+@record()
 class DirectionNet:
     """Ordered finite set of directions in [0, pi) with stored unit vectors.
 
@@ -161,7 +160,7 @@ def _block_counts(vals: np.ndarray, k: int, audit: bool, u: np.ndarray, f: np.nd
     return count, spread
 
 
-@dataclass(frozen=True)
+@record()
 class ProjectionSweep:
     """Per-direction covering counts N(pi_e(K), 2^-k) over a direction net."""
 
@@ -266,7 +265,7 @@ def exceptional_ratio(sw: ProjectionSweep, t: float) -> float:
     return sw.exceptional_count(t) / (k * k * 2.0 ** (k * t))
 
 
-@dataclass(frozen=True)
+@record()
 class ProjectionEnergy:
     """Discrete truncated s-energy of the projected set, per net direction."""
 

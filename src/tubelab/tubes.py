@@ -27,7 +27,6 @@ canonical_key_array. Only tube_contains, the inequality itself, is scalar.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -43,7 +42,9 @@ from .core_grid import (
     _int_field,
     _run_starts,
     check_value_bound,
+    field,
     read_rows,
+    record,
     write_rows,
 )
 from .errors import DomainError, DyadicOverflowError, ParseError, ScaleError, ValidationError
@@ -115,17 +116,44 @@ def parent_key_array(keys: np.ndarray, k: int, coarse_k: int) -> np.ndarray:
     return ((keys >> (shift + d)) << coarse_shift) | ((keys & ((1 << shift) - 1)) >> d)
 
 
-@dataclass(frozen=True)
 class DyadicTube:
     """Dyadic delta-tube: dual image of the parameter cell
-    [a_idx, a_idx+1) x [b_idx, b_idx+1) in delta units."""
+    [a_idx, a_idx+1) x [b_idx, b_idx+1) in delta units.
+
+    An immutable slots class like DyadicPoint, since exact predicates build
+    one per probe; pack_key is its one check."""
+
+    __slots__ = ("scale", "a_idx", "b_idx")
 
     scale: Scale
     a_idx: int
     b_idx: int
 
-    def __post_init__(self) -> None:
-        pack_key(self.a_idx, self.b_idx, self.scale.k)
+    def __init__(self, scale: Scale, a_idx: int, b_idx: int) -> None:
+        pack_key(a_idx, b_idx, scale.k)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "a_idx", a_idx)
+        object.__setattr__(self, "b_idx", b_idx)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("DyadicTube is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("DyadicTube is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is DyadicTube:
+            return self.a_idx == other.a_idx and self.b_idx == other.b_idx and self.scale == other.scale
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.scale, self.a_idx, self.b_idx))
+
+    def __repr__(self) -> str:
+        return f"DyadicTube(scale={self.scale!r}, a_idx={self.a_idx!r}, b_idx={self.b_idx!r})"
+
+    def __reduce__(self):
+        return (DyadicTube, (self.scale, self.a_idx, self.b_idx))
 
     @classmethod
     def from_indices(cls, scale: Scale, a_idx: int, b_idx: int) -> "DyadicTube":
@@ -250,7 +278,7 @@ def canonical_tube_through(p: DyadicPoint, slope: DyadicRational, scale: Scale) 
     return DyadicTube(scale, *unpack_key(int(key), scale.k))
 
 
-@dataclass(frozen=True)
+@record()
 class Window:
     """Half-open parameter window [a_lo, a_hi) x [b_lo, b_hi) restricting
     which tube cells an enumeration may return."""
@@ -281,7 +309,7 @@ class Window:
 UNIT_WINDOW = Window(ZERO, ONE, ZERO, ONE)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TubeFamily:
     """Deduplicated family of tubes at one scale: keys is a read-only int64
     column of strictly increasing packed keys. An int64 array passed in is

@@ -831,6 +831,58 @@ def test_import_loads_no_executor_or_statistics():
     assert proc.stdout.splitlines()[-1] == "[]", proc.stderr
 
 
+def _fresh(probe: str, **env_vars: str | None) -> str:
+    """The last line a probe prints in a fresh process that imports tubelab
+    from this checkout, with the given variables set or (None) unset."""
+    import tubelab
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(tubelab.__file__).parents[1]), *sys.path]))
+    for name, value in env_vars.items():
+        env.pop(name, None) if value is None else env.update({name: value})
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+def test_cli_import_starts_no_blas_threads():
+    # the OpenBLAS that numpy bundles starts a pool of spinning threads at
+    # import unless told to use one; the command line tells it
+    probe = "import os, tubelab.cli\nprint(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(probe, OPENBLAS_NUM_THREADS=None) == "1 1"
+
+
+def test_cli_keeps_a_blas_thread_count_the_user_set():
+    probe = "import os, tubelab.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh(probe, OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_import_tubelab_loads_no_numpy_and_no_submodule():
+    probe = "import sys, tubelab\nprint(sorted(m for m in sys.modules if m.startswith(('numpy', 'tubelab.'))))"
+    assert _fresh(probe) == "[]"
+
+
+def test_every_exported_name_imports_from_the_package():
+    probe = (
+        "import importlib, tubelab\n"
+        "for name in tubelab.__all__:\n"
+        "    scope = {}\n"
+        "    exec(f'from tubelab import {name}', scope)\n"
+        "    home = importlib.import_module(f'tubelab.{tubelab._HOME[name]}')\n"
+        "    assert scope[name] is getattr(home, name) is getattr(tubelab, name), name\n"
+        "    assert name in dir(tubelab), name\n"
+        "from tubelab import incidence\n"
+        "print(len(tubelab.__all__), incidence.__name__, hasattr(tubelab, 'no_such_name'))"
+    )
+    assert _fresh(probe) == "65 tubelab.incidence False"
+
+
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses compile their methods with exec at every import; records
+    # build theirs from closures (core_grid.record)
+    assert _fresh("import sys, tubelab.cli\nprint('dataclasses' in sys.modules)") == "False"
+
+
 def test_dim_fit(capsys):
     code, out, _ = _call(capsys, ["dim", "--kind", "grid", "--k", "4", "--k", "6"])
     assert code == 0

@@ -4,15 +4,20 @@ Oracle for all rational arithmetic is fractions.Fraction.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from fractions import Fraction
+from typing import Callable
 
 import hypothesis as hyp
 import hypothesis.strategies as hys
 import pytest
 
+from tubelab import core_grid
 from tubelab.core_grid import (
     EXP_BOUND,
+    ONE,
+    ZERO,
     DyadicPoint,
     DyadicRational,
     PointSet,
@@ -233,3 +238,111 @@ def test_fit_to_json_keys():
     fit = fit_exponent([(2, 4), (3, 8)])
     payload = fit.to_json()
     assert set(payload) >= {"samples", "slope", "intercept", "max_residual"}
+
+
+def _samples() -> dict[str, Callable[[], object]]:
+    """A builder of one sample instance of each record class, by name;
+    two calls build equal instances."""
+    from tubelab import additive, delta_sets, generators, incidence, manifest, projections, tubes
+
+    ps = lambda: generators.grid(3)  # noqa: E731
+    cfg = lambda: generators.furstenberg_product(4, 0.5)  # noqa: E731
+    net = lambda: projections.DirectionNet.uniform(Scale(3))  # noqa: E731
+    graph = lambda: additive.PairGraph((ONE,), (ONE, ZERO), ((0, 0), (0, 1)), 1.0)  # noqa: E731
+    return {
+        "Scale": lambda: Scale(3),
+        "PointSet": ps,
+        "ExponentFit": lambda: fit_exponent([(2, 4), (3, 8)]),
+        "DeltaSetParams": lambda: delta_sets.DeltaSetParams(Scale(3), 0.5, 8.0),
+        "ValidationReport": lambda: delta_sets.validate(ps(), delta_sets.DeltaSetParams(Scale(3), 2.0, 8.0)),
+        "ExtractReport": lambda: delta_sets.extract(ps(), 1.0),
+        "TripodInstance": lambda: generators.collinear_tripod(4),
+        "GeneratorSpec": lambda: generators.GeneratorSpec("grid", {"k": 3}),
+        "Configuration": cfg,
+        "IncidenceReport": lambda: incidence.incidence_report(cfg()),
+        "CauchySchwarzReport": lambda: incidence.cauchy_schwarz_bound(cfg()),
+        "DichotomyReport": lambda: incidence.dichotomy_check(cfg(), 0.25),
+        "ExperimentManifest": lambda: manifest.ExperimentManifest("grid", k_range=(3, 4), analyses=("validate",)),
+        "_Outcome": lambda: manifest._Outcome(True, {"valid": True}),
+        "DirectionNet": net,
+        "ProjectionSweep": lambda: projections.sweep(ps(), net(), Scale(3)),
+        "ProjectionEnergy": lambda: projections.projection_energy(ps(), net(), 1.0),
+        "Window": lambda: tubes.Window.of_ints(0, 1, -1, 1),
+        "TubeFamily": lambda: tubes.TubeFamily.from_tubes(Scale(3), [tubes.DyadicTube(Scale(3), 1, -2)]),
+        "QuasiProduct": lambda: generators.quasi_product(6, 0.5, 0.4, 1),
+        "PairGraph": graph,
+        "BsgReport": lambda: additive.bsg_refine(graph()),
+        "PlunneckeReport": lambda: additive.plunnecke_corollary_check([ONE], [ONE, ZERO], Scale(2)),
+    }
+
+
+# the fields each record leaves out of its repr
+_HIDDEN = {"PointSet": {"x", "y"}, "Configuration": {"keys", "offsets"}, "TubeFamily": {"keys"}}
+
+
+def test_every_record_class_has_a_sample():
+    from tubelab import additive, delta_sets, generators, incidence, manifest, projections, tubes
+
+    modules = (core_grid, additive, delta_sets, generators, incidence, manifest, projections, tubes)
+    records = {
+        name
+        for module in modules
+        for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == module.__name__ and "_fields" in vars(obj)
+    }
+    assert records == set(_samples())
+
+
+@pytest.mark.parametrize("name", sorted(_samples()))
+def test_record_behaves_as_a_frozen_dataclass(name):
+    make = _samples()[name]
+    a, b = make(), make()
+    cls = type(a)
+    fields = tuple(vars(cls)["__annotations__"])
+    assert cls.__name__ == name and cls._fields == fields
+    # refused assignment and deletion, of fields and of anything else
+    for attr in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, getattr(b, fields[0]))
+        with pytest.raises(AttributeError):
+            delattr(a, attr)
+    # equal instances compare and hash alike; a dict or array field leaves the record unhashable
+    assert a == b and not a != b and a is not b
+    try:
+        hash_a = hash(a)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(b)
+    else:
+        assert hash_a == hash(b) == hash(tuple(getattr(a, f) for f in fields))
+    shown = ", ".join(f"{f}={getattr(a, f)!r}" for f in fields if f not in _HIDDEN.get(name, ()))
+    assert repr(a) == f"{name}({shown})"
+    if "__init__" in vars(cls) and not hasattr(vars(cls)["__init__"], "__signature__"):
+        return  # PointSet keeps its own constructor
+    # the constructor takes the fields by position or keyword, in order
+    assert list(inspect.signature(cls).parameters) == list(fields)
+    values = {f: getattr(a, f) for f in fields}
+    assert cls(**values) == a == cls(*values.values())
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)
+    with pytest.raises(TypeError):
+        cls(**values, extra=None)
+
+
+def test_record_defaults_and_order():
+    from tubelab.manifest import ExperimentManifest, _Outcome
+
+    a, b = _Outcome(True, {}), _Outcome(True, {})
+    assert a.row == b.row == {} and a.row is not b.row  # default_factory: a fresh dict each time
+    assert (a.printed, a.csv) == (None, None)
+    m = ExperimentManifest("grid", k_range=(3,), analyses=("validate",))
+    assert (m.generator_params, m.input_path, m.slack, m.seed, m.out) == ({}, None, 0.25, 0, "out")
+    assert m.generator_params is not ExperimentManifest("grid", k_range=(3,), analyses=("validate",)).generator_params
+    with pytest.raises(TypeError):
+        _Outcome(True)
+    assert Scale(2) < Scale(3) <= Scale(3) and Scale(4) > Scale(3) >= Scale(3)
+    assert sorted([Scale(5), Scale(1), Scale(3)]) == [Scale(1), Scale(3), Scale(5)]
+    assert Scale(3).__lt__(3) is NotImplemented and Scale(3) != 3
+    assert core_grid.ExponentFit((), 1.0, 0.0, 0.0)._asdict() == {
+        "samples": (), "slope": 1.0, "intercept": 0.0, "max_residual": 0.0
+    }

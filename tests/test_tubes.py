@@ -577,3 +577,22 @@ def test_slice_interval_matches_membership(a_idx, b_idx, xn, yn):
     assert tube_contains(t, DyadicPoint(x0, y)) == inside
 
 
+
+
+def test_tube_is_an_immutable_value():
+    # the slots class keeps what the frozen dataclass gave: equality and
+    # hashes by (scale, a_idx, b_idx), its repr, and refused assignment
+    import pickle
+
+    t, same = DyadicTube(Scale(4), 3, -5), DyadicTube.from_indices(Scale(4), 3, -5)
+    assert t == same and hash(t) == hash(same) == hash((Scale(4), 3, -5))
+    assert t != DyadicTube(Scale(4), 3, -4) and t != DyadicTube(Scale(5), 3, -5) and t != (Scale(4), 3, -5)
+    assert repr(t) == "DyadicTube(scale=Scale(k=4), a_idx=3, b_idx=-5)"
+    assert pickle.loads(pickle.dumps(t)) == t
+    for name in ("a_idx", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(t, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+    with pytest.raises(DomainError):
+        DyadicTube(Scale(4), 8 << 4, 0)
