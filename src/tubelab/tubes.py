@@ -40,6 +40,8 @@ from .core_grid import (
     ZERO,
     ONE,
     _int_field,
+    _refuse_delete,
+    _refuse_set,
     _run_starts,
     check_value_bound,
     field,
@@ -135,11 +137,7 @@ class DyadicTube:
         object.__setattr__(self, "a_idx", a_idx)
         object.__setattr__(self, "b_idx", b_idx)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("DyadicTube is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("DyadicTube is immutable")
+    __setattr__, __delattr__ = _refuse_set, _refuse_delete
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is DyadicTube:
