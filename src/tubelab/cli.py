@@ -13,11 +13,15 @@ Exit codes:
 
 TUBELAB_LOG in {error, warn, info, debug} routes diagnostics to stderr.
 
-Unless OPENBLAS_NUM_THREADS is set already, the command line sets it to 1
-before numpy loads. The OpenBLAS bundled with numpy otherwise starts a
+Unless OPENBLAS_NUM_THREADS is set already, importing this module sets it
+to 1 before numpy loads. The OpenBLAS bundled with numpy otherwise starts a
 thread pool at import whose idle threads spin for tens of milliseconds,
 and no analysis gains from it: the energy's matrix products run on one
-BLAS thread anyway at their size (see projections._ENERGY_BLOCK).
+BLAS thread anyway at their size (see projections._ENERGY_BLOCK). The
+setting is made at import, not in main(), so it holds for any process that
+imports tubelab.cli and for the child processes that process starts; a
+numpy loaded before the import keeps its thread pool. `import tubelab` and
+the other submodules leave the variable alone.
 """
 
 from __future__ import annotations

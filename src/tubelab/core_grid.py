@@ -181,9 +181,9 @@ def _compare(test: Callable[[tuple, tuple], bool], values: Callable[[object], tu
     return lambda self, other: test(values(self), values(other)) if other.__class__ is self.__class__ else NotImplemented
 
 
-def record(*, eq: bool = True, order: bool = False) -> Callable[[type], type]:
+def record(*, order: bool = False) -> Callable[[type], type]:
     """A class decorator that makes an annotated class an immutable record,
-    as @dataclass(frozen=True, eq=eq, order=order) does, from closures: a
+    as @dataclass(frozen=True, order=order) does, from closures: a
     dataclass compiles its methods' source with exec, which every process
     that imports the package would pay for.
 
@@ -192,8 +192,8 @@ def record(*, eq: bool = True, order: bool = False) -> Callable[[type], type]:
     - __init__ over the fields, which calls __post_init__ if the class has
       one, with a __signature__ naming its parameters
     - __repr__ `Name(field=value, ...)`, without the fields marked repr=False
-    - unless eq=False, __eq__ and __hash__ on the tuple of fields, and with
-      order=True also <, <=, > and >=
+    - __eq__ and __hash__ on the tuple of fields, and with order=True also
+      <, <=, > and >=
     - refused assignment and deletion (AttributeError), `_fields` and
       `_asdict()`.
     A method the class defines itself is kept."""
@@ -233,10 +233,8 @@ def record(*, eq: bool = True, order: bool = False) -> Callable[[type], type]:
         methods = {
             "__init__": __init__, "__repr__": __repr__, "__setattr__": _refuse_set,
             "__delattr__": _refuse_delete, "_fields": names, "_asdict": _asdict,
+            "__eq__": _compare(tuple.__eq__, values), "__hash__": lambda self: hash(values(self)),
         }
-        if eq:
-            methods["__eq__"] = _compare(tuple.__eq__, values)
-            methods["__hash__"] = lambda self: hash(values(self))
         if order:
             methods.update((op, _compare(getattr(tuple, op), values)) for op in ("__lt__", "__le__", "__gt__", "__ge__"))
         for name, method in methods.items():
@@ -487,7 +485,7 @@ def _distance_dtype(top: int) -> type:
 GRID_CAP = 60
 
 
-@record(eq=False)
+@record()
 class PointSet:
     """Finite set of pairwise distinct dyadic points at a working scale:
     point i is (x[i], y[i]) / 2^m, with x and y read-only int64 numerator

@@ -32,7 +32,7 @@ from .tubes import TUBE_ROW, tube_rows, unpack_key, unpack_key_array
 _BLOCK_KEYS = 1 << 13
 
 
-@record(eq=False)
+@record()
 class Configuration:
     """Point set plus one tube family per point, at a common even-k scale.
     Family i is keys[offsets[i]:offsets[i + 1]], its strictly increasing

@@ -307,7 +307,7 @@ class Window:
 UNIT_WINDOW = Window(ZERO, ONE, ZERO, ONE)
 
 
-@record(eq=False)
+@record()
 class TubeFamily:
     """Deduplicated family of tubes at one scale: keys is a read-only int64
     column of strictly increasing packed keys. An int64 array passed in is
