@@ -28,7 +28,7 @@ SliceHits = tuple[np.ndarray, np.ndarray, np.ndarray]
 PairTable = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-@record()
+@record
 class QuasiProduct:
     """Levels b in B with one horizontal slice A_b x {b} per level, stored as
     one PointSet in level-then-point order, so that each level is one run of
@@ -137,7 +137,7 @@ def exact_sumset_size(a_values: Sequence[DyadicRational], b_values: Sequence[Dya
     return len({(a + b) for a in a_values for b in b_values})
 
 
-@record()
+@record
 class PairGraph:
     """Bipartite relation G between value sets A and B, edges as index pairs,
     with the additive-energy parameter K it is claimed to satisfy."""
@@ -192,7 +192,7 @@ def measured_bsg_parameter(
     return max(na * nb / len(edges), s / math.sqrt(na * nb))
 
 
-@record()
+@record
 class BsgReport:
     a_kept: tuple[int, ...]
     b_kept: tuple[int, ...]
@@ -259,7 +259,7 @@ def bsg_refine(g: PairGraph) -> BsgReport:
     return BsgReport(kept_a, kept_b, rounds, c, comp, flags)
 
 
-@record()
+@record
 class PlunneckeReport:
     c0: float
     a_cells: int

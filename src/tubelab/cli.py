@@ -36,9 +36,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .core_grid import Scale, fit_exponent, values_to_json
 from .errors import ParseError
-from .generators import _KIND_PARAMS, GeneratorSpec
+from .generators import _KIND_SHAPE, _KINDS, GeneratorSpec
 from .manifest import (
-    _KIND_SHAPE,
     EXIT_FAIL,
     EXIT_HYPOTHESIS,
     EXIT_PARSE,
@@ -93,7 +92,7 @@ def _emit(obj: Any, out: str | None) -> None:
 
 def _generator_params(args: argparse.Namespace, kind: str) -> dict:
     # flags like --s double as analysis knobs; forward only what the kind takes
-    required, optional = _KIND_PARAMS[kind]
+    _, required, optional = _KINDS[kind]
     allowed = (required | optional) - {"k"}
     params: dict = {"k": getattr(args, "k", None)}
     for name in ("s", "tau", "seed", "epsilon"):

@@ -12,6 +12,8 @@ from contextlib import suppress
 from functools import cached_property
 from inspect import Parameter, Signature
 from itertools import chain
+from operator import attrgetter
+from types import MemberDescriptorType
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -175,77 +177,71 @@ def _asdict(self) -> dict:
     return {name: getattr(self, name) for name in self._fields}
 
 
-def _compare(test: Callable[[tuple, tuple], bool], values: Callable[[object], tuple]) -> Callable:
-    """An order method of a record: test on the field tuples of two
-    instances of one class."""
-    return lambda self, other: test(values(self), values(other)) if other.__class__ is self.__class__ else NotImplemented
-
-
-def record(*, order: bool = False) -> Callable[[type], type]:
+def record(cls: type) -> type:
     """A class decorator that makes an annotated class an immutable record,
-    as @dataclass(frozen=True, order=order) does, from closures: a
-    dataclass compiles its methods' source with exec, which every process
-    that imports the package would pay for.
+    as @dataclass(frozen=True) does, from closures: a dataclass compiles its
+    methods' source with exec, which every process that imports the package
+    would pay for.
 
     The class's annotations, in order, are its fields, and its values for
-    them their defaults. The record gets
+    them their defaults (a slots class's member descriptors are not). The
+    record gets
     - __init__ over the fields, which calls __post_init__ if the class has
       one, with a __signature__ naming its parameters
     - __repr__ `Name(field=value, ...)`, without the fields marked repr=False
-    - __eq__ and __hash__ on the tuple of fields, and with order=True also
-      <, <=, > and >=
+    - __eq__ and __hash__ on the tuple of fields
     - refused assignment and deletion (AttributeError), `_fields` and
       `_asdict()`.
     A method the class defines itself is kept."""
+    annotations = cls.__dict__.get("__annotations__", {})
+    names = tuple(annotations)
+    params, hidden = [Parameter("self", Parameter.POSITIONAL_OR_KEYWORD)], set()
+    for name in names:
+        default = cls.__dict__.get(name, Parameter.empty)
+        if isinstance(default, MemberDescriptorType):
+            default = Parameter.empty
+        elif isinstance(default, _Field):
+            delattr(cls, name)
+            if not default.repr:
+                hidden.add(name)
+            default = default if default.default_factory else Parameter.empty
+        params.append(Parameter(name, Parameter.POSITIONAL_OR_KEYWORD, default=default, annotation=annotations[name]))
+    signature = Signature(params)
+    width, post_init = len(names), hasattr(cls, "__post_init__")
+    shown = [name for name in names if name not in hidden]
+    # the tuple of fields; attrgetter returns a lone field bare
+    values = attrgetter(*names)
+    if width == 1:
+        values = lambda self, one=values: (one(self),)  # noqa: E731
 
-    def make(cls: type) -> type:
-        annotations = cls.__dict__.get("__annotations__", {})
-        names = tuple(annotations)
-        params, hidden = [Parameter("self", Parameter.POSITIONAL_OR_KEYWORD)], set()
-        for name in names:
-            default = cls.__dict__.get(name, Parameter.empty)
-            if isinstance(default, _Field):
-                delattr(cls, name)
-                if not default.repr:
-                    hidden.add(name)
-                default = default if default.default_factory else Parameter.empty
-            params.append(Parameter(name, Parameter.POSITIONAL_OR_KEYWORD, default=default, annotation=annotations[name]))
-        signature = Signature(params)
-        width, post_init = len(names), hasattr(cls, "__post_init__")
-        shown = [name for name in names if name not in hidden]
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != width:
+            bound = signature.bind(self, *args, **kwargs)  # TypeError on a missing or unknown field
+            bound.apply_defaults()
+            args = [v.default_factory() if isinstance(v, _Field) else v for v in bound.args[1:]]
+        self.__dict__.update(zip(names, args))
+        if post_init:
+            self.__post_init__()
 
-        def __init__(self, *args, **kwargs):
-            if kwargs or len(args) != width:
-                bound = signature.bind(self, *args, **kwargs)  # TypeError on a missing or unknown field
-                bound.apply_defaults()
-                args = [v.default_factory() if isinstance(v, _Field) else v for v in bound.args[1:]]
-            self.__dict__.update(zip(names, args))
-            if post_init:
-                self.__post_init__()
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in shown)})"
 
-        def __repr__(self):
-            return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in shown)})"
+    def __eq__(self, other):
+        return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
 
-        def values(self):
-            return tuple([getattr(self, name) for name in names])
-
-        __init__.__signature__ = signature
-        methods = {
-            "__init__": __init__, "__repr__": __repr__, "__setattr__": _refuse_set,
-            "__delattr__": _refuse_delete, "_fields": names, "_asdict": _asdict,
-            "__eq__": _compare(tuple.__eq__, values), "__hash__": lambda self: hash(values(self)),
-        }
-        if order:
-            methods.update((op, _compare(getattr(tuple, op), values)) for op in ("__lt__", "__le__", "__gt__", "__ge__"))
-        for name, method in methods.items():
-            if name not in cls.__dict__:
-                setattr(cls, name, method)
-        return cls
-
-    return make
+    __init__.__signature__ = signature
+    methods = {
+        "__init__": __init__, "__repr__": __repr__, "__setattr__": _refuse_set,
+        "__delattr__": _refuse_delete, "_fields": names, "_asdict": _asdict,
+        "__eq__": __eq__, "__hash__": lambda self: hash(values(self)),
+    }
+    for name, method in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, method)
+    return cls
 
 
-@record(order=True)
+@record
 class Scale:
     """Dyadic scale delta = 2^-k. Working scales use k >= 1; k = 0 is allowed
     as a covering target. Scales finer than 2^-20 are rejected."""
@@ -263,6 +259,7 @@ class Scale:
             raise ScaleError(f"k={self.k} must be even when the sqrt(delta) companion scale is used")
 
 
+@record
 class DyadicRational:
     """num / 2^exp in canonical form: exp >= 0, and num odd unless exp == 0.
 
@@ -276,9 +273,9 @@ class DyadicRational:
     scales stop at 2^-20, ball counts at 2^-27, and a nonzero value with a
     negative exponent below -3 leaves the [-8, 8] domain).
 
-    A hand-rolled immutable slots class: these are constructed in bulk inside
-    every exact predicate, so construction stays on a no-copy fast path when
-    the inputs are already canonical.
+    A record that keeps its own slots, constructor, repr and order: these
+    are constructed in bulk inside every exact predicate, so construction
+    stays on a no-copy fast path when the inputs are already canonical.
     """
 
     __slots__ = ("num", "exp")
@@ -315,25 +312,6 @@ class DyadicRational:
             raise DyadicOverflowError(f"numerator magnitude {abs(num).bit_length()} bits exceeds 128-bit envelope")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("DyadicRational is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("DyadicRational is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is DyadicRational:
-            return self.num == other.num and self.exp == other.exp
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        if other.__class__ is DyadicRational:
-            return self.num != other.num or self.exp != other.exp
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.exp))
 
     def __reduce__(self):
         return (DyadicRational, (self.num, self.exp))
@@ -416,11 +394,12 @@ def check_value_bound(v: DyadicRational) -> None:
     _check_bound(v, _VALUE_BOUND, "value")
 
 
+@record
 class DyadicPoint:
     """Planar point with exact dyadic coordinates in [-4, 4]^2.
 
-    Slots class for the same reason as DyadicRational: membership predicates
-    construct one per probe.
+    A record with its own slots and constructor for the same reason as
+    DyadicRational: membership predicates construct one per probe.
     """
 
     __slots__ = ("x", "y")
@@ -435,28 +414,6 @@ class DyadicPoint:
             raise DomainError(f"y coordinate {y!r} outside [-{_COORD_BOUND}, {_COORD_BOUND}]")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("DyadicPoint is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("DyadicPoint is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is DyadicPoint:
-            return self.x == other.x and self.y == other.y
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        if other.__class__ is DyadicPoint:
-            return self.x != other.x or self.y != other.y
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.x, self.y))
-
-    def __repr__(self) -> str:
-        return f"DyadicPoint(x={self.x!r}, y={self.y!r})"
 
     def __reduce__(self):
         return (DyadicPoint, (self.x, self.y))
@@ -485,7 +442,7 @@ def _distance_dtype(top: int) -> type:
 GRID_CAP = 60
 
 
-@record()
+@record
 class PointSet:
     """Finite set of pairwise distinct dyadic points at a working scale:
     point i is (x[i], y[i]) / 2^m, with x and y read-only int64 numerator
@@ -606,7 +563,7 @@ def covering_number(ps: PointSet, target: Scale) -> int:
     return cell_numbers(ps, target.k)[1]
 
 
-@record()
+@record
 class ExponentFit:
     """Least-squares fit of log2(count) against k = log2(1/delta)."""
 

@@ -43,7 +43,7 @@ from .errors import DyadicOverflowError, ValidationError
 _CENTER_BLOCK = 16
 
 
-@record()
+@record
 class DeltaSetParams:
     """Parameters of the (delta, s, C) condition."""
 
@@ -56,9 +56,17 @@ class DeltaSetParams:
             raise ValidationError(f"dimension parameter s={self.s} must be positive")
         if not (self.C > 0.0):
             raise ValidationError(f"constant C={self.C} must be positive")
+        # the largest ball-count threshold, and effective_constant with it,
+        # must be a finite float; this refuses an infinite s or C too
+        try:
+            top = self.C * 2.0 ** (max(self.scale.k, 1) * self.s)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValidationError(f"C * 2^(k s) overflows a float at s={self.s}, C={self.C}, k={self.scale.k}")
 
 
-@record()
+@record
 class ValidationReport:
     valid: bool
     kind: str  # "ok" | "separation" | "ball"
@@ -201,7 +209,7 @@ def _quadtree(ps: PointSet, s: float) -> tuple[np.ndarray, list[np.ndarray], lis
 EXTRACT_CONSTANT_2D = 18.0
 
 
-@record()
+@record
 class ExtractReport:
     points: PointSet
     kappa: float

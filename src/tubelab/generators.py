@@ -180,7 +180,7 @@ def quasi_product_tubes(qp: QuasiProduct) -> TubeFamily:
     return TubeFamily(qp.scale, keys[_run_starts(keys)])
 
 
-@record()
+@record
 class TripodInstance:
     """Three grid points on one steep tube at well-separated levels."""
 
@@ -252,26 +252,28 @@ def collinear_tripod(k: int, seed: int = 0) -> TripodInstance:
     raise GeneratorError(f"no tripod found at k={k}, seed={seed}")
 
 
-_KIND_PARAMS: dict[str, tuple[set[str], set[str]]] = {
-    # kind: (required, optional)
-    "grid": ({"k"}, set()),
-    "cantor_grid": ({"k", "s"}, {"mask"}),
-    "slope_net": ({"k", "s"}, set()),
-    "furstenberg_product": ({"k", "s"}, {"epsilon"}),
-    "quasi_product": ({"k", "s", "tau"}, {"seed"}),
-    "collinear_tripod": ({"k"}, {"seed"}),
+# kind: (what it builds, its required parameters, its optional ones); the
+# manifest's _ANALYSIS_SHAPES says which analyses take each shape
+_KINDS: dict[str, tuple[str, set[str], set[str]]] = {
+    "grid": ("points", {"k"}, set()),
+    "cantor_grid": ("points", {"k", "s"}, {"mask"}),
+    "slope_net": ("values", {"k", "s"}, set()),
+    "furstenberg_product": ("configuration", {"k", "s"}, {"epsilon"}),
+    "quasi_product": ("quasi_product", {"k", "s", "tau"}, {"seed"}),
+    "collinear_tripod": ("tripod", {"k"}, {"seed"}),
 }
+_KIND_SHAPE = {kind: shape for kind, (shape, _, _) in _KINDS.items()}
 
 
-@record()
+@record
 class GeneratorSpec:
     kind: str
     params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_PARAMS:
-            raise ParseError(f"unknown generator kind {self.kind!r}; known: {sorted(_KIND_PARAMS)}")
-        required, optional = _KIND_PARAMS[self.kind]
+        if self.kind not in _KINDS:
+            raise ParseError(f"unknown generator kind {self.kind!r}; known: {sorted(_KINDS)}")
+        _, required, optional = _KINDS[self.kind]
         given = set(self.params)
         missing = required - given
         unknown = given - required - optional

@@ -32,7 +32,7 @@ from .tubes import TUBE_ROW, tube_rows, unpack_key, unpack_key_array
 _BLOCK_KEYS = 1 << 13
 
 
-@record()
+@record
 class Configuration:
     """Point set plus one tube family per point, at a common even-k scale.
     Family i is keys[offsets[i]:offsets[i + 1]], its strictly increasing
@@ -222,7 +222,7 @@ def validate_configuration(cfg: Configuration) -> list[HypothesisViolation]:
     return out
 
 
-@record()
+@record
 class IncidenceReport:
     k: int
     n_points: int
@@ -287,7 +287,7 @@ def incidence_report(cfg: Configuration) -> IncidenceReport:
     )
 
 
-@record()
+@record
 class CauchySchwarzReport:
     """Exact verification of |I|^2 <= |T| * sum_T N_T^2 and the implied
     lower bound |T| >= |I|^2 / (|I| + pair_sum)."""
@@ -317,7 +317,7 @@ def cauchy_schwarz_bound(cfg: Configuration) -> CauchySchwarzReport:
     return CauchySchwarzReport(s1, tubes, s2, s2 - s1, implied, ineq_ok)
 
 
-@record()
+@record
 class DichotomyReport:
     k: int
     s: float

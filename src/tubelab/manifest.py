@@ -50,7 +50,7 @@ from .errors import (
     ScaleError,
     ValidationError,
 )
-from .generators import GeneratorSpec, TripodInstance, quasi_product_tubes
+from .generators import _KIND_SHAPE, _KINDS, GeneratorSpec, TripodInstance, quasi_product_tubes
 from .incidence import Configuration, cauchy_schwarz_bound, dichotomy_check
 from .projections import DirectionNet, sweep, sweep_to_csv
 
@@ -75,17 +75,8 @@ CSV_COLUMNS = (
 
 ANALYSES = ("validate", "incidence", "dichotomy", "sweep", "additive")
 
-# what each generator kind builds; with _ANALYSIS_SHAPES it decides which
-# kinds a manifest or a subcommand accepts for each analysis
-_KIND_SHAPE = {
-    "grid": "points",
-    "cantor_grid": "points",
-    "slope_net": "values",
-    "furstenberg_product": "configuration",
-    "quasi_product": "quasi_product",
-    "collinear_tripod": "tripod",
-}
-
+# the output shapes (generators._KINDS) each analysis takes, which decide the
+# kinds a manifest or a subcommand accepts for it
 _ANALYSIS_SHAPES = {
     "validate": {"points", "values", "configuration", "quasi_product", "tripod"},
     "incidence": {"configuration"},
@@ -138,7 +129,7 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-@record()
+@record
 class ExperimentManifest:
     """Declarative description of one reproducible run.
 
@@ -352,7 +343,7 @@ def _write_text(path: str | Path, text: str) -> None:
         raise ParseError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
-@record()
+@record
 class _Outcome:
     """One analysis of one object: its verdict, its section of
     report_k{K}.json (the run adds the verdict), what the subcommand of the
@@ -489,7 +480,7 @@ def _analyze_one(manifest: ExperimentManifest, k: int) -> tuple[dict, dict[str, 
     if manifest.generator_kind is not None:
         params = dict(manifest.generator_params)
         params["k"] = k
-        if manifest.generator_kind in ("quasi_product", "collinear_tripod"):
+        if "seed" in _KINDS[manifest.generator_kind][2]:  # among its optional parameters
             params.setdefault("seed", manifest.seed)
         spec = GeneratorSpec(manifest.generator_kind, params)
         with _stage("generate"):

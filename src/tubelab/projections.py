@@ -47,7 +47,7 @@ _SPAN_BOUND = 12.0
 _RIGHT = math.pi / 2
 
 
-@record()
+@record
 class DirectionNet:
     """Ordered finite set of directions in [0, pi) with stored unit vectors.
 
@@ -160,7 +160,7 @@ def _block_counts(vals: np.ndarray, k: int, audit: bool, u: np.ndarray, f: np.nd
     return count, spread
 
 
-@record()
+@record
 class ProjectionSweep:
     """Per-direction covering counts N(pi_e(K), 2^-k) over a direction net."""
 
@@ -265,7 +265,7 @@ def exceptional_ratio(sw: ProjectionSweep, t: float) -> float:
     return sw.exceptional_count(t) / (k * k * 2.0 ** (k * t))
 
 
-@record()
+@record
 class ProjectionEnergy:
     """Discrete truncated s-energy of the projected set, per net direction."""
 

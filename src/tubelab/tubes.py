@@ -40,8 +40,6 @@ from .core_grid import (
     ZERO,
     ONE,
     _int_field,
-    _refuse_delete,
-    _refuse_set,
     _run_starts,
     check_value_bound,
     field,
@@ -118,12 +116,13 @@ def parent_key_array(keys: np.ndarray, k: int, coarse_k: int) -> np.ndarray:
     return ((keys >> (shift + d)) << coarse_shift) | ((keys & ((1 << shift) - 1)) >> d)
 
 
+@record
 class DyadicTube:
     """Dyadic delta-tube: dual image of the parameter cell
     [a_idx, a_idx+1) x [b_idx, b_idx+1) in delta units.
 
-    An immutable slots class like DyadicPoint, since exact predicates build
-    one per probe; pack_key is its one check."""
+    A record with its own slots and constructor like DyadicPoint, since
+    exact predicates build one per probe; pack_key is its one check."""
 
     __slots__ = ("scale", "a_idx", "b_idx")
 
@@ -136,19 +135,6 @@ class DyadicTube:
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "a_idx", a_idx)
         object.__setattr__(self, "b_idx", b_idx)
-
-    __setattr__, __delattr__ = _refuse_set, _refuse_delete
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is DyadicTube:
-            return self.a_idx == other.a_idx and self.b_idx == other.b_idx and self.scale == other.scale
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.scale, self.a_idx, self.b_idx))
-
-    def __repr__(self) -> str:
-        return f"DyadicTube(scale={self.scale!r}, a_idx={self.a_idx!r}, b_idx={self.b_idx!r})"
 
     def __reduce__(self):
         return (DyadicTube, (self.scale, self.a_idx, self.b_idx))
@@ -276,7 +262,7 @@ def canonical_tube_through(p: DyadicPoint, slope: DyadicRational, scale: Scale) 
     return DyadicTube(scale, *unpack_key(int(key), scale.k))
 
 
-@record()
+@record
 class Window:
     """Half-open parameter window [a_lo, a_hi) x [b_lo, b_hi) restricting
     which tube cells an enumeration may return."""
@@ -307,7 +293,7 @@ class Window:
 UNIT_WINDOW = Window(ZERO, ONE, ZERO, ONE)
 
 
-@record()
+@record
 class TubeFamily:
     """Deduplicated family of tubes at one scale: keys is a read-only int64
     column of strictly increasing packed keys. An int64 array passed in is

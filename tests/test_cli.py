@@ -20,7 +20,8 @@ from tubelab.cli import _LOG_LEVELS, _build_parser, _setup_logging, main
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale
 from tubelab.errors import DyadicOverflowError, ParseError
 from tubelab.generators import (
-    _KIND_PARAMS,
+    _KIND_SHAPE,
+    _KINDS,
     collinear_tripod,
     furstenberg_product,
     grid,
@@ -30,7 +31,6 @@ from tubelab.generators import (
 from tubelab.incidence import Configuration, validate_configuration
 from tubelab.manifest import (
     _ANALYSIS_SHAPES,
-    _KIND_SHAPE,
     ANALYSES,
     ExperimentManifest,
     _natural_profile,
@@ -305,6 +305,23 @@ def test_project_rejects_non_finite_energy_exponent(capsys, tmp_path, value):
     assert "energy exponent" in err
 
 
+@pytest.mark.parametrize(
+    "flags, code",
+    [
+        (["--s", "300"], 2),  # 2^(4 * 300) overflows a float
+        (["--s", "1e308"], 2),  # 2^s alone does
+        (["--s", "inf"], 2),
+        (["--constant", "inf"], 2),
+        (["--constant", "1e308", "--s", "2"], 2),  # C * 2^8 does
+        (["--s", "255"], 0),  # 8 * 2^1020 = 2^1023 is the largest power of two a float holds
+    ],
+)
+def test_frostman_parameters_out_of_float_range_are_parse_errors(capsys, flags, code):
+    got, out, err = _call(capsys, ["validate", "--kind", "grid", "--k", "4", *flags])
+    assert got == code and "Traceback" not in err
+    assert (out == "") == (code == 2)
+
+
 @pytest.mark.parametrize("command", ["validate", "project"])
 def test_non_integer_point_entry_is_parse_error(capsys, tmp_path, command):
     src = tmp_path / "bad.json"
@@ -458,7 +475,7 @@ def _generators(draw):
     drawn near their range: a required one is there seven times in eight,
     an optional one half the time, any other one time in eight."""
     kind = draw(hys.sampled_from([*_KIND_SHAPE, "mystery"]))
-    required, optional = _KIND_PARAMS.get(kind, (set(), set()))
+    _, required, optional = _KINDS.get(kind, (None, set(), set()))
     params = {}
     for name, values in _GENERATOR_PARAM.items():
         chance = 7 if name in required - {"k"} else 4 if name in optional else 1

@@ -138,6 +138,16 @@ def test_validate_rejects_empty_and_scale_mismatch():
         validate(grid(2), DeltaSetParams(Scale(4), 1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "k, s, C", [(4, 300.0, 1.0), (4, math.inf, 1.0), (4, 1.0, math.inf), (0, 1e308, 1.0), (4, 2.0, 1e308)]
+)
+def test_params_refuse_thresholds_past_float_range(k, s, C):
+    # the largest threshold C * 2^(max(k, 1) s) must be a finite float
+    with pytest.raises(ValidationError, match="overflows a float"):
+        DeltaSetParams(Scale(k), s, C)
+    DeltaSetParams(Scale(4), 255.0, 8.0)  # 8 * 2^(4 * 255) = 2^1023 is a float
+
+
 def _universal_center_worst(ps: PointSet, s: float, C: float) -> float:
     """Worst ratio over all grid centers and dyadic radii below 1, exact."""
     k = ps.scale.k
@@ -291,10 +301,11 @@ def test_validate_1d_blocked_counts_match_per_radius_oracle(values, k, s, C, kin
 @hyp.given(
     grid_cells,
     hys.sampled_from([0.5, 1.0, 2.0]),
-    hys.sampled_from([0.5, 1.0, 2.0, math.inf]),
+    hys.sampled_from([0.5, 1.0, 2.0, 1e300]),
 )
 def test_validate_blocked_counts_match_oracle_on_random_sets(cells, s, C):
-    # integer counts against thresholds C * 2^(t s) tie often at s = 1, 2
+    # integer counts against thresholds C * 2^(t s) tie often at s = 1, 2;
+    # at C = 1e300 every ball passes
     ps = _grid_set(4, cells)
     params = DeltaSetParams(Scale(4), s, C)
     _assert_matches_oracle(validate(ps, params), [(p.x, p.y) for p in ps.points], params)

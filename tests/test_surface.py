@@ -19,8 +19,12 @@ Every parameter of a function or method of `src/tubelab` that has a default
 or is keyword-only must be passed by some call in `src/tubelab`, outside the
 function's own body, or in `tests/test_acceptance.py`: by keyword, by
 position at or past its index, or by `*` or `**`. Calls match a function by
-its name, and an `__init__` by its class's name. Dataclass fields are not
+its name, and an `__init__` by its class's name. Record fields are not
 parameters here.
+
+Every immutable value is a `core_grid.record`: no class of `src/tubelab`
+defines or assigns `__setattr__`, `__delattr__`, `__ne__` or `__hash__`
+itself. A record that holds arrays may define its own `__eq__`.
 """
 from __future__ import annotations
 
@@ -222,3 +226,45 @@ def test_unset_parameters_are_found():
     user = ast.parse("make(1, 2)\nspread(*(1, 2))\nmake(3, **{})\n")
     # grow's twice is set only by grow itself
     assert _unset({"lib.py": lib}, user) == ["lib.py: Box.grow.twice"]
+
+
+# what record alone gives a class: refused assignment and deletion, and
+# equality and hashing on the tuple of fields
+RECORD_ONLY = ("__setattr__", "__delattr__", "__ne__", "__hash__")
+
+
+def _own_record_methods(modules: dict[str, ast.Module]) -> list[str]:
+    """Each definition or assignment of a RECORD_ONLY name in a class body,
+    as "module: Class.name"."""
+    found = []
+    for module, tree in modules.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            for item in cls.body:
+                if isinstance(item, ast.FunctionDef):
+                    names = [item.name]
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                else:
+                    names = []
+                found += [f"{module}: {cls.name}.{name}" for name in names if name in RECORD_ONLY]
+    return found
+
+
+def test_no_class_builds_its_own_immutable_value():
+    assert _own_record_methods(_modules()) == []
+
+
+def test_own_record_methods_are_found():
+    lib = ast.parse(
+        "class Frozen:\n"
+        "    __setattr__, __delattr__ = refuse, refuse\n"
+        "    __hash__ = None\n"
+        "    def __eq__(self, other):\n"
+        "        return True\n"
+        "    def __ne__(self, other):\n"
+        "        return False\n"
+    )
+    assert _own_record_methods({"lib.py": lib}) == [
+        "lib.py: Frozen.__setattr__", "lib.py: Frozen.__delattr__", "lib.py: Frozen.__hash__", "lib.py: Frozen.__ne__"
+    ]

@@ -580,8 +580,9 @@ def test_slice_interval_matches_membership(a_idx, b_idx, xn, yn):
 
 
 def test_tube_is_an_immutable_value():
-    # the slots class keeps what the frozen dataclass gave: equality and
-    # hashes by (scale, a_idx, b_idx), its repr, and refused assignment
+    # the record keeps what the frozen dataclass gave: equality and hashes
+    # by (scale, a_idx, b_idx), its repr, and refused assignment; its own
+    # __reduce__ pickles it, as the scalar records' own do theirs
     import pickle
 
     t, same = DyadicTube(Scale(4), 3, -5), DyadicTube.from_indices(Scale(4), 3, -5)
@@ -589,6 +590,9 @@ def test_tube_is_an_immutable_value():
     assert t != DyadicTube(Scale(4), 3, -4) and t != DyadicTube(Scale(5), 3, -5) and t != (Scale(4), 3, -5)
     assert repr(t) == "DyadicTube(scale=Scale(k=4), a_idx=3, b_idx=-5)"
     assert pickle.loads(pickle.dumps(t)) == t
+    x = DyadicRational(-3, 4)
+    p = DyadicPoint(x, DyadicRational(1, 2))
+    assert pickle.loads(pickle.dumps(x)) == x and pickle.loads(pickle.dumps(p)) == p
     for name in ("a_idx", "extra"):
         with pytest.raises(AttributeError):
             setattr(t, name, 0)
