@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core_grid import GRID_CAP, DyadicPoint, DyadicRational, PointSet, Scale, _indexed_entries, _int_field, _run_starts
-from .core_grid import grid_objects, number_field, read_pairs, record, write_rows
+from .core_grid import _asdict, grid_objects, number_field, read_pairs, record, write_rows
 from .errors import HypothesisViolation, ParseError, ValidationError
 from .incidence import _run_lengths
 from .tubes import TubeFamily, unpack_key, unpack_key_array, window_keys
@@ -201,9 +201,7 @@ class BsgReport:
     component_exponents: tuple[float, float, float, float]
     flags: dict
 
-    def to_json(self) -> dict:
-        lists = {name: list(getattr(self, name)) for name in ("a_kept", "b_kept", "component_exponents")}
-        return {**self._asdict(), **lists}
+    to_json = _asdict
 
 
 def bsg_refine(g: PairGraph) -> BsgReport:
@@ -241,9 +239,7 @@ def bsg_refine(g: PairGraph) -> BsgReport:
     if not kept_a or not kept_b:
         return BsgReport(kept_a, kept_b, rounds, math.inf, (math.inf,) * 4, {**flags, "collapsed": True})
     surviving = [(i, j) for i, j in g.edges if i in alive_a and j in alive_b]
-    a_sub = [g.a_values[i] for i in kept_a]
-    b_sub = [g.b_values[j] for j in kept_b]
-    sum_sub = len({a + b for a in a_sub for b in b_sub})
+    sum_sub = exact_sumset_size([g.a_values[i] for i in kept_a], [g.b_values[j] for j in kept_b])
     root = math.sqrt(na * nb)
     if g.K <= 1.0:
         # every conclusion is either trivially true or vacuous at K <= 1
@@ -270,8 +266,7 @@ class PlunneckeReport:
     bound: float
     ok: bool
 
-    def to_json(self) -> dict:
-        return self._asdict()
+    to_json = _asdict
 
 
 def plunnecke_corollary_check(

@@ -211,9 +211,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         raise ParseError(f"manifest is not valid JSON: {exc}") from exc
     manifest = ExperimentManifest.from_json(obj)
     if args.out is not None:
-        data = manifest.to_json()
-        data["out"] = args.out
-        manifest = ExperimentManifest.from_json(data)
+        manifest = ExperimentManifest(**{**manifest._asdict(), "out": args.out})
     log.info("running manifest %s", manifest.sha256()[:12])
     return _run(manifest)
 

@@ -190,8 +190,10 @@ def record(cls: type) -> type:
       one, with a __signature__ naming its parameters
     - __repr__ `Name(field=value, ...)`, without the fields marked repr=False
     - __eq__ and __hash__ on the tuple of fields
+    - __reduce__ `(type(self), fields)`, so that pickling, copy.copy and
+      copy.deepcopy run the constructor and its checks again
     - refused assignment and deletion (AttributeError), `_fields` and
-      `_asdict()`.
+      `_asdict()`; a record whose JSON is its fields says `to_json = _asdict`.
     A method the class defines itself is kept."""
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
@@ -234,6 +236,7 @@ def record(cls: type) -> type:
         "__init__": __init__, "__repr__": __repr__, "__setattr__": _refuse_set,
         "__delattr__": _refuse_delete, "_fields": names, "_asdict": _asdict,
         "__eq__": __eq__, "__hash__": lambda self: hash(values(self)),
+        "__reduce__": lambda self: (type(self), values(self)),
     }
     for name, method in methods.items():
         if name not in cls.__dict__:
@@ -312,9 +315,6 @@ class DyadicRational:
             raise DyadicOverflowError(f"numerator magnitude {abs(num).bit_length()} bits exceeds 128-bit envelope")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
-
-    def __reduce__(self):
-        return (DyadicRational, (self.num, self.exp))
 
     @classmethod
     def integer(cls, n: int) -> "DyadicRational":
@@ -415,9 +415,6 @@ class DyadicPoint:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-    def __reduce__(self):
-        return (DyadicPoint, (self.x, self.y))
-
     @classmethod
     def of(cls, xn: int, xe: int, yn: int, ye: int) -> "DyadicPoint":
         return cls(DyadicRational(xn, xe), DyadicRational(yn, ye))
@@ -497,6 +494,10 @@ class PointSet:
     def points(self) -> tuple[DyadicPoint, ...]:
         return tuple(map(self._point, range(len(self))))
 
+    def __reduce__(self):
+        # the one record whose constructor takes other than its fields
+        return (PointSet.from_columns, (self.scale, self.x, self.y, self.m))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PointSet):
             return NotImplemented
@@ -572,13 +573,7 @@ class ExponentFit:
     intercept: float
     max_residual: float
 
-    def to_json(self) -> dict:
-        return {
-            "samples": [[k, c] for k, c in self.samples],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "max_residual": self.max_residual,
-        }
+    to_json = _asdict
 
 
 def fit_exponent(samples: Sequence[tuple[Scale | int, int]]) -> ExponentFit:

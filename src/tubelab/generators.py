@@ -19,6 +19,7 @@ from .core_grid import (
     DyadicRational,
     PointSet,
     Scale,
+    _asdict,
     _int_field,
     _int_row,
     _run_starts,
@@ -300,8 +301,7 @@ class GeneratorSpec:
             for quadrant in p["mask"]:
                 _int_row(quadrant, 2, f"{self.kind}: mask quadrant [dx, dy]")
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "params": dict(sorted(self.params.items()))}
+    to_json = _asdict
 
     def build(self) -> Any:
         """The generator's output. A spec the generator cannot satisfy (a

@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .core_grid import PointSet, Scale, _indexed_entries, _int_field, _run_starts, cell_numbers, covering_number
-from .core_grid import field, number_field, record
+from .core_grid import _asdict, field, number_field, record
 from .delta_sets import DeltaSetParams, _validate_coords, validate
 from .errors import HypothesisViolation, ParseError, ValidationError
 from .tubes import TubeFamily, family_keys, intercept_window_array, key_bits, membership_grid, parent_key_array
@@ -236,9 +236,7 @@ class IncidenceReport:
     mt_histogram: tuple[tuple[int, int], ...]  # (M_T value, #coarse tubes)
     identity_ok: bool
 
-    def to_json(self) -> dict:
-        nt, mt = ([list(row) for row in hist] for hist in (self.nt_histogram, self.mt_histogram))
-        return {**self._asdict(), "nt_histogram": nt, "mt_histogram": mt}
+    to_json = _asdict
 
 
 def incidence_report(cfg: Configuration) -> IncidenceReport:
@@ -329,8 +327,7 @@ class DichotomyReport:
     passed: bool
     margins: tuple[float, float]
 
-    def to_json(self) -> dict:
-        return {**self._asdict(), "margins": list(self.margins)}
+    to_json = _asdict
 
 
 def dichotomy_hypotheses(cfg: Configuration) -> list[HypothesisViolation]:

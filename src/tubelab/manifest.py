@@ -129,6 +129,13 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _string(value: object, what: str) -> str:
+    """A JSON value that must be a string; ParseError naming `what` otherwise."""
+    if not isinstance(value, str):
+        raise ParseError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 @record
 class ExperimentManifest:
     """Declarative description of one reproducible run.
@@ -210,7 +217,7 @@ class ExperimentManifest:
             gen = obj["generator"]
             if not isinstance(gen, dict) or "kind" not in gen:
                 raise ParseError("'generator' needs a 'kind'")
-            kind = str(gen["kind"])
+            kind = _string(gen["kind"], "'generator.kind'")
             params = gen.get("params", {})
             if not isinstance(params, dict):
                 raise ParseError("'generator.params' must be an object")
@@ -218,19 +225,18 @@ class ExperimentManifest:
         k_range = obj.get("k_range")
         if not isinstance(k_range, list):
             raise ParseError(f"manifest 'k_range' must be a list of integers, got {k_range!r}")
-        try:
-            analyses = tuple(str(a) for a in obj["analyses"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"manifest needs 'analyses': {exc}") from exc
+        analyses = obj.get("analyses")
+        if not (isinstance(analyses, list) and all(isinstance(a, str) for a in analyses)):
+            raise ParseError(f"manifest 'analyses' must be a list of strings, got {analyses!r}")
         return cls(
             generator_kind=kind,
             generator_params=dict(params),
-            input_path=None if path is None else str(path),
+            input_path=None if path is None else _string(path, "manifest 'input'"),
             k_range=_int_row(k_range, len(k_range), "manifest 'k_range'"),
-            analyses=analyses,
+            analyses=tuple(analyses),
             slack=number_field(obj, "slack", "manifest") if "slack" in obj else 0.25,
             seed=_int_field(obj, "seed") if "seed" in obj else 0,
-            out=str(obj.get("out", "out")),
+            out=_string(obj.get("out", "out"), "manifest 'out'"),
         )
 
     def sha256(self) -> str:

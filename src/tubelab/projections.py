@@ -23,16 +23,6 @@ import numpy as np
 from .core_grid import PointSet, Scale, _distance_dtype, _run_starts, record
 from .errors import DomainError, DyadicOverflowError, ValidationError
 
-__all__ = [
-    "DirectionNet",
-    "ProjectionSweep",
-    "ProjectionEnergy",
-    "sweep",
-    "exceptional_ratio",
-    "projection_energy",
-    "sweep_to_csv",
-]
-
 # values within this distance of a cell boundary count in the lower cell
 BOUNDARY_TOL = 2.0**-40
 # (direction, point) terms per sweep block: the three float64 block buffers a

@@ -136,9 +136,6 @@ class DyadicTube:
         object.__setattr__(self, "a_idx", a_idx)
         object.__setattr__(self, "b_idx", b_idx)
 
-    def __reduce__(self):
-        return (DyadicTube, (self.scale, self.a_idx, self.b_idx))
-
     @classmethod
     def from_indices(cls, scale: Scale, a_idx: int, b_idx: int) -> "DyadicTube":
         return cls(scale, a_idx, b_idx)

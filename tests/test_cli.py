@@ -954,6 +954,34 @@ def test_run_manifest_parse_errors(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({}, None),
+        ({"input": None}, None),  # a null input means no input
+        ({"out": None}, "'out'"),
+        ({"out": 5}, "'out'"),
+        ({"out": True}, "'out'"),
+        ({"analyses": {"validate": 1}}, "'analyses'"),
+        ({"analyses": "validate"}, "'analyses'"),
+        ({"analyses": ["validate", 1]}, "'analyses'"),
+        ({"input": 5}, "'input'"),
+        ({"generator": {"kind": 5}}, "'generator.kind'"),
+    ],
+)
+def test_run_refuses_manifest_fields_of_the_wrong_type(capsys, tmp_path, monkeypatch, change, field):
+    monkeypatch.chdir(tmp_path)
+    source = {} if change.get("input") is not None else {"generator": {"kind": "grid", "params": {}}}
+    obj = {**source, "k_range": [4], "analyses": ["validate"], "out": "good", **change}
+    Path("m.json").write_text(json.dumps(obj))
+    code, out, err = _call(capsys, ["run", "--manifest", "m.json"])
+    if field is None:
+        assert code == 0 and Path("good", "report_k4.json").exists()
+        return
+    assert (code, out) == (2, "") and field in err and "Traceback" not in err
+    assert not any(Path(name).exists() for name in ("None", "5", "True", "good"))
+
+
 def test_run_manifest_default_epsilon_is_checked(capsys, tmp_path):
     mf = tmp_path / "m.json"
     mf.write_text(

@@ -4,13 +4,17 @@ Oracle for all rational arithmetic is fractions.Fraction.
 """
 from __future__ import annotations
 
+import copy
 import inspect
+import json
 import math
+import pickle
 from fractions import Fraction
 from typing import Callable
 
 import hypothesis as hyp
 import hypothesis.strategies as hys
+import numpy as np
 import pytest
 
 from tubelab import core_grid
@@ -351,3 +355,73 @@ def test_record_defaults_and_order():
     assert core_grid.ExponentFit((), 1.0, 0.0, 0.0)._asdict() == {
         "samples": (), "slope": 1.0, "intercept": 0.0, "max_residual": 0.0
     }
+
+
+def _columns(value: object) -> list[np.ndarray]:
+    """The int64 array fields of a record and of the records it holds."""
+    if isinstance(value, np.ndarray):
+        return [value] if value.dtype == np.int64 else []
+    return [c for name in getattr(value, "_fields", ()) for c in _columns(getattr(value, name))]
+
+
+# how many int64 columns each record holds, its own and its point set's
+_COLUMN_COUNTS = {
+    "PointSet": 2, "ExtractReport": 2, "Configuration": 4, "ProjectionSweep": 2, "TubeFamily": 1, "QuasiProduct": 2
+}
+_COPIES = {"pickle": lambda obj: pickle.loads(pickle.dumps(obj)), "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
+@pytest.mark.parametrize("how", sorted(_COPIES))
+@pytest.mark.parametrize("name", sorted(_samples()))
+def test_record_copies_are_checked_like_originals(name, how):
+    a = _samples()[name]()
+    b = _COPIES[how](a)
+    assert type(b) is type(a) and b == a
+    # the copy ran the constructor: its columns are read-only like the original's
+    assert len(_columns(b)) == len(_columns(a)) == _COLUMN_COUNTS.get(name, 0)
+    assert not any(c.flags.writeable for c in _columns(b))
+
+
+def test_unpickling_runs_the_constructors_checks():
+    from tubelab.tubes import TubeFamily
+
+    # a family built round its constructor, with keys out of order, is refused on load
+    broken = TubeFamily.__new__(TubeFamily)
+    broken.__dict__.update(scale=Scale(3), keys=np.array([3, 2, 1]))
+    with pytest.raises(ValidationError):
+        pickle.loads(pickle.dumps(broken))
+
+
+# each plain-JSON record sample's canonical_json text, compacted
+_PLAIN_JSON = {
+    "BsgReport": (
+        '{"a_kept": [0], "b_kept": [0, 1], "c_exponent": 0.0, "component_exponents": [0.0, 0.0, 0.0, 0.0], '
+        '"flags": {"edge_count_ok": true, "k_at_most_one": true, "k_too_large": false, "restricted_sum_ok": false}, '
+        '"rounds": 1}'
+    ),
+    "DichotomyReport": (
+        '{"coarse_branch": true, "e_coarse": 0.646240625180289, "e_tubes": 1.175109929535273, "k": 4, '
+        '"margins": [0.42510992953527293, 0.396240625180289], "passed": true, "s": 0.5, "slack": 0.25, '
+        '"tube_branch": true}'
+    ),
+    "ExponentFit": '{"intercept": 0.0, "max_residual": 0.0, "samples": [[2, 4], [3, 8]], "slope": 1.0}',
+    "GeneratorSpec": '{"kind": "grid", "params": {"k": 3}}',
+    "IncidenceReport": (
+        '{"coarse_ball_count": 4, "coarse_tube_count": 6, "e_coarse": 0.646240625180289, '
+        '"e_tubes": 1.175109929535273, "identity_ok": true, "incidence_count": 64, "k": 4, '
+        '"mt_histogram": [[2, 4], [4, 2]], "n_points": 16, "nt_histogram": [[1, 8], [2, 4], [3, 8], [4, 6]], '
+        '"tube_count": 26}'
+    ),
+    "PlunneckeReport": (
+        '{"a_cells": 1, "b_cells": 2, "bound": 16.0, "c0": 2.0, "diff_bb": 3, "ok": true, "sum_ab": 2, "sum_bb": 3}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PLAIN_JSON))
+def test_plain_json_records_write_their_fields(name):
+    from tubelab.manifest import canonical_json
+
+    sample = _samples()[name]()
+    assert type(sample).to_json is core_grid._asdict
+    assert canonical_json(sample.to_json()) == canonical_json(json.loads(_PLAIN_JSON[name]))
