@@ -146,22 +146,29 @@ def _indexed_entries(
 
 
 class _Field:
-    """The options of one record field (see field)."""
+    """A record field's default_factory (see field)."""
 
-    __slots__ = ("repr", "default_factory")
+    __slots__ = ("default_factory",)
 
-    def __init__(self, repr: bool, default_factory: Callable[[], object] | None) -> None:
-        self.repr, self.default_factory = repr, default_factory
+    def __init__(self, default_factory: Callable[[], object]) -> None:
+        self.default_factory = default_factory
 
     def __repr__(self) -> str:  # how a constructor's signature shows a made default
         return "<factory>"
 
 
-def field(*, repr: bool = True, default_factory: Callable[[], object] | None = None) -> Any:
-    """A record field's options, written in place of its default as in
-    dataclasses: repr=False leaves the field out of the repr, and
-    default_factory() is its default, made afresh for each instance."""
-    return _Field(repr, default_factory)
+def field(*, default_factory: Callable[[], object]) -> Any:
+    """A record field's default, made afresh for each instance by
+    default_factory(), written in place of the default as in dataclasses."""
+    return _Field(default_factory)
+
+
+def _column(value: object) -> np.ndarray:
+    """A record's int64 column: value as an int64 array, adopted, not
+    copied, when it is one, and made read-only."""
+    column = np.asarray(value, dtype=np.int64)
+    column.flags.writeable = False
+    return column
 
 
 def _refuse_set(self, name: str, value: object) -> None:
@@ -184,12 +191,16 @@ def record(cls: type) -> type:
     would pay for.
 
     The class's annotations, in order, are its fields, and its values for
-    them their defaults (a slots class's member descriptors are not). The
-    record gets
-    - __init__ over the fields, which calls __post_init__ if the class has
-      one, with a __signature__ naming its parameters
-    - __repr__ `Name(field=value, ...)`, without the fields marked repr=False
-    - __eq__ and __hash__ on the tuple of fields
+    them their defaults (a slots class's member descriptors are not). A
+    field annotated np.ndarray is a column: the constructor makes it a
+    read-only int64 array, adopting an int64 array passed in, not copying
+    it. The record gets
+    - __init__ over the fields, which adopts the columns and then calls
+      __post_init__ if the class has one, with a __signature__ naming its
+      parameters
+    - __repr__ `Name(field=value, ...)`, without the columns
+    - __eq__ and __hash__ on the tuple of fields; __eq__ compares columns
+      with np.array_equal, and a record with columns is unhashable
     - __reduce__ `(type(self), fields)`, so that pickling, copy.copy and
       copy.deepcopy run the constructor and its checks again
     - refused assignment and deletion (AttributeError), `_fields` and
@@ -197,20 +208,18 @@ def record(cls: type) -> type:
     A method the class defines itself is kept."""
     annotations = cls.__dict__.get("__annotations__", {})
     names = tuple(annotations)
-    params, hidden = [Parameter("self", Parameter.POSITIONAL_OR_KEYWORD)], set()
+    columns = tuple(name for name, kind in annotations.items() if kind in ("np.ndarray", np.ndarray))
+    params = [Parameter("self", Parameter.POSITIONAL_OR_KEYWORD)]
     for name in names:
         default = cls.__dict__.get(name, Parameter.empty)
         if isinstance(default, MemberDescriptorType):
             default = Parameter.empty
         elif isinstance(default, _Field):
             delattr(cls, name)
-            if not default.repr:
-                hidden.add(name)
-            default = default if default.default_factory else Parameter.empty
         params.append(Parameter(name, Parameter.POSITIONAL_OR_KEYWORD, default=default, annotation=annotations[name]))
     signature = Signature(params)
     width, post_init = len(names), hasattr(cls, "__post_init__")
-    shown = [name for name in names if name not in hidden]
+    shown = [name for name in names if name not in columns]
     # the tuple of fields; attrgetter returns a lone field bare
     values = attrgetter(*names)
     if width == 1:
@@ -222,6 +231,8 @@ def record(cls: type) -> type:
             bound.apply_defaults()
             args = [v.default_factory() if isinstance(v, _Field) else v for v in bound.args[1:]]
         self.__dict__.update(zip(names, args))
+        for name in columns:
+            self.__dict__[name] = _column(self.__dict__[name])
         if post_init:
             self.__post_init__()
 
@@ -231,11 +242,18 @@ def record(cls: type) -> type:
     def __eq__(self, other):
         return values(self) == values(other) if other.__class__ is self.__class__ else NotImplemented
 
+    def columns_eq(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = zip(names, values(self), values(other))
+        return all(np.array_equal(a, b) if name in columns else a == b for name, a, b in pairs)
+
     __init__.__signature__ = signature
     methods = {
         "__init__": __init__, "__repr__": __repr__, "__setattr__": _refuse_set,
         "__delattr__": _refuse_delete, "_fields": names, "_asdict": _asdict,
-        "__eq__": __eq__, "__hash__": lambda self: hash(values(self)),
+        "__eq__": columns_eq if columns else __eq__,
+        "__hash__": None if columns else lambda self: hash(values(self)),
         "__reduce__": lambda self: (type(self), values(self)),
     }
     for name, method in methods.items():
@@ -447,8 +465,8 @@ class PointSet:
     them as DyadicPoints, built when first asked for."""
 
     scale: Scale
-    x: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
+    x: np.ndarray
+    y: np.ndarray
     m: int
 
     def __init__(self, scale: Scale, points: Iterable[DyadicPoint]) -> None:
@@ -473,9 +491,8 @@ class PointSet:
         distinct points, each error naming the first point at fault."""
         if m > GRID_CAP:
             raise DyadicOverflowError(f"point sets need coordinates on the 2^-{GRID_CAP} grid or coarser, got 2^-{m}")
-        x, y = np.array(x, dtype=np.int64), np.array(y, dtype=np.int64)
-        for name, value in (("scale", scale), ("x", x), ("y", y), ("m", m)):
-            object.__setattr__(self, name, value)
+        x, y = _column(x), _column(y)
+        self.__dict__.update(scale=scale, x=x, y=y, m=m)
         bound = _COORD_BOUND << m
         outside = np.flatnonzero((x < -bound) | (x > bound) | (y < -bound) | (y > bound))
         if outside.size:
@@ -485,7 +502,6 @@ class PointSet:
         repeat = ~(_run_starts(x[order]) | _run_starts(y[order]))
         if repeat.any():
             raise ValidationError(f"duplicate point {self._point(int(order[repeat].min()))}")
-        x.flags.writeable = y.flags.writeable = False
 
     def _point(self, i: int) -> DyadicPoint:
         return DyadicPoint(DyadicRational(int(self.x[i]), self.m), DyadicRational(int(self.y[i]), self.m))
@@ -497,13 +513,6 @@ class PointSet:
     def __reduce__(self):
         # the one record whose constructor takes other than its fields
         return (PointSet.from_columns, (self.scale, self.x, self.y, self.m))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PointSet):
-            return NotImplemented
-        return (self.scale, self.m, self.x.tobytes(), self.y.tobytes()) == (
-            other.scale, other.m, other.x.tobytes(), other.y.tobytes()
-        )
 
     def __len__(self) -> int:
         return self.x.size

@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from .core_grid import PointSet, Scale, _indexed_entries, _int_field, _run_starts, cell_numbers, covering_number
-from .core_grid import _asdict, field, number_field, record
+from .core_grid import _asdict, number_field, record
 from .delta_sets import DeltaSetParams, _validate_coords, validate
 from .errors import HypothesisViolation, ParseError, ValidationError
 from .tubes import TubeFamily, family_keys, intercept_window_array, key_bits, membership_grid, parent_key_array
@@ -36,18 +36,17 @@ _BLOCK_KEYS = 1 << 13
 class Configuration:
     """Point set plus one tube family per point, at a common even-k scale.
     Family i is keys[offsets[i]:offsets[i + 1]], its strictly increasing
-    packed keys; both columns are read-only int64 arrays. An int64 array
-    passed in is adopted, not copied, and made read-only."""
+    packed keys; both are columns (see record)."""
 
     points: PointSet
-    keys: np.ndarray = field(repr=False)
-    offsets: np.ndarray = field(repr=False)
+    keys: np.ndarray
+    offsets: np.ndarray
     s: float
     epsilon: float
 
     def __post_init__(self) -> None:
         self.points.scale.require_even()
-        keys, offsets = np.asarray(self.keys, dtype=np.int64), np.asarray(self.offsets, dtype=np.int64)
+        keys, offsets = self.keys, self.offsets
         n = len(self.points)
         if keys.ndim != 1 or offsets.shape != (n + 1,):
             raise ValidationError(f"{offsets.size - 1} families for {n} points")
@@ -59,20 +58,10 @@ class Configuration:
         if not rising.all():
             i = int(np.searchsorted(offsets, np.argmin(rising) + 1, side="right")) - 1
             raise ValidationError(f"the keys of family {i} are not sorted and distinct")
-        keys.flags.writeable = offsets.flags.writeable = False
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "offsets", offsets)
         if not (0.0 < self.s <= 1.0):
             raise ValidationError(f"slope dimension s={self.s} outside (0, 1]")
         if not (0.0 < self.epsilon < min(self.s, 0.5)):
             raise ValidationError(f"epsilon={self.epsilon} outside (0, min(s, 1/2))")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Configuration):
-            return NotImplemented
-        return (self.points, self.s, self.epsilon) == (other.points, other.s, other.epsilon) and all(
-            np.array_equal(a, b) for a, b in ((self.keys, other.keys), (self.offsets, other.offsets))
-        )
 
     @cached_property
     def families(self) -> tuple[TubeFamily, ...]:

@@ -156,6 +156,8 @@ class ExperimentManifest:
     def __post_init__(self) -> None:
         if (self.generator_kind is None) == (self.input_path is None):
             raise ParseError("exactly one of 'generator' and 'input' is required")
+        if not self.out:
+            raise ParseError("manifest 'out' must name a directory, got ''")
         if not self.k_range:
             raise ParseError("k_range must be nonempty")
         if list(self.k_range) != sorted(set(self.k_range)):
@@ -536,10 +538,6 @@ def _run(manifest: ExperimentManifest) -> int:
     """`run`, for the command line: exit 0 or 1, or the exception that
     stopped the run, raised once every artifact is written."""
     out = Path(manifest.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ParseError(f"cannot write {manifest.out!r}: {exc}") from exc
     digest = manifest.sha256()
     started = datetime.now(timezone.utc).isoformat()
 
@@ -565,6 +563,10 @@ def _run(manifest: ExperimentManifest) -> int:
             raise
         stop = exc
 
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot write {manifest.out!r}: {exc}") from exc
     _write_text(out / "manifest.json", canonical_json(manifest.to_json()))
     for k, report in reports:
         _write_text(out / f"report_k{k}.json", canonical_json(report))
@@ -602,8 +604,8 @@ def run(manifest: ExperimentManifest, threads: int = 1) -> int:
     Scales run one after another on one thread, and every scale finishes
     before anything is written. `threads` is unused, since a manifest runs
     no energy, and stays because the benchmark harness passes it. What maps
-    to exit 2 is raised and writes no artifact; a run stopped at exit 3 or
-    4 writes its witness.json and meta.json.
+    to exit 2 is raised and creates nothing, not even the out directory; a
+    run stopped at exit 3 or 4 writes its witness.json and meta.json.
     """
     try:
         return _run(manifest)

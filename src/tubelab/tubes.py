@@ -42,7 +42,6 @@ from .core_grid import (
     _int_field,
     _run_starts,
     check_value_bound,
-    field,
     read_rows,
     record,
     write_rows,
@@ -292,25 +291,16 @@ UNIT_WINDOW = Window(ZERO, ONE, ZERO, ONE)
 
 @record
 class TubeFamily:
-    """Deduplicated family of tubes at one scale: keys is a read-only int64
-    column of strictly increasing packed keys. An int64 array passed in is
-    adopted, not copied, and made read-only."""
+    """Deduplicated family of tubes at one scale: keys is a column (see
+    record) of strictly increasing packed keys."""
 
     scale: Scale
-    keys: np.ndarray = field(repr=False)
+    keys: np.ndarray
 
     def __post_init__(self) -> None:
-        keys = np.asarray(self.keys, dtype=np.int64)
         # sorted and distinct, as the searches over the keys assume
-        if keys.ndim != 1 or not (keys[1:] > keys[:-1]).all():
+        if self.keys.ndim != 1 or not (self.keys[1:] > self.keys[:-1]).all():
             raise ValidationError("tube family keys must strictly increase")
-        keys.flags.writeable = False
-        object.__setattr__(self, "keys", keys)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TubeFamily):
-            return NotImplemented
-        return self.scale == other.scale and np.array_equal(self.keys, other.keys)
 
     @classmethod
     def from_tubes(cls, scale: Scale, tubes: Iterable[DyadicTube]) -> "TubeFamily":

@@ -967,6 +967,7 @@ def test_run_manifest_parse_errors(capsys, tmp_path):
         ({"analyses": ["validate", 1]}, "'analyses'"),
         ({"input": 5}, "'input'"),
         ({"generator": {"kind": 5}}, "'generator.kind'"),
+        ({"out": ""}, "'out'"),  # Path("") is the current directory
     ],
 )
 def test_run_refuses_manifest_fields_of_the_wrong_type(capsys, tmp_path, monkeypatch, change, field):
@@ -979,7 +980,16 @@ def test_run_refuses_manifest_fields_of_the_wrong_type(capsys, tmp_path, monkeyp
         assert code == 0 and Path("good", "report_k4.json").exists()
         return
     assert (code, out) == (2, "") and field in err and "Traceback" not in err
-    assert not any(Path(name).exists() for name in ("None", "5", "True", "good"))
+    assert not any(Path(name).exists() for name in ("None", "5", "True", "good", "manifest.json"))
+
+
+def test_run_refuses_an_empty_out_flag(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    obj = {"generator": {"kind": "grid", "params": {}}, "k_range": [3], "analyses": ["validate"], "out": "good"}
+    Path("m.json").write_text(json.dumps(obj))
+    code, out, err = _call(capsys, ["run", "--manifest", "m.json", "--out", ""])
+    assert (code, out) == (2, "") and "'out'" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 def test_run_manifest_default_epsilon_is_checked(capsys, tmp_path):
@@ -1019,7 +1029,18 @@ def test_run_exits_as_validate_on_too_fine_input(capsys, tmp_path):
         code, out, err = _call(capsys, argv)
         assert (code, out) == (2, "")
         assert "2^-27 grid or coarser, got 2^-30" in err
-    assert list(out_dir.iterdir()) == []
+    assert not out_dir.exists()
+
+
+def test_run_refused_during_its_analyses_creates_no_directory(capsys, tmp_path):
+    # an input that cannot be read is found only when the analyses start
+    mf = tmp_path / "m.json"
+    out_dir = tmp_path / "o"
+    obj = {"input": str(tmp_path / "nope.json"), "k_range": [3], "analyses": ["validate"], "out": str(out_dir)}
+    mf.write_text(json.dumps(obj))
+    code, out, err = _call(capsys, ["run", "--manifest", str(mf)])
+    assert (code, out) == (2, "") and "cannot read input" in err
+    assert not out_dir.exists()
 
 
 # its last point, 1 + 2^-28, lies on the 2^-28 grid

@@ -357,6 +357,26 @@ def test_record_defaults_and_order():
     }
 
 
+@pytest.mark.parametrize("annotation", ["np.ndarray", np.ndarray])
+def test_record_columns_are_read_only_int64_arrays(annotation):
+    # a field annotated np.ndarray, as a string or as the type, is a column
+    Box = core_grid.record(type("Box", (), {"__annotations__": {"scale": Scale, "keys": annotation}}))
+    listed = Box(Scale(2), [3, 1, 2])
+    assert listed.keys.dtype == np.int64 and listed.keys.flags.owndata and not listed.keys.flags.writeable
+    assert listed.keys.tolist() == [3, 1, 2]
+    # an int64 array passed in is adopted, not copied, and made read-only
+    keys = np.array([3, 1, 2], dtype=np.int64)
+    adopted = Box(Scale(2), keys)
+    assert adopted.keys is keys and not keys.flags.writeable
+    # equal by value; one changed entry, a longer column or another scale is unequal
+    assert adopted == listed == Box(Scale(2), np.array([3, 1, 2], dtype=np.int32)) and not adopted != listed
+    for other in (Box(Scale(2), [3, 1, 5]), Box(Scale(2), [3, 1, 2, 4]), Box(Scale(3), keys)):
+        assert adopted != other and not adopted == other
+    with pytest.raises(TypeError):
+        hash(adopted)
+    assert repr(adopted) == "Box(scale=Scale(k=2))"
+
+
 def _columns(value: object) -> list[np.ndarray]:
     """The int64 array fields of a record and of the records it holds."""
     if isinstance(value, np.ndarray):

@@ -23,8 +23,11 @@ its name, and an `__init__` by its class's name. Record fields are not
 parameters here.
 
 Every immutable value is a `core_grid.record`: no class of `src/tubelab`
-defines or assigns `__setattr__`, `__delattr__`, `__ne__` or `__hash__`
-itself. A record that holds arrays may define its own `__eq__`.
+defines or assigns `__setattr__`, `__delattr__`, `__eq__`, `__ne__`,
+`__hash__` or `__reduce__` itself, except `PointSet.__reduce__`.
+
+Every name a module of `src/tubelab` imports, other than from `__future__`,
+is used in that module.
 """
 from __future__ import annotations
 
@@ -229,9 +232,9 @@ def test_unset_parameters_are_found():
 
 
 # what record alone gives a class: refused assignment and deletion,
-# equality and hashing on the tuple of fields, and pickling and copying
-# through the constructor
-RECORD_ONLY = ("__setattr__", "__delattr__", "__ne__", "__hash__", "__reduce__")
+# equality and hashing on the tuple of fields, int64 columns included, and
+# pickling and copying through the constructor
+RECORD_ONLY = ("__setattr__", "__delattr__", "__eq__", "__ne__", "__hash__", "__reduce__")
 # PointSet's constructor takes DyadicPoints, not its fields, so it reduces
 # through PointSet.from_columns
 OWN_RECORD_METHODS = ["core_grid.py: PointSet.__reduce__"]
@@ -270,5 +273,39 @@ def test_own_record_methods_are_found():
         "        return False\n"
     )
     assert _own_record_methods({"lib.py": lib}) == [
-        "lib.py: Frozen.__setattr__", "lib.py: Frozen.__delattr__", "lib.py: Frozen.__hash__", "lib.py: Frozen.__ne__"
+        "lib.py: Frozen.__setattr__", "lib.py: Frozen.__delattr__", "lib.py: Frozen.__hash__",
+        "lib.py: Frozen.__eq__", "lib.py: Frozen.__ne__",
     ]
+
+
+def _unused_imports(modules: dict[str, ast.Module]) -> list[str]:
+    """Each name a module imports, other than from __future__, that no
+    bare name of the module uses, as "module: name"."""
+    unused = []
+    for module, tree in modules.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                unused += [f"{module}: {name}" for name in names if name not in used]
+    return unused
+
+
+def test_every_import_is_used():
+    assert _unused_imports(_modules()) == []
+
+
+def test_unused_imports_are_found():
+    lib = ast.parse(
+        "from __future__ import annotations\n"
+        "import os, sys\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .core_grid import field, record\n"
+        "@record\n"
+        "class Box:\n"
+        "    keys: np.ndarray\n"
+        "print(sys.argv)\n"
+    )
+    # os.path binds os, which nothing uses either
+    assert _unused_imports({"lib.py": lib}) == ["lib.py: os", "lib.py: os", "lib.py: field"]
