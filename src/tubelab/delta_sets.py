@@ -16,9 +16,15 @@ delta-ball around each point holds that point alone. A set that fails it is
 reported as kind "separation", and its witness is the first close pair in
 point order: the lowest index i of any two points less than delta apart,
 and the lowest j != i close to it.
+
+A configuration's check needs only the verdict, so it asks
+_cell_bound_holds first: dyadic cell counts bound every ball count, and
+when the bound passes the set is valid without a distance computed. Only
+a set the bound leaves undecided is counted, and gets the full report.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -166,6 +172,50 @@ def _validate_coords(columns: Sequence[Sequence[int]], m: int, params: DeltaSetP
         }
     valid = worst_ratio <= 1.0
     return ValidationReport(valid, "ok" if valid else "ball", worst_ratio, worst_witness, eff, params)
+
+
+def _cell_bound_holds(columns: Sequence[Sequence[int]], m: int, params: DeltaSetParams) -> bool:
+    """True only if _validate_coords would find the points valid, decided
+    from dyadic cell counts: False means undecided, not invalid.
+
+    The open ball of radius r = 2^-(k-t) around a point lies in the 3^dim
+    block of r-cells around the point's own cell, so the block's point
+    count U bounds the ball count, and U / threshold <= 1 is _validate_coords'
+    float test on that bound. At t = 0 every U must be 1, which proves
+    separation; on the 2^-k grid the block is the point's own cell, since
+    distinct grid points are delta apart. A row t >= 1 with n / threshold
+    <= 1 holds at every center unseen. Each row sorts one packed key per
+    point, and block counts come from searchsorted on that sorted column.
+    """
+    k, n = params.scale.k, len(columns[0])
+    m_exp = max(k, m)
+    if n == 0 or m_exp > 27:  # _validate_coords raises on these
+        return False
+    axes = [np.asarray(col, dtype=np.int64) << (m_exp - m) for col in columns]
+    axes = [ax - ax.min() for ax in axes]
+    for t in range(k + 1):
+        threshold = params.C * (2.0 ** (t * params.s))
+        if t and n / threshold <= 1.0:
+            continue
+        shift = m_exp - k + t
+        reach = 1 if shift else 0
+        # each axis' cell c is packed as c + 1 into a field that holds
+        # c + 2, so a neighbour cell's key is the key plus a constant
+        cells = [(ax >> shift) + 1 for ax in axes]
+        widths = [int(c.max() + 1).bit_length() for c in cells]
+        if sum(widths) > 62:
+            return False
+        places = np.cumsum([0] + widths[:0:-1]).tolist()[::-1]
+        keys = sum(c << p for c, p in zip(cells, places))
+        ordered = np.sort(keys)
+        block = np.zeros(n, dtype=np.int64)
+        for lead in itertools.product(range(-reach, reach + 1), repeat=len(axes) - 1):
+            base = keys + sum(o << p for o, p in zip(lead, places))
+            block += ordered.searchsorted(base + reach, side="right")
+            block -= ordered.searchsorted(base - reach, side="left")
+        if (t == 0 and (block != 1).any()) or not (block / threshold <= 1.0).all():
+            return False
+    return True
 
 
 def validate(ps: PointSet, params: DeltaSetParams) -> ValidationReport:

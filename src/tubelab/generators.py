@@ -104,6 +104,7 @@ def _product(k: int, line: Sequence[int]) -> PointSet:
 
 def grid(k: int) -> PointSet:
     """Full delta-grid of [0, 1)^2."""
+    Scale(k)  # range check, before 4^k and the shifts read k
     if 4 ** k > _SIZE_GUARD:
         raise GeneratorError(f"full grid at k={k} would have {4**k} points")
     return _product(k, range(1 << k))

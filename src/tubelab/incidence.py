@@ -22,7 +22,7 @@ import numpy as np
 
 from .core_grid import PointSet, Scale, _indexed_entries, _int_field, _run_starts, cell_numbers, covering_number
 from .core_grid import _asdict, number_field, record
-from .delta_sets import DeltaSetParams, _validate_coords, validate
+from .delta_sets import DeltaSetParams, _cell_bound_holds, _validate_coords, validate
 from .errors import HypothesisViolation, ParseError, ValidationError
 from .tubes import TubeFamily, family_keys, intercept_window_array, key_bits, membership_grid, parent_key_array
 from .tubes import TUBE_ROW, tube_rows, unpack_key, unpack_key_array
@@ -180,16 +180,23 @@ def validate_configuration(cfg: Configuration) -> list[HypothesisViolation]:
     """Structural hypotheses: membership, point-set Frostman condition at
     dimension 1, slope-set Frostman condition at dimension s, both with
     constant delta^-epsilon. Returns all violations found (empty if clean).
-    The ball counts run first: they refuse points finer than 2^-27 with
-    DyadicOverflowError, inside the envelope of the membership kernel."""
+
+    The point set is decided by its dyadic cell counts first, which bound
+    every ball count (delta_sets._cell_bound_holds); its ball counts run
+    only when that bound cannot decide, and then give the same report,
+    witness and payload. They run before the membership kernel: they
+    refuse points finer than 2^-27 with DyadicOverflowError, inside that
+    kernel's envelope. Each distinct slope set, at most 2^k cells, is
+    counted exactly."""
     out: list[HypothesisViolation] = []
     k = cfg.scale.k
     c_eps = 2.0 ** (k * cfg.epsilon)
-    point_report = validate(cfg.points, DeltaSetParams(cfg.scale, 1.0, c_eps))
+    points, params = cfg.points, DeltaSetParams(cfg.scale, 1.0, c_eps)
+    point_report = None if _cell_bound_holds((points.x, points.y), points.m, params) else validate(points, params)
     missing, slope_sets = _scan_families(cfg)
     if missing is not None:
         out.append(missing)
-    if not point_report.valid:
+    if point_report is not None and not point_report.valid:
         out.append(
             HypothesisViolation(
                 "point_set_frostman",

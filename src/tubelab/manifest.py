@@ -344,10 +344,11 @@ def _exit_of(exc: Exception) -> tuple[int, dict | None]:
 
 
 def _write_text(path: str | Path, text: str) -> None:
-    """Write an output file; a path that cannot be written is bad usage."""
+    """Write an output file; a path that cannot be written is bad usage,
+    also one that the OS cannot take at all, such as one holding a NUL."""
     try:
         Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
@@ -565,7 +566,7 @@ def _run(manifest: ExperimentManifest) -> int:
 
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: as in _write_text
         raise ParseError(f"cannot write {manifest.out!r}: {exc}") from exc
     _write_text(out / "manifest.json", canonical_json(manifest.to_json()))
     for k, report in reports:

@@ -992,6 +992,34 @@ def test_run_refuses_an_empty_out_flag(capsys, tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
+def test_gen_refuses_an_out_path_holding_a_nul(capsys, tmp_path, monkeypatch):
+    # the OS takes no path with a NUL: Path.write_text raises ValueError
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _call(capsys, ["gen", "--kind", "grid", "--k", "2", "--out", "a\x00b"])
+    assert (code, out) == (2, "") and "cannot write" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", [[], ["--out", "c\x00d"]])
+def test_run_refuses_an_out_path_holding_a_nul(capsys, tmp_path, monkeypatch, flag):
+    # the analyses run, then Path.mkdir raises ValueError: nothing is created
+    monkeypatch.chdir(tmp_path)
+    obj = {"generator": {"kind": "grid", "params": {}}, "k_range": [3], "analyses": ["validate"], "out": "a\u0000b"}
+    Path("m.json").write_text(json.dumps(obj))
+    code, out, err = _call(capsys, ["run", "--manifest", "m.json", *flag])
+    assert (code, out) == (2, "") and "cannot write" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
+
+
+@pytest.mark.parametrize("command", ["gen", "validate", "project", "dim"])
+def test_grid_refuses_a_negative_scale(capsys, command):
+    # grid checks its scale before 4^k and its shifts read k, as the other
+    # five kinds already did
+    argv = [command, "--kind", "grid", "--k", "-1", *(["--k", "2"] if command == "dim" else [])]
+    code, out, err = _call(capsys, argv)
+    assert (code, out) == (2, "") and "k=-1" in err and "Traceback" not in err
+
+
 def test_run_manifest_default_epsilon_is_checked(capsys, tmp_path):
     mf = tmp_path / "m.json"
     mf.write_text(

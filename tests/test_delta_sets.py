@@ -5,6 +5,7 @@ cuts; the validation oracle is a full scan over grid centers.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,8 @@ import pytest
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale, _distance_dtype
 from tubelab.delta_sets import (
     DeltaSetParams,
+    _cell_bound_holds,
+    _validate_coords,
     extract,
     validate,
     validate_1d,
@@ -442,6 +445,81 @@ def test_separation_witness_is_lowest_partner_not_nearest():
     rep = validate_1d(values, DeltaSetParams(Scale(k), 1.0, 1e9))
     assert rep.witness == {"pair": [[[25, 6]], [[103, 8]]]}
     _assert_separation_matches_brute_force(rep, [(v,) for v in values], k)
+
+
+# --- the cell-count bound that decides valid sets without ball counts ---
+
+
+@hys.composite
+def _bound_cases(draw) -> tuple[list[list[int]], int, DeltaSetParams]:
+    """Sets in dims 1 and 2 at k <= 6, numerators on the 2^-m grid for m
+    from k to 27 around a signed center, every coordinate in [-4, 4]:
+    clusters within a few cells of one radius, where near and coincident
+    points are common, or boxes of a grid of spacing delta or 2 delta,
+    whose block counts meet an integer C 2^(ts) exactly. C lies at or just
+    around the exact worst ratio, is a small integer, or is so large that
+    only separation can fail."""
+    dim, k = draw(hys.sampled_from([1, 2])), draw(hys.integers(1, 6))
+    m = draw(hys.integers(k, 27))
+    s = draw(hys.sampled_from([0.5, 1.0, 2.0]))
+    center = draw(hys.integers(-(1 << m), 1 << m))
+    if draw(hys.booleans()):
+        cell = 1 << (m - k + draw(hys.integers(0, k)))
+        offset = hys.integers(-3 * cell, 3 * cell) | hys.integers(-2, 2)
+        rows = draw(hys.lists(hys.tuples(*[offset] * dim), min_size=1, max_size=40))
+    else:
+        spacing = draw(hys.integers(0, 1))
+        step = 1 << (m - k + spacing)
+        side = draw(hys.integers(1, min(6 if dim == 2 else 30, 3 << (k - spacing))))
+        rows = list(itertools.product(range(0, side * step, step), repeat=dim))
+    columns = [[center + row[d] for row in rows] for d in range(dim)]
+    worst = _validate_coords(columns, m, DeltaSetParams(Scale(k), s, 1.0)).worst_ratio
+    near = [worst, worst * (1 + 2.0**-40), worst * (1 - 2.0**-40)] if math.isfinite(worst) else []
+    C = draw(hys.sampled_from([*near, 1.0, 2.0, 3.0, 9.0, 1e9]))
+    return columns, m, DeltaSetParams(Scale(k), s, C)
+
+
+@hyp.settings(max_examples=400, deadline=None)
+@hyp.given(_bound_cases())
+def test_cell_bound_never_accepts_an_invalid_set(case):
+    columns, m, params = case
+    accepted = _cell_bound_holds(columns, m, params)
+    hyp.event(f"accepted: {accepted}")
+    if accepted:
+        assert _validate_coords(columns, m, params).valid
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cell_bound_accepts_a_block_ratio_of_exactly_one(dim):
+    # a full delta-grid: each 3^dim block of r-cells holds 3^dim (r/delta)^dim
+    # points, exactly C (r/delta)^s at C = 3^dim and s = dim. Just below that
+    # C the bound declines, though every ball count is still allowed
+    k = 4
+    columns = [list(col) for col in zip(*itertools.product(range(1 << k), repeat=dim))]
+    params = DeltaSetParams(Scale(k), float(dim), float(3**dim))
+    assert _cell_bound_holds(columns, k, params)
+    assert _validate_coords(columns, k, params).valid
+    tight = DeltaSetParams(Scale(k), float(dim), math.nextafter(3.0**dim, 0.0))
+    assert not _cell_bound_holds(columns, k, tight)
+    assert _validate_coords(columns, k, tight).valid
+
+
+def test_cell_bound_proves_separation_below_the_grid():
+    # on the 2^-(k+2) grid, points a quarter delta apart fail separation
+    # and share a delta-block; points 2 delta apart share none. Points
+    # exactly delta apart are separated, but their blocks meet, so the
+    # bound leaves them to the ball counts
+    k = 3
+    params = DeltaSetParams(Scale(k), 1.0, 1e9)
+    assert not _cell_bound_holds([[0, 1, 40]], k + 2, params)
+    assert _validate_coords([[0, 1, 40]], k + 2, params).kind == "separation"
+    assert _cell_bound_holds([[0, 8, 40]], k + 2, params)
+    assert not _cell_bound_holds([[0, 4, 40]], k + 2, params)
+    assert _validate_coords([[0, 4, 40]], k + 2, params).valid
+    # an empty set, or one finer than 2^-27, is left to the ball counts,
+    # which refuse it
+    assert not _cell_bound_holds([[]], k, params)
+    assert not _cell_bound_holds([[1]], 28, params)
 
 
 # --- discrete content, as extract reports it ---

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import configuration_of
-from tubelab import incidence
+from tubelab import delta_sets, incidence
 from tubelab.core_grid import DyadicPoint, DyadicRational, PointSet, Scale, covering_number
 from tubelab.delta_sets import DeltaSetParams, _validate_coords, validate, validate_1d
 from tubelab.errors import DyadicOverflowError, HypothesisViolation, ParseError, ScaleError, ValidationError
@@ -506,6 +506,19 @@ def test_slope_sets_of_neighbouring_families_sharing_a_slope_cell():
     with mock.patch.object(incidence, "_validate_coords", recording_kernel(checked)):
         validate_configuration(cfg)
     assert [[v.floor_to_int(k) for v in values] for values in checked] == [[0, 5], [5, 9]]
+
+
+def test_benchmark_configurations_need_no_point_ball_counts(monkeypatch):
+    # the cell-count bound decides the point sets of the incidence-run
+    # benchmark's configurations, so their ball counts never run; each
+    # distinct slope set still goes to the exact kernel, as the oracle
+    # tests record
+    def refuse(*args):
+        raise AssertionError("the point set's ball counts ran")
+
+    monkeypatch.setattr(delta_sets, "_validate_coords", refuse)
+    for k in (8, 10, 12):
+        assert validate_configuration(furstenberg_product(k, 0.5)) == []
 
 
 def _finer_point(cfg: Configuration, exp: int) -> Configuration:
